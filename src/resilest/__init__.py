@@ -26,6 +26,7 @@ from .analysis import (
 )
 from .decoding import (
     Candidate,
+    CandidateStack,
     DecodeResult,
     DetectionResult,
     candidate_set,
@@ -41,10 +42,11 @@ from .estimator import (
     BRANCH_MINIMIZER,
     DecoderState,
     EstimateRecord,
+    EstimatorAssumptionError,
+    ObserverBank,
     build_phi,
     decoder_step,
     estimator_step,
-    pad_observer_outputs,
 )
 from .observers import (
     ErrorBoundParams,
@@ -54,7 +56,6 @@ from .observers import (
     default_poles,
     design_gain,
     kalman_decompose,
-    observer_step,
     v_max_at,
 )
 from .plant import (
@@ -75,10 +76,6 @@ from .stacked import (
     CodingMatrix,
     IndexSet,
     StackedVector,
-    expand_index_set,
-    select_compacted,
-    select_zeroed,
-    stacked_l0,
     stacked_support,
 )
 

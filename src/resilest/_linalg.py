@@ -28,15 +28,6 @@ def get_eps_rel() -> float:
     return _eps_rel
 
 
-def rank_tolerance(matrix: np.ndarray, eps_rel: float | None = None) -> float:
-    """Absolute singular-value floor for ``matrix``."""
-    if matrix.size == 0:
-        return 0.0
-    eps = _eps_rel if eps_rel is None else eps_rel
-    sigma_max = np.linalg.norm(matrix, 2) if min(matrix.shape) else 0.0
-    return max(matrix.shape) * sigma_max * eps
-
-
 def matrix_rank(matrix: np.ndarray, eps_rel: float | None = None) -> int:
     """Numerical rank: count of singular values above the shared floor."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))

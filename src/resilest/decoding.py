@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import matrix_rank, pinv
+from ._linalg import get_eps_rel, matrix_rank, pinv
 from .analysis import (
     CorrectabilityError,
     RobustnessConstants,
@@ -116,6 +116,65 @@ def residual_detect_noisy(
     )
 
 
+def block_misfits(phi: CodingMatrix, z: StackedVector, estimates: np.ndarray) -> np.ndarray:
+    """Block norms of ``z - Phi x`` for each row ``x`` of ``estimates``: shape (rows, p)."""
+    resid = z.data[:, None] - phi.entries @ estimates.T
+    return np.linalg.norm(resid.reshape(phi.block_count, phi.block_len, -1), axis=1).T
+
+
+def violations(misfits: np.ndarray, threshold: float) -> np.ndarray:
+    """Blocks whose misfit is not within ``threshold``; a NaN misfit violates."""
+    return ~(misfits <= threshold)
+
+
+@dataclass(frozen=True)
+class CandidateStack:
+    """Least-squares operators of every selection of ``p - r`` blocks of one ``phi``.
+
+    Selection ``c`` has the gather index ``rows[c]`` into a stacked vector,
+    the pseudoinverse ``pinvs[c]`` of its row slabs and a rank flag, both
+    from one SVD.  Selections are in lexicographic order, so the first
+    minimum of a per-candidate score is the smallest selection.  The stack
+    holds ``C(p, p - r) * (p - r) * n**2`` floats.
+    """
+
+    phi: CodingMatrix
+    r: int
+    selections: tuple[IndexSet, ...]
+    rows: np.ndarray
+    pinvs: np.ndarray
+    rank_deficient: np.ndarray
+
+    @classmethod
+    def build(cls, phi: CodingMatrix, r: int) -> "CandidateStack":
+        p, n = phi.block_count, phi.block_len
+        if not 0 <= r <= p:
+            raise ValueError(f"r must lie in 0..{p}, got {r}")
+        selections = tuple(IndexSet(c, p) for c in itertools.combinations(range(1, p + 1), p - r))
+        rows = np.array([lam.row_indices(n) for lam in selections], dtype=np.intp)
+        rows = rows.reshape(len(selections), (p - r) * n)
+        subs = phi.entries[rows]
+        u, s, vt = np.linalg.svd(subs, full_matrices=False)
+        # the singular-value floor of _linalg.matrix_rank and _linalg.pinv
+        keep = s > max(subs.shape[1:]) * get_eps_rel() * s[:, :1]
+        s_inv = np.divide(1.0, s, where=keep, out=np.zeros_like(s))
+        pinvs = np.swapaxes(vt, 1, 2) @ (s_inv[:, :, None] * np.swapaxes(u, 1, 2))
+        return cls(phi, r, selections, rows, pinvs, np.count_nonzero(keep, axis=1) < n)
+
+    def estimates(self, z: StackedVector) -> np.ndarray:
+        """Every candidate's least-squares estimate, one row per selection."""
+        return (self.pinvs @ z.data[self.rows][:, :, None])[:, :, 0]
+
+    def search(self, z: StackedVector, threshold: float) -> tuple[np.ndarray, int, IndexSet]:
+        """Candidate with the fewest violating blocks: (estimate, count, violating set)."""
+        estimates = self.estimates(z)
+        violating = violations(block_misfits(self.phi, z, estimates), threshold)
+        counts = np.count_nonzero(violating, axis=1)
+        best = int(np.argmin(counts))
+        support = tuple(int(i) + 1 for i in np.flatnonzero(violating[best]))
+        return estimates[best], int(counts[best]), IndexSet(support, self.phi.block_count)
+
+
 def candidate_set(phi: CodingMatrix, z: StackedVector, r: int) -> list[Candidate]:
     """Least-squares candidates over all selections of ``p - r`` blocks.
 
@@ -123,38 +182,11 @@ def candidate_set(phi: CodingMatrix, z: StackedVector, r: int) -> list[Candidate
     selection.  Rank-deficient selections still contribute their
     minimum-norm solution, flagged via ``rank_deficient``.
     """
-    p, n = phi.block_count, phi.block_len
-    if not 0 <= r <= p:
-        raise ValueError(f"r must lie in 0..{p}, got {r}")
-    out: list[Candidate] = []
-    for lam_t in itertools.combinations(range(1, p + 1), p - r):
-        lam = IndexSet(lam_t, p)
-        sub = phi.compacted(lam)
-        deficient = matrix_rank(sub) < n
-        estimate = pinv(sub) @ z.compacted(lam)
-        out.append(Candidate(lam=lam, estimate=estimate, rank_deficient=deficient))
-    return out
-
-
-def _count_violations(
-    phi: CodingMatrix, z: StackedVector, x: np.ndarray, threshold: float
-) -> tuple[int, IndexSet]:
-    resid = StackedVector(z.data - phi.entries @ x, z.block_len, z.block_count)
-    norms = resid.block_norms()
-    violating = tuple(i + 1 for i in range(phi.block_count) if norms[i] > threshold)
-    return len(violating), IndexSet(violating, phi.block_count)
-
-
-def _search(
-    phi: CodingMatrix, z: StackedVector, r: int, threshold: float
-) -> tuple[np.ndarray, int, IndexSet]:
-    best: tuple[int, np.ndarray, IndexSet] | None = None
-    for cand in candidate_set(phi, z, r):
-        count, support = _count_violations(phi, z, cand.estimate, threshold)
-        if best is None or count < best[0]:
-            best = (count, cand.estimate, support)
-    assert best is not None
-    return best[1], best[0], best[2]
+    stack = CandidateStack.build(phi, r)
+    return [
+        Candidate(lam=lam, estimate=x, rank_deficient=bool(flag))
+        for lam, x, flag in zip(stack.selections, stack.estimates(z), stack.rank_deficient)
+    ]
 
 
 def default_support_tol(z: StackedVector) -> float:
@@ -186,7 +218,7 @@ def decode_noiseless(
             f"coding matrix is not {q}-error correctable; decoding is ill-posed"
         )
     tol = default_support_tol(z) if support_tol is None else support_tol
-    estimate, objective, support = _search(phi, z, r, tol)
+    estimate, objective, support = CandidateStack.build(phi, r).search(z, tol)
     return DecodeResult(
         estimate=estimate,
         support_estimate=support,
@@ -203,6 +235,7 @@ def decode_noisy(
     r: int | None = None,
     v_max: float = 0.0,
     constants: RobustnessConstants | None = None,
+    candidates: CandidateStack | None = None,
 ) -> DecodeResult:
     """Recover ``x`` from ``z = Phi x + e + v`` with bounded per-block noise.
 
@@ -210,7 +243,8 @@ def decode_noisy(
     violation count lies within ``kappa_c * v_max`` of the true vector.
     Passing precomputed ``constants`` skips both the correctability rank
     check (their existence already certifies it) and the subset
-    enumerations.
+    enumerations; passing a ``candidates`` stack built for ``(phi, r)``
+    skips building the search operators.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -223,8 +257,11 @@ def decode_noisy(
         constants = robustness_constants(phi, q, r)
     elif (constants.q, constants.r) != (q, r):
         raise ValueError("supplied constants were computed for different (q, r)")
-    v_prime = constants.theta * v_max
-    estimate, objective, support = _search(phi, z, r, v_prime)
+    if candidates is None:
+        candidates = CandidateStack.build(phi, r)
+    elif candidates.phi is not phi or candidates.r != r:
+        raise ValueError("supplied candidates were built for a different (phi, r)")
+    estimate, objective, support = candidates.search(z, constants.theta * v_max)
     return DecodeResult(
         estimate=estimate,
         support_estimate=support,
@@ -253,7 +290,8 @@ def certify_estimate(
     r = q if r is None else r
     if constants is None:
         constants = robustness_constants(phi, q, r)
-    count, _ = _count_violations(phi, z, np.asarray(x_hat, dtype=float), constants.theta * v_max)
+    misfits = block_misfits(phi, z, np.asarray(x_hat, dtype=float).reshape(1, -1))
+    count = int(np.count_nonzero(violations(misfits, constants.theta * v_max)))
     return count <= q, count
 
 

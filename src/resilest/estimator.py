@@ -1,28 +1,32 @@
 """Switching decoder over a bank of partial observers.
 
 The padded observer states satisfy a static coding relation against the
-full plant state, so each time step reduces to the block-sparse decoding
-problem.  During normal operation a single least-squares solve on the
-currently trusted sensor set (the calculator) suffices; only when more than
-q sensors disagree does the decoder fall back to the combinatorial search
-(the minimizer) and re-select the trusted set.
+full plant state, so the online estimator is one LTI system (the observer
+bank on the padded state) followed by cached least-squares operators.
+During normal operation one product with the pseudoinverse of the trusted
+rows (the calculator) suffices; only when more than q sensors disagree does
+the decoder fall back to the combinatorial search (the minimizer) and
+re-select the trusted set.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._linalg import pinv
 from .analysis import RobustnessConstants, robustness_constants
-from .decoding import decode_noisy
-from .observers import ErrorBoundParams, PartialObserver, observer_step, v_max_at
+from .decoding import CandidateStack, block_misfits, decode_noisy, violations
+from .observers import ErrorBoundParams, PartialObserver, v_max_at
 from .stacked import CodingMatrix, IndexSet, StackedVector
 
 BRANCH_CALCULATOR = "calculator"
 BRANCH_MINIMIZER = "minimizer"
+
+
+class EstimatorAssumptionError(ValueError):
+    """A standing model assumption of the estimator failed while it ran."""
 
 
 def build_phi(bank: list[PartialObserver]) -> CodingMatrix:
@@ -30,45 +34,72 @@ def build_phi(bank: list[PartialObserver]) -> CodingMatrix:
 
     The block row space equals the sensor's observability row space, so
     selection ranks (and hence correctability) carry over from the stacked
-    observability matrix.  Total observer state is asserted not to exceed
-    the padded size n*p.
+    observability matrix.  Total observer state must not exceed the padded
+    size n*p.
     """
     if not bank:
         raise ValueError("observer bank is empty")
     n = bank[0].Z.shape[0]
     total_nu = sum(obs.nu for obs in bank)
-    assert total_nu <= n * len(bank), "observer bank exceeds padded memory budget"
-    blocks = []
-    for obs in bank:
-        blocks.append(np.vstack([obs.Z.T, np.zeros((n - obs.nu, n))]))
-    return CodingMatrix.from_blocks(blocks)
+    if total_nu > n * len(bank):
+        raise EstimatorAssumptionError(f"observer state {total_nu} exceeds the padded size n*p")
+    return CodingMatrix.from_blocks([np.vstack([o.Z.T, np.zeros((n - o.nu, n))]) for o in bank])
 
 
-def pad_observer_outputs(bank: list[PartialObserver]) -> StackedVector:
-    """Current observer states, each padded with zeros to length n."""
-    n = bank[0].Z.shape[0]
-    parts = []
-    for obs in bank:
-        if obs.state is None:
-            raise ValueError(f"sensor {obs.sensor_index}: observer state unset")
-        parts.append(np.concatenate([obs.state, np.zeros(n - obs.nu)]))
-    return StackedVector.from_blocks(parts)
+@dataclass
+class ObserverBank:
+    """The observer bank as one LTI system on the padded state ``z`` (p x n).
+
+    Block i advances as ``F_i z_i + B_i u + L_i y_i`` with sensor i's matrices
+    zero-padded to n rows, so ``z`` is the decoder input as it stands.  A
+    batched per-block product, unlike a block-diagonal matvec, keeps a
+    non-finite reading in its own block instead of spreading it via ``0 * nan``.
+    """
+
+    F: np.ndarray
+    B: np.ndarray
+    L: np.ndarray
+    z: np.ndarray
+
+    @classmethod
+    def stack(cls, observers: list[PartialObserver]) -> "ObserverBank":
+        """Pad and stack designed observers; every state starts at zero."""
+        n, m, p = observers[0].Z.shape[0], observers[0].Bz.shape[1], len(observers)
+        F, B, L = np.zeros((p, n, n)), np.zeros((p, n, m)), np.zeros((p, n))
+        for i, obs in enumerate(observers):
+            if not obs.gain_designed:
+                raise ValueError(f"sensor {obs.sensor_index}: observer gain not designed")
+            F[i, : obs.nu, : obs.nu] = obs.F
+            B[i, : obs.nu] = obs.Bz
+            L[i, : obs.nu] = obs.L.reshape(-1)
+        return cls(F, B, L, np.zeros((p, n)))
+
+    def step(self, u: np.ndarray, y: np.ndarray) -> None:
+        """Absorb the input ``u`` (m,) and the measurements ``y`` (p,)."""
+        self.z = (self.F @ self.z[:, :, None])[:, :, 0] + self.B @ u + self.L * y[:, None]
+
+    def output(self) -> StackedVector:
+        p, n = self.z.shape
+        return StackedVector(self.z.reshape(-1), n, p)
 
 
 @dataclass
 class DecoderState:
-    """Mutable single-owner state of the switching decoder."""
+    """Mutable single-owner state of the switching decoder.
+
+    ``operators`` caches the calculator's (gather rows, pinv) per trusted set;
+    ``candidates`` holds the minimizer's operators from the first search on.
+    """
 
     lam: IndexSet
     q: int
     r: int
     phi: CodingMatrix
     constants: RobustnessConstants
-    f: int = 0
     v_prime_max: float = 0.0
-    pinv_solves: int = 0
-    minimizer_calls: int = 0
     recert_every: int | None = None
+    operators: dict[IndexSet, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    candidates: CandidateStack | None = None
 
     @classmethod
     def fresh(
@@ -106,64 +137,57 @@ class EstimateRecord:
     solves: int = 1
 
 
-def _block_misfits(state: DecoderState, z: StackedVector, x: np.ndarray) -> np.ndarray:
-    resid = z.data - state.phi.entries @ x
-    p, n = state.phi.block_count, state.phi.block_len
-    return np.linalg.norm(resid.reshape(p, n), axis=1)
-
-
 def decoder_step(
     state: DecoderState,
     z: StackedVector,
     k: int,
     bounds: ErrorBoundParams,
-) -> tuple[EstimateRecord, DecoderState]:
+) -> EstimateRecord:
     """One monitor-then-decode pass on the padded observer vector.
 
-    The calculator solves least squares on the trusted set and counts
-    sensors whose block misfit strictly exceeds ``theta * v_max(k)``; at
-    most q violations keep its estimate.  Otherwise the minimizer searches
-    the candidate set and the trusted set is rebuilt from the sensors
-    consistent with its estimate (non-strict threshold, lexicographic
-    tie-break inherited from the search).
+    The calculator solves least squares on the trusted set, reading only the
+    trusted blocks, and counts sensors whose block misfit is not within
+    ``theta * v_max(k)``; at most q violations keep its estimate.  Otherwise
+    the minimizer searches the candidate set and the trusted set becomes the
+    sensors consistent with its estimate (non-strict threshold,
+    lexicographic tie-break inherited from the search).
     """
     p = state.phi.block_count
     v_max_k = v_max_at(bounds, k)
     state.v_prime_max = state.constants.theta * v_max_k
     solves = 1
 
-    x_prime = pinv(state.phi.compacted(state.lam)) @ z.compacted(state.lam)
-    state.pinv_solves += 1
-    misfits = _block_misfits(state, z, x_prime)
-    f = int(np.count_nonzero(misfits > state.v_prime_max))
-    state.f = f
+    if state.lam not in state.operators:
+        rows = state.lam.row_indices(state.phi.block_len)
+        state.operators[state.lam] = (rows, pinv(state.phi.entries[rows]))
+    rows, lsq = state.operators[state.lam]
+    x_prime = lsq @ z.data[rows]
+    misfits = block_misfits(state.phi, z, x_prime[None, :])
+    f = int(np.count_nonzero(violations(misfits, state.v_prime_max)))
 
     if f <= state.q:
         branch = BRANCH_CALCULATOR
         x_hat = x_prime
     else:
         branch = BRANCH_MINIMIZER
+        if state.candidates is None:
+            state.candidates = CandidateStack.build(state.phi, state.r)
         result = decode_noisy(
-            state.phi, z, state.q, state.r, v_max_k, constants=state.constants
+            state.phi, z, state.q, state.r, v_max_k,
+            constants=state.constants, candidates=state.candidates,
         )
         x_hat = result.estimate
-        n_candidates = math.comb(p, p - state.r)
-        state.pinv_solves += n_candidates
-        solves += n_candidates
-        state.minimizer_calls += 1
-        misfits = _block_misfits(state, z, x_hat)
-        trusted = tuple(
-            i + 1 for i in range(p) if misfits[i] <= state.v_prime_max
-        )
-        state.lam = IndexSet(trusted, p)
-        assert len(state.lam) >= p - state.q, (
-            "trusted sensor set shrank below p - q; model assumptions violated"
-        )
+        solves += len(state.candidates.selections)
+        state.lam = result.support_estimate.complement()
+        if len(state.lam) < p - state.q:
+            raise EstimatorAssumptionError(
+                f"trusted set {tuple(state.lam)} shrank below p - q; more than q sensors attacked"
+            )
 
     if state.recert_every and k > 0 and k % state.recert_every == 0:
         state.lam = IndexSet.full(p)
 
-    record = EstimateRecord(
+    return EstimateRecord(
         k=k,
         x_hat=x_hat,
         f=f,
@@ -172,26 +196,23 @@ def decoder_step(
         bound=state.constants.kappa_c * v_max_k,
         solves=solves,
     )
-    return record, state
 
 
 def estimator_step(
-    bank: list[PartialObserver],
+    bank: ObserverBank,
     state: DecoderState,
     u: np.ndarray,
     y_bar: np.ndarray,
     k: int,
     bounds: ErrorBoundParams,
 ) -> EstimateRecord:
-    """Advance every observer with (u(k), y(k)), then decode.
+    """Advance the bank with (u(k), y(k)), then decode.
 
     The returned record carries index ``k + 1``: observer states after
     absorbing the step-k measurement estimate the step-k+1 plant state.
     """
     y_bar = np.asarray(y_bar, dtype=float).reshape(-1)
-    if y_bar.size != len(bank):
-        raise ValueError(f"measurement width {y_bar.size} != bank size {len(bank)}")
-    for idx, obs in enumerate(bank):
-        observer_step(obs, u, y_bar[idx])
-    record, _ = decoder_step(state, pad_observer_outputs(bank), k + 1, bounds)
-    return record
+    if y_bar.size != bank.z.shape[0]:
+        raise ValueError(f"measurement width {y_bar.size} != bank size {bank.z.shape[0]}")
+    bank.step(np.asarray(u, dtype=float).reshape(-1), y_bar)
+    return decoder_step(state, bank.output(), k + 1, bounds)

@@ -29,12 +29,13 @@ _POWER_CAP = 2_000_000
 
 @dataclass
 class PartialObserver:
-    """Decomposition data and running state of one sensor's observer.
+    """Decomposition data and observer gain of one sensor.
 
     ``Z`` (n x nu) and ``W`` (n x (n - nu)) are orthonormal bases of the
     observable quotient and the unobservable subspace.  ``S = Z' A Z`` and
     ``t = c Z`` form the observable pair; after gain design, ``F = S - L t``
-    is Schur stable and ``state`` holds the current quotient estimate.
+    is Schur stable.  The running states of a whole bank live in
+    :class:`resilest.estimator.ObserverBank`.
     """
 
     sensor_index: int
@@ -46,14 +47,10 @@ class PartialObserver:
     Bz: np.ndarray
     L: np.ndarray | None = None
     F: np.ndarray | None = None
-    state: np.ndarray | None = None
 
     @property
     def gain_designed(self) -> bool:
         return self.F is not None
-
-    def reset(self) -> None:
-        self.state = np.zeros(self.nu)
 
 
 def kalman_decompose(model: SystemModel, i: int, eps_rel: float | None = None) -> PartialObserver:
@@ -77,9 +74,7 @@ def kalman_decompose(model: SystemModel, i: int, eps_rel: float | None = None) -
     W = vt[nu:].T
     S = Z.T @ model.A @ Z
     t = (c @ Z).reshape(1, nu)
-    obs = PartialObserver(sensor_index=i, nu=nu, Z=Z, W=W, S=S, t=t, Bz=Z.T @ model.B)
-    obs.reset()
-    return obs
+    return PartialObserver(sensor_index=i, nu=nu, Z=Z, W=W, S=S, t=t, Bz=Z.T @ model.B)
 
 
 def default_poles(nu: int, radius: float = 0.5) -> np.ndarray:
@@ -200,18 +195,7 @@ def design_gain(obs: PartialObserver, desired_poles) -> PartialObserver:
             f"worst eigenvalue mismatch {achieved} exceeds {POLE_MATCH_TOL:.0e}"
         )
     _, L, F = best
-    new = replace(obs, L=L, F=F)
-    new.reset()
-    return new
-
-
-def observer_step(obs: PartialObserver, u: np.ndarray, y_i: float) -> np.ndarray:
-    """One observer recursion ``F z + (Z'B) u + L y_i``; mutates ``state``."""
-    if not obs.gain_designed:
-        raise ValueError("observer gain not designed")
-    u = np.asarray(u, dtype=float).reshape(-1)
-    obs.state = obs.F @ obs.state + obs.Bz @ u + obs.L.reshape(-1) * float(y_i)
-    return obs.state
+    return replace(obs, L=L, F=F)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,10 @@ from .estimator import (
     BRANCH_CALCULATOR,
     BRANCH_MINIMIZER,
     DecoderState,
-    EstimateRecord,
+    ObserverBank,
     build_phi,
     decoder_step,
     estimator_step,
-    pad_observer_outputs,
 )
 from .observers import (
     PartialObserver,
@@ -313,7 +312,8 @@ class Trace:
     """Per-step log of a simulation run.
 
     Arrays are indexed by step; ``y`` holds the noisy attack-free outputs so
-    that ``ybar == y + a`` reproduces the measurements bit-exactly.
+    that ``ybar == y + a`` reproduces the measurements bit-exactly, and
+    ``solves`` counts the least-squares solves behind each estimate.
     """
 
     dt: float
@@ -329,7 +329,7 @@ class Trace:
     lam_mask: np.ndarray
     branch: np.ndarray
     bound: np.ndarray
-    records: list[EstimateRecord]
+    solves: np.ndarray
 
     @property
     def horizon(self) -> int:
@@ -337,13 +337,6 @@ class Trace:
 
     def estimation_errors(self) -> np.ndarray:
         return np.linalg.norm(self.x_hat - self.x, axis=1)
-
-
-def _lam_bitmask(lam) -> int:
-    mask = 0
-    for i in lam:
-        mask |= 1 << (i - 1)
-    return mask
 
 
 def build_observer_bank(model: SystemModel, observer: ObserverConfig) -> list[PartialObserver]:
@@ -367,10 +360,10 @@ def simulate(sc: Scenario) -> Trace:
     model = sc.model
     n, m, p = model.n, model.m, model.p
 
-    bank = build_observer_bank(model, sc.observer)
-    phi = build_phi(bank)
-    state = DecoderState.fresh(phi, sc.q, sc.r, recert_every=sc.recert_every)
-    bounds = compute_error_bounds(bank, model.d_max, model.n_max, sc.observer.x0_max)
+    observers = build_observer_bank(model, sc.observer)
+    bank = ObserverBank.stack(observers)
+    state = DecoderState.fresh(build_phi(observers), sc.q, sc.r, recert_every=sc.recert_every)
+    bounds = compute_error_bounds(observers, model.d_max, model.n_max, sc.observer.x0_max)
 
     controller = IntegralController(sc.controller, model.C) if sc.controller else None
 
@@ -392,11 +385,11 @@ def simulate(sc: Scenario) -> Trace:
         lam_mask=np.zeros(H, dtype=int),
         branch=np.zeros(H, dtype=int),
         bound=np.zeros(H),
-        records=[],
+        solves=np.zeros(H, dtype=int),
     )
 
     x = sc.x0.copy()
-    record, _ = decoder_step(state, pad_observer_outputs(bank), 0, bounds)
+    record = decoder_step(state, bank.output(), 0, bounds)
 
     for k in range(H):
         u = controller.step(record.x_hat, k) if controller else np.zeros(m)
@@ -421,10 +414,10 @@ def simulate(sc: Scenario) -> Trace:
         tr.ybar[k] = ybar
         tr.a[k] = a
         tr.f[k] = record.f
-        tr.lam_mask[k] = _lam_bitmask(record.lam)
+        tr.lam_mask[k] = sum(1 << (i - 1) for i in record.lam)
         tr.branch[k] = TRACE_BRANCH_CODES[record.branch]
         tr.bound[k] = record.bound
-        tr.records.append(record)
+        tr.solves[k] = record.solves
 
         if k < H - 1:
             record = estimator_step(bank, state, u, ybar, k, bounds)

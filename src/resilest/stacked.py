@@ -11,7 +11,7 @@ All operations here are pure; none mutate their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -70,14 +70,6 @@ class IndexSet:
         )
 
 
-def expand_index_set(lam: IndexSet, n: int) -> IndexSet:
-    """Blow a sensor index set up to the row index set of its length-n blocks."""
-    if n < 1:
-        raise ValueError("block length n must be >= 1")
-    rows = [j for i in lam for j in range(n * (i - 1) + 1, n * i + 1)]
-    return IndexSet(tuple(rows), n * lam.p)
-
-
 @dataclass(frozen=True)
 class StackedVector:
     """Real vector of length ``block_len * block_count`` viewed blockwise."""
@@ -121,6 +113,7 @@ class StackedVector:
         )
 
     def zeroed(self, lam: IndexSet) -> "StackedVector":
+        """Copy with the blocks outside ``lam`` set to zero."""
         self._check(lam)
         out = np.zeros_like(self.data)
         rows = lam.row_indices(self.block_len)
@@ -174,6 +167,7 @@ class CodingMatrix:
         return self.entries[n * (i - 1): n * i, :].copy()
 
     def zeroed(self, lam: IndexSet) -> "CodingMatrix":
+        """Copy with the row slabs outside ``lam`` set to zero."""
         self._check(lam)
         out = np.zeros_like(self.entries)
         rows = lam.row_indices(self.block_len)
@@ -192,9 +186,6 @@ class CodingMatrix:
             )
 
 
-Stacked = Union[StackedVector, CodingMatrix]
-
-
 def stacked_support(z: StackedVector, tol: float = 0.0) -> IndexSet:
     """Indices of blocks whose 2-norm exceeds ``tol``.
 
@@ -203,18 +194,3 @@ def stacked_support(z: StackedVector, tol: float = 0.0) -> IndexSet:
     """
     norms = z.block_norms()
     return IndexSet.of((i + 1 for i in range(z.block_count) if norms[i] > tol), z.block_count)
-
-
-def stacked_l0(z: StackedVector, tol: float = 0.0) -> int:
-    """Number of nonzero blocks of ``z``."""
-    return len(stacked_support(z, tol))
-
-
-def select_zeroed(obj: Stacked, lam: IndexSet) -> Stacked:
-    """Copy of ``obj`` with blocks outside ``lam`` set to zero."""
-    return obj.zeroed(lam)
-
-
-def select_compacted(obj: Stacked, lam: IndexSet) -> np.ndarray:
-    """Blocks of ``obj`` belonging to ``lam``, with the rest removed."""
-    return obj.compacted(lam)

@@ -283,15 +283,26 @@ def test_criterion_6_minimizer_economy(demo_run):
     assert fires.size >= 1, "the demo attack must trigger the search branch"
     assert fires.min() >= onset
     assert fires.max() <= onset + 100, f"fires spread too far: {fires}"
-    pre_attack = tr.records[:onset]
-    assert all(r.branch == "calculator" for r in pre_attack)
-    assert all(r.solves == 1 for r in pre_attack)
+    assert np.all(tr.branch[:onset] == 0)
+    assert np.all(tr.solves[:onset] == 1)
+    # a search solves once on the trusted set and once per C(5, 4) candidate
+    assert np.all(tr.solves[fires] == 1 + math.comb(5, 4))
     # the sensors dropped by the update are exactly the attacked ones
-    excluded = set(range(1, 6)) - set(tr.records[-1].lam)
+    excluded = {i for i in range(1, 6) if not tr.lam_mask[-1] >> (i - 1) & 1}
     assert excluded == {1}
     report("criterion 6",
            f"search branch fired only at steps {list(fires)} (window after onset "
            f"{onset}); every pre-attack step used exactly 1 pseudoinverse solve")
+
+
+def test_demo_decisions_match_pinned_sequence(demo_run):
+    # pinned decisions: the one search runs at step 2001 and drops sensor 1
+    # (lambda_mask 0b11111 -> 0b11110) for the rest of the run
+    tr = demo_run["trace"]
+    assert np.flatnonzero(tr.branch == 1).tolist() == [2001]
+    changes = np.flatnonzero(np.diff(tr.lam_mask)) + 1
+    assert [(int(k), int(tr.lam_mask[k])) for k in changes] == [(2001, 0b11110)]
+    assert tr.lam_mask[0] == 0b11111
 
 
 # ---------------------------------------------------------------------------

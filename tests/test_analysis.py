@@ -18,7 +18,7 @@ from resilest.analysis import (
     security_index_eigenvector,
     stacked_cospark,
 )
-from resilest.stacked import CodingMatrix, IndexSet, StackedVector, stacked_l0
+from resilest.stacked import CodingMatrix, IndexSet, StackedVector, stacked_support
 
 ONES3 = CodingMatrix(np.array([[1.0], [1.0], [1.0]]), 1, 3)
 
@@ -95,7 +95,7 @@ def cospark_null_vector_oracle(phi, tol=1e-8):
             continue
         x = x / np.linalg.norm(x)
         prod = StackedVector(phi.entries @ x, n, p)
-        best = min(best, stacked_l0(prod, tol=tol))
+        best = min(best, len(stacked_support(prod, tol=tol)))
     return best
 
 

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resilest._linalg import matrix_rank, pinv
 from resilest.analysis import CorrectabilityError, SystemModel, robustness_constants
 from resilest.decoding import (
+    CandidateStack,
     candidate_set,
     certify_estimate,
     decode_noiseless,
@@ -15,7 +19,7 @@ from resilest.decoding import (
     residual_detect_noisy,
 )
 from resilest.plant import three_inertia_model, zoh_discretize
-from resilest.stacked import CodingMatrix, StackedVector
+from resilest.stacked import CodingMatrix, IndexSet, StackedVector
 
 ONES3 = CodingMatrix(np.array([[1.0], [1.0], [1.0]]), 1, 3)
 
@@ -162,6 +166,60 @@ def test_candidate_set_flags_rank_deficient_selection():
     flags = {tuple(c.lam): c.rank_deficient for c in cands}
     assert flags[(2,)] is True
     assert flags[(1,)] is False
+
+
+def reference_search(phi, z, r, threshold):
+    """Per-candidate loop: one pinv per selection, first minimum of the
+    violation count, and each selection's rank flag."""
+    p, n = phi.block_count, phi.block_len
+    best, flags = None, []
+    for lam_t in itertools.combinations(range(1, p + 1), p - r):
+        lam = IndexSet(lam_t, p)
+        sub = phi.compacted(lam)
+        x = pinv(sub) @ z.compacted(lam)
+        flags.append(matrix_rank(sub) < n)
+        norms = np.linalg.norm((z.data - phi.entries @ x).reshape(p, n), axis=1)
+        violating = tuple(i + 1 for i in range(p) if not norms[i] <= threshold)
+        if best is None or len(violating) < len(best[2]):
+            best = (x, len(violating), violating)
+    return best, flags
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), integer=st.booleans())
+def test_stacked_search_matches_per_candidate_loop(seed, integer):
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+    r = int(rng.integers(0, p + 1))
+    if integer:  # small integer data: many tied counts
+        entries = rng.integers(-1, 2, size=(n * p, n)).astype(float)
+        data = rng.integers(-3, 4, size=n * p).astype(float)
+    else:
+        entries = rng.normal(size=(n * p, n))
+        for blk in rng.choice(p, size=int(rng.integers(0, p)), replace=False):
+            entries[blk * n:(blk + 1) * n] = np.outer(rng.normal(size=n), rng.normal(size=n))
+        data = entries @ rng.normal(size=n) + rng.normal(size=n * p) * (rng.random(n * p) < 0.3)
+    phi, z = CodingMatrix(entries, n, p), sv(data, n, p)
+    threshold = float(rng.uniform(0.05, 1.5))
+    (x_ref, count_ref, support_ref), flags_ref = reference_search(phi, z, r, threshold)
+    x, count, support = CandidateStack.build(phi, r).search(z, threshold)
+    assert (count, tuple(support)) == (count_ref, support_ref)
+    np.testing.assert_allclose(x, x_ref, rtol=1e-10, atol=1e-12)
+    assert [c.rank_deficient for c in candidate_set(phi, z, r)] == flags_ref
+
+
+def test_search_tie_breaks_on_smallest_selection():
+    # selections (1,2) and (3,4) both leave two blocks violating
+    phi = CodingMatrix(np.ones((4, 1)), 1, 4)
+    x, count, support = CandidateStack.build(phi, 2).search(sv([0, 0, 10, 10], 1, 4), 1.0)
+    assert (float(x[0]), count, tuple(support)) == (0.0, 2, (3, 4))
+
+
+def test_search_counts_nonfinite_blocks_as_violating():
+    z = sv([5.0, 5.0, np.nan], 1, 3)
+    x, count, support = CandidateStack.build(ONES3, 1).search(z, 0.1)
+    assert (x[0], count, tuple(support)) == (pytest.approx(5.0), 1, (3,))
+    assert certify_estimate(ONES3, z, [5.0], q=1, v_max=1.0) == (True, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +389,9 @@ def test_decode_noisy_constants_mismatch_rejected():
     consts = robustness_constants(ONES3, 1, 2)
     with pytest.raises(ValueError):
         decode_noisy(ONES3, sv([1, 1, 1], 1, 3), q=1, r=1, v_max=0.1, constants=consts)
+    with pytest.raises(ValueError, match="candidates"):
+        decode_noisy(ONES3, sv([1, 1, 1], 1, 3), q=1, r=2, v_max=0.1, constants=consts,
+                     candidates=CandidateStack.build(ONES3, 1))
 
 
 # ---------------------------------------------------------------------------

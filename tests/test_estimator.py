@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilest.analysis import SystemModel, is_q_error_correctable
 from resilest.estimator import (
     BRANCH_CALCULATOR,
     BRANCH_MINIMIZER,
     DecoderState,
+    EstimatorAssumptionError,
+    ObserverBank,
     build_phi,
     decoder_step,
     estimator_step,
-    pad_observer_outputs,
 )
 from resilest.observers import (
     ErrorBoundParams,
@@ -18,8 +21,8 @@ from resilest.observers import (
     design_gain,
     kalman_decompose,
 )
-from resilest.plant import ObserverConfig, build_observer_bank
-from resilest.stacked import IndexSet
+from resilest.plant import AttackSpec, ObserverConfig, Scenario, build_observer_bank, simulate
+from resilest.stacked import IndexSet, StackedVector
 
 
 def scalar_bank(model):
@@ -78,23 +81,32 @@ def test_phi_selections_span_observability_rows(three_inertia):
 
 
 def test_pad_observer_outputs(scalar_triple):
-    bank = scalar_bank(scalar_triple)
-    for obs, val in zip(bank, (5.0, 5.0, 12.0)):
-        obs.state = np.array([val])
-    z = pad_observer_outputs(bank)
-    assert np.array_equal(z.data, [5.0, 5.0, 12.0])
+    observers = scalar_bank(scalar_triple)
+    bank = ObserverBank.stack(observers)
+    y = np.array([5.0, 5.0, 12.0])
+    bank.step(np.zeros(1), y)
+    z = bank.output()
+    assert (z.block_len, z.block_count) == (1, 3)
+    assert np.array_equal(z.data, [obs.L[0, 0] * v for obs, v in zip(observers, y)])
 
 
 def test_pad_inserts_zeros():
-    m = SystemModel(A=np.diag([1.0, 2.0]), B=np.zeros((2, 1)),
+    m = SystemModel(A=np.diag([1.0, 2.0]), B=[[1.0], [0.5]],
                     C=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    bank = [design_gain(kalman_decompose(m, 1), [0.5]),
-            design_gain(kalman_decompose(m, 2), [0.5]),
-            design_gain(kalman_decompose(m, 3), default_poles(2, 0.5))]
-    bank[0].state = np.array([7.0])
-    z = pad_observer_outputs(bank)
+    observers = [design_gain(kalman_decompose(m, 1), [0.5]),
+                 design_gain(kalman_decompose(m, 2), [0.5]),
+                 design_gain(kalman_decompose(m, 3), default_poles(2, 0.5))]
+    bank = ObserverBank.stack(observers)
+    rng = np.random.default_rng(5)
+    first, ref = observers[0], np.zeros(1)
+    for _ in range(5):
+        u, y = rng.normal(size=1), rng.normal(size=3)
+        bank.step(u, y)
+        ref = first.F @ ref + first.Bz @ u + first.L[:, 0] * y[0]
+    z = bank.output()
     assert z.block_len == 2 and z.block_count == 3
-    assert np.array_equal(z.block(1), [7.0, 0.0])
+    assert z.block(1)[1] == 0.0 and z.block(2)[1] == 0.0
+    assert z.block(1)[0] == pytest.approx(ref[0], rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +123,9 @@ def fresh_state_and_bounds(model, bank, q=1, r=1, x0_max=1.0):
 def test_decoder_calculator_on_clean_data(scalar_triple):
     bank = scalar_bank(scalar_triple)
     state, bounds = fresh_state_and_bounds(scalar_triple, bank)
-    phi = state.phi
     x_true = 4.2
-    for i, obs in enumerate(bank):
-        obs.state = (phi.block(i + 1) * x_true)[0]
-    record, _ = decoder_step(state, pad_observer_outputs(bank), 5, bounds)
+    z = StackedVector(state.phi.entries @ [x_true], 1, 3)
+    record = decoder_step(state, z, 5, bounds)
     assert record.branch == BRANCH_CALCULATOR
     assert record.f == 0
     assert record.x_hat == pytest.approx([x_true])
@@ -126,18 +136,15 @@ def test_decoder_calculator_on_clean_data(scalar_triple):
 def test_decoder_minimizer_excludes_corrupted_sensor(scalar_triple):
     bank = scalar_bank(scalar_triple)
     state, bounds = fresh_state_and_bounds(scalar_triple, bank)
-    phi = state.phi
     x_true = 4.2
-    for i, obs in enumerate(bank):
-        obs.state = (phi.block(i + 1) * x_true)[0]
-    bank[2].state = bank[2].state + 500.0  # corrupted observer state
-    record, _ = decoder_step(state, pad_observer_outputs(bank), 400, bounds)
+    z = StackedVector(state.phi.entries @ [x_true] + [0.0, 0.0, 500.0], 1, 3)
+    record = decoder_step(state, z, 400, bounds)  # observer 3 corrupted
     assert record.branch == BRANCH_MINIMIZER
     assert record.f > state.q
     assert tuple(record.lam) == (1, 2)
     assert record.x_hat == pytest.approx([x_true], abs=1e-6)
     # next step: calculator again, corrupted sensor still excluded
-    record2, _ = decoder_step(state, pad_observer_outputs(bank), 401, bounds)
+    record2 = decoder_step(state, z, 401, bounds)
     assert record2.branch == BRANCH_CALCULATOR
     assert record2.f == 1
     assert tuple(record2.lam) == (1, 2)
@@ -146,10 +153,9 @@ def test_decoder_minimizer_excludes_corrupted_sensor(scalar_triple):
 def test_decoder_boundary_misfit_counts_as_trusted(scalar_triple):
     bank = scalar_bank(scalar_triple)
     state, bounds = fresh_state_and_bounds(scalar_triple, bank)
-    for obs in bank:
-        obs.state = np.array([0.0])
+    z = StackedVector(np.zeros(3), 1, 3)
     # zero data, zero misfits, threshold > 0: membership uses <=, so all stay
-    record, _ = decoder_step(state, pad_observer_outputs(bank), 0, bounds)
+    record = decoder_step(state, z, 0, bounds)
     assert record.f == 0
     assert tuple(record.lam) == (1, 2, 3)
     # and with the threshold exactly zero (x0_max = 0, w_max = 0), misfit 0
@@ -157,29 +163,26 @@ def test_decoder_boundary_misfit_counts_as_trusted(scalar_triple):
     zero_bounds = ErrorBoundParams(mu_f=1.0, beta=0.5, mu_l=0.0, mu_z=0.0,
                                    w_max=0.0, x0_max=0.0)
     state2 = DecoderState.fresh(state.phi, 1, 1, constants=state.constants)
-    record2, _ = decoder_step(state2, pad_observer_outputs(bank), 0, zero_bounds)
+    record2 = decoder_step(state2, z, 0, zero_bounds)
     assert state2.v_prime_max == 0.0
     assert record2.f == 0
     assert record2.branch == BRANCH_CALCULATOR
 
 
 def test_estimator_step_equals_manual_composition(scalar_triple):
-    bank_a = scalar_bank(scalar_triple)
-    bank_b = scalar_bank(scalar_triple)
-    state_a, bounds = fresh_state_and_bounds(scalar_triple, bank_a)
-    state_b, _ = fresh_state_and_bounds(scalar_triple, bank_b)
+    observers = scalar_bank(scalar_triple)
+    state_a, bounds = fresh_state_and_bounds(scalar_triple, observers)
+    state_b, _ = fresh_state_and_bounds(scalar_triple, observers)
 
     rng = np.random.default_rng(2)
     u = rng.normal(size=1)
     y = rng.normal(size=3)
 
-    rec_a = estimator_step(bank_a, state_a, u, y, k=7, bounds=bounds)
+    rec_a = estimator_step(ObserverBank.stack(observers), state_a, u, y, k=7, bounds=bounds)
 
-    from resilest.observers import observer_step
-
-    for i, obs in enumerate(bank_b):
-        observer_step(obs, u, y[i])
-    rec_b, _ = decoder_step(state_b, pad_observer_outputs(bank_b), 8, bounds)
+    # per-sensor recursion F z + Bz u + L y from the zero state
+    z = [obs.Bz @ u + obs.L[:, 0] * y[i] for i, obs in enumerate(observers)]
+    rec_b = decoder_step(state_b, StackedVector.from_blocks(z), 8, bounds)
 
     assert rec_a.k == rec_b.k == 8
     assert rec_a.x_hat == pytest.approx(rec_b.x_hat)
@@ -187,8 +190,9 @@ def test_estimator_step_equals_manual_composition(scalar_triple):
 
 
 def test_estimator_step_zero_everything(scalar_triple):
-    bank = scalar_bank(scalar_triple)
-    state, bounds = fresh_state_and_bounds(scalar_triple, bank)
+    observers = scalar_bank(scalar_triple)
+    state, bounds = fresh_state_and_bounds(scalar_triple, observers)
+    bank = ObserverBank.stack(observers)
     for k in range(5):
         rec = estimator_step(bank, state, np.zeros(1), np.zeros(3), k, bounds)
         assert rec.x_hat == pytest.approx([0.0])
@@ -200,7 +204,7 @@ def test_decoder_records_bound_value(scalar_triple):
     state, bounds = fresh_state_and_bounds(scalar_triple, bank)
     from resilest.observers import v_max_at
 
-    record, _ = decoder_step(state, pad_observer_outputs(bank), 3, bounds)
+    record = decoder_step(state, StackedVector(np.zeros(3), 1, 3), 3, bounds)
     assert record.bound == pytest.approx(state.constants.kappa_c * v_max_at(bounds, 3))
 
 
@@ -210,7 +214,60 @@ def test_recertification_readmits_sensors(scalar_triple):
     state = DecoderState.fresh(phi, 1, 1, recert_every=10)
     bounds = compute_error_bounds(bank, 0.001, 0.001, 1.0)
     state.lam = IndexSet.of([1, 2], 3)
-    for obs in bank:
-        obs.state = np.array([0.0])
-    decoder_step(state, pad_observer_outputs(bank), 10, bounds)
+    decoder_step(state, StackedVector(np.zeros(3), 1, 3), 10, bounds)
     assert tuple(state.lam) == (1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# fused bank against the per-sensor recursion
+
+
+def random_mixed_bank(seed):
+    """Designed observers of a random model whose sensors see 1..n modes."""
+    rng = np.random.default_rng(seed)
+    n, p, m = int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(1, 3))
+    eig = 0.3 + 0.15 * np.arange(n) + rng.uniform(0, 0.05, size=n)
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    M = np.sign(rng.normal(size=(p, n))) * rng.uniform(0.5, 1.5, size=(p, n))
+    for row in M:
+        row[rng.choice(n, size=int(rng.integers(0, n)), replace=False)] = 0.0
+    model = SystemModel(A=Q @ np.diag(eig) @ Q.T, B=rng.normal(size=(n, m)), C=M @ Q.T)
+    observers = [kalman_decompose(model, i) for i in range(1, p + 1)]
+    return rng, [design_gain(obs, default_poles(obs.nu, 0.5)) for obs in observers]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf, 1e308]))
+def test_fused_bank_matches_per_sensor_recursion(seed, bad):
+    rng, observers = random_mixed_bank(seed)
+    p, m = len(observers), observers[0].Bz.shape[1]
+    bank = ObserverBank.stack(observers)
+    ref = [np.zeros(obs.nu) for obs in observers]
+    hit = int(rng.integers(0, p))
+    for k in range(12):
+        u, y = rng.normal(size=m), rng.normal(size=p)
+        if k >= 6:
+            y[hit] = bad
+        bank.step(u, y)
+        ref = [obs.F @ z + obs.Bz @ u + obs.L[:, 0] * y[i]
+               for i, (obs, z) in enumerate(zip(observers, ref))]
+        for i, obs in enumerate(observers):
+            if k >= 6 and i == hit:
+                continue
+            assert np.all(np.isfinite(bank.z[i]))
+            assert np.all(bank.z[i, obs.nu:] == 0.0)
+            np.testing.assert_allclose(bank.z[i, : obs.nu], ref[i], rtol=1e-12, atol=1e-12)
+
+
+def test_two_attacked_sensors_raise_typed_error(monkeypatch):
+    model = SystemModel(A=[[0.95]], B=[[0.0]], C=[[1.0], [1.0], [1.0]],
+                        d_max=0.001, n_max=0.001)
+    sc = Scenario(model=model, horizon=120, q=1, r=1, seed=3,
+                  observer=ObserverConfig(mode="radius", radius=0.5, x0_max=1.0),
+                  attacks=(AttackSpec(2, 10, None, {"kind": "constant", "value": 5.0}),
+                           AttackSpec(3, 10, None, {"kind": "constant", "value": -7.0})))
+    monkeypatch.setattr(Scenario, "validate", lambda self: None)
+    with pytest.raises(EstimatorAssumptionError, match="p - q"):
+        simulate(sc)

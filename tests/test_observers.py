@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from resilest.analysis import SystemModel
+from resilest.estimator import ObserverBank
 from resilest.observers import (
     ErrorBoundParams,
     compute_error_bounds,
@@ -9,7 +10,6 @@ from resilest.observers import (
     default_poles,
     design_gain,
     kalman_decompose,
-    observer_step,
     v_max_at,
 )
 
@@ -172,8 +172,9 @@ def designed_scalar_observer():
 
 
 def test_observer_step_zero_fixed_point():
-    obs = designed_scalar_observer()
-    assert observer_step(obs, np.zeros(1), 0.0) == pytest.approx([0.0])
+    bank = ObserverBank.stack([designed_scalar_observer()])
+    bank.step(np.zeros(1), np.zeros(1))
+    assert bank.z[0] == pytest.approx([0.0])
 
 
 def test_observer_step_arithmetic():
@@ -181,9 +182,10 @@ def test_observer_step_arithmetic():
     obs.F = np.array([[0.5]])
     obs.Bz = np.array([[0.001]])
     obs.L = np.array([[0.5]])
-    obs.state = np.array([2.0])
-    out = observer_step(obs, np.array([1.0]), 3.0)
-    assert out == pytest.approx([2.501])
+    bank = ObserverBank.stack([obs])
+    bank.z = np.array([[2.0]])
+    bank.step(np.array([1.0]), np.array([3.0]))
+    assert bank.z[0] == pytest.approx([2.501])
 
 
 def test_error_bounds_scalar_halving():
@@ -259,16 +261,16 @@ def test_attack_free_observer_error_within_envelope():
     params = compute_error_bounds([obs], m.d_max, m.n_max, x0_max)
     x = rng.normal(size=2)
     x *= min(1.0, x0_max / np.linalg.norm(x))
-    obs.reset()
+    bank = ObserverBank.stack([obs])
     for k in range(300):
-        err = np.linalg.norm(obs.state - obs.Z.T @ x)
+        err = np.linalg.norm(bank.z[0] - obs.Z.T @ x)
         assert err <= v_max_at(params, k) + 1e-12
         u = rng.normal(size=1) * 0.1
         noise = rng.uniform(-m.n_max, m.n_max)
         d = rng.normal(size=2)
         d *= rng.uniform(0, m.d_max) / max(np.linalg.norm(d), 1e-300)
         y = float(m.C[0] @ x) + noise
-        observer_step(obs, u, y)
+        bank.step(u, np.array([y]))
         x = m.A @ x + m.B @ u + d
 
 
@@ -277,11 +279,11 @@ def test_attack_free_convergence_geometric():
     obs = design_gain(kalman_decompose(m, 1), default_poles(2, 0.4))
     params = compute_error_bounds([obs], 0.0, 0.0, 10.0)
     x = np.array([3.0, -2.0])
-    obs.reset()
+    bank = ObserverBank.stack([obs])
     errs = []
     for k in range(60):
-        errs.append(np.linalg.norm(obs.state - obs.Z.T @ x))
-        observer_step(obs, np.zeros(1), float(m.C[0] @ x))
+        errs.append(np.linalg.norm(bank.z[0] - obs.Z.T @ x))
+        bank.step(np.zeros(1), m.C[:1] @ x)
         x = m.A @ x
     assert errs[-1] < 1e-9
     # certified geometric envelope at rate beta

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from resilest.analysis import SystemModel
+from resilest.cli import DEMO_SCENARIO
+from resilest.files import scenario_from_dict
 from resilest.plant import (
     AttackSpec,
     ContinuousModel,
@@ -260,4 +263,16 @@ def test_simulate_attack_free_stays_calculator():
     tr = simulate(scalar_scenario())
     assert np.all(tr.branch == 0)
     assert np.all(tr.f <= 1)
-    assert all(r.solves == 1 for r in tr.records)
+    assert np.all(tr.solves == 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
+def test_simulate_isolates_nonfinite_attack(value):
+    spec = copy.deepcopy(DEMO_SCENARIO)
+    spec["attacks"][0]["waveform"]["value"] = value
+    tr = simulate(scenario_from_dict(spec))
+    errors = tr.estimation_errors()
+    assert np.all(np.isfinite(errors))
+    assert np.count_nonzero(errors > tr.bound) == 0
+    assert not tr.lam_mask[-1] & 1  # sensor 1 untrusted at the last step

@@ -5,10 +5,6 @@ from resilest.stacked import (
     CodingMatrix,
     IndexSet,
     StackedVector,
-    expand_index_set,
-    select_compacted,
-    select_zeroed,
-    stacked_l0,
     stacked_support,
 )
 
@@ -37,15 +33,15 @@ def test_support_tolerance_cuts_small_blocks():
 
 
 def test_l0_examples():
-    assert stacked_l0(vec([0, 0, 1, 0, 2, 0], 2, 3)) == 2
-    assert stacked_l0(vec([0, 0, 0], 1, 3)) == 0
-    assert stacked_l0(vec([5, 5, 12], 1, 3)) == 3
+    assert len(stacked_support(vec([0, 0, 1, 0, 2, 0], 2, 3))) == 2
+    assert len(stacked_support(vec([0, 0, 0], 1, 3))) == 0
+    assert len(stacked_support(vec([5, 5, 12], 1, 3))) == 3
 
 
 def test_expand_index_set():
-    assert tuple(expand_index_set(IndexSet.of([1, 3], 3), 2)) == (1, 2, 5, 6)
-    assert tuple(expand_index_set(IndexSet.empty(4), 3)) == ()
-    assert tuple(expand_index_set(IndexSet.of([2], 2), 3)) == (4, 5, 6)
+    assert IndexSet.of([1, 3], 3).row_indices(2).tolist() == [0, 1, 4, 5]
+    assert IndexSet.empty(4).row_indices(3).tolist() == []
+    assert IndexSet.of([2], 2).row_indices(3).tolist() == [3, 4, 5]
 
 
 def test_expand_distributes_over_union():
@@ -55,29 +51,29 @@ def test_expand_distributes_over_union():
         n = int(rng.integers(1, 4))
         a = IndexSet.of(rng.choice(p, size=rng.integers(0, p + 1), replace=False) + 1, p)
         b = IndexSet.of(rng.choice(p, size=rng.integers(0, p + 1), replace=False) + 1, p)
-        lhs = expand_index_set(a.union(b), n)
-        rhs = expand_index_set(a, n).union(expand_index_set(b, n))
+        lhs = a.union(b).row_indices(n).tolist()
+        rhs = sorted(set(a.row_indices(n)) | set(b.row_indices(n)))
         assert lhs == rhs
 
 
 def test_select_zeroed_vector():
     z = vec([5, 5, 12], 1, 3)
-    assert np.array_equal(select_zeroed(z, IndexSet.of([1, 2], 3)).data, [5, 5, 0])
-    assert np.array_equal(select_zeroed(z, IndexSet.full(3)).data, z.data)
+    assert np.array_equal(z.zeroed(IndexSet.of([1, 2], 3)).data, [5, 5, 0])
+    assert np.array_equal(z.zeroed(IndexSet.full(3)).data, z.data)
 
 
 def test_select_zeroed_matrix():
     m = CodingMatrix(np.array([[1.0], [1.0], [1.0]]), 1, 3)
-    out = select_zeroed(m, IndexSet.of([3], 3))
+    out = m.zeroed(IndexSet.of([3], 3))
     assert np.array_equal(out.entries, [[0.0], [0.0], [1.0]])
 
 
 def test_select_compacted():
     z = vec([5, 5, 12], 1, 3)
-    assert np.array_equal(select_compacted(z, IndexSet.of([1, 3], 3)), [5, 12])
-    assert np.array_equal(select_compacted(z, IndexSet.full(3)), [5, 5, 12])
+    assert np.array_equal(z.compacted(IndexSet.of([1, 3], 3)), [5, 12])
+    assert np.array_equal(z.compacted(IndexSet.full(3)), [5, 5, 12])
     m = CodingMatrix(np.array([[1.0], [2.0], [3.0]]), 1, 3)
-    assert np.array_equal(select_compacted(m, IndexSet.of([2, 3], 3)), [[2.0], [3.0]])
+    assert np.array_equal(m.compacted(IndexSet.of([2, 3], 3)), [[2.0], [3.0]])
 
 
 def test_zeroed_l0_upper_bounds():
@@ -89,7 +85,7 @@ def test_zeroed_l0_upper_bounds():
         data[rng.random(n * p) < 0.3] = 0.0
         z = vec(data, n, p)
         lam = IndexSet.of(rng.choice(p, size=rng.integers(0, p + 1), replace=False) + 1, p)
-        assert stacked_l0(select_zeroed(z, lam)) <= min(len(lam), stacked_l0(z))
+        assert len(stacked_support(z.zeroed(lam))) <= min(len(lam), len(stacked_support(z)))
 
 
 def test_zeroed_and_compacted_share_singular_values():
@@ -99,8 +95,8 @@ def test_zeroed_and_compacted_share_singular_values():
         n = int(rng.integers(1, 4))
         m = CodingMatrix(rng.normal(size=(n * p, n)), n, p)
         lam = IndexSet.of(rng.choice(p, size=rng.integers(1, p + 1), replace=False) + 1, p)
-        s_zero = np.linalg.svd(select_zeroed(m, lam).entries, compute_uv=False)
-        s_comp = np.linalg.svd(select_compacted(m, lam), compute_uv=False)
+        s_zero = np.linalg.svd(m.zeroed(lam).entries, compute_uv=False)
+        s_comp = np.linalg.svd(m.compacted(lam), compute_uv=False)
         s_zero = np.sort(s_zero[s_zero > 1e-12])
         s_comp = np.sort(s_comp[s_comp > 1e-12])
         assert np.allclose(s_zero, s_comp, atol=1e-10)
@@ -112,8 +108,8 @@ def test_select_idempotent_nesting():
     m = CodingMatrix(rng.normal(size=(8, 2)), 2, 4)
     lam = IndexSet.of([1, 2, 4], 4)
     sub = IndexSet.of([2, 4], 4)
-    via_nested = select_zeroed(select_zeroed(m, lam), sub)
-    direct = select_zeroed(m, sub)
+    via_nested = m.zeroed(lam).zeroed(sub)
+    direct = m.zeroed(sub)
     assert np.array_equal(via_nested.entries, direct.entries)
 
 
