@@ -3,7 +3,8 @@
 Every rank decision in the package uses the same policy: singular values
 below ``max(rows, cols) * sigma_max * eps_rel`` count as zero.  The default
 ``eps_rel`` is deliberately tight so that near-identity state matrices
-(fast-sampled plants) keep their structurally observable directions.
+(fast-sampled plants) keep their structurally observable directions.  The
+helpers also take stacks of matrices (leading axes), one result per matrix.
 """
 
 from __future__ import annotations
@@ -28,30 +29,30 @@ def get_eps_rel() -> float:
     return _eps_rel
 
 
-def matrix_rank(matrix: np.ndarray, eps_rel: float | None = None) -> int:
+def matrix_rank(matrix: np.ndarray, eps_rel: float | None = None):
     """Numerical rank: count of singular values above the shared floor."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
-        return 0
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     eps = _eps_rel if eps_rel is None else eps_rel
-    return int(np.count_nonzero(s > max(matrix.shape) * s[0] * eps))
+    ranks = np.count_nonzero(s > max(matrix.shape[-2:]) * s[..., :1] * eps, axis=-1)
+    return int(ranks) if matrix.ndim == 2 else ranks
 
 
 def pinv(matrix: np.ndarray, eps_rel: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the shared singular-value floor."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
-        return matrix.T.copy()
     eps = _eps_rel if eps_rel is None else eps_rel
-    return np.linalg.pinv(matrix, rcond=max(matrix.shape) * eps)
+    return np.linalg.pinv(matrix, rcond=max(matrix.shape[-2:]) * eps)
 
 
-def sigma_min(matrix: np.ndarray) -> float:
+def sigma_min(matrix: np.ndarray):
     """Smallest of the full set of singular values (0 for empty input)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
-        return 0.0
-    return float(np.linalg.svd(matrix, compute_uv=False)[-1])
+    s = np.linalg.svd(matrix, compute_uv=False)
+    smallest = s[..., -1] if s.shape[-1] else np.zeros(s.shape[:-1])
+    return float(smallest) if matrix.ndim == 2 else smallest
+
+
+def spectral_norm(matrix: np.ndarray) -> np.ndarray:
+    """2-norm: the largest singular value."""
+    return np.linalg.svd(matrix, compute_uv=False).max(axis=-1)

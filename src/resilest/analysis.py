@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import matrix_rank, pinv, sigma_min
+from ._linalg import matrix_rank, pinv, sigma_min, spectral_norm
 from .stacked import CodingMatrix, IndexSet
 
 __all__ = [
@@ -149,6 +149,20 @@ def _selections(p: int, size: int):
     return itertools.combinations(range(1, p + 1), size)
 
 
+_STACK_FLOATS = 1 << 15  # per chunk of stacked selections: 256 kB of intermediates
+
+
+def _selection_stacks(phi: CodingMatrix, size: int, floats_per_selection: int):
+    """Lexicographic chunks of (0-based members, ``(c, size * n, n)`` compacted stack)."""
+    p, n = phi.block_count, phi.block_len
+    members = np.array(list(itertools.combinations(range(p), size)), dtype=np.intp)
+    members = members.reshape(math.comb(p, size), size)
+    step = max(1, _STACK_FLOATS // max(1, floats_per_selection))
+    for start in range(0, len(members), step):
+        chunk = members[start:start + step]
+        yield chunk, phi.entries.reshape(p, n, n)[chunk].reshape(len(chunk), size * n, n)
+
+
 def is_q_error_detectable(phi: CodingMatrix, q: int, eps_rel: float | None = None) -> bool:
     """True when every selection of ``p - q`` blocks has full column rank.
 
@@ -158,9 +172,8 @@ def is_q_error_detectable(phi: CodingMatrix, q: int, eps_rel: float | None = Non
     p, n = phi.block_count, phi.block_len
     if not 0 <= q <= p:
         raise ValueError(f"q must lie in 0..{p}, got {q}")
-    for lam in _selections(p, p - q):
-        sub = phi.compacted(IndexSet(lam, p))
-        if matrix_rank(sub, eps_rel) < n:
+    for _, stack in _selection_stacks(phi, p - q, (p - q) * n * n):
+        if np.any(matrix_rank(stack, eps_rel) < n):
             return False
     return True
 
@@ -262,43 +275,42 @@ def robustness_constants(
             f"(a {p - 2 * q}-block selection is rank deficient)"
         )
 
+    blocks = phi.entries.reshape(p, n, n)
+
     def rho_of(size: int) -> float:
-        return min(
-            sigma_min(phi.compacted(IndexSet(lam, p))) for lam in _selections(p, size)
-        )
+        return min(float(sigma_min(stack).min())
+                   for _, stack in _selection_stacks(phi, size, size * n * n))
 
-    rho = rho_of(p - q)
-    rho_2q = rho_of(p - 2 * q)
+    def outside_gains(size: int) -> np.ndarray:
+        """Norms of ``block_i @ pinv(selection)``: a row per selection, 0 for its members."""
+        tables = []
+        for members, stack in _selection_stacks(phi, size, (p - size + 3) * size * n * n):
+            outside = (np.arange(p) != members[:, :, None]).all(axis=1)
+            excluded = blocks[np.nonzero(outside)[1]].reshape(len(members), p - size, n, n)
+            gains = np.zeros(outside.shape)
+            gains[outside] = spectral_norm(excluded @ pinv(stack, eps_rel)[:, None]).ravel()
+            tables.append(gains)
+        return np.concatenate(tables)
 
-    blocks = [phi.block(i) for i in range(1, p + 1)]
+    rho, rho_2q = rho_of(p - q), rho_of(p - 2 * q)
 
-    eta = 0.0
-    for lam in _selections(p, p - q):
-        member = set(lam)
-        pin = pinv(phi.compacted(IndexSet(lam, p)), eps_rel)
-        for i in range(1, p + 1):
-            if i not in member:
-                eta = max(eta, float(np.linalg.norm(blocks[i - 1] @ pin, 2)))
+    # each distinct selection is inverted once, for eta and eta_prime alike
+    tables = {size: outside_gains(size) for size in {p - q, p - r}}
+    eta = float(tables[p - q].max(initial=0.0))
 
-    eta_prime = 0.0
-    for lam in _selections(p, p - q):
-        best_inner = math.inf
-        for lam_bar in itertools.combinations(lam, p - r):
-            bar_set = set(lam_bar)
-            pin = pinv(phi.compacted(IndexSet(lam_bar, p)), eps_rel)
-            worst = 0.0
-            for i in lam:
-                if i not in bar_set:
-                    worst = max(worst, float(np.linalg.norm(blocks[i - 1] @ pin, 2)))
-            best_inner = min(best_inner, worst)
-        eta_prime = max(eta_prime, best_inner)
+    # eta_prime: max over lam of the min over its subselections bar of lam's largest gain
+    outer = list(itertools.combinations(range(p), p - q))
+    position = {bar: j for j, bar in enumerate(itertools.combinations(range(p), p - r))}
+    subs = [[position[bar] for bar in itertools.combinations(lam, p - r)] for lam in outer]
+    worst = np.take_along_axis(tables[p - r][np.array(subs)], np.array(outer)[:, None], axis=2)
+    eta_prime = float(worst.max(axis=2).min(axis=1).max(initial=0.0))
 
     sqrt_p = math.sqrt(p)
     kappa_d = (sqrt_p + 1.0) * math.sqrt(p - q) / rho
     kappa_e = (eta * math.sqrt(p - q) + 1.0) * (sqrt_p + 1.0)
     theta = max(eta_prime * math.sqrt(p - r) + 1.0, math.sqrt(p - r))
     kappa_c = (theta + 1.0) * math.sqrt(p - 2 * q) / rho_2q
-    block_norm_max = max(float(np.linalg.norm(b, 2)) for b in blocks)
+    block_norm_max = float(spectral_norm(blocks).max())
     kappa_c_prime = (theta - 1.0) / block_norm_max
 
     return RobustnessConstants(

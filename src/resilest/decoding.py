@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import get_eps_rel, matrix_rank, pinv
+from ._linalg import matrix_rank, pinv
 from .analysis import (
     CorrectabilityError,
     RobustnessConstants,
@@ -71,9 +72,9 @@ def residual_detect_noiseless(
 
     Requires ``phi`` to have full column rank.  With a detectable coding
     matrix and no corruption present, the least-squares estimate recovers
-    the true vector, so ``attacked`` is ``norm(residual) > tol``.  The
-    default tolerance only absorbs the round-off of the projection itself;
-    pass an explicit value to override.
+    the true vector, so ``attacked`` holds unless ``norm(residual)`` is
+    finite and within ``tol``.  The default tolerance only absorbs the
+    round-off of the projection itself; pass an explicit value to override.
     """
     if matrix_rank(phi.entries) < phi.block_len:
         raise ValueError("coding matrix must have full column rank")
@@ -82,7 +83,7 @@ def residual_detect_noiseless(
     x_hat, residual = _projection_residual(phi, z)
     return DetectionResult(
         residual=residual,
-        attacked=bool(np.linalg.norm(residual.data) > tol),
+        attacked=bool(violations(np.linalg.norm(residual.data), tol)),
         estimate=x_hat,
         per_block_residual_norms=residual.block_norms(),
         threshold=tol,
@@ -94,7 +95,7 @@ def residual_detect_noisy(
 ) -> DetectionResult:
     """Thresholded detection under per-block noise bounded by ``v_max``.
 
-    A corruption is declared only when some block residual strictly exceeds
+    A corruption is declared unless every block residual is finite and within
     ``sqrt(p) * v_max``; under the noise model this can never be a false
     alarm.  A quiet residual does not certify the absence of corruption,
     only that any corruption is small enough for the least-squares estimate
@@ -109,7 +110,7 @@ def residual_detect_noisy(
     threshold = math.sqrt(phi.block_count) * v_max
     return DetectionResult(
         residual=residual,
-        attacked=bool(np.any(norms > threshold)),
+        attacked=bool(np.any(violations(norms, threshold))),
         estimate=x_hat,
         per_block_residual_norms=norms,
         threshold=threshold,
@@ -123,8 +124,8 @@ def block_misfits(phi: CodingMatrix, z: StackedVector, estimates: np.ndarray) ->
 
 
 def violations(misfits: np.ndarray, threshold: float) -> np.ndarray:
-    """Blocks whose misfit is not within ``threshold``; a NaN misfit violates."""
-    return ~(misfits <= threshold)
+    """Blocks whose misfit is not both finite and within ``threshold``."""
+    return ~(misfits <= min(threshold, sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,8 @@ class CandidateStack:
     """Least-squares operators of every selection of ``p - r`` blocks of one ``phi``.
 
     Selection ``c`` has the gather index ``rows[c]`` into a stacked vector,
-    the pseudoinverse ``pinvs[c]`` of its row slabs and a rank flag, both
-    from one SVD.  Selections are in lexicographic order, so the first
+    the pseudoinverse ``pinvs[c]`` of its row slabs and a rank flag, each
+    from one stacked call.  Selections are in lexicographic order, so the first
     minimum of a per-candidate score is the smallest selection.  The stack
     holds ``C(p, p - r) * (p - r) * n**2`` floats.
     """
@@ -154,12 +155,7 @@ class CandidateStack:
         rows = np.array([lam.row_indices(n) for lam in selections], dtype=np.intp)
         rows = rows.reshape(len(selections), (p - r) * n)
         subs = phi.entries[rows]
-        u, s, vt = np.linalg.svd(subs, full_matrices=False)
-        # the singular-value floor of _linalg.matrix_rank and _linalg.pinv
-        keep = s > max(subs.shape[1:]) * get_eps_rel() * s[:, :1]
-        s_inv = np.divide(1.0, s, where=keep, out=np.zeros_like(s))
-        pinvs = np.swapaxes(vt, 1, 2) @ (s_inv[:, :, None] * np.swapaxes(u, 1, 2))
-        return cls(phi, r, selections, rows, pinvs, np.count_nonzero(keep, axis=1) < n)
+        return cls(phi, r, selections, rows, pinv(subs), matrix_rank(subs) < n)
 
     def estimates(self, z: StackedVector) -> np.ndarray:
         """Every candidate's least-squares estimate, one row per selection."""

@@ -6,7 +6,7 @@ observable quotient (spanned by ``Z``) and its unobservable complement
 (spanned by ``W``), and a single-output Luenberger observer with placed
 poles runs on the quotient.  The bank's worst-case error envelope
 ``mu_F * x0_max * beta**k + w_max`` is certified by explicit powering of
-each closed-loop matrix.
+each closed-loop matrix, in chunks of powers normed by batched SVDs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import get_eps_rel, matrix_rank
+from ._linalg import get_eps_rel, matrix_rank, spectral_norm
 from .analysis import SystemModel, sensor_observability_matrix
 
 POLE_MATCH_TOL = 1e-6
@@ -25,6 +25,7 @@ POLE_MATCH_TOL = 1e-6
 # beta^k also below one, which makes the tail maximum provably covered).
 _POWER_FLOOR = 1e-12
 _POWER_CAP = 2_000_000
+_POWER_CHUNK = 256  # powers generated, then normed by one batched SVD
 
 
 @dataclass
@@ -247,21 +248,23 @@ def compute_error_bounds(
 
     mu_f = mu_l = mu_z = 0.0
     for obs in bank:
-        Fk = np.eye(obs.nu)
-        bk = 1.0
-        k = 0
-        while True:
-            norm_fk = float(np.linalg.norm(Fk, 2))
-            mu_f = max(mu_f, norm_fk / bk)
-            mu_l = max(mu_l, float(np.linalg.norm(Fk @ obs.L, 2)) / bk)
-            mu_z = max(mu_z, float(np.linalg.norm(Fk @ obs.Z.T, 2)) / bk)
-            if norm_fk < _POWER_FLOOR and norm_fk / bk < 1.0:
+        powers, scales = np.empty((_POWER_CHUNK, obs.nu, obs.nu)), np.empty(_POWER_CHUNK)
+        Fk, bk = np.eye(obs.nu), 1.0
+        for k in range(0, _POWER_CAP + 1, _POWER_CHUNK):
+            count = min(_POWER_CHUNK, _POWER_CAP + 1 - k)
+            for j in range(count):
+                powers[j], scales[j] = Fk, bk
+                Fk, bk = Fk @ obs.F, bk * beta
+            norm_f = spectral_norm(powers[:count])
+            settled = np.flatnonzero((norm_f < _POWER_FLOOR) & (norm_f / scales[:count] < 1.0))
+            last = int(settled[0]) + 1 if settled.size else count
+            mu_f = max(mu_f, float((norm_f[:last] / scales[:last]).max()))
+            mu_l = max(mu_l, float((spectral_norm(powers[:last] @ obs.L) / scales[:last]).max()))
+            mu_z = max(mu_z, float((spectral_norm(powers[:last] @ obs.Z.T) / scales[:last]).max()))
+            if settled.size:
                 break
-            if k >= _POWER_CAP:
-                raise RuntimeError("observer powering did not settle; beta too close to 1")
-            Fk = Fk @ obs.F
-            bk *= beta
-            k += 1
+        else:
+            raise RuntimeError("observer powering did not settle; beta too close to 1")
 
     w_max = (mu_l * n_max + mu_z * d_max) / (1.0 - beta)
     return ErrorBoundParams(mu_f=mu_f, beta=beta, mu_l=mu_l, mu_z=mu_z,

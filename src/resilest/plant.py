@@ -125,8 +125,8 @@ class AttackSpec:
 
     ``waveform`` kinds: ``constant`` (value), ``ramp`` (slope per step),
     ``sinusoid`` (amplitude, freq_hz, phase; evaluated against step*dt), and
-    ``random`` (seeded uniform draws in [lo, hi]).  ``end_step=None`` means
-    the attack lasts to the end of the run.
+    ``random`` (seeded uniform draws in finite [lo, hi]; other values may be
+    non-finite).  ``end_step=None`` means the attack lasts to the end of the run.
     """
 
     sensor: int
@@ -134,7 +134,8 @@ class AttackSpec:
     end_step: Optional[int]
     waveform: dict
 
-    _KINDS = ("constant", "ramp", "sinusoid", "random")
+    _KINDS = {"constant": ("value",), "ramp": ("slope",),
+              "sinusoid": ("amplitude", "freq_hz"), "random": ("lo", "hi")}
 
     def __post_init__(self) -> None:
         if self.sensor < 1:
@@ -145,7 +146,14 @@ class AttackSpec:
             raise ValueError("attack end_step must exceed start_step")
         kind = self.waveform.get("kind")
         if kind not in self._KINDS:
-            raise ValueError(f"unknown waveform kind {kind!r}; expected one of {self._KINDS}")
+            raise ValueError(f"unknown waveform kind {kind!r}; expected one of {list(self._KINDS)}")
+        keys = self._KINDS[kind] + ("phase",) * ("phase" in self.waveform)
+        try:
+            params = [float(self.waveform[key]) for key in keys]
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"{kind} waveform needs numeric {', '.join(keys)}") from None
+        if kind == "random" and not (np.all(np.isfinite(params)) and params[0] <= params[1]):
+            raise ValueError("random waveform needs finite lo <= hi")
 
     def active(self, k: int) -> bool:
         return k >= self.start_step and (self.end_step is None or k < self.end_step)

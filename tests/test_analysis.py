@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resilest import analysis
+from resilest._linalg import matrix_rank, pinv, sigma_min
 from resilest.analysis import (
     CorrectabilityError,
+    RobustnessConstants,
     SystemModel,
     UnsupportedInputError,
     analyze,
@@ -282,6 +287,99 @@ def test_constants_parameter_validation():
         robustness_constants(ONES3, q=1, r=3)
     with pytest.raises(ValueError):
         robustness_constants(ONES3, q=2, r=2)  # p < 2q+1
+
+
+def reference_constants(phi, q, r):
+    """Per-selection loop: one rank check, sigma_min or pinv per selection and
+    one 2-norm per excluded block, with the inner pinvs of eta_prime redone
+    for every outer selection."""
+    p, n = phi.block_count, phi.block_len
+
+    def comp(lam):
+        return phi.compacted(IndexSet(lam, p))
+
+    def sels(size):
+        return itertools.combinations(range(1, p + 1), size)
+
+    if any(matrix_rank(comp(lam)) < n for lam in sels(p - 2 * q)):
+        raise CorrectabilityError("a (p-2q)-block selection is rank deficient")
+    rho = min(sigma_min(comp(lam)) for lam in sels(p - q))
+    rho_2q = min(sigma_min(comp(lam)) for lam in sels(p - 2 * q))
+    blocks = [phi.block(i) for i in range(1, p + 1)]
+    eta = 0.0
+    for lam in sels(p - q):
+        pin = pinv(comp(lam))
+        for i in range(1, p + 1):
+            if i not in lam:
+                eta = max(eta, float(np.linalg.norm(blocks[i - 1] @ pin, 2)))
+    eta_prime = 0.0
+    for lam in sels(p - q):
+        best_inner = math.inf
+        for bar in itertools.combinations(lam, p - r):
+            pin = pinv(comp(bar))
+            worst = 0.0
+            for i in lam:
+                if i not in bar:
+                    worst = max(worst, float(np.linalg.norm(blocks[i - 1] @ pin, 2)))
+            best_inner = min(best_inner, worst)
+        eta_prime = max(eta_prime, best_inner)
+    sqrt_p = math.sqrt(p)
+    theta = max(eta_prime * math.sqrt(p - r) + 1.0, math.sqrt(p - r))
+    return RobustnessConstants(
+        q=q, r=r, rho=rho, eta=eta,
+        kappa_d=(sqrt_p + 1.0) * math.sqrt(p - q) / rho,
+        kappa_e=(eta * math.sqrt(p - q) + 1.0) * (sqrt_p + 1.0),
+        eta_prime=eta_prime, theta=theta,
+        kappa_c=(theta + 1.0) * math.sqrt(p - 2 * q) / rho_2q,
+        kappa_c_prime=(theta - 1.0) / max(float(np.linalg.norm(b, 2)) for b in blocks),
+        rho_2q=rho_2q,
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(0, 2))
+def test_batched_constants_equal_selection_loop(seed, q):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    p = int(rng.integers(2 * q + 1, 2 * q + 5))
+    r = int(rng.integers(q, 2 * q + 1))
+    entries = rng.normal(size=(n * p, n))
+    if rng.random() < 0.2:  # a dead sensor breaks correctability for q >= 1
+        blk = int(rng.integers(0, p))
+        entries[blk * n:(blk + 1) * n] = 0.0
+    phi = CodingMatrix(entries, n, p)
+    try:
+        want = reference_constants(phi, q, r)
+    except CorrectabilityError:
+        with pytest.raises(CorrectabilityError):
+            robustness_constants(phi, q, r)
+        return
+    assert robustness_constants(phi, q, r) == want
+
+
+def test_batched_constants_still_raise_when_not_correctable():
+    entries = np.random.default_rng(5).normal(size=(10, 2))
+    entries[4:6] = 0.0  # sensor 3 sees nothing, so a one-block selection is deficient
+    phi = CodingMatrix(entries, 2, 5)
+    with pytest.raises(CorrectabilityError):
+        reference_constants(phi, 2, 3)
+    with pytest.raises(CorrectabilityError):
+        robustness_constants(phi, 2, 3)
+
+
+def test_constants_take_one_stacked_pinv_per_selection_size(monkeypatch):
+    phi = CodingMatrix(np.random.default_rng(9).normal(size=(18, 2)), 2, 9)
+    want = reference_constants(phi, 2, 4)
+    shapes = []
+
+    def spy(matrix, eps_rel=None):
+        shapes.append(np.shape(matrix))
+        return pinv(matrix, eps_rel)
+
+    monkeypatch.setattr(analysis, "pinv", spy)
+    assert robustness_constants(phi, 2, 4) == want
+    # every 7-block and every 5-block selection once: 36 + 126, not 36 + 36 * 21
+    assert sorted(shapes) == [(36, 14, 2), (126, 10, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,15 @@ def test_detect_rejects_rank_deficient():
         residual_detect_noiseless(phi, sv([1, 2, 3], 1, 3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_detect_flags_nonfinite_and_overflowing_blocks(bad):
+    z = sv([5, 5, bad], 1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert residual_detect_noiseless(ONES3, z).attacked
+        assert residual_detect_noisy(ONES3, z, v_max=1.0).attacked
+        assert residual_detect_noiseless(ONES3, z, tol=1e-6).attacked
+
+
 def test_detect_noisy_never_alarms_without_attack():
     rng = np.random.default_rng(3)
     for _ in range(100):

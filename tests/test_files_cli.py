@@ -246,6 +246,14 @@ def test_cli_simulate_rejects_assumption_violation(tmp_path, capsys):
     assert "sparsity" in capsys.readouterr().err
 
 
+def test_cli_simulate_rejects_waveform_without_parameters(tmp_path, capsys):
+    doc = scalar_scenario_doc()
+    doc["attacks"][0]["waveform"] = {"kind": "constant"}
+    sfile = write_json(tmp_path / "s.json", doc)
+    assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
+    assert "value" in capsys.readouterr().err
+
+
 def test_cli_simulate_seed_override(tmp_path):
     sfile = write_json(tmp_path / "s.json", scalar_scenario_doc(horizon=30))
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resilest import observers
 from resilest.analysis import SystemModel
 from resilest.estimator import ObserverBank
 from resilest.observers import (
     ErrorBoundParams,
+    PartialObserver,
     compute_error_bounds,
     contracted_poles,
     default_poles,
@@ -228,6 +234,110 @@ def test_norm_envelope_holds_up_to_200_powers(three_inertia):
             assert np.linalg.norm(Fk @ obs.L, 2) <= params.mu_l * params.beta**k * (1 + 1e-12)
             assert np.linalg.norm(Fk @ obs.Z.T, 2) <= params.mu_z * params.beta**k * (1 + 1e-12)
             Fk = Fk @ obs.F
+
+
+def reference_error_bounds(bank, d_max, n_max, x0_max):
+    """Power-at-a-time loop: one 2-norm call each for F^k, F^k L and F^k Z'.
+
+    Returns the envelope and, per sensor, the number of powers visited.
+    """
+    sr = max(float(np.max(np.abs(np.linalg.eigvals(obs.F)))) for obs in bank)
+    beta = (sr + 1.0) / 2.0
+    mu_f = mu_l = mu_z = 0.0
+    visited = []
+    for obs in bank:
+        Fk = np.eye(obs.nu)
+        bk = 1.0
+        k = 0
+        while True:
+            norm_fk = float(np.linalg.norm(Fk, 2))
+            mu_f = max(mu_f, norm_fk / bk)
+            mu_l = max(mu_l, float(np.linalg.norm(Fk @ obs.L, 2)) / bk)
+            mu_z = max(mu_z, float(np.linalg.norm(Fk @ obs.Z.T, 2)) / bk)
+            if norm_fk < observers._POWER_FLOOR and norm_fk / bk < 1.0:
+                break
+            if k >= observers._POWER_CAP:
+                raise RuntimeError("observer powering did not settle; beta too close to 1")
+            Fk = Fk @ obs.F
+            bk *= beta
+            k += 1
+        visited.append(k + 1)
+    w_max = (mu_l * n_max + mu_z * d_max) / (1.0 - beta)
+    params = ErrorBoundParams(mu_f=mu_f, beta=beta, mu_l=mu_l, mu_z=mu_z,
+                              w_max=w_max, x0_max=x0_max)
+    return params, visited
+
+
+def stable_observer(rng, nu, radius, n):
+    """Designed-looking observer with a random F of the given spectral radius."""
+    F = rng.normal(size=(nu, nu))
+    sr = float(np.max(np.abs(np.linalg.eigvals(F))))
+    F = F * (radius / sr) if sr > 0 else F * 0.0
+    Z = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :nu]
+    return PartialObserver(sensor_index=1, nu=nu, Z=Z, W=np.zeros((n, n - nu)),
+                           S=F.copy(), t=np.ones((1, nu)), Bz=np.zeros((nu, 1)),
+                           L=rng.normal(size=(nu, 1)), F=F)
+
+
+def scalar_observer(f):
+    return PartialObserver(sensor_index=1, nu=1, Z=np.eye(1), W=np.zeros((1, 0)),
+                           S=np.array([[f]]), t=np.ones((1, 1)), Bz=np.zeros((1, 1)),
+                           L=np.array([[0.5]]), F=np.array([[f]]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), sensors=st.integers(1, 3))
+def test_batched_envelope_equals_power_loop(seed, sensors):
+    rng = np.random.default_rng(seed)
+    bank = [stable_observer(rng, int(rng.integers(1, 9)), float(rng.uniform(0.0, 0.99)),
+                            n=int(rng.integers(8, 11)))
+            for _ in range(sensors)]
+    want, _ = reference_error_bounds(bank, 0.003, 0.002, 1.5)
+    assert compute_error_bounds(bank, 0.003, 0.002, 1.5) == want
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_batched_envelope_stop_on_chunk_boundary(offset):
+    # F = f on a scalar quotient stops at the first k with f**k < 1e-12
+    target = observers._POWER_CHUNK + offset
+    f = 10.0 ** (-12.0 / (target - 0.5))
+    want, visited = reference_error_bounds([scalar_observer(f)], 0.001, 0.001, 1.0)
+    assert visited == [target + 1]
+    assert compute_error_bounds([scalar_observer(f)], 0.001, 0.001, 1.0) == want
+
+
+# the second F settles exactly at k = 2 * _POWER_CHUNK, so the cap lands on a chunk boundary
+@pytest.mark.parametrize("f", [0.95, 10.0 ** (-12.0 / (2 * observers._POWER_CHUNK - 0.5))])
+def test_batched_envelope_power_cap_raises_at_same_k(monkeypatch, f):
+    obs = scalar_observer(f)
+    _, (visited,) = reference_error_bounds([obs], 0.0, 0.0, 1.0)
+    monkeypatch.setattr(observers, "_POWER_CAP", visited - 1)  # the last power checked
+    want, _ = reference_error_bounds([obs], 0.0, 0.0, 1.0)
+    assert compute_error_bounds([obs], 0.0, 0.0, 1.0) == want
+    monkeypatch.setattr(observers, "_POWER_CAP", visited - 2)
+    with pytest.raises(RuntimeError):
+        reference_error_bounds([obs], 0.0, 0.0, 1.0)
+    with pytest.raises(RuntimeError):
+        compute_error_bounds([obs], 0.0, 0.0, 1.0)
+
+
+def test_envelope_takes_one_svd_per_chunk_per_norm(three_inertia, monkeypatch):
+    from resilest.plant import ObserverConfig, build_observer_bank
+
+    bank = build_observer_bank(three_inertia, ObserverConfig(mode="contract", factor=0.98))
+    want, visited = reference_error_bounds(bank, 0.001, 0.001, 1.0)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(observers.np.linalg, "svd", spy)
+    assert compute_error_bounds(bank, 0.001, 0.001, 1.0) == want
+    chunks = sum(math.ceil(v / observers._POWER_CHUNK) for v in visited)
+    assert sum(visited) > 10 * len(calls)
+    assert 0 < len(calls) <= 3 * chunks
 
 
 def test_three_inertia_bounds_regression(three_inertia):

@@ -169,6 +169,29 @@ def test_attack_spec_validation():
         AttackSpec(1, 0, None, {"kind": "sawtooth"})
 
 
+@pytest.mark.parametrize("waveform", [
+    {"kind": "constant"},
+    {"kind": "constant", "value": "big"},
+    {"kind": "ramp"},
+    {"kind": "sinusoid", "amplitude": 1.0},
+    {"kind": "sinusoid", "freq_hz": 1.0},
+    {"kind": "sinusoid", "amplitude": 1.0, "freq_hz": 1.0, "phase": None},
+    {"kind": "random", "lo": -1.0},
+    {"kind": "random", "lo": 1.0, "hi": -1.0},
+    {"kind": "random", "lo": -math.inf, "hi": 1.0},
+    {"kind": "random", "lo": 0.0, "hi": math.nan},
+])
+def test_attack_spec_rejects_missing_or_bad_waveform_parameters(waveform):
+    with pytest.raises(ValueError):
+        AttackSpec(1, 0, None, waveform)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
+def test_attack_spec_keeps_nonfinite_injections(value):
+    spec = AttackSpec(1, 0, None, {"kind": "constant", "value": value})
+    np.testing.assert_equal(spec.value(0, 0.1, np.random.default_rng(0)), value)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
