@@ -29,12 +29,17 @@ def get_eps_rel() -> float:
     return _eps_rel
 
 
+def rank_above_floor(s: np.ndarray, shape: tuple[int, ...], eps_rel: float | None = None):
+    """Count of singular values ``s`` (descending, last axis) above a ``shape`` matrix's floor."""
+    eps = _eps_rel if eps_rel is None else eps_rel
+    return np.count_nonzero(s > max(shape[-2:]) * s[..., :1] * eps, axis=-1)
+
+
 def matrix_rank(matrix: np.ndarray, eps_rel: float | None = None):
     """Numerical rank: count of singular values above the shared floor."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     s = np.linalg.svd(matrix, compute_uv=False)
-    eps = _eps_rel if eps_rel is None else eps_rel
-    ranks = np.count_nonzero(s > max(matrix.shape[-2:]) * s[..., :1] * eps, axis=-1)
+    ranks = rank_above_floor(s, matrix.shape, eps_rel)
     return int(ranks) if matrix.ndim == 2 else ranks
 
 

@@ -5,9 +5,10 @@ The central objects are an LTI plant ``x(k+1) = A x(k) + B u(k) + d(k)``,
 from the per-sensor observability blocks.  A coding matrix tolerates q
 corrupted sensor blocks exactly when every selection of ``p - q`` blocks
 retains full column rank; the security index is the smallest number of
-blocks an undetectable input can be confined to.  Both views are computed
-here by exhaustive subset enumeration (the intended envelope is small p,
-not large sensor networks).
+blocks an undetectable input can be confined to, i.e. the smallest q for
+which the plant is not q-redundant observable.  One stacked detectability
+check (an exhaustive batched scan over the selections: the intended
+envelope is small p, not large sensor networks) serves both views.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import matrix_rank, pinv, sigma_min, spectral_norm
-from .stacked import CodingMatrix, IndexSet
+from .stacked import CodingMatrix
 
 __all__ = [
     "AnalysisReport",
@@ -75,8 +76,13 @@ class SystemModel:
             raise ValueError(f"B must have {n} rows, got {B.shape}")
         if C.shape[1] != n:
             raise ValueError(f"C must have {n} columns, got {C.shape}")
-        if self.d_max < 0 or self.n_max < 0:
-            raise ValueError("d_max and n_max must be nonnegative")
+        for name, matrix in (("A", A), ("B", B), ("C", C)):
+            # count_nonzero: about half the cost of .all() on these small arrays
+            if np.count_nonzero(np.isfinite(matrix)) < matrix.size:
+                raise ValueError(f"{name} must be finite")
+        if not (0 <= self.d_max < math.inf and 0 <= self.n_max < math.inf):
+            raise ValueError(f"d_max and n_max must be finite and nonnegative, "
+                             f"got d_max={self.d_max}, n_max={self.n_max}")
 
     @property
     def n(self) -> int:
@@ -144,11 +150,6 @@ def observability_matrix(model: SystemModel) -> CodingMatrix:
     return CodingMatrix.from_blocks(blocks)
 
 
-def _selections(p: int, size: int):
-    """All 1-based sensor subsets of the given size, lexicographic."""
-    return itertools.combinations(range(1, p + 1), size)
-
-
 _STACK_FLOATS = 1 << 15  # per chunk of stacked selections: 256 kB of intermediates
 
 
@@ -194,18 +195,12 @@ def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float | None = No
 def stacked_cospark(phi: CodingMatrix, eps_rel: float | None = None) -> int:
     """Minimum number of nonzero blocks of ``phi @ x`` over nonzero ``x``.
 
-    Computed as ``p`` minus the largest selection whose compacted matrix is
-    column-rank deficient; the empty selection (rank 0 < n) guarantees the
-    maximum exists.  Deficient selection sizes form a down-set, so the scan
-    can stop at the first size that contains a deficient selection.
+    Equals the smallest ``q`` for which ``phi`` is not q-error detectable.
+    The scan runs q = 0, 1, ..., p (selection sizes p down to 0) and always
+    stops, because the empty selection (q = p) has rank 0 < n.
     """
-    p, n = phi.block_count, phi.block_len
-    for size in range(p, -1, -1):
-        for lam in _selections(p, size):
-            sub = phi.compacted(IndexSet(lam, p))
-            if matrix_rank(sub, eps_rel) < n:
-                return p - size
-    raise AssertionError("unreachable: empty selection is always rank deficient")
+    return next(q for q in range(phi.block_count + 1)
+                if not is_q_error_detectable(phi, q, eps_rel))
 
 
 def security_index(model: SystemModel, eps_rel: float | None = None) -> int:
@@ -298,12 +293,15 @@ def robustness_constants(
     tables = {size: outside_gains(size) for size in {p - q, p - r}}
     eta = float(tables[p - q].max(initial=0.0))
 
-    # eta_prime: max over lam of the min over its subselections bar of lam's largest gain
-    outer = list(itertools.combinations(range(p), p - q))
-    position = {bar: j for j, bar in enumerate(itertools.combinations(range(p), p - r))}
-    subs = [[position[bar] for bar in itertools.combinations(lam, p - r)] for lam in outer]
-    worst = np.take_along_axis(tables[p - r][np.array(subs)], np.array(outer)[:, None], axis=2)
-    eta_prime = float(worst.max(axis=2).min(axis=1).max(initial=0.0))
+    # eta_prime: max over lam of the min over its subselections bar of lam's largest gain;
+    # at r == q lam is its own only subselection and excludes none of lam's blocks
+    eta_prime = 0.0
+    if r > q:
+        outer = list(itertools.combinations(range(p), p - q))
+        position = {bar: j for j, bar in enumerate(itertools.combinations(range(p), p - r))}
+        subs = [[position[bar] for bar in itertools.combinations(lam, p - r)] for lam in outer]
+        worst = np.take_along_axis(tables[p - r][np.array(subs)], np.array(outer)[:, None], axis=2)
+        eta_prime = float(worst.max(axis=2).min(axis=1).max(initial=0.0))
 
     sqrt_p = math.sqrt(p)
     kappa_d = (sqrt_p + 1.0) * math.sqrt(p - q) / rho

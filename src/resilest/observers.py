@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import get_eps_rel, matrix_rank, spectral_norm
+from ._linalg import matrix_rank, rank_above_floor, spectral_norm
 from .analysis import SystemModel, sensor_observability_matrix
 
 POLE_MATCH_TOL = 1e-6
@@ -67,8 +67,7 @@ def kalman_decompose(model: SystemModel, i: int, eps_rel: float | None = None) -
     c = model.C[i - 1]
     g = sensor_observability_matrix(model.A, c)
     _, s, vt = np.linalg.svd(g)
-    eps = get_eps_rel() if eps_rel is None else eps_rel
-    nu = int(np.count_nonzero(s > max(g.shape) * (s[0] if s.size else 0.0) * eps))
+    nu = int(rank_above_floor(s, g.shape, eps_rel))
     if nu == 0:
         raise ValueError(f"sensor {i} observes nothing (zero output row)")
     Z = vt[:nu].T

@@ -11,6 +11,7 @@ switching decoder together.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -273,9 +274,23 @@ class Scenario:
             raise ScenarioValidationError("noise_scale must lie in [0, 1]")
         if not self.q <= self.r <= 2 * self.q:
             raise ScenarioValidationError(f"need q <= r <= 2q, got q={self.q}, r={self.r}")
+        if self.recert_every is not None and (
+            isinstance(self.recert_every, bool)
+            or not isinstance(self.recert_every, numbers.Integral)
+            or self.recert_every < 1
+        ):
+            raise ScenarioValidationError(
+                f"recert_every must be a positive integer or None, got {self.recert_every!r}"
+            )
+        if not 0.0 <= self.observer.x0_max < math.inf:
+            raise ScenarioValidationError(
+                f"observer x0_max must be finite and nonnegative, got {self.observer.x0_max}"
+            )
         x0 = np.zeros(self.model.n) if self.x0 is None else np.asarray(self.x0, dtype=float)
         if x0.size != self.model.n:
             raise ScenarioValidationError(f"x0 must have length {self.model.n}")
+        if not np.isfinite(x0).all():
+            raise ScenarioValidationError("x0 must be finite")
         object.__setattr__(self, "x0", x0)
 
     def attacked_sensors(self) -> set[int]:

@@ -126,6 +126,59 @@ def test_cospark_matches_null_vector_oracle_randomized():
         assert stacked_cospark(phi) == cospark_null_vector_oracle(phi)
 
 
+def reference_cospark(phi, eps_rel=None):
+    """Per-selection loop: one compacted copy and one rank check per selection,
+    sizes p down to 0, stopping at the first rank-deficient selection."""
+    p, n = phi.block_count, phi.block_len
+    for size in range(p, -1, -1):
+        for lam in itertools.combinations(range(1, p + 1), size):
+            if matrix_rank(phi.compacted(IndexSet(lam, p)), eps_rel) < n:
+                return p - size
+    raise AssertionError("unreachable: empty selection is always rank deficient")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(0, 7),
+       style=st.sampled_from(["dense", "zero", "repeat", "near"]),
+       eps_rel=st.sampled_from([None, 1e-8]))
+def test_stacked_cospark_equals_selection_loop(seed, n, p, style, eps_rel):
+    rng = np.random.default_rng(seed)
+    entries = rng.normal(size=(n * p, n))
+    for blk in range(1, p):
+        if style == "zero" and rng.random() < 0.3:
+            entries[blk * n:(blk + 1) * n] = 0.0
+        elif style == "repeat" and rng.random() < 0.4:
+            entries[blk * n:(blk + 1) * n] = entries[:n]
+    if style == "near" and n > 1:  # rank n - 1 plus a perturbation near either floor
+        entries = rng.normal(size=(n * p, n - 1)) @ rng.normal(size=(n - 1, n))
+        entries += 10.0 ** rng.integers(-16, -6) * rng.normal(size=entries.shape)
+    phi = CodingMatrix(entries, n, p)
+    assert stacked_cospark(phi, eps_rel) == reference_cospark(phi, eps_rel)
+
+
+@pytest.mark.parametrize(("stack_floats", "calls"), [(analysis._STACK_FLOATS, 10), (64, 164)])
+def test_stacked_cospark_checks_ranks_per_chunk(monkeypatch, stack_floats, calls):
+    phi = CodingMatrix(np.random.default_rng(3).normal(size=(18, 2)), 2, 9)
+    want = reference_cospark(phi)
+    shapes = []
+
+    def spy(matrix, eps_rel=None):
+        shapes.append(np.shape(matrix))
+        return matrix_rank(matrix, eps_rel)
+
+    monkeypatch.setattr(analysis, "matrix_rank", spy)
+    monkeypatch.setattr(analysis, "_STACK_FLOATS", stack_floats)
+    assert stacked_cospark(phi) == want == 9
+    # one stacked call per chunk of each size 9, 8, ..., 0: not one per selection (2^9)
+    chunks = []
+    for size in range(9, -1, -1):
+        step = max(1, stack_floats // max(1, size * 4))
+        count = math.comb(9, size)
+        chunks += [(min(step, count - start), 2 * size, 2) for start in range(0, count, step)]
+    assert shapes == chunks
+    assert len(shapes) == calls
+
+
 # ---------------------------------------------------------------------------
 # security index
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -192,6 +193,23 @@ def test_cli_analyze_invalid_model_exit_2(tmp_path, capsys):
     assert main(["analyze", "--model", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(("field", "value", "message"), [
+    ("A", [[math.nan]], "A must be finite"),
+    ("B", [[math.inf]], "B must be finite"),
+    ("C", [[1.0], [-math.inf], [1.0]], "C must be finite"),
+    ("d_max", math.inf, "d_max=inf"),
+    ("n_max", math.nan, "n_max=nan"),
+    ("d_max", -1.0, "d_max=-1.0"),
+])
+def test_cli_analyze_rejects_nonfinite_model_exit_2(tmp_path, capsys, field, value, message):
+    doc = dict(SCALAR_MODEL_DOC, **{field: value})
+    model_file = write_json(tmp_path / "m.json", doc)
+    assert main(["analyze", "--model", model_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cli_analyze_constants_undefined_exit_3(tmp_path, capsys):
     doc = {"A": [[1.0]], "B": [[0.0]], "C": [[1.0], [1.0], [0.0]]}
     model_file = write_json(tmp_path / "m.json", doc)
@@ -252,6 +270,35 @@ def test_cli_simulate_rejects_waveform_without_parameters(tmp_path, capsys):
     sfile = write_json(tmp_path / "s.json", doc)
     assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
     assert "value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("field", "doc_path", "value"), [
+    ("recert_every", (), "10"),
+    ("recert_every", (), -3),
+    ("recert_every", (), 0),
+    ("recert_every", (), 2.5),
+    ("recert_every", (), True),
+    ("x0", (), [math.nan]),
+    ("n_max", ("noise",), math.nan),
+    ("d_max", ("noise",), math.inf),
+    ("x0_max", ("observer",), math.nan),
+    ("x0_max", ("observer",), -1.0),
+])
+def test_cli_simulate_rejects_bad_scenario_numbers(tmp_path, capsys, field, doc_path, value):
+    doc = scalar_scenario_doc(horizon=50)
+    section = doc
+    for key in doc_path:
+        section = section.setdefault(key, {})
+    section[field] = value
+    sfile = write_json(tmp_path / "s.json", doc)
+    assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_scenario_accepts_positive_integer_recert_every():
+    assert scenario_from_dict(scalar_scenario_doc(recert_every=10)).recert_every == 10
+    assert scenario_from_dict(scalar_scenario_doc(recert_every=None)).recert_every is None
 
 
 def test_cli_simulate_seed_override(tmp_path):
