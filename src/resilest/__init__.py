@@ -25,11 +25,9 @@ from .analysis import (
     stacked_cospark,
 )
 from .decoding import (
-    Candidate,
     CandidateStack,
     DecodeResult,
     DetectionResult,
-    candidate_set,
     certify_estimate,
     decode_noiseless,
     decode_noisy,
@@ -44,7 +42,6 @@ from .estimator import (
     EstimateRecord,
     EstimatorAssumptionError,
     ObserverBank,
-    build_phi,
     decoder_step,
     estimator_step,
 )

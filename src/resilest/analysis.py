@@ -37,6 +37,7 @@ __all__ = [
     "security_index",
     "security_index_eigenvector",
     "sensor_observability_matrix",
+    "sensor_selections",
     "stacked_cospark",
 ]
 
@@ -153,11 +154,16 @@ def observability_matrix(model: SystemModel) -> CodingMatrix:
 _STACK_FLOATS = 1 << 15  # per chunk of stacked selections: 256 kB of intermediates
 
 
+def sensor_selections(p: int, size: int) -> np.ndarray:
+    """Every ``size``-subset of ``range(p)``, lexicographic: the order of every selection scan."""
+    members = np.array(list(itertools.combinations(range(p), size)), dtype=np.intp)
+    return members.reshape(math.comb(p, size), size)
+
+
 def _selection_stacks(phi: CodingMatrix, size: int, floats_per_selection: int):
     """Lexicographic chunks of (0-based members, ``(c, size * n, n)`` compacted stack)."""
     p, n = phi.block_count, phi.block_len
-    members = np.array(list(itertools.combinations(range(p), size)), dtype=np.intp)
-    members = members.reshape(math.comb(p, size), size)
+    members = sensor_selections(p, size)
     step = max(1, _STACK_FLOATS // max(1, floats_per_selection))
     for start in range(0, len(members), step):
         chunk = members[start:start + step]
@@ -297,10 +303,12 @@ def robustness_constants(
     # at r == q lam is its own only subselection and excludes none of lam's blocks
     eta_prime = 0.0
     if r > q:
-        outer = list(itertools.combinations(range(p), p - q))
-        position = {bar: j for j, bar in enumerate(itertools.combinations(range(p), p - r))}
-        subs = [[position[bar] for bar in itertools.combinations(lam, p - r)] for lam in outer]
-        worst = np.take_along_axis(tables[p - r][np.array(subs)], np.array(outer)[:, None], axis=2)
+        outer = sensor_selections(p, p - q)
+        subs = outer[:, sensor_selections(p - q, p - r)]  # each lam's subselections
+        # every (p - r)-selection is one; unique() sorts them into the table's lexicographic rows
+        index = np.unique(subs.reshape(-1, p - r), axis=0, return_inverse=True)[1]
+        gains = tables[p - r][index.reshape(subs.shape[:2])]
+        worst = np.take_along_axis(gains, outer[:, None], axis=2)
         eta_prime = float(worst.max(axis=2).min(axis=1).max(initial=0.0))
 
     sqrt_p = math.sqrt(p)

@@ -83,14 +83,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "max_correctable_q": report.max_correctable_q,
             "redundancy_degree": report.redundancy_degree,
             "constants": {
-                str(q): {
-                    "q": c.q, "r": c.r, "rho": c.rho, "eta": c.eta,
-                    "kappa_d": c.kappa_d, "kappa_e": c.kappa_e,
-                    "eta_prime": c.eta_prime, "theta": c.theta,
-                    "kappa_c": c.kappa_c, "kappa_c_prime": c.kappa_c_prime,
-                    "rho_2q": c.rho_2q,
-                }
-                for q, c in report.per_q_constants.items()
+                str(q): dataclasses.asdict(c) for q, c in report.per_q_constants.items()
             },
         }
         print(json.dumps(doc, indent=2))

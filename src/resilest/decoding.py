@@ -11,7 +11,6 @@ selection for reproducibility.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .analysis import (
     is_q_error_correctable,
     observability_matrix,
     robustness_constants,
+    sensor_selections,
 )
 from .stacked import CodingMatrix, IndexSet, StackedVector
 
@@ -39,15 +39,6 @@ class DetectionResult:
     estimate: np.ndarray
     per_block_residual_norms: np.ndarray
     threshold: float
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One least-squares candidate from a block selection."""
-
-    lam: IndexSet
-    estimate: np.ndarray
-    rank_deficient: bool
 
 
 @dataclass(frozen=True)
@@ -132,17 +123,16 @@ def violations(misfits: np.ndarray, threshold: float) -> np.ndarray:
 class CandidateStack:
     """Least-squares operators of every selection of ``p - r`` blocks of one ``phi``.
 
-    Selection ``c`` has the gather index ``rows[c]`` into a stacked vector,
-    the pseudoinverse ``pinvs[c]`` of its row slabs and a rank flag, each
-    from one stacked call.  Selections are in lexicographic order, so the first
-    minimum of a per-candidate score is the smallest selection.  The stack
-    holds ``C(p, p - r) * (p - r) * n**2`` floats.
+    Selection ``c`` has the 0-based sensors ``members[c]``, the pseudoinverse
+    ``pinvs[c]`` of their row slabs (minimum-norm if rank deficient) and a rank
+    flag.  Selections follow the lexicographic order of ``sensor_selections``,
+    so the first minimum of a per-candidate score is the smallest selection.
+    The stack holds ``C(p, p - r) * (p - r) * n**2`` floats.
     """
 
     phi: CodingMatrix
     r: int
-    selections: tuple[IndexSet, ...]
-    rows: np.ndarray
+    members: np.ndarray
     pinvs: np.ndarray
     rank_deficient: np.ndarray
 
@@ -151,15 +141,14 @@ class CandidateStack:
         p, n = phi.block_count, phi.block_len
         if not 0 <= r <= p:
             raise ValueError(f"r must lie in 0..{p}, got {r}")
-        selections = tuple(IndexSet(c, p) for c in itertools.combinations(range(1, p + 1), p - r))
-        rows = np.array([lam.row_indices(n) for lam in selections], dtype=np.intp)
-        rows = rows.reshape(len(selections), (p - r) * n)
-        subs = phi.entries[rows]
-        return cls(phi, r, selections, rows, pinv(subs), matrix_rank(subs) < n)
+        members = sensor_selections(p, p - r)
+        subs = phi.entries.reshape(p, n, n)[members].reshape(len(members), (p - r) * n, n)
+        return cls(phi, r, members, pinv(subs), matrix_rank(subs) < n)
 
     def estimates(self, z: StackedVector) -> np.ndarray:
         """Every candidate's least-squares estimate, one row per selection."""
-        return (self.pinvs @ z.data[self.rows][:, :, None])[:, :, 0]
+        data = z.data.reshape(z.block_count, z.block_len)[self.members]
+        return (self.pinvs @ data.reshape(len(self.members), -1, 1))[:, :, 0]
 
     def search(self, z: StackedVector, threshold: float) -> tuple[np.ndarray, int, IndexSet]:
         """Candidate with the fewest violating blocks: (estimate, count, violating set)."""
@@ -171,23 +160,10 @@ class CandidateStack:
         return estimates[best], int(counts[best]), IndexSet(support, self.phi.block_count)
 
 
-def candidate_set(phi: CodingMatrix, z: StackedVector, r: int) -> list[Candidate]:
-    """Least-squares candidates over all selections of ``p - r`` blocks.
-
-    Returns exactly ``C(p, p - r)`` candidates ordered lexicographically by
-    selection.  Rank-deficient selections still contribute their
-    minimum-norm solution, flagged via ``rank_deficient``.
-    """
-    stack = CandidateStack.build(phi, r)
-    return [
-        Candidate(lam=lam, estimate=x, rank_deficient=bool(flag))
-        for lam, x, flag in zip(stack.selections, stack.estimates(z), stack.rank_deficient)
-    ]
-
-
 def default_support_tol(z: StackedVector) -> float:
-    """Scaled tolerance separating round-off from genuine residual blocks."""
-    return math.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(z.data)))
+    """Round-off tolerance for residual blocks, scaled by the finite entries of ``z`` only."""
+    finite = z.data[np.isfinite(z.data)]
+    return math.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(finite)))
 
 
 def decode_noiseless(

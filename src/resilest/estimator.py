@@ -29,23 +29,6 @@ class EstimatorAssumptionError(ValueError):
     """A standing model assumption of the estimator failed while it ran."""
 
 
-def build_phi(bank: list[PartialObserver]) -> CodingMatrix:
-    """Stack each sensor's quotient basis, zero-padded to n rows per block.
-
-    The block row space equals the sensor's observability row space, so
-    selection ranks (and hence correctability) carry over from the stacked
-    observability matrix.  Total observer state must not exceed the padded
-    size n*p.
-    """
-    if not bank:
-        raise ValueError("observer bank is empty")
-    n = bank[0].Z.shape[0]
-    total_nu = sum(obs.nu for obs in bank)
-    if total_nu > n * len(bank):
-        raise EstimatorAssumptionError(f"observer state {total_nu} exceeds the padded size n*p")
-    return CodingMatrix.from_blocks([np.vstack([o.Z.T, np.zeros((n - o.nu, n))]) for o in bank])
-
-
 @dataclass
 class ObserverBank:
     """The observer bank as one LTI system on the padded state ``z`` (p x n).
@@ -54,25 +37,33 @@ class ObserverBank:
     zero-padded to n rows, so ``z`` is the decoder input as it stands.  A
     batched per-block product, unlike a block-diagonal matvec, keeps a
     non-finite reading in its own block instead of spreading it via ``0 * nan``.
+    ``phi`` pads each quotient basis ``Z_i'`` the same way: the decoder's coding
+    matrix, whose selections keep the ranks of the stacked observability matrix.
     """
 
     F: np.ndarray
     B: np.ndarray
     L: np.ndarray
+    phi: CodingMatrix
     z: np.ndarray
 
     @classmethod
     def stack(cls, observers: list[PartialObserver]) -> "ObserverBank":
         """Pad and stack designed observers; every state starts at zero."""
+        if not observers:
+            raise ValueError("observer bank is empty")
         n, m, p = observers[0].Z.shape[0], observers[0].Bz.shape[1], len(observers)
-        F, B, L = np.zeros((p, n, n)), np.zeros((p, n, m)), np.zeros((p, n))
+        if sum(obs.nu for obs in observers) > n * p:
+            raise EstimatorAssumptionError("observer state exceeds the padded size n*p")
+        F, B, L, Z = np.zeros((p, n, n)), np.zeros((p, n, m)), np.zeros((p, n)), np.zeros((p, n, n))
         for i, obs in enumerate(observers):
             if not obs.gain_designed:
                 raise ValueError(f"sensor {obs.sensor_index}: observer gain not designed")
             F[i, : obs.nu, : obs.nu] = obs.F
             B[i, : obs.nu] = obs.Bz
             L[i, : obs.nu] = obs.L.reshape(-1)
-        return cls(F, B, L, np.zeros((p, n)))
+            Z[i, : obs.nu] = obs.Z.T
+        return cls(F, B, L, CodingMatrix(Z.reshape(p * n, n), n, p), np.zeros((p, n)))
 
     def step(self, u: np.ndarray, y: np.ndarray) -> None:
         """Absorb the input ``u`` (m,) and the measurements ``y`` (p,)."""
@@ -96,7 +87,6 @@ class DecoderState:
     r: int
     phi: CodingMatrix
     constants: RobustnessConstants
-    v_prime_max: float = 0.0
     recert_every: int | None = None
     operators: dict[IndexSet, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     candidates: CandidateStack | None = None
@@ -134,7 +124,6 @@ class EstimateRecord:
     lam: IndexSet
     branch: str
     bound: float
-    solves: int = 1
 
 
 def decoder_step(
@@ -154,8 +143,6 @@ def decoder_step(
     """
     p = state.phi.block_count
     v_max_k = v_max_at(bounds, k)
-    state.v_prime_max = state.constants.theta * v_max_k
-    solves = 1
 
     if state.lam not in state.operators:
         rows = state.lam.row_indices(state.phi.block_len)
@@ -163,7 +150,7 @@ def decoder_step(
     rows, lsq = state.operators[state.lam]
     x_prime = lsq @ z.data[rows]
     misfits = block_misfits(state.phi, z, x_prime[None, :])
-    f = int(np.count_nonzero(violations(misfits, state.v_prime_max)))
+    f = int(np.count_nonzero(violations(misfits, state.constants.theta * v_max_k)))
 
     if f <= state.q:
         branch = BRANCH_CALCULATOR
@@ -177,7 +164,6 @@ def decoder_step(
             constants=state.constants, candidates=state.candidates,
         )
         x_hat = result.estimate
-        solves += len(state.candidates.selections)
         state.lam = result.support_estimate.complement()
         if len(state.lam) < p - state.q:
             raise EstimatorAssumptionError(
@@ -194,7 +180,6 @@ def decoder_step(
         lam=state.lam,
         branch=branch,
         bound=state.constants.kappa_c * v_max_k,
-        solves=solves,
     )
 
 

@@ -24,7 +24,6 @@ from .estimator import (
     BRANCH_MINIMIZER,
     DecoderState,
     ObserverBank,
-    build_phi,
     decoder_step,
     estimator_step,
 )
@@ -335,8 +334,7 @@ class Trace:
     """Per-step log of a simulation run.
 
     Arrays are indexed by step; ``y`` holds the noisy attack-free outputs so
-    that ``ybar == y + a`` reproduces the measurements bit-exactly, and
-    ``solves`` counts the least-squares solves behind each estimate.
+    that ``ybar == y + a`` reproduces the measurements bit-exactly.
     """
 
     dt: float
@@ -352,7 +350,6 @@ class Trace:
     lam_mask: np.ndarray
     branch: np.ndarray
     bound: np.ndarray
-    solves: np.ndarray
 
     @property
     def horizon(self) -> int:
@@ -385,7 +382,7 @@ def simulate(sc: Scenario) -> Trace:
 
     observers = build_observer_bank(model, sc.observer)
     bank = ObserverBank.stack(observers)
-    state = DecoderState.fresh(build_phi(observers), sc.q, sc.r, recert_every=sc.recert_every)
+    state = DecoderState.fresh(bank.phi, sc.q, sc.r, recert_every=sc.recert_every)
     bounds = compute_error_bounds(observers, model.d_max, model.n_max, sc.observer.x0_max)
 
     controller = IntegralController(sc.controller, model.C) if sc.controller else None
@@ -408,7 +405,6 @@ def simulate(sc: Scenario) -> Trace:
         lam_mask=np.zeros(H, dtype=int),
         branch=np.zeros(H, dtype=int),
         bound=np.zeros(H),
-        solves=np.zeros(H, dtype=int),
     )
 
     x = sc.x0.copy()
@@ -440,7 +436,6 @@ def simulate(sc: Scenario) -> Trace:
         tr.lam_mask[k] = sum(1 << (i - 1) for i in record.lam)
         tr.branch[k] = TRACE_BRANCH_CODES[record.branch]
         tr.bound[k] = record.bound
-        tr.solves[k] = record.solves
 
         if k < H - 1:
             record = estimator_step(bank, state, u, ybar, k, bounds)

@@ -134,7 +134,7 @@ class StackedVector:
 
 @dataclass(frozen=True)
 class CodingMatrix:
-    """Real ``(block_len*block_count) x block_len`` matrix with row slabs."""
+    """Finite real ``(block_len*block_count) x block_len`` matrix with row slabs."""
 
     entries: np.ndarray
     block_len: int
@@ -148,6 +148,8 @@ class CodingMatrix:
         expected = (self.block_len * self.block_count, self.block_len)
         if entries.shape != expected:
             raise ValueError(f"entries shape {entries.shape} != {expected}")
+        if np.count_nonzero(np.isfinite(entries)) < entries.size:
+            raise ValueError("coding matrix entries must be finite")
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[np.ndarray]) -> "CodingMatrix":

@@ -21,6 +21,7 @@ from resilest.analysis import (
     robustness_constants,
     security_index,
     security_index_eigenvector,
+    sensor_selections,
     stacked_cospark,
 )
 from resilest.stacked import CodingMatrix, IndexSet, StackedVector, stacked_support
@@ -310,13 +311,21 @@ def test_constants_match_direct_formula_oracle():
                 assert getattr(got, name) == pytest.approx(val, rel=1e-9), (name, q, r)
 
 
+def test_sensor_selections_follow_itertools_order():
+    for p in range(9):
+        for size in range(p + 1):
+            members = sensor_selections(p, size)
+            assert members.dtype == np.intp and members.shape == (math.comb(p, size), size)
+            assert list(map(tuple, members.tolist())) == list(itertools.combinations(range(p), size))
+
+
 def test_constants_three_inertia_phi_regression(three_inertia):
     # frozen values for the padded observer-bank coding matrix, q = r = 1
-    from resilest.estimator import build_phi
+    from resilest.estimator import ObserverBank
     from resilest.plant import ObserverConfig, build_observer_bank
 
     bank = build_observer_bank(three_inertia, ObserverConfig(mode="contract", factor=0.98))
-    phi = build_phi(bank)
+    phi = ObserverBank.stack(bank).phi
     c = robustness_constants(phi, 1, 1)
     assert c.theta == pytest.approx(2.0, rel=1e-9)
     assert c.rho == pytest.approx(1.414213562373095, rel=1e-9)

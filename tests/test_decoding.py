@@ -10,10 +10,10 @@ from resilest._linalg import matrix_rank, pinv
 from resilest.analysis import CorrectabilityError, SystemModel, robustness_constants
 from resilest.decoding import (
     CandidateStack,
-    candidate_set,
     certify_estimate,
     decode_noiseless,
     decode_noisy,
+    default_support_tol,
     recover_initial_state,
     residual_detect_noiseless,
     residual_detect_noisy,
@@ -137,25 +137,24 @@ def test_detect_noisy_threshold_is_strict():
 
 
 def test_candidate_set_scalar_example():
-    cands = candidate_set(ONES3, sv([5, 5, 12], 1, 3), r=1)
-    assert [tuple(c.lam) for c in cands] == [(1, 2), (1, 3), (2, 3)]
-    assert [float(c.estimate[0]) for c in cands] == pytest.approx([5.0, 8.5, 8.5])
+    stack = CandidateStack.build(ONES3, 1)
+    assert stack.members.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert stack.estimates(sv([5, 5, 12], 1, 3))[:, 0] == pytest.approx([5.0, 8.5, 8.5])
 
 
 def test_candidate_set_r0_single():
-    cands = candidate_set(ONES3, sv([5, 5, 12], 1, 3), r=0)
-    assert len(cands) == 1
-    assert cands[0].estimate == pytest.approx([22.0 / 3.0])
+    stack = CandidateStack.build(ONES3, 0)
+    assert stack.members.tolist() == [[0, 1, 2]]
+    assert stack.estimates(sv([5, 5, 12], 1, 3))[:, 0] == pytest.approx([22.0 / 3.0])
 
 
 def test_candidate_set_degenerate_r_equals_p():
     # a single candidate from the empty selection: the minimum-norm solve of
     # an empty system, i.e. the zero vector
-    cands = candidate_set(ONES3, sv([5, 5, 12], 1, 3), r=3)
-    assert len(cands) == 1
-    assert tuple(cands[0].lam) == ()
-    assert cands[0].estimate == pytest.approx([0.0])
-    assert cands[0].rank_deficient
+    stack = CandidateStack.build(ONES3, 3)
+    assert stack.members.shape == (1, 0)
+    assert stack.estimates(sv([5, 5, 12], 1, 3))[:, 0] == pytest.approx([0.0])
+    assert stack.rank_deficient.tolist() == [True]
 
 
 def test_candidate_set_cardinality():
@@ -166,15 +165,17 @@ def test_candidate_set_cardinality():
         r = int(rng.integers(0, p + 1))
         phi = CodingMatrix(rng.normal(size=(n * p, n)), n, p)
         z = sv(rng.normal(size=n * p), n, p)
-        assert len(candidate_set(phi, z, r)) == math.comb(p, p - r)
+        stack = CandidateStack.build(phi, r)
+        assert stack.members.shape == (math.comb(p, p - r), p - r)
+        assert stack.estimates(z).shape == (math.comb(p, p - r), n)
 
 
 def test_candidate_set_flags_rank_deficient_selection():
     phi = CodingMatrix(np.array([[1.0], [0.0], [1.0]]), 1, 3)
-    cands = candidate_set(phi, sv([1, 0, 1], 1, 3), r=2)
-    flags = {tuple(c.lam): c.rank_deficient for c in cands}
-    assert flags[(2,)] is True
-    assert flags[(1,)] is False
+    stack = CandidateStack.build(phi, 2)
+    flags = dict(zip(stack.members[:, 0].tolist(), stack.rank_deficient.tolist()))
+    assert flags[1] is True
+    assert flags[0] is False
 
 
 def reference_search(phi, z, r, threshold):
@@ -214,7 +215,7 @@ def test_stacked_search_matches_per_candidate_loop(seed, integer):
     x, count, support = CandidateStack.build(phi, r).search(z, threshold)
     assert (count, tuple(support)) == (count_ref, support_ref)
     np.testing.assert_allclose(x, x_ref, rtol=1e-10, atol=1e-12)
-    assert [c.rank_deficient for c in candidate_set(phi, z, r)] == flags_ref
+    assert CandidateStack.build(phi, r).rank_deficient.tolist() == flags_ref
 
 
 def test_search_tie_breaks_on_smallest_selection():
@@ -241,6 +242,16 @@ def test_decode_noiseless_scalar_example():
     assert tuple(res.support_estimate) == (3,)
     assert res.objective == 1
     assert res.certified
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_decode_noiseless_tolerance_ignores_nonfinite_blocks(bad):
+    z = sv([5, 5, bad], 1, 3)
+    assert default_support_tol(z) == default_support_tol(sv([5, 5], 1, 2))
+    with np.errstate(invalid="ignore"):
+        res = decode_noiseless(ONES3, z, q=1)
+    assert res.estimate == pytest.approx([5.0])
+    assert (tuple(res.support_estimate), res.objective, res.certified) == ((3,), 1, True)
 
 
 def test_decode_noiseless_clean_input():

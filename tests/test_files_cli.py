@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from resilest.analysis import RobustnessConstants
 from resilest.cli import main
 from resilest.files import (
     load_model,
@@ -175,6 +177,8 @@ def test_cli_analyze_json_output(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["security_index"] == 3
     assert doc["constants"]["1"]["kappa_c"] == pytest.approx(3.0)
+    fields = [f.name for f in dataclasses.fields(RobustnessConstants)]
+    assert list(doc["constants"]["1"]) == fields
 
 
 def test_cli_analyze_unobservable_model(tmp_path, capsys):
@@ -244,6 +248,28 @@ def test_cli_decode_refuses_impossible_q(tmp_path, capsys):
     z.write_text("5\n5\n12\n")
     assert main(["decode", "--phi", str(phi), "--z", str(z), "--q", "2"]) == 3
     assert "correctab" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_decode_isolates_nonfinite_measurement(tmp_path, capsys, bad):
+    phi = tmp_path / "phi.csv"
+    phi.write_text("1\n1\n1\n")
+    z = tmp_path / "z.csv"
+    z.write_text(f"5\n5\n{bad}\n")
+    assert main(["decode", "--phi", str(phi), "--z", str(z), "--q", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "x_hat: 5\nsupport: {3}\nobjective: 1\ncertified: true\n" in out
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_decode_rejects_nonfinite_phi_exit_2(tmp_path, capsys, bad):
+    phi = tmp_path / "phi.csv"
+    phi.write_text(f"1\n1\n{bad}\n")
+    z = tmp_path / "z.csv"
+    z.write_text("5\n5\n5\n")
+    assert main(["decode", "--phi", str(phi), "--z", str(z), "--q", "1"]) == 2
+    assert "coding matrix entries must be finite" in capsys.readouterr().err
 
 
 def test_cli_simulate(tmp_path, capsys):

@@ -286,7 +286,6 @@ def test_simulate_attack_free_stays_calculator():
     tr = simulate(scalar_scenario())
     assert np.all(tr.branch == 0)
     assert np.all(tr.f <= 1)
-    assert np.all(tr.solves == 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

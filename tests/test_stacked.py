@@ -137,6 +137,13 @@ def test_vector_shape_validation():
         CodingMatrix(np.zeros((5, 2)), 2, 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coding_matrix_rejects_nonfinite_entries(bad):
+    with pytest.raises(ValueError, match="coding matrix entries must be finite"):
+        CodingMatrix(np.array([[1.0], [bad], [1.0]]), 1, 3)
+    StackedVector(np.array([1.0, bad, 1.0]), 1, 3)  # measurements may be attacked
+
+
 def test_block_accessors():
     z = vec([1, 2, 3, 4], 2, 2)
     assert np.array_equal(z.block(2), [3, 4])
