@@ -1,9 +1,9 @@
 """Shared numerical-rank and pseudoinverse conventions.
 
-Every rank decision in the package uses the same policy: singular values
+Every singular-value rank decision uses the same policy: singular values
 below ``max(rows, cols) * sigma_max * eps_rel`` count as zero.  The default
-``eps_rel`` is deliberately tight so that near-identity state matrices
-(fast-sampled plants) keep their structurally observable directions.  The
+``eps_rel`` is deliberately tight so that the observability matrices of
+fast-sampled plants keep their structurally observable directions.  The
 helpers also take stacks of matrices (leading axes), one result per matrix.
 """
 
@@ -29,17 +29,12 @@ def get_eps_rel() -> float:
     return _eps_rel
 
 
-def rank_above_floor(s: np.ndarray, shape: tuple[int, ...], eps_rel: float | None = None):
-    """Count of singular values ``s`` (descending, last axis) above a ``shape`` matrix's floor."""
-    eps = _eps_rel if eps_rel is None else eps_rel
-    return np.count_nonzero(s > max(shape[-2:]) * s[..., :1] * eps, axis=-1)
-
-
 def matrix_rank(matrix: np.ndarray, eps_rel: float | None = None):
     """Numerical rank: count of singular values above the shared floor."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     s = np.linalg.svd(matrix, compute_uv=False)
-    ranks = rank_above_floor(s, matrix.shape, eps_rel)
+    eps = _eps_rel if eps_rel is None else eps_rel
+    ranks = np.count_nonzero(s > max(matrix.shape[-2:]) * s[..., :1] * eps, axis=-1)
     return int(ranks) if matrix.ndim == 2 else ranks
 
 

@@ -162,12 +162,11 @@ def sensor_selections(p: int, size: int) -> np.ndarray:
 
 def _selection_stacks(phi: CodingMatrix, size: int, floats_per_selection: int):
     """Lexicographic chunks of (0-based members, ``(c, size * n, n)`` compacted stack)."""
-    p, n = phi.block_count, phi.block_len
-    members = sensor_selections(p, size)
+    members = sensor_selections(phi.block_count, size)
     step = max(1, _STACK_FLOATS // max(1, floats_per_selection))
     for start in range(0, len(members), step):
         chunk = members[start:start + step]
-        yield chunk, phi.entries.reshape(p, n, n)[chunk].reshape(len(chunk), size * n, n)
+        yield chunk, phi.selection_stack(chunk)
 
 
 def is_q_error_detectable(phi: CodingMatrix, q: int, eps_rel: float | None = None) -> bool:
@@ -276,8 +275,6 @@ def robustness_constants(
             f"(a {p - 2 * q}-block selection is rank deficient)"
         )
 
-    blocks = phi.entries.reshape(p, n, n)
-
     def rho_of(size: int) -> float:
         return min(float(sigma_min(stack).min())
                    for _, stack in _selection_stacks(phi, size, size * n * n))
@@ -287,7 +284,7 @@ def robustness_constants(
         tables = []
         for members, stack in _selection_stacks(phi, size, (p - size + 3) * size * n * n):
             outside = (np.arange(p) != members[:, :, None]).all(axis=1)
-            excluded = blocks[np.nonzero(outside)[1]].reshape(len(members), p - size, n, n)
+            excluded = phi.blocks[np.nonzero(outside)[1]].reshape(len(members), p - size, n, n)
             gains = np.zeros(outside.shape)
             gains[outside] = spectral_norm(excluded @ pinv(stack, eps_rel)[:, None]).ravel()
             tables.append(gains)
@@ -316,7 +313,7 @@ def robustness_constants(
     kappa_e = (eta * math.sqrt(p - q) + 1.0) * (sqrt_p + 1.0)
     theta = max(eta_prime * math.sqrt(p - r) + 1.0, math.sqrt(p - r))
     kappa_c = (theta + 1.0) * math.sqrt(p - 2 * q) / rho_2q
-    block_norm_max = float(spectral_norm(blocks).max())
+    block_norm_max = float(spectral_norm(phi.blocks).max())
     kappa_c_prime = (theta - 1.0) / block_norm_max
 
     return RobustnessConstants(

@@ -138,12 +138,12 @@ class CandidateStack:
 
     @classmethod
     def build(cls, phi: CodingMatrix, r: int) -> "CandidateStack":
-        p, n = phi.block_count, phi.block_len
+        p = phi.block_count
         if not 0 <= r <= p:
             raise ValueError(f"r must lie in 0..{p}, got {r}")
         members = sensor_selections(p, p - r)
-        subs = phi.entries.reshape(p, n, n)[members].reshape(len(members), (p - r) * n, n)
-        return cls(phi, r, members, pinv(subs), matrix_rank(subs) < n)
+        subs = phi.selection_stack(members)
+        return cls(phi, r, members, pinv(subs), matrix_rank(subs) < phi.block_len)
 
     def estimates(self, z: StackedVector) -> np.ndarray:
         """Every candidate's least-squares estimate, one row per selection."""
@@ -152,8 +152,9 @@ class CandidateStack:
 
     def search(self, z: StackedVector, threshold: float) -> tuple[np.ndarray, int, IndexSet]:
         """Candidate with the fewest violating blocks: (estimate, count, violating set)."""
-        estimates = self.estimates(z)
-        violating = violations(block_misfits(self.phi, z, estimates), threshold)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite misfits violate by design
+            estimates = self.estimates(z)
+            violating = violations(block_misfits(self.phi, z, estimates), threshold)
         counts = np.count_nonzero(violating, axis=1)
         best = int(np.argmin(counts))
         support = tuple(int(i) + 1 for i in np.flatnonzero(violating[best]))
@@ -163,7 +164,8 @@ class CandidateStack:
 def default_support_tol(z: StackedVector) -> float:
     """Round-off tolerance for residual blocks, scaled by the finite entries of ``z`` only."""
     finite = z.data[np.isfinite(z.data)]
-    return math.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(finite)))
+    with np.errstate(over="ignore"):  # an overflowing norm gives an infinite tolerance
+        return math.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(finite)))
 
 
 def decode_noiseless(

@@ -161,6 +161,15 @@ class CodingMatrix:
             raise ValueError("every block must be n x n")
         return cls(np.vstack(parts), n, len(parts))
 
+    @property
+    def blocks(self) -> np.ndarray:
+        """The row slabs as a ``(block_count, n, n)`` view."""
+        return self.entries.reshape(self.block_count, self.block_len, self.block_len)
+
+    def selection_stack(self, members: np.ndarray) -> np.ndarray:
+        """Row slabs of each row of 0-based ``members`` (c, size), compacted: ``(c, size*n, n)``."""
+        return self.blocks[members].reshape(len(members), -1, self.block_len)
+
     def block(self, i: int) -> np.ndarray:
         """Row slab ``i`` (1-based), an ``n x n`` copy."""
         if not 1 <= i <= self.block_count:

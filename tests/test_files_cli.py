@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from resilest.analysis import RobustnessConstants
-from resilest.cli import main
+from resilest.cli import DEMO_SCENARIO, main
 from resilest.files import (
     load_model,
     load_scenario,
@@ -250,8 +251,7 @@ def test_cli_decode_refuses_impossible_q(tmp_path, capsys):
     assert "correctab" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e308"])
 def test_cli_decode_isolates_nonfinite_measurement(tmp_path, capsys, bad):
     phi = tmp_path / "phi.csv"
     phi.write_text("1\n1\n1\n")
@@ -333,6 +333,17 @@ def test_cli_simulate_seed_override(tmp_path):
     assert main(["simulate", "--scenario", sfile, "--out", str(out1), "--seed", "1"]) == 0
     assert main(["simulate", "--scenario", sfile, "--out", str(out2), "--seed", "2"]) == 0
     assert out1.read_text() != out2.read_text()
+
+
+def test_cli_simulate_demo_plant_at_100us_fails_pole_placement(tmp_path, capsys):
+    doc = copy.deepcopy(DEMO_SCENARIO)
+    doc["model"]["T_s"] = 1e-4
+    doc["horizon"] = 10
+    sfile = write_json(tmp_path / "s.json", doc)
+    assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "pole placement failed for sensor 1: worst eigenvalue mismatch" in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_cli_demo_outputs(demo_run):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from resilest import observers
-from resilest.analysis import SystemModel
+from resilest._linalg import get_eps_rel
+from resilest.analysis import SystemModel, sensor_observability_matrix
 from resilest.estimator import ObserverBank
 from resilest.observers import (
     ErrorBoundParams,
@@ -50,7 +52,7 @@ def test_decompose_diag_example():
     obs = kalman_decompose(diag_model(), 1)
     assert obs.nu == 1
     assert np.abs(obs.Z[:, 0]) == pytest.approx([1.0, 0.0], abs=1e-12)
-    assert np.abs(obs.W[:, 0]) == pytest.approx([0.0, 1.0], abs=1e-12)
+    assert np.abs(null_space(obs.Z.T)[:, 0]) == pytest.approx([0.0, 1.0], abs=1e-12)
     assert float(obs.S[0, 0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(float(obs.t[0, 0])) == pytest.approx(1.0, abs=1e-12)
 
@@ -59,7 +61,7 @@ def test_decompose_fully_observable_has_empty_w():
     m = SystemModel(A=[[0.0, 1.0], [-0.5, 0.3]], B=np.zeros((2, 1)), C=[[1.0, 0.0]])
     obs = kalman_decompose(m, 1)
     assert obs.nu == 2
-    assert obs.W.shape == (2, 0)
+    assert null_space(obs.Z.T).shape == (2, 0)
 
 
 def test_decompose_rejects_zero_row():
@@ -72,8 +74,9 @@ def test_decompose_three_inertia_difference_sensor(three_inertia):
     obs = kalman_decompose(three_inertia, 4)
     assert obs.nu == 4
     A = three_inertia.A
-    assert np.abs(three_inertia.C[3] @ obs.W).max() < 1e-10
-    assert np.abs(obs.Z.T @ A @ obs.W).max() < 1e-10
+    W = null_space(obs.Z.T)
+    assert np.abs(three_inertia.C[3] @ W).max() < 1e-10
+    assert np.abs(obs.Z.T @ A @ W).max() < 1e-10
 
 
 def test_decompose_structural_invariants_randomized():
@@ -84,11 +87,12 @@ def test_decompose_structural_invariants_randomized():
         m = partially_observable_model(rng, n, n_obs)
         obs = kalman_decompose(m, 1)
         assert obs.nu == n_obs
+        W = null_space(obs.Z.T)
         assert np.abs(obs.Z.T @ obs.Z - np.eye(obs.nu)).max() < 1e-10
-        assert np.abs(obs.W.T @ obs.W - np.eye(n - obs.nu)).max() < 1e-10
-        assert np.abs(obs.Z.T @ obs.W).max() < 1e-10
-        assert np.abs(m.C[0] @ obs.W).max() < 1e-10
-        assert np.abs(obs.Z.T @ m.A @ obs.W).max() < 1e-10
+        assert np.abs(W.T @ W - np.eye(n - obs.nu)).max() < 1e-10
+        assert np.abs(obs.Z.T @ W).max() < 1e-10
+        assert np.abs(m.C[0] @ W).max() < 1e-10
+        assert np.abs(obs.Z.T @ m.A @ W).max() < 1e-10
 
 
 def test_quotient_dynamics_track_projected_state():
@@ -104,6 +108,45 @@ def test_quotient_dynamics_track_projected_state():
         z_pred = obs.S @ z_now + obs.Z.T @ m.B @ u + obs.Z.T @ d
         assert np.abs(obs.Z.T @ x_next - z_pred).max() < 1e-10
         x = x_next
+
+
+CHAIN_GRID = [(N, T_s) for T_s in (1e-4, 1e-3, 1e-2, 1e-1) for N in range(3, 9)]
+
+
+@pytest.mark.parametrize("N, T_s", CHAIN_GRID)
+def test_staircase_nu_equals_pbh_count_on_chains(inertia_chain, N, T_s):
+    """nu is the number of modes the sensor sees: unit eigenvectors v with |c v| > 1e-8 |c|."""
+    m = inertia_chain(N, T_s)
+    V = np.linalg.eig(m.A)[1]
+    V = V / np.linalg.norm(V, axis=0)
+    for i in range(1, m.p + 1):
+        c = m.C[i - 1]
+        seen = int(np.count_nonzero(np.abs(c @ V) > 1e-8 * np.linalg.norm(c)))
+        assert kalman_decompose(m, i).nu == seen, f"sensor {i}"
+
+
+def reference_decompose(model, i):
+    """The SVD route: right singular vectors of [c; cA; ...; cA^(n-1)] above the rank floor.
+
+    Returns nu, the basis Z and the singular values.
+    """
+    g = sensor_observability_matrix(model.A, model.C[i - 1])
+    _, s, vt = np.linalg.svd(g)
+    nu = int(np.count_nonzero(s > max(g.shape) * s[0] * get_eps_rel()))
+    return nu, vt[:nu].T, s
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7))
+def test_staircase_matches_svd_route_on_well_conditioned_models(seed, n):
+    rng = np.random.default_rng(seed)
+    n_obs = int(rng.integers(1, n + 1))
+    m = partially_observable_model(rng, n, n_obs)
+    nu, Z, s = reference_decompose(m, 1)
+    assume(s[n_obs - 1] > 1e-6 * s[0])  # the SVD route is only trusted when well conditioned
+    obs = kalman_decompose(m, 1)
+    assert obs.nu == nu == n_obs
+    assert np.abs(obs.Z @ obs.Z.T - Z @ Z.T).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +168,26 @@ def test_design_gain_deadbeat():
     designed = design_gain(obs, [0.0])
     assert designed.F[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert abs(designed.L[0, 0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_design_gain_repeated_deadbeat_poles():
+    m = SystemModel(A=[[0.0, 1.0], [-0.5, 0.3]], B=np.zeros((2, 1)), C=[[1.0, 0.0]])
+    obs = kalman_decompose(m, 1)
+    designed = design_gain(obs, [0.0, 0.0])
+    assert np.abs(designed.F @ designed.F).max() < 1e-12
+
+
+def test_design_gain_every_sensor_of_the_10ms_eight_inertia_chain(inertia_chain):
+    from resilest.plant import ObserverConfig, build_observer_bank
+
+    m = inertia_chain(8, 0.01)
+    bank = build_observer_bank(m, ObserverConfig(mode="contract", factor=0.98))
+    assert len(bank) == 15
+    for obs in bank:
+        W = null_space(obs.Z.T)
+        if W.size:
+            assert np.abs(m.C[obs.sensor_index - 1] @ W).max() <= 1e-10
+            assert np.abs(obs.Z.T @ m.A @ W).max() <= 1e-10
 
 
 def test_design_gain_random_third_order():
@@ -274,13 +337,13 @@ def stable_observer(rng, nu, radius, n):
     sr = float(np.max(np.abs(np.linalg.eigvals(F))))
     F = F * (radius / sr) if sr > 0 else F * 0.0
     Z = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :nu]
-    return PartialObserver(sensor_index=1, nu=nu, Z=Z, W=np.zeros((n, n - nu)),
+    return PartialObserver(sensor_index=1, nu=nu, Z=Z,
                            S=F.copy(), t=np.ones((1, nu)), Bz=np.zeros((nu, 1)),
                            L=rng.normal(size=(nu, 1)), F=F)
 
 
 def scalar_observer(f):
-    return PartialObserver(sensor_index=1, nu=1, Z=np.eye(1), W=np.zeros((1, 0)),
+    return PartialObserver(sensor_index=1, nu=1, Z=np.eye(1),
                            S=np.array([[f]]), t=np.ones((1, 1)), Bz=np.zeros((1, 1)),
                            L=np.array([[0.5]]), F=np.array([[f]]))
 

@@ -288,6 +288,22 @@ def test_simulate_attack_free_stays_calculator():
     assert np.all(tr.f <= 1)
 
 
+def test_simulate_attacked_1ms_six_inertia_chain_within_bound(inertia_chain):
+    model = inertia_chain(6, 0.001)
+    x0 = np.zeros(model.n)
+    x0[0] = 0.5
+    sc = Scenario(
+        model=model, horizon=1000, q=2, r=2,
+        attacks=(AttackSpec(1, 100, None, {"kind": "random", "lo": -50.0, "hi": 50.0}),
+                 AttackSpec(6, 200, None, {"kind": "constant", "value": 50.0})),
+        observer=ObserverConfig(mode="contract", factor=0.98, x0_max=1.0),
+        x0=x0, dt=0.001, recert_every=10,
+    )
+    tr = simulate(sc)
+    assert np.any(tr.branch == 1)
+    assert np.count_nonzero(tr.estimation_errors() > tr.bound) == 0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
 def test_simulate_isolates_nonfinite_attack(value):
