@@ -29,27 +29,34 @@ def get_eps_rel() -> float:
     return _eps_rel
 
 
+def _relative_floor(matrix: np.ndarray, eps_rel: float | None) -> float:
+    """Singular values at or below ``sigma_max`` times this count as zero."""
+    return max(matrix.shape[-2:]) * (_eps_rel if eps_rel is None else eps_rel)
+
+
+def _svd_rank(matrix: np.ndarray, eps_rel: float | None):
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return s, np.count_nonzero(s > _relative_floor(matrix, eps_rel) * s[..., :1], axis=-1)
+
+
 def matrix_rank(matrix: np.ndarray, eps_rel: float | None = None):
     """Numerical rank: count of singular values above the shared floor."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    s = np.linalg.svd(matrix, compute_uv=False)
-    eps = _eps_rel if eps_rel is None else eps_rel
-    ranks = np.count_nonzero(s > max(matrix.shape[-2:]) * s[..., :1] * eps, axis=-1)
+    ranks = _svd_rank(matrix, eps_rel)[1]
     return int(ranks) if matrix.ndim == 2 else ranks
 
 
 def pinv(matrix: np.ndarray, eps_rel: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the shared singular-value floor."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    eps = _eps_rel if eps_rel is None else eps_rel
-    return np.linalg.pinv(matrix, rcond=max(matrix.shape[-2:]) * eps)
+    return np.linalg.pinv(matrix, rcond=_relative_floor(matrix, eps_rel))
 
 
-def sigma_min(matrix: np.ndarray):
-    """Smallest of the full set of singular values (0 for empty input)."""
+def sigma_min(matrix: np.ndarray, eps_rel: float | None = None):
+    """Smallest singular value, or 0 where the column rank is below full (one SVD for both)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    s = np.linalg.svd(matrix, compute_uv=False)
-    smallest = s[..., -1] if s.shape[-1] else np.zeros(s.shape[:-1])
+    s, ranks = _svd_rank(matrix, eps_rel)
+    smallest = np.where(ranks == matrix.shape[-1], s[..., -1], 0.0)
     return float(smallest) if matrix.ndim == 2 else smallest
 
 

@@ -262,22 +262,23 @@ def robustness_constants(
 
     Raises :class:`CorrectabilityError` when the (p-2q)-selections are not
     all full rank (the constants are undefined without q-error
-    correctability).
+    correctability), read from the same SVDs that give ``rho_2q``.
     """
     p, n = phi.block_count, phi.block_len
     if not q <= r <= 2 * q:
         raise ValueError(f"need q <= r <= 2q, got q={q}, r={r}")
     if p < 2 * q + 1:
         raise ValueError(f"need p >= 2q+1 for the correction constants, got p={p}, q={q}")
-    if not is_q_error_detectable(phi, 2 * q, eps_rel):
-        raise CorrectabilityError(
-            "constants undefined: correctability violated "
-            f"(a {p - 2 * q}-block selection is rank deficient)"
-        )
 
     def rho_of(size: int) -> float:
-        return min(float(sigma_min(stack).min())
-                   for _, stack in _selection_stacks(phi, size, size * n * n))
+        rho = min(float(sigma_min(stack, eps_rel).min())
+                  for _, stack in _selection_stacks(phi, size, size * n * n))
+        if rho == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
+            raise CorrectabilityError("constants undefined: correctability violated "
+                                      f"(a {size}-block selection is rank deficient)")
+        return rho
+
+    rho_2q, rho = rho_of(p - 2 * q), rho_of(p - q)  # the first scan decides correctability
 
     def outside_gains(size: int) -> np.ndarray:
         """Norms of ``block_i @ pinv(selection)``: a row per selection, 0 for its members."""
@@ -289,8 +290,6 @@ def robustness_constants(
             gains[outside] = spectral_norm(excluded @ pinv(stack, eps_rel)[:, None]).ravel()
             tables.append(gains)
         return np.concatenate(tables)
-
-    rho, rho_2q = rho_of(p - q), rho_of(p - 2 * q)
 
     # each distinct selection is inverted once, for eta and eta_prime alike
     tables = {size: outside_gains(size) for size in {p - q, p - r}}

@@ -51,6 +51,8 @@ class DecodeResult:
 
 
 def _projection_residual(phi: CodingMatrix, z: StackedVector) -> tuple[np.ndarray, StackedVector]:
+    if matrix_rank(phi.entries) < phi.block_len:
+        raise ValueError("coding matrix must have full column rank")
     x_hat = pinv(phi.entries) @ z.data
     resid = z.data - phi.entries @ x_hat
     return x_hat, StackedVector(resid, z.block_len, z.block_count)
@@ -67,8 +69,6 @@ def residual_detect_noiseless(
     finite and within ``tol``.  The default tolerance only absorbs the
     round-off of the projection itself; pass an explicit value to override.
     """
-    if matrix_rank(phi.entries) < phi.block_len:
-        raise ValueError("coding matrix must have full column rank")
     if tol is None:
         tol = default_support_tol(z)
     x_hat, residual = _projection_residual(phi, z)
@@ -92,8 +92,6 @@ def residual_detect_noisy(
     only that any corruption is small enough for the least-squares estimate
     to remain accurate.
     """
-    if matrix_rank(phi.entries) < phi.block_len:
-        raise ValueError("coding matrix must have full column rank")
     if v_max < 0:
         raise ValueError("v_max must be nonnegative")
     x_hat, residual = _projection_residual(phi, z)
@@ -123,18 +121,16 @@ def violations(misfits: np.ndarray, threshold: float) -> np.ndarray:
 class CandidateStack:
     """Least-squares operators of every selection of ``p - r`` blocks of one ``phi``.
 
-    Selection ``c`` has the 0-based sensors ``members[c]``, the pseudoinverse
-    ``pinvs[c]`` of their row slabs (minimum-norm if rank deficient) and a rank
-    flag.  Selections follow the lexicographic order of ``sensor_selections``,
-    so the first minimum of a per-candidate score is the smallest selection.
-    The stack holds ``C(p, p - r) * (p - r) * n**2`` floats.
+    Selection ``c`` has the 0-based sensors ``members[c]`` and the pseudoinverse ``pinvs[c]``
+    of their row slabs, of full rank under the correctability every caller requires first.
+    Selections follow the lexicographic order of ``sensor_selections``, so the first minimum
+    of a per-candidate score is the smallest selection.  It holds ``C(p, p-r) (p-r) n**2`` floats.
     """
 
     phi: CodingMatrix
     r: int
     members: np.ndarray
     pinvs: np.ndarray
-    rank_deficient: np.ndarray
 
     @classmethod
     def build(cls, phi: CodingMatrix, r: int) -> "CandidateStack":
@@ -142,8 +138,7 @@ class CandidateStack:
         if not 0 <= r <= p:
             raise ValueError(f"r must lie in 0..{p}, got {r}")
         members = sensor_selections(p, p - r)
-        subs = phi.selection_stack(members)
-        return cls(phi, r, members, pinv(subs), matrix_rank(subs) < phi.block_len)
+        return cls(phi, r, members, pinv(phi.selection_stack(members)))
 
     def estimates(self, z: StackedVector) -> np.ndarray:
         """Every candidate's least-squares estimate, one row per selection."""
@@ -215,10 +210,9 @@ def decode_noisy(
 
     The violation threshold is ``theta * v_max``; any minimizer of the
     violation count lies within ``kappa_c * v_max`` of the true vector.
-    Passing precomputed ``constants`` skips both the correctability rank
-    check (their existence already certifies it) and the subset
-    enumerations; passing a ``candidates`` stack built for ``(phi, r)``
-    skips building the search operators.
+    Passing precomputed ``constants`` skips the subset enumerations (their
+    existence certifies correctability); passing a ``candidates`` stack built
+    for ``(phi, r)`` skips building the search operators.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")

@@ -65,6 +65,7 @@ class ObserverBank:
             Z[i, : obs.nu] = obs.Z.T
         return cls(F, B, L, CodingMatrix(Z.reshape(p * n, n), n, p), np.zeros((p, n)))
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite reading stays in its block
     def step(self, u: np.ndarray, y: np.ndarray) -> None:
         """Absorb the input ``u`` (m,) and the measurements ``y`` (p,)."""
         self.z = (self.F @ self.z[:, :, None])[:, :, 0] + self.B @ u + self.L * y[:, None]
@@ -126,6 +127,7 @@ class EstimateRecord:
     bound: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite misfits violate by design
 def decoder_step(
     state: DecoderState,
     z: StackedVector,

@@ -25,9 +25,6 @@ POLE_MATCH_TOL = 1e-6
 # chains (N = 3..8, T_s = 0.1 ms..0.1 s) and first changes at 1e-14.
 _STAIRCASE_TOL = 1e-10
 
-# Powering stops once ||F^k|| falls below this floor (with the ratio to
-# beta^k also below one, which makes the tail maximum provably covered).
-_POWER_FLOOR = 1e-12
 _POWER_CAP = 2_000_000
 _POWER_CHUNK = 256  # powers generated, then normed by one batched SVD
 
@@ -187,16 +184,14 @@ def design_gain(obs: PartialObserver, desired_poles) -> PartialObserver:
 class ErrorBoundParams:
     """Certified envelope of the attack-free observer error.
 
-    ``norm(F_i^k) <= mu_f * beta**k`` holds for every sensor and every k,
-    likewise ``mu_l`` for ``F^k L`` and ``mu_z`` for ``F^k Z'``; ``w_max``
-    is the steady-state error level and ``x0_max`` the caller's bound on
-    the initial state norm.
+    ``norm(F_i^k) <= mu_f * beta**k`` holds for every sensor and every k, likewise
+    ``mu_l`` for ``F^k L``; ``w_max`` is the steady-state error level and ``x0_max``
+    the caller's bound on the initial state norm.
     """
 
     mu_f: float
     beta: float
     mu_l: float
-    mu_z: float
     w_max: float
     x0_max: float
 
@@ -206,14 +201,15 @@ def compute_error_bounds(
     d_max: float,
     n_max: float,
     x0_max: float,
-    beta: float | None = None,
 ) -> ErrorBoundParams:
-    """Certify (mu_f, beta, mu_l, mu_z, w_max) for a designed bank.
+    """Certify (mu_f, beta, mu_l, w_max) for a designed bank.
 
-    ``beta`` defaults to the midpoint between the bank's largest spectral
-    radius and one.  The mu's are maxima of the norm ratios over explicit
-    powers; powering stops once ``norm(F^k)`` is below 1e-12 with the ratio
-    below one, after which submultiplicativity covers the tail.
+    ``beta`` is the midpoint between the largest spectral radius and one.  With
+    ``r_k = norm(F^k) / beta**k`` and ``l_k = norm(F^k L) / beta**k``, powering
+    stops at the first ``K >= 1`` with ``r_K < 1``: then ``r_(K+j) <= r_K r_j < r_j``
+    and ``l_(K+j) <= r_K l_j < l_j``, so by induction the maxima over ``0..K`` cover
+    every k.  The disturbance term uses ``norm(F^k Z') = norm(F^k)``, so ``Z'Z``
+    farther than 1e-10 from ``I`` raises ``ValueError`` (the staircase gives 1e-15).
     """
     if not bank:
         raise ValueError("observer bank is empty")
@@ -221,16 +217,15 @@ def compute_error_bounds(
     for obs in bank:
         if not obs.gain_designed:
             raise ValueError(f"sensor {obs.sensor_index}: gain not designed")
+        if spectral_norm(obs.Z.T @ obs.Z - np.eye(obs.nu)) > 1e-10:
+            raise ValueError(f"sensor {obs.sensor_index}: quotient basis Z is not orthonormal")
         radii.append(float(np.max(np.abs(np.linalg.eigvals(obs.F)))))
     sr = max(radii)
-    if sr >= 1.0:
+    beta = (sr + 1.0) / 2.0
+    if not beta < 1.0:  # also catches a radius so close to 1 that the midpoint rounds to it
         raise ValueError(f"bank contains an unstable observer (spectral radius {sr:.6f})")
-    if beta is None:
-        beta = (sr + 1.0) / 2.0
-    if not sr < beta < 1.0:
-        raise ValueError(f"beta must lie in (spectral radius, 1), got {beta}")
 
-    mu_f = mu_l = mu_z = 0.0
+    mu_f = mu_l = 0.0
     for obs in bank:
         powers, scales = np.empty((_POWER_CHUNK, obs.nu, obs.nu)), np.empty(_POWER_CHUNK)
         Fk, bk = np.eye(obs.nu), 1.0
@@ -239,20 +234,18 @@ def compute_error_bounds(
             for j in range(count):
                 powers[j], scales[j] = Fk, bk
                 Fk, bk = Fk @ obs.F, bk * beta
-            norm_f = spectral_norm(powers[:count])
-            settled = np.flatnonzero((norm_f < _POWER_FLOOR) & (norm_f / scales[:count] < 1.0))
+            ratio = spectral_norm(powers[:count]) / scales[:count]
+            settled = np.flatnonzero(ratio < 1.0)  # never k = 0, where the ratio is norm(I) = 1
             last = int(settled[0]) + 1 if settled.size else count
-            mu_f = max(mu_f, float((norm_f[:last] / scales[:last]).max()))
+            mu_f = max(mu_f, float(ratio[:last].max()))
             mu_l = max(mu_l, float((spectral_norm(powers[:last] @ obs.L) / scales[:last]).max()))
-            mu_z = max(mu_z, float((spectral_norm(powers[:last] @ obs.Z.T) / scales[:last]).max()))
             if settled.size:
                 break
         else:
             raise RuntimeError("observer powering did not settle; beta too close to 1")
 
-    w_max = (mu_l * n_max + mu_z * d_max) / (1.0 - beta)
-    return ErrorBoundParams(mu_f=mu_f, beta=beta, mu_l=mu_l, mu_z=mu_z,
-                            w_max=w_max, x0_max=x0_max)
+    w_max = (mu_l * n_max + mu_f * d_max) / (1.0 - beta)
+    return ErrorBoundParams(mu_f=mu_f, beta=beta, mu_l=mu_l, w_max=w_max, x0_max=x0_max)
 
 
 def v_max_at(params: ErrorBoundParams, k: int) -> float:

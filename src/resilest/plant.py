@@ -281,6 +281,11 @@ class Scenario:
             raise ScenarioValidationError(
                 f"recert_every must be a positive integer or None, got {self.recert_every!r}"
             )
+        c, (n, m, p) = self.controller, (self.model.n, self.model.m, self.model.p)
+        if c is not None and c.K.shape != (m, n):
+            raise ScenarioValidationError(f"controller K must be m x n = {(m, n)}, got {c.K.shape}")
+        if c is not None and c.output_index > p:
+            raise ScenarioValidationError(f"controller output_index {c.output_index} exceeds p={p}")
         if not 0.0 <= self.observer.x0_max < math.inf:
             raise ScenarioValidationError(
                 f"observer x0_max must be finite and nonnegative, got {self.observer.x0_max}"

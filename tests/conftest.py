@@ -59,12 +59,3 @@ def scalar_triple():
         A=[[0.95]], B=[[1.0]], C=[[1.0], [1.0], [1.0]], d_max=0.001, n_max=0.001
     )
 
-
-def random_detectable_coding(rng, n, p):
-    """Gaussian coding matrix, regenerated until it has full column rank."""
-    from resilest.stacked import CodingMatrix
-
-    while True:
-        entries = rng.normal(size=(n * p, n))
-        if np.linalg.matrix_rank(entries) == n:
-            return CodingMatrix(entries, n, p)

@@ -429,6 +429,34 @@ def test_batched_constants_still_raise_when_not_correctable():
         robustness_constants(phi, 2, 3)
 
 
+def test_constants_decide_correctability_from_the_rho_2q_pass(monkeypatch):
+    def no_rank_scan(*args, **kwargs):
+        raise AssertionError("robustness_constants repeated the 2q-detectability scan")
+
+    monkeypatch.setattr(analysis, "matrix_rank", no_rank_scan)
+    phi = CodingMatrix(np.random.default_rng(9).normal(size=(18, 2)), 2, 9)
+    assert robustness_constants(phi, 2, 4) == reference_constants(phi, 2, 4)
+    entries = np.random.default_rng(5).normal(size=(10, 2))
+    entries[4:6] = 0.0
+    message = r"^constants undefined: correctability violated \(a 1-block selection is rank deficient\)$"
+    with pytest.raises(CorrectabilityError, match=message):
+        robustness_constants(CodingMatrix(entries, 2, 5), 2, 3)
+
+
+def test_sigma_min_reads_zero_below_full_column_rank():
+    rng = np.random.default_rng(11)
+    full = rng.normal(size=(6, 3))
+    deficient = full @ np.diag([1.0, 1.0, 0.0])
+    assert sigma_min(full) == np.linalg.svd(full, compute_uv=False)[-1] > 0.0
+    assert sigma_min(deficient) == 0.0
+    assert sigma_min(rng.normal(size=(2, 3))) == 0.0  # wide: rank 2 < 3 columns
+    assert sigma_min(np.stack([full, deficient])).tolist() == [sigma_min(full), 0.0]
+    # the floor is the shared one: a direction at 1e-12 of sigma_max survives 1e-14 only
+    tiny = full @ np.diag([1.0, 1.0, 1e-12])
+    assert sigma_min(tiny) > 0.0
+    assert sigma_min(tiny, eps_rel=1e-8) == 0.0
+
+
 def test_constants_take_one_stacked_pinv_per_selection_size(monkeypatch):
     phi = CodingMatrix(np.random.default_rng(9).normal(size=(18, 2)), 2, 9)
     want = reference_constants(phi, 2, 4)

@@ -167,8 +167,7 @@ def test_decoder_boundary_misfit_counts_as_trusted(scalar_triple):
     assert tuple(record.lam) == (1, 2, 3)
     # and with the threshold exactly zero (x0_max = 0, w_max = 0), misfit 0
     # still counts as trusted because the violation comparison is strict
-    zero_bounds = ErrorBoundParams(mu_f=1.0, beta=0.5, mu_l=0.0, mu_z=0.0,
-                                   w_max=0.0, x0_max=0.0)
+    zero_bounds = ErrorBoundParams(mu_f=1.0, beta=0.5, mu_l=0.0, w_max=0.0, x0_max=0.0)
     state2 = DecoderState.fresh(state.phi, 1, 1, constants=state.constants)
     record2 = decoder_step(state2, z, 0, zero_bounds)
     assert record2.f == 0
@@ -242,7 +241,6 @@ def random_mixed_bank(seed):
     return rng, [design_gain(obs, default_poles(obs.nu, 0.5)) for obs in observers]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1),
        bad=st.sampled_from([np.nan, np.inf, -np.inf, 1e308]))
@@ -257,8 +255,9 @@ def test_fused_bank_matches_per_sensor_recursion(seed, bad):
         if k >= 6:
             y[hit] = bad
         bank.step(u, y)
-        ref = [obs.F @ z + obs.Bz @ u + obs.L[:, 0] * y[i]
-               for i, (obs, z) in enumerate(zip(observers, ref))]
+        with np.errstate(over="ignore", invalid="ignore"):  # the per-sensor oracle's own bad block
+            ref = [obs.F @ z + obs.Bz @ u + obs.L[:, 0] * y[i]
+                   for i, (obs, z) in enumerate(zip(observers, ref))]
         for i, obs in enumerate(observers):
             if k >= 6 and i == hit:
                 continue

@@ -346,6 +346,20 @@ def test_cli_simulate_demo_plant_at_100us_fails_pole_placement(tmp_path, capsys)
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize(("field", "value", "message"), [
+    ("output_index", 9, "controller output_index 9 exceeds p=5"),
+    ("K", [[-2.32, -0.25, 2.47]], "controller K must be m x n = (1, 6), got (1, 3)"),
+])
+def test_cli_simulate_rejects_controller_outside_the_model(tmp_path, capsys, field, value, message):
+    doc = copy.deepcopy(DEMO_SCENARIO)
+    doc["horizon"] = 10
+    doc["controller"][field] = value
+    sfile = write_json(tmp_path / "s.json", doc)
+    assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_cli_demo_outputs(demo_run):
     outdir = demo_run["dir"]
     for name in ("scenario.json", "trace.csv", "attacked_measurement.svg",

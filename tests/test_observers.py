@@ -266,7 +266,6 @@ def test_error_bounds_scalar_halving():
     assert params.beta == pytest.approx(0.75)
     assert params.mu_f == pytest.approx(1.0)
     assert params.mu_l == pytest.approx(0.5)
-    assert params.mu_z == pytest.approx(1.0)
     assert params.w_max == pytest.approx((0.5 * 0.004 + 1.0 * 0.002) / 0.25)
 
 
@@ -295,14 +294,16 @@ def test_norm_envelope_holds_up_to_200_powers(three_inertia):
         for k in range(201):
             assert np.linalg.norm(Fk, 2) <= params.mu_f * params.beta**k * (1 + 1e-12)
             assert np.linalg.norm(Fk @ obs.L, 2) <= params.mu_l * params.beta**k * (1 + 1e-12)
-            assert np.linalg.norm(Fk @ obs.Z.T, 2) <= params.mu_z * params.beta**k * (1 + 1e-12)
+            assert np.linalg.norm(Fk @ obs.Z.T, 2) <= params.mu_f * params.beta**k * (1 + 1e-12)
             Fk = Fk @ obs.F
 
 
 def reference_error_bounds(bank, d_max, n_max, x0_max):
     """Power-at-a-time loop: one 2-norm call each for F^k, F^k L and F^k Z'.
 
-    Returns the envelope and, per sensor, the number of powers visited.
+    Stops at the first k >= 1 with norm(F^k) < beta^k.  Returns the envelope,
+    per sensor the number of powers visited, and the maximum of
+    ``norm(F^k Z') / beta^k``, an independent check of ``mu_f``.
     """
     sr = max(float(np.max(np.abs(np.linalg.eigvals(obs.F)))) for obs in bank)
     beta = (sr + 1.0) / 2.0
@@ -317,7 +318,7 @@ def reference_error_bounds(bank, d_max, n_max, x0_max):
             mu_f = max(mu_f, norm_fk / bk)
             mu_l = max(mu_l, float(np.linalg.norm(Fk @ obs.L, 2)) / bk)
             mu_z = max(mu_z, float(np.linalg.norm(Fk @ obs.Z.T, 2)) / bk)
-            if norm_fk < observers._POWER_FLOOR and norm_fk / bk < 1.0:
+            if k >= 1 and norm_fk / bk < 1.0:
                 break
             if k >= observers._POWER_CAP:
                 raise RuntimeError("observer powering did not settle; beta too close to 1")
@@ -325,10 +326,9 @@ def reference_error_bounds(bank, d_max, n_max, x0_max):
             bk *= beta
             k += 1
         visited.append(k + 1)
-    w_max = (mu_l * n_max + mu_z * d_max) / (1.0 - beta)
-    params = ErrorBoundParams(mu_f=mu_f, beta=beta, mu_l=mu_l, mu_z=mu_z,
-                              w_max=w_max, x0_max=x0_max)
-    return params, visited
+    w_max = (mu_l * n_max + mu_f * d_max) / (1.0 - beta)
+    params = ErrorBoundParams(mu_f=mu_f, beta=beta, mu_l=mu_l, w_max=w_max, x0_max=x0_max)
+    return params, visited, mu_z
 
 
 def stable_observer(rng, nu, radius, n):
@@ -342,10 +342,20 @@ def stable_observer(rng, nu, radius, n):
                            L=rng.normal(size=(nu, 1)), F=F)
 
 
-def scalar_observer(f):
-    return PartialObserver(sensor_index=1, nu=1, Z=np.eye(1),
-                           S=np.array([[f]]), t=np.ones((1, 1)), Bz=np.zeros((1, 1)),
-                           L=np.array([[0.5]]), F=np.array([[f]]))
+def jordan_observer(a, stop):
+    """2x2 observer ``F = [[a, c], [0, a]]`` whose ratio ``norm(F^k) / beta^k`` first
+    drops below one at ``k = stop``.
+
+    ``norm(F^k) = a^k g(k c / a)`` with ``g(x) = exp(asinh(x / 2))`` and ``beta = (a + 1) / 2``;
+    the log-ratio is concave in k, so c puts its one downward crossing at ``stop - 1/2``.
+    """
+    beta = (a + 1.0) / 2.0
+    half = stop - 0.5
+    c = a * 2.0 * math.sinh(-half * math.log(a / beta)) / half
+    F = np.array([[a, c], [0.0, a]])
+    return PartialObserver(sensor_index=1, nu=2, Z=np.eye(3)[:, :2],
+                           S=F.copy(), t=np.ones((1, 2)), Bz=np.zeros((2, 1)),
+                           L=np.array([[0.5], [-0.25]]), F=F)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -355,27 +365,48 @@ def test_batched_envelope_equals_power_loop(seed, sensors):
     bank = [stable_observer(rng, int(rng.integers(1, 9)), float(rng.uniform(0.0, 0.99)),
                             n=int(rng.integers(8, 11)))
             for _ in range(sensors)]
-    want, _ = reference_error_bounds(bank, 0.003, 0.002, 1.5)
+    want, _, mu_z = reference_error_bounds(bank, 0.003, 0.002, 1.5)
     assert compute_error_bounds(bank, 0.003, 0.002, 1.5) == want
+    assert mu_z == pytest.approx(want.mu_f, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), nu=st.integers(2, 8))
+def test_ratio_stop_covers_later_powers_of_non_normal_F(seed, nu):
+    # a strongly non-normal F: its norm ratio grows far above one before it decays
+    rng = np.random.default_rng(seed)
+    F = np.diag(rng.uniform(-1.0, 1.0, nu)) + np.triu(rng.normal(size=(nu, nu)) * 5.0, 1)
+    F *= float(rng.uniform(0.3, 0.95)) / float(np.max(np.abs(np.diag(F))))
+    obs = PartialObserver(sensor_index=1, nu=nu, Z=np.linalg.qr(rng.normal(size=(9, 9)))[0][:, :nu],
+                          S=F.copy(), t=np.ones((1, nu)), Bz=np.zeros((nu, 1)),
+                          L=rng.normal(size=(nu, 1)), F=F)
+    params = compute_error_bounds([obs], 0.0, 0.0, 1.0)
+    _, (visited,), _ = reference_error_bounds([obs], 0.0, 0.0, 1.0)
+    Fk = np.eye(nu)
+    for k in range(3 * (visited - 1) + 1):
+        scale = params.beta**k * (1 + 1e-12)
+        assert np.linalg.norm(Fk, 2) <= params.mu_f * scale
+        assert np.linalg.norm(Fk @ obs.L, 2) <= params.mu_l * scale
+        Fk = Fk @ F
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_batched_envelope_stop_on_chunk_boundary(offset):
-    # F = f on a scalar quotient stops at the first k with f**k < 1e-12
     target = observers._POWER_CHUNK + offset
-    f = 10.0 ** (-12.0 / (target - 0.5))
-    want, visited = reference_error_bounds([scalar_observer(f)], 0.001, 0.001, 1.0)
+    obs = jordan_observer(0.99, target)
+    want, visited, _ = reference_error_bounds([obs], 0.001, 0.001, 1.0)
     assert visited == [target + 1]
-    assert compute_error_bounds([scalar_observer(f)], 0.001, 0.001, 1.0) == want
+    assert compute_error_bounds([obs], 0.001, 0.001, 1.0) == want
 
 
-# the second F settles exactly at k = 2 * _POWER_CHUNK, so the cap lands on a chunk boundary
-@pytest.mark.parametrize("f", [0.95, 10.0 ** (-12.0 / (2 * observers._POWER_CHUNK - 0.5))])
-def test_batched_envelope_power_cap_raises_at_same_k(monkeypatch, f):
-    obs = scalar_observer(f)
-    _, (visited,) = reference_error_bounds([obs], 0.0, 0.0, 1.0)
+# the second observer stops exactly at k = 2 * _POWER_CHUNK, so the cap lands on a chunk boundary
+@pytest.mark.parametrize("stop", [10, 2 * observers._POWER_CHUNK])
+def test_batched_envelope_power_cap_raises_at_same_stop(monkeypatch, stop):
+    obs = jordan_observer(0.99, stop)
+    _, (visited,), _ = reference_error_bounds([obs], 0.0, 0.0, 1.0)
+    assert visited == stop + 1
     monkeypatch.setattr(observers, "_POWER_CAP", visited - 1)  # the last power checked
-    want, _ = reference_error_bounds([obs], 0.0, 0.0, 1.0)
+    want, _, _ = reference_error_bounds([obs], 0.0, 0.0, 1.0)
     assert compute_error_bounds([obs], 0.0, 0.0, 1.0) == want
     monkeypatch.setattr(observers, "_POWER_CAP", visited - 2)
     with pytest.raises(RuntimeError):
@@ -384,11 +415,18 @@ def test_batched_envelope_power_cap_raises_at_same_k(monkeypatch, f):
         compute_error_bounds([obs], 0.0, 0.0, 1.0)
 
 
+def test_error_bounds_reject_non_orthonormal_basis():
+    obs = designed_scalar_observer()
+    obs.Z = 2.0 * np.eye(1)
+    with pytest.raises(ValueError, match="sensor 1: quotient basis Z is not orthonormal"):
+        compute_error_bounds([obs], 0.001, 0.001, 1.0)
+
+
 def test_envelope_takes_one_svd_per_chunk_per_norm(three_inertia, monkeypatch):
     from resilest.plant import ObserverConfig, build_observer_bank
 
     bank = build_observer_bank(three_inertia, ObserverConfig(mode="contract", factor=0.98))
-    want, visited = reference_error_bounds(bank, 0.001, 0.001, 1.0)
+    want, visited, _ = reference_error_bounds(bank, 0.001, 0.001, 1.0)
     calls = []
     svd = np.linalg.svd
 
@@ -400,7 +438,8 @@ def test_envelope_takes_one_svd_per_chunk_per_norm(three_inertia, monkeypatch):
     assert compute_error_bounds(bank, 0.001, 0.001, 1.0) == want
     chunks = sum(math.ceil(v / observers._POWER_CHUNK) for v in visited)
     assert sum(visited) > 10 * len(calls)
-    assert 0 < len(calls) <= 3 * chunks
+    # F^k and F^k L per chunk, and the orthonormality check of each basis
+    assert len(calls) == 2 * chunks + len(bank)
 
 
 def test_three_inertia_bounds_regression(three_inertia):
@@ -411,13 +450,11 @@ def test_three_inertia_bounds_regression(three_inertia):
     assert params.beta == pytest.approx(0.9900000000026655, rel=1e-9)
     assert params.mu_f == pytest.approx(239.3445989889731, rel=1e-6)
     assert params.mu_l == pytest.approx(12.024521068456961, rel=1e-6)
-    assert params.mu_z == pytest.approx(239.34459898897305, rel=1e-6)
     assert params.w_max == pytest.approx(25.136912012443307, rel=1e-6)
 
 
 def test_v_max_profile():
-    params = ErrorBoundParams(mu_f=1.0, beta=0.75, mu_l=0.5, mu_z=1.0,
-                              w_max=0.01, x0_max=1.0)
+    params = ErrorBoundParams(mu_f=1.0, beta=0.75, mu_l=0.5, w_max=0.01, x0_max=1.0)
     assert v_max_at(params, 0) == pytest.approx(1.01)
     assert v_max_at(params, 2) == pytest.approx(0.5725)
     assert v_max_at(params, 4000) == pytest.approx(params.w_max)

@@ -304,7 +304,6 @@ def test_simulate_attacked_1ms_six_inertia_chain_within_bound(inertia_chain):
     assert np.count_nonzero(tr.estimation_errors() > tr.bound) == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
 def test_simulate_isolates_nonfinite_attack(value):
     spec = copy.deepcopy(DEMO_SCENARIO)
