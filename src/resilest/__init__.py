@@ -36,10 +36,7 @@ from .decoding import (
     residual_detect_noisy,
 )
 from .estimator import (
-    BRANCH_CALCULATOR,
-    BRANCH_MINIMIZER,
     DecoderState,
-    EstimateRecord,
     EstimatorAssumptionError,
     ObserverBank,
     decoder_step,

@@ -1,8 +1,9 @@
 """Command-line surface: analyze, simulate, decode, demo.
 
-Exit codes: 0 success, 2 invalid input, 3 mathematical precondition failed
-(non-correctable coding matrix, undefined constants).  The environment
-variable ``RESILEST_EPS`` overrides the relative rank tolerance.
+Exit codes: 0 success, 2 invalid input (including malformed JSON shapes and
+unwritable outputs), 3 mathematical precondition failed (non-correctable
+coding matrix, undefined constants).  The environment variable
+``RESILEST_EPS`` overrides the relative rank tolerance.
 """
 
 from __future__ import annotations
@@ -116,7 +117,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError, ScenarioValidationError, ValueError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    write_trace_csv(trace, args.out)
+    try:
+        write_trace_csv(trace, args.out)
+    except OSError as exc:
+        print(f"error: cannot write trace: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     errors = trace.estimation_errors()
     minimizer_steps = int(np.count_nonzero(trace.branch == 1))
     print(
@@ -170,10 +175,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     scenario_path = outdir / "scenario.json"
-    save_scenario_dict(DEMO_SCENARIO, scenario_path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        save_scenario_dict(DEMO_SCENARIO, scenario_path)
+    except OSError as exc:
+        print(f"error: cannot write demo output: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     sc = load_scenario(scenario_path)
     trace = simulate(sc)
     trace_path = outdir / "trace.csv"

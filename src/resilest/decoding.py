@@ -204,15 +204,13 @@ def decode_noisy(
     r: int | None = None,
     v_max: float = 0.0,
     constants: RobustnessConstants | None = None,
-    candidates: CandidateStack | None = None,
 ) -> DecodeResult:
     """Recover ``x`` from ``z = Phi x + e + v`` with bounded per-block noise.
 
     The violation threshold is ``theta * v_max``; any minimizer of the
     violation count lies within ``kappa_c * v_max`` of the true vector.
     Passing precomputed ``constants`` skips the subset enumerations (their
-    existence certifies correctability); passing a ``candidates`` stack built
-    for ``(phi, r)`` skips building the search operators.
+    existence certifies correctability).
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -225,11 +223,7 @@ def decode_noisy(
         constants = robustness_constants(phi, q, r)
     elif (constants.q, constants.r) != (q, r):
         raise ValueError("supplied constants were computed for different (q, r)")
-    if candidates is None:
-        candidates = CandidateStack.build(phi, r)
-    elif candidates.phi is not phi or candidates.r != r:
-        raise ValueError("supplied candidates were built for a different (phi, r)")
-    estimate, objective, support = candidates.search(z, constants.theta * v_max)
+    estimate, objective, support = CandidateStack.build(phi, r).search(z, constants.theta * v_max)
     return DecodeResult(
         estimate=estimate,
         support_estimate=support,

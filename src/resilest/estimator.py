@@ -17,12 +17,9 @@ import numpy as np
 
 from ._linalg import pinv
 from .analysis import RobustnessConstants, robustness_constants
-from .decoding import CandidateStack, block_misfits, decode_noisy, violations
-from .observers import ErrorBoundParams, PartialObserver, v_max_at
+from .decoding import CandidateStack, block_misfits, violations
+from .observers import PartialObserver
 from .stacked import CodingMatrix, IndexSet, StackedVector
-
-BRANCH_CALCULATOR = "calculator"
-BRANCH_MINIMIZER = "minimizer"
 
 
 class EstimatorAssumptionError(ValueError):
@@ -68,6 +65,10 @@ class ObserverBank:
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite reading stays in its block
     def step(self, u: np.ndarray, y: np.ndarray) -> None:
         """Absorb the input ``u`` (m,) and the measurements ``y`` (p,)."""
+        u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+        if u.shape != self.B.shape[2:] or y.shape != self.z.shape[:1]:
+            raise ValueError(f"input shape {u.shape} and measurement shape {y.shape} "
+                             f"!= bank shapes {self.B.shape[2:]} and {self.z.shape[:1]}")
         self.z = (self.F @ self.z[:, :, None])[:, :, 0] + self.B @ u + self.L * y[:, None]
 
     def output(self) -> StackedVector:
@@ -105,68 +106,38 @@ class DecoderState:
         r = q if r is None else r
         if constants is None:
             constants = robustness_constants(phi, q, r)
-        return cls(
-            lam=IndexSet.full(phi.block_count),
-            q=q,
-            r=r,
-            phi=phi,
-            constants=constants,
-            recert_every=recert_every,
-        )
-
-
-@dataclass(frozen=True)
-class EstimateRecord:
-    """One decoder output row."""
-
-    k: int
-    x_hat: np.ndarray
-    f: int
-    lam: IndexSet
-    branch: str
-    bound: float
+        return cls(lam=IndexSet.full(phi.block_count), q=q, r=r, phi=phi,
+                   constants=constants, recert_every=recert_every)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite misfits violate by design
 def decoder_step(
-    state: DecoderState,
-    z: StackedVector,
-    k: int,
-    bounds: ErrorBoundParams,
-) -> EstimateRecord:
-    """One monitor-then-decode pass on the padded observer vector.
+    state: DecoderState, z: StackedVector, k: int, v_max: float
+) -> tuple[np.ndarray, int]:
+    """One monitor-then-decode pass on the padded observer vector: ``(x_hat, f)``.
 
-    The calculator solves least squares on the trusted set, reading only the
-    trusted blocks, and counts sensors whose block misfit is not within
-    ``theta * v_max(k)``; at most q violations keep its estimate.  Otherwise
-    the minimizer searches the candidate set and the trusted set becomes the
-    sensors consistent with its estimate (non-strict threshold,
-    lexicographic tie-break inherited from the search).
+    ``v_max`` is the error envelope ``v_max(k)``.  The calculator solves least
+    squares on the trusted set ``state.lam``, reading only the trusted blocks,
+    and counts as ``f`` the sensors whose block misfit is not within
+    ``theta * v_max``; ``f <= q`` keeps its estimate.  Otherwise the minimizer
+    searches the candidate set and the trusted set becomes the sensors
+    consistent with its estimate (non-strict threshold, lexicographic
+    tie-break inherited from the search).
     """
     p = state.phi.block_count
-    v_max_k = v_max_at(bounds, k)
-
     if state.lam not in state.operators:
         rows = state.lam.row_indices(state.phi.block_len)
         state.operators[state.lam] = (rows, pinv(state.phi.entries[rows]))
     rows, lsq = state.operators[state.lam]
-    x_prime = lsq @ z.data[rows]
-    misfits = block_misfits(state.phi, z, x_prime[None, :])
-    f = int(np.count_nonzero(violations(misfits, state.constants.theta * v_max_k)))
+    x_hat = lsq @ z.data[rows]
+    threshold = state.constants.theta * v_max
+    f = int(np.count_nonzero(violations(block_misfits(state.phi, z, x_hat[None, :]), threshold)))
 
-    if f <= state.q:
-        branch = BRANCH_CALCULATOR
-        x_hat = x_prime
-    else:
-        branch = BRANCH_MINIMIZER
+    if f > state.q:
         if state.candidates is None:
             state.candidates = CandidateStack.build(state.phi, state.r)
-        result = decode_noisy(
-            state.phi, z, state.q, state.r, v_max_k,
-            constants=state.constants, candidates=state.candidates,
-        )
-        x_hat = result.estimate
-        state.lam = result.support_estimate.complement()
+        x_hat, _, attacked = state.candidates.search(z, threshold)
+        state.lam = attacked.complement()
         if len(state.lam) < p - state.q:
             raise EstimatorAssumptionError(
                 f"trusted set {tuple(state.lam)} shrank below p - q; more than q sensors attacked"
@@ -174,32 +145,16 @@ def decoder_step(
 
     if state.recert_every and k > 0 and k % state.recert_every == 0:
         state.lam = IndexSet.full(p)
-
-    return EstimateRecord(
-        k=k,
-        x_hat=x_hat,
-        f=f,
-        lam=state.lam,
-        branch=branch,
-        bound=state.constants.kappa_c * v_max_k,
-    )
+    return x_hat, f
 
 
 def estimator_step(
-    bank: ObserverBank,
-    state: DecoderState,
-    u: np.ndarray,
-    y_bar: np.ndarray,
-    k: int,
-    bounds: ErrorBoundParams,
-) -> EstimateRecord:
-    """Advance the bank with (u(k), y(k)), then decode.
+    bank: ObserverBank, state: DecoderState, u: np.ndarray, y_bar: np.ndarray, k: int, v_max: float
+) -> tuple[np.ndarray, int]:
+    """Advance the bank with (u(k), y(k)), then decode the step-k+1 estimate.
 
-    The returned record carries index ``k + 1``: observer states after
-    absorbing the step-k measurement estimate the step-k+1 plant state.
+    Observer states after absorbing the step-k measurement estimate the
+    step-k+1 plant state, so ``v_max`` is the envelope ``v_max(k + 1)``.
     """
-    y_bar = np.asarray(y_bar, dtype=float).reshape(-1)
-    if y_bar.size != bank.z.shape[0]:
-        raise ValueError(f"measurement width {y_bar.size} != bank size {bank.z.shape[0]}")
-    bank.step(np.asarray(u, dtype=float).reshape(-1), y_bar)
-    return decoder_step(state, bank.output(), k + 1, bounds)
+    bank.step(u, y_bar)
+    return decoder_step(state, bank.output(), k + 1, v_max)

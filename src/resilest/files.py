@@ -40,7 +40,10 @@ def load_model(path: PathLike) -> tuple[SystemModel, float]:
     """
     with open(path) as fh:
         doc = json.load(fh)
-    return model_from_dict(doc)
+    try:
+        return model_from_dict(doc)
+    except (TypeError, AttributeError) as exc:  # a JSON value of the wrong shape
+        raise ValueError(f"malformed model file: {exc}") from exc
 
 
 def model_from_dict(doc: dict) -> tuple[SystemModel, float]:
@@ -146,6 +149,8 @@ def load_scenario(path: PathLike) -> Scenario:
         return scenario_from_dict(doc)
     except KeyError as exc:
         raise ScenarioValidationError(f"scenario file missing entry {exc}") from exc
+    except (TypeError, AttributeError) as exc:  # a JSON value of the wrong shape
+        raise ScenarioValidationError(f"malformed scenario file: {exc}") from exc
 
 
 def save_scenario_dict(doc: dict, path: PathLike) -> None:

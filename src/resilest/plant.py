@@ -19,14 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .analysis import SystemModel, is_q_redundant_observable
-from .estimator import (
-    BRANCH_CALCULATOR,
-    BRANCH_MINIMIZER,
-    DecoderState,
-    ObserverBank,
-    decoder_step,
-    estimator_step,
-)
+from .estimator import DecoderState, ObserverBank, decoder_step, estimator_step
 from .observers import (
     PartialObserver,
     compute_error_bounds,
@@ -34,6 +27,7 @@ from .observers import (
     default_poles,
     design_gain,
     kalman_decompose,
+    v_max_at,
 )
 
 
@@ -331,15 +325,14 @@ class Scenario:
             )
 
 
-TRACE_BRANCH_CODES = {BRANCH_CALCULATOR: 0, BRANCH_MINIMIZER: 1}
-
-
 @dataclass
 class Trace:
     """Per-step log of a simulation run.
 
     Arrays are indexed by step; ``y`` holds the noisy attack-free outputs so
-    that ``ybar == y + a`` reproduces the measurements bit-exactly.
+    that ``ybar == y + a`` reproduces the measurements bit-exactly.  ``branch``
+    is 1 where the minimizer searched (``f > q``), else 0; ``bound`` is the
+    certified error bound ``kappa_c * v_max(k)``.
     """
 
     dt: float
@@ -413,10 +406,11 @@ def simulate(sc: Scenario) -> Trace:
     )
 
     x = sc.x0.copy()
-    record = decoder_step(state, bank.output(), 0, bounds)
+    v_max = v_max_at(bounds, 0)
+    x_hat, f = decoder_step(state, bank.output(), 0, v_max)
 
     for k in range(H):
-        u = controller.step(record.x_hat, k) if controller else np.zeros(m)
+        u = controller.step(x_hat, k) if controller else np.zeros(m)
 
         noise = sc.noise_scale * rng.uniform(-model.n_max, model.n_max, size=p)
         direction = rng.standard_normal(n)
@@ -432,18 +426,19 @@ def simulate(sc: Scenario) -> Trace:
         ybar = y + a
 
         tr.x[k] = x
-        tr.x_hat[k] = record.x_hat
+        tr.x_hat[k] = x_hat
         tr.u[k] = u
         tr.y[k] = y
         tr.ybar[k] = ybar
         tr.a[k] = a
-        tr.f[k] = record.f
-        tr.lam_mask[k] = sum(1 << (i - 1) for i in record.lam)
-        tr.branch[k] = TRACE_BRANCH_CODES[record.branch]
-        tr.bound[k] = record.bound
+        tr.f[k] = f
+        tr.lam_mask[k] = sum(1 << (i - 1) for i in state.lam)
+        tr.branch[k] = f > state.q
+        tr.bound[k] = state.constants.kappa_c * v_max
 
         if k < H - 1:
-            record = estimator_step(bank, state, u, ybar, k, bounds)
+            v_max = v_max_at(bounds, k + 1)
+            x_hat, f = estimator_step(bank, state, u, ybar, k, v_max)
             x = model.A @ x + model.B @ u + d
 
     return tr

@@ -397,9 +397,6 @@ def test_decode_noisy_constants_mismatch_rejected():
     consts = robustness_constants(ONES3, 1, 2)
     with pytest.raises(ValueError):
         decode_noisy(ONES3, sv([1, 1, 1], 1, 3), q=1, r=1, v_max=0.1, constants=consts)
-    with pytest.raises(ValueError, match="candidates"):
-        decode_noisy(ONES3, sv([1, 1, 1], 1, 3), q=1, r=2, v_max=0.1, constants=consts,
-                     candidates=CandidateStack.build(ONES3, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from resilest.analysis import SystemModel, is_q_error_correctable
 from resilest.estimator import (
-    BRANCH_CALCULATOR,
-    BRANCH_MINIMIZER,
     DecoderState,
     EstimatorAssumptionError,
     ObserverBank,
@@ -16,11 +14,11 @@ from resilest.estimator import (
     estimator_step,
 )
 from resilest.observers import (
-    ErrorBoundParams,
     compute_error_bounds,
     default_poles,
     design_gain,
     kalman_decompose,
+    v_max_at,
 )
 from resilest.plant import AttackSpec, ObserverConfig, Scenario, build_observer_bank, simulate
 from resilest.stacked import IndexSet, StackedVector
@@ -133,11 +131,10 @@ def test_decoder_calculator_on_clean_data(scalar_triple):
     state, bounds = fresh_state_and_bounds(scalar_triple, bank)
     x_true = 4.2
     z = StackedVector(state.phi.entries @ [x_true], 1, 3)
-    record = decoder_step(state, z, 5, bounds)
-    assert record.branch == BRANCH_CALCULATOR
-    assert record.f == 0
-    assert record.x_hat == pytest.approx([x_true])
-    assert tuple(record.lam) == (1, 2, 3)
+    x_hat, f = decoder_step(state, z, 5, v_max_at(bounds, 5))
+    assert f == 0
+    assert x_hat == pytest.approx([x_true])
+    assert tuple(state.lam) == (1, 2, 3)
 
 
 def test_decoder_minimizer_excludes_corrupted_sensor(scalar_triple):
@@ -145,16 +142,14 @@ def test_decoder_minimizer_excludes_corrupted_sensor(scalar_triple):
     state, bounds = fresh_state_and_bounds(scalar_triple, bank)
     x_true = 4.2
     z = StackedVector(state.phi.entries @ [x_true] + [0.0, 0.0, 500.0], 1, 3)
-    record = decoder_step(state, z, 400, bounds)  # observer 3 corrupted
-    assert record.branch == BRANCH_MINIMIZER
-    assert record.f > state.q
-    assert tuple(record.lam) == (1, 2)
-    assert record.x_hat == pytest.approx([x_true], abs=1e-6)
+    x_hat, f = decoder_step(state, z, 400, v_max_at(bounds, 400))  # observer 3 corrupted
+    assert f > state.q
+    assert tuple(state.lam) == (1, 2)
+    assert x_hat == pytest.approx([x_true], abs=1e-6)
     # next step: calculator again, corrupted sensor still excluded
-    record2 = decoder_step(state, z, 401, bounds)
-    assert record2.branch == BRANCH_CALCULATOR
-    assert record2.f == 1
-    assert tuple(record2.lam) == (1, 2)
+    _, f2 = decoder_step(state, z, 401, v_max_at(bounds, 401))
+    assert f2 == 1
+    assert tuple(state.lam) == (1, 2)
 
 
 def test_decoder_boundary_misfit_counts_as_trusted(scalar_triple):
@@ -162,16 +157,15 @@ def test_decoder_boundary_misfit_counts_as_trusted(scalar_triple):
     state, bounds = fresh_state_and_bounds(scalar_triple, bank)
     z = StackedVector(np.zeros(3), 1, 3)
     # zero data, zero misfits, threshold > 0: membership uses <=, so all stay
-    record = decoder_step(state, z, 0, bounds)
-    assert record.f == 0
-    assert tuple(record.lam) == (1, 2, 3)
-    # and with the threshold exactly zero (x0_max = 0, w_max = 0), misfit 0
-    # still counts as trusted because the violation comparison is strict
-    zero_bounds = ErrorBoundParams(mu_f=1.0, beta=0.5, mu_l=0.0, w_max=0.0, x0_max=0.0)
+    _, f = decoder_step(state, z, 0, v_max_at(bounds, 0))
+    assert f == 0
+    assert tuple(state.lam) == (1, 2, 3)
+    # and with the threshold exactly zero (v_max = 0), misfit 0 still counts
+    # as trusted because the violation comparison is strict
     state2 = DecoderState.fresh(state.phi, 1, 1, constants=state.constants)
-    record2 = decoder_step(state2, z, 0, zero_bounds)
-    assert record2.f == 0
-    assert record2.branch == BRANCH_CALCULATOR
+    _, f2 = decoder_step(state2, z, 0, 0.0)
+    assert f2 == 0
+    assert tuple(state2.lam) == (1, 2, 3)
 
 
 def test_estimator_step_equals_manual_composition(scalar_triple):
@@ -183,15 +177,15 @@ def test_estimator_step_equals_manual_composition(scalar_triple):
     u = rng.normal(size=1)
     y = rng.normal(size=3)
 
-    rec_a = estimator_step(ObserverBank.stack(observers), state_a, u, y, k=7, bounds=bounds)
+    x_a, f_a = estimator_step(ObserverBank.stack(observers), state_a, u, y, 7, v_max_at(bounds, 8))
 
     # per-sensor recursion F z + Bz u + L y from the zero state
     z = [obs.Bz @ u + obs.L[:, 0] * y[i] for i, obs in enumerate(observers)]
-    rec_b = decoder_step(state_b, StackedVector.from_blocks(z), 8, bounds)
+    x_b, f_b = decoder_step(state_b, StackedVector.from_blocks(z), 8, v_max_at(bounds, 8))
 
-    assert rec_a.k == rec_b.k == 8
-    assert rec_a.x_hat == pytest.approx(rec_b.x_hat)
-    assert rec_a.f == rec_b.f
+    assert x_a == pytest.approx(x_b)
+    assert f_a == f_b
+    assert state_a.lam == state_b.lam
 
 
 def test_estimator_step_zero_everything(scalar_triple):
@@ -199,18 +193,23 @@ def test_estimator_step_zero_everything(scalar_triple):
     state, bounds = fresh_state_and_bounds(scalar_triple, observers)
     bank = ObserverBank.stack(observers)
     for k in range(5):
-        rec = estimator_step(bank, state, np.zeros(1), np.zeros(3), k, bounds)
-        assert rec.x_hat == pytest.approx([0.0])
-        assert rec.branch == BRANCH_CALCULATOR
+        x_hat, f = estimator_step(bank, state, np.zeros(1), np.zeros(3), k, v_max_at(bounds, k + 1))
+        assert x_hat == pytest.approx([0.0])
+        assert f <= state.q
 
 
-def test_decoder_records_bound_value(scalar_triple):
-    bank = scalar_bank(scalar_triple)
-    state, bounds = fresh_state_and_bounds(scalar_triple, bank)
-    from resilest.observers import v_max_at
-
-    record = decoder_step(state, StackedVector(np.zeros(3), 1, 3), 3, bounds)
-    assert record.bound == pytest.approx(state.constants.kappa_c * v_max_at(bounds, 3))
+@pytest.mark.parametrize(("u", "y"), [
+    (np.zeros(1), np.array([5.0])),
+    (np.zeros(1), np.zeros(4)),
+    (np.zeros(1), np.zeros((3, 1))),
+    (np.zeros((1, 1)), np.zeros(3)),
+    (np.zeros(2), np.zeros(3)),
+])
+def test_bank_step_rejects_input_or_measurement_of_wrong_shape(scalar_triple, u, y):
+    bank = ObserverBank.stack(scalar_bank(scalar_triple))
+    with pytest.raises(ValueError, match="shape"):
+        bank.step(u, y)
+    assert not np.any(bank.z)
 
 
 def test_recertification_readmits_sensors(scalar_triple):
@@ -219,7 +218,13 @@ def test_recertification_readmits_sensors(scalar_triple):
     state = DecoderState.fresh(phi, 1, 1, recert_every=10)
     bounds = compute_error_bounds(bank, 0.001, 0.001, 1.0)
     state.lam = IndexSet.of([1, 2], 3)
-    decoder_step(state, StackedVector(np.zeros(3), 1, 3), 10, bounds)
+    decoder_step(state, StackedVector(np.zeros(3), 1, 3), 10, v_max_at(bounds, 10))
+    assert tuple(state.lam) == (1, 2, 3)
+    # estimator_step at k decodes step k + 1, so k = 9 is the step that readmits
+    state.lam = IndexSet.of([1, 2], 3)
+    estimator_step(ObserverBank.stack(bank), state, np.zeros(1), np.zeros(3), 8, v_max_at(bounds, 9))
+    assert tuple(state.lam) == (1, 2)
+    estimator_step(ObserverBank.stack(bank), state, np.zeros(1), np.zeros(3), 9, v_max_at(bounds, 10))
     assert tuple(state.lam) == (1, 2, 3)
 
 

@@ -215,6 +215,18 @@ def test_cli_analyze_rejects_nonfinite_model_exit_2(tmp_path, capsys, field, val
     assert message in captured.err
 
 
+@pytest.mark.parametrize("doc", [
+    [SCALAR_MODEL_DOC],
+    dict(SCALAR_MODEL_DOC, n=None),
+    dict(THREE_INERTIA_DOC, T_s=[1]),
+], ids=["top-level-list", "n-null", "T_s-list"])
+def test_cli_analyze_malformed_model_shape_exit_2(tmp_path, capsys, doc):
+    assert main(["analyze", "--model", write_json(tmp_path / "m.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid model: malformed model file")
+
+
 def test_cli_analyze_constants_undefined_exit_3(tmp_path, capsys):
     doc = {"A": [[1.0]], "B": [[0.0]], "C": [[1.0], [1.0], [0.0]]}
     model_file = write_json(tmp_path / "m.json", doc)
@@ -320,6 +332,44 @@ def test_cli_simulate_rejects_bad_scenario_numbers(tmp_path, capsys, field, doc_
     assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    scalar_scenario_doc(attacks=5),
+    scalar_scenario_doc(observer="x"),
+    scalar_scenario_doc(noise=[1]),
+    scalar_scenario_doc(controller=[1]),
+    scalar_scenario_doc(horizon=None),
+    scalar_scenario_doc(observer={"poles": {"mode": "explicit", "sets": 3}}),
+    [scalar_scenario_doc()],
+], ids=["attacks-int", "observer-str", "noise-list", "controller-list", "horizon-null",
+        "pole-sets-int", "top-level-list"])
+def test_cli_simulate_malformed_scenario_shape_exit_2(tmp_path, capsys, doc):
+    sfile = write_json(tmp_path / "s.json", doc)
+    assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid scenario: malformed scenario file")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_cli_simulate_unwritable_output_exit_2(tmp_path, capsys):
+    sfile = write_json(tmp_path / "s.json", scalar_scenario_doc(horizon=20))
+    out = tmp_path / "missing_dir" / "t.csv"
+    assert main(["simulate", "--scenario", sfile, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write trace")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_demo_output_over_a_file_exit_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep")
+    assert main(["demo", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write demo output")
+    assert captured.err.count("\n") == 1
+    assert target.read_text() == "keep"
 
 
 def test_scenario_accepts_positive_integer_recert_every():

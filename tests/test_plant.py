@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from resilest.analysis import SystemModel
+from resilest.analysis import SystemModel, robustness_constants
 from resilest.cli import DEMO_SCENARIO
+from resilest.estimator import ObserverBank
 from resilest.files import scenario_from_dict
+from resilest.observers import compute_error_bounds, v_max_at
 from resilest.plant import (
     AttackSpec,
     ContinuousModel,
@@ -16,6 +18,7 @@ from resilest.plant import (
     ObserverConfig,
     Scenario,
     ScenarioValidationError,
+    build_observer_bank,
     simulate,
     three_inertia_model,
     zoh_discretize,
@@ -280,6 +283,40 @@ def test_simulate_bound_conformance_and_trace_consistency():
     assert fires.min() >= 10
     # after the exclusion settles, sensor 3 is out of the trusted set
     assert tr.lam_mask[-1] == 0b011
+
+
+def test_simulate_records_certified_bound_per_step():
+    sc = scalar_scenario(attacks=(
+        AttackSpec(3, 10, None, {"kind": "constant", "value": 1.0}),))
+    tr = simulate(sc)
+    observers = build_observer_bank(sc.model, sc.observer)
+    kappa_c = robustness_constants(ObserverBank.stack(observers).phi, sc.q, sc.r).kappa_c
+    bounds = compute_error_bounds(observers, sc.model.d_max, sc.model.n_max, sc.observer.x0_max)
+    assert tr.bound.tolist() == [kappa_c * v_max_at(bounds, k) for k in range(sc.horizon)]
+
+
+def test_trace_branch_is_f_above_q_on_demo(demo_run):
+    tr = demo_run["trace"]
+    assert np.array_equal(tr.branch, tr.f > demo_run["scenario"].q)
+    assert np.any(tr.branch == 1)
+
+
+def test_trace_branch_is_f_above_q_on_chain_search(inertia_chain):
+    # the 5-inertia chain at 10 ms with q = 2, r = 4 and re-certification
+    # every 10 steps, so the minimizer search runs again and again
+    model = inertia_chain(5, 0.01)
+    x0 = np.zeros(model.n)
+    x0[0] = 0.5
+    sc = Scenario(
+        model=model, horizon=600, q=2, r=4, seed=1,
+        attacks=(AttackSpec(1, 200, None, {"kind": "random", "lo": -50.0, "hi": 50.0}),
+                 AttackSpec(6, 300, None, {"kind": "constant", "value": 50.0})),
+        observer=ObserverConfig(mode="contract", factor=0.98, x0_max=1.0),
+        x0=x0, dt=0.01, recert_every=10,
+    )
+    tr = simulate(sc)
+    assert np.array_equal(tr.branch, tr.f > sc.q)
+    assert np.count_nonzero(tr.branch) > 10
 
 
 def test_simulate_attack_free_stays_calculator():
