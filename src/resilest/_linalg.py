@@ -56,7 +56,8 @@ def sigma_min(matrix: np.ndarray, eps_rel: float | None = None):
     """Smallest singular value, or 0 where the column rank is below full (one SVD for both)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     s, ranks = _svd_rank(matrix, eps_rel)
-    smallest = np.where(ranks == matrix.shape[-1], s[..., -1], 0.0)
+    last = s[..., -1] if s.shape[-1] else 0.0  # a matrix without rows has no singular values
+    smallest = np.where(ranks == matrix.shape[-1], last, 0.0)
     return float(smallest) if matrix.ndim == 2 else smallest
 
 

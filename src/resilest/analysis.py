@@ -6,9 +6,10 @@ from the per-sensor observability blocks.  A coding matrix tolerates q
 corrupted sensor blocks exactly when every selection of ``p - q`` blocks
 retains full column rank; the security index is the smallest number of
 blocks an undetectable input can be confined to, i.e. the smallest q for
-which the plant is not q-redundant observable.  One stacked detectability
-check (an exhaustive batched scan over the selections: the intended
-envelope is small p, not large sensor networks) serves both views.
+which the plant is not q-redundant observable.  One stacked scan of the
+smallest singular value per selection size (exhaustive and batched: the
+intended envelope is small p, not large sensor networks) serves both views
+and also supplies the robustness constants' rho and rho_2q.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import matrix_rank, pinv, sigma_min, spectral_norm
-from .stacked import CodingMatrix
+from ._linalg import pinv, sigma_min, spectral_norm
+from .stacked import CodingMatrix, IndexSet
 
 __all__ = [
     "AnalysisReport",
@@ -132,6 +133,7 @@ class AnalysisReport:
     max_detectable_q: int
     max_correctable_q: int
     redundancy_degree: int
+    witness: IndexSet
     per_q_constants: dict[int, RobustnessConstants] = field(default_factory=dict)
 
 
@@ -156,8 +158,9 @@ _STACK_FLOATS = 1 << 15  # per chunk of stacked selections: 256 kB of intermedia
 
 def sensor_selections(p: int, size: int) -> np.ndarray:
     """Every ``size``-subset of ``range(p)``, lexicographic: the order of every selection scan."""
-    members = np.array(list(itertools.combinations(range(p), size)), dtype=np.intp)
-    return members.reshape(math.comb(p, size), size)
+    count = math.comb(p, size)
+    members = itertools.chain.from_iterable(itertools.combinations(range(p), size))
+    return np.fromiter(members, dtype=np.intp, count=count * size).reshape(count, size)
 
 
 def _selection_stacks(phi: CodingMatrix, size: int, floats_per_selection: int):
@@ -169,19 +172,35 @@ def _selection_stacks(phi: CodingMatrix, size: int, floats_per_selection: int):
         yield chunk, phi.selection_stack(chunk)
 
 
+def _selection_sigma_min(phi: CodingMatrix, size: int,
+                         eps_rel: float | None) -> tuple[float, np.ndarray | None]:
+    """Smallest ``sigma_min`` over the ``size``-selections, and the first deficient selection.
+
+    Stops at the first chunk holding a rank-deficient selection and returns 0.0 with the
+    0-based members of the lexicographically first one; otherwise the minimum and None.
+    This is the one selection scan: detectability, the security index and rho share it.
+    """
+    n = phi.block_len
+    rho = math.inf
+    for members, stack in _selection_stacks(phi, size, size * n * n):
+        smallest = sigma_min(stack, eps_rel)
+        first = int(np.argmin(smallest))
+        if smallest[first] == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
+            return 0.0, members[first]
+        rho = min(rho, float(smallest[first]))
+    return rho, None
+
+
 def is_q_error_detectable(phi: CodingMatrix, q: int, eps_rel: float | None = None) -> bool:
     """True when every selection of ``p - q`` blocks has full column rank.
 
     Checking only selections of exactly ``p - q`` blocks suffices: adding
     blocks never lowers rank.
     """
-    p, n = phi.block_count, phi.block_len
+    p = phi.block_count
     if not 0 <= q <= p:
         raise ValueError(f"q must lie in 0..{p}, got {q}")
-    for _, stack in _selection_stacks(phi, p - q, (p - q) * n * n):
-        if np.any(matrix_rank(stack, eps_rel) < n):
-            return False
-    return True
+    return _selection_sigma_min(phi, p - q, eps_rel)[0] > 0.0
 
 
 def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float | None = None) -> bool:
@@ -197,15 +216,29 @@ def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float | None = No
     return is_q_error_detectable(phi, 2 * q, eps_rel)
 
 
+def _index_scan(phi: CodingMatrix, eps_rel: float | None):
+    """Selection sizes p, p - 1, ... down to the first with a rank-deficient selection.
+
+    Returns the cospark, the smallest ``sigma_min`` of every size scanned (0.0 at the
+    stopping size) and the 0-based members of the stopping size's first deficient selection.
+    The scan always stops, because the empty selection has rank 0 < n.
+    """
+    p = phi.block_count
+    rhos: dict[int, float] = {}
+    for size in range(p, -1, -1):
+        rhos[size], deficient = _selection_sigma_min(phi, size, eps_rel)
+        if deficient is not None:
+            return p - size, rhos, deficient
+    raise AssertionError("unreachable: the empty selection is rank deficient")
+
+
 def stacked_cospark(phi: CodingMatrix, eps_rel: float | None = None) -> int:
     """Minimum number of nonzero blocks of ``phi @ x`` over nonzero ``x``.
 
-    Equals the smallest ``q`` for which ``phi`` is not q-error detectable.
-    The scan runs q = 0, 1, ..., p (selection sizes p down to 0) and always
-    stops, because the empty selection (q = p) has rank 0 < n.
+    Equals the smallest ``q`` for which ``phi`` is not q-error detectable:
+    the scan runs q = 0, 1, ..., p (selection sizes p down to 0).
     """
-    return next(q for q in range(phi.block_count + 1)
-                if not is_q_error_detectable(phi, q, eps_rel))
+    return _index_scan(phi, eps_rel)[0]
 
 
 def security_index(model: SystemModel, eps_rel: float | None = None) -> int:
@@ -264,6 +297,13 @@ def robustness_constants(
     all full rank (the constants are undefined without q-error
     correctability), read from the same SVDs that give ``rho_2q``.
     """
+    return _constants(phi, q, r, eps_rel, {})
+
+
+def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float | None,
+               rhos: dict[int, float]) -> RobustnessConstants:
+    """:func:`robustness_constants`, reading rho of a selection size from ``rhos`` when
+    an earlier scan recorded it, and recording every size it scans itself."""
     p, n = phi.block_count, phi.block_len
     if not q <= r <= 2 * q:
         raise ValueError(f"need q <= r <= 2q, got q={q}, r={r}")
@@ -271,12 +311,12 @@ def robustness_constants(
         raise ValueError(f"need p >= 2q+1 for the correction constants, got p={p}, q={q}")
 
     def rho_of(size: int) -> float:
-        rho = min(float(sigma_min(stack, eps_rel).min())
-                  for _, stack in _selection_stacks(phi, size, size * n * n))
-        if rho == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
+        if size not in rhos:
+            rhos[size] = _selection_sigma_min(phi, size, eps_rel)[0]
+        if rhos[size] == 0.0:
             raise CorrectabilityError("constants undefined: correctability violated "
                                       f"(a {size}-block selection is rank deficient)")
-        return rho
+        return rhos[size]
 
     rho_2q, rho = rho_of(p - 2 * q), rho_of(p - q)  # the first scan decides correctability
 
@@ -343,9 +383,12 @@ def analyze(
     redundancy degree coincides with ``max_detectable_q``.  Robustness
     constants are attached for ``constants_q`` (default: every feasible q up
     to the correctable maximum) with search size ``r`` (default ``q``).
+    ``witness`` names ``security_index`` sensors whose corruption can stay
+    undetectable: the complement of the lexicographically first rank-deficient
+    selection where the index scan stops (empty for an unobservable pair).
     """
     g = observability_matrix(model)
-    alpha = stacked_cospark(g, eps_rel)
+    alpha, rhos, deficient = _index_scan(g, eps_rel)
     max_detectable = alpha - 1
     max_correctable = max_detectable // 2 if max_detectable >= 0 else -1
 
@@ -355,17 +398,20 @@ def analyze(
     else:
         qs = [q for q in range(1, max_correctable + 1)]
 
+    # the index scan recorded rho down to size p - alpha, so every correctable q reads its
+    # rho and rho_2q from it; only a q beyond the correctable maximum scans a further size
     per_q: dict[int, RobustnessConstants] = {}
     for q in qs:
         if q < 1 or model.p < 2 * q + 1:
             continue
         rr = r if r is not None else q
-        per_q[q] = robustness_constants(g, q, rr, eps_rel)
+        per_q[q] = _constants(g, q, rr, eps_rel, rhos)
 
     return AnalysisReport(
         security_index=alpha,
         max_detectable_q=max_detectable,
         max_correctable_q=max_correctable,
         redundancy_degree=max_detectable,
+        witness=IndexSet(tuple(int(i) + 1 for i in deficient), model.p).complement(),
         per_q_constants=per_q,
     )

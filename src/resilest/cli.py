@@ -83,6 +83,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "max_detectable_q": report.max_detectable_q,
             "max_correctable_q": report.max_correctable_q,
             "redundancy_degree": report.redundancy_degree,
+            "witness": list(report.witness),
             "constants": {
                 str(q): dataclasses.asdict(c) for q, c in report.per_q_constants.items()
             },
@@ -91,6 +92,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     print(f"security_index: {report.security_index}")
+    print("witness: {" + ",".join(str(i) for i in report.witness) + "}")
     if report.max_detectable_q < 0:
         print("redundancy_degree: not observable")
         print("max_detectable_q: not observable")
@@ -109,6 +111,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # checked before the run, not after it
+        print(f"error: cannot write trace: {args.out} is not a file path in an existing "
+              "directory", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     try:
         sc = load_scenario(args.scenario)
         if args.seed is not None:

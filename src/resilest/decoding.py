@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import matrix_rank, pinv
+from ._linalg import _relative_floor, pinv
 from .analysis import (
     CorrectabilityError,
     RobustnessConstants,
@@ -51,9 +51,14 @@ class DecodeResult:
 
 
 def _projection_residual(phi: CodingMatrix, z: StackedVector) -> tuple[np.ndarray, StackedVector]:
-    if matrix_rank(phi.entries) < phi.block_len:
+    """Least-squares estimate and residual from one SVD, used for both the rank check
+    and the pseudoinverse (formed as ``np.linalg.pinv`` forms it)."""
+    u, s, vt = np.linalg.svd(phi.entries, full_matrices=False)
+    large = s > _relative_floor(phi.entries, None) * s[:1]
+    if np.count_nonzero(large) < phi.block_len:
         raise ValueError("coding matrix must have full column rank")
-    x_hat = pinv(phi.entries) @ z.data
+    inverse = np.divide(1, s, where=large, out=np.zeros_like(s))
+    x_hat = (vt.T @ (inverse[:, None] * u.T)) @ z.data
     resid = z.data - phi.entries @ x_hat
     return x_hat, StackedVector(resid, z.block_len, z.block_count)
 

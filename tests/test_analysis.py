@@ -127,15 +127,19 @@ def test_cospark_matches_null_vector_oracle_randomized():
         assert stacked_cospark(phi) == cospark_null_vector_oracle(phi)
 
 
-def reference_cospark(phi, eps_rel=None):
+def reference_first_deficient(phi, eps_rel=None):
     """Per-selection loop: one compacted copy and one rank check per selection,
-    sizes p down to 0, stopping at the first rank-deficient selection."""
+    sizes p down to 0, returning the first rank-deficient selection (1-based)."""
     p, n = phi.block_count, phi.block_len
     for size in range(p, -1, -1):
         for lam in itertools.combinations(range(1, p + 1), size):
             if matrix_rank(phi.compacted(IndexSet(lam, p)), eps_rel) < n:
-                return p - size
+                return IndexSet(lam, p)
     raise AssertionError("unreachable: empty selection is always rank deficient")
+
+
+def reference_cospark(phi, eps_rel=None):
+    return phi.block_count - len(reference_first_deficient(phi, eps_rel))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -165,12 +169,12 @@ def test_stacked_cospark_checks_ranks_per_chunk(monkeypatch, stack_floats, calls
 
     def spy(matrix, eps_rel=None):
         shapes.append(np.shape(matrix))
-        return matrix_rank(matrix, eps_rel)
+        return sigma_min(matrix, eps_rel)
 
-    monkeypatch.setattr(analysis, "matrix_rank", spy)
+    monkeypatch.setattr(analysis, "sigma_min", spy)
     monkeypatch.setattr(analysis, "_STACK_FLOATS", stack_floats)
     assert stacked_cospark(phi) == want == 9
-    # one stacked call per chunk of each size 9, 8, ..., 0: not one per selection (2^9)
+    # one stacked SVD per chunk of each size 9, 8, ..., 0: not one per selection (2^9)
     chunks = []
     for size in range(9, -1, -1):
         step = max(1, stack_floats // max(1, size * 4))
@@ -429,18 +433,32 @@ def test_batched_constants_still_raise_when_not_correctable():
         robustness_constants(phi, 2, 3)
 
 
-def test_constants_decide_correctability_from_the_rho_2q_pass(monkeypatch):
-    def no_rank_scan(*args, **kwargs):
-        raise AssertionError("robustness_constants repeated the 2q-detectability scan")
+def scanned_sizes(monkeypatch):
+    """Selection sizes passed to the selection scan, in call order."""
+    sizes = []
+    scan = analysis._selection_sigma_min
 
-    monkeypatch.setattr(analysis, "matrix_rank", no_rank_scan)
+    def spy(phi, size, eps_rel):
+        sizes.append(size)
+        return scan(phi, size, eps_rel)
+
+    monkeypatch.setattr(analysis, "_selection_sigma_min", spy)
+    return sizes
+
+
+def test_constants_decide_correctability_from_the_rho_2q_pass(monkeypatch):
     phi = CodingMatrix(np.random.default_rng(9).normal(size=(18, 2)), 2, 9)
-    assert robustness_constants(phi, 2, 4) == reference_constants(phi, 2, 4)
+    want = reference_constants(phi, 2, 4)
+    sizes = scanned_sizes(monkeypatch)
+    assert robustness_constants(phi, 2, 4) == want
+    assert sizes == [5, 7]  # rho_2q, then rho: no separate 2q-detectability scan
     entries = np.random.default_rng(5).normal(size=(10, 2))
     entries[4:6] = 0.0
     message = r"^constants undefined: correctability violated \(a 1-block selection is rank deficient\)$"
+    sizes.clear()
     with pytest.raises(CorrectabilityError, match=message):
         robustness_constants(CodingMatrix(entries, 2, 5), 2, 3)
+    assert sizes == [1]
 
 
 def test_sigma_min_reads_zero_below_full_column_rank():
@@ -595,3 +613,59 @@ def test_analyze_unobservable_pair():
     assert rep.security_index == 0
     assert rep.max_detectable_q == -1
     assert rep.max_correctable_q == -1
+    # every sensor together is rank deficient: no corruption at all is needed
+    assert rep.witness == IndexSet.empty(3)
+
+
+def test_analyze_witness_three_inertia(three_inertia):
+    # the three absolute angles: sensors 4 and 5 (angle differences) alone miss a
+    # common rotation, so corrupting sensors 1-3 can hide it
+    assert analyze(three_inertia).witness == IndexSet((1, 2, 3), 5)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 7),
+       style=st.sampled_from(["dense", "sparse", "modal"]))
+def test_analyze_equals_its_public_pieces(seed, n, p, style):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    C = rng.normal(size=(p, n))
+    if style != "dense":
+        C[rng.random(size=C.shape) < 0.5] = 0.0
+    if style == "modal":  # each sensor sees a subset of decoupled modes: many tied selections
+        A = np.diag(np.arange(1.0, n + 1.0) / (n + 1))
+        C = (C != 0.0).astype(float)
+    model = SystemModel(A=A, B=np.zeros((n, 1)), C=C)
+    g = observability_matrix(model)
+    rep = analyze(model)
+    assert rep.security_index == reference_cospark(g)
+    assert set(rep.per_q_constants) == set(range(1, rep.max_correctable_q + 1))
+    for q, constants in rep.per_q_constants.items():
+        assert constants == robustness_constants(g, q, q)
+    deficient = reference_first_deficient(g)
+    assert rep.witness == deficient.complement()
+    assert len(rep.witness) == rep.security_index
+    assert matrix_rank(g.compacted(deficient)) < n
+
+
+def test_analyze_witness_is_the_first_deficient_selections_complement():
+    # sensors 1, 2 see mode 1 and sensors 3, 4 see mode 2: at the stopping size 2,
+    # {1,2} and {3,4} are both deficient, and the first of them names the witness
+    m = SystemModel(A=np.diag([0.5, 0.8]), B=np.zeros((2, 1)),
+                    C=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    rep = analyze(m)
+    assert rep.security_index == 2
+    assert rep.witness == IndexSet((3, 4), 4)
+
+
+def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
+    dense = SystemModel(A=np.random.default_rng(4).normal(size=(2, 2)), B=np.zeros((2, 1)),
+                        C=np.random.default_rng(5).normal(size=(7, 2)))
+    sizes = scanned_sizes(monkeypatch)
+    rep = analyze(dense)
+    assert (rep.security_index, sorted(rep.per_q_constants)) == (7, [1, 2, 3])
+    assert sizes == list(range(7, -1, -1))  # the constants of q = 1, 2, 3 scan nothing new
+    sizes.clear()
+    with pytest.raises(CorrectabilityError):  # q = 2 needs 1-block selections: one new scan
+        analyze(three_inertia, constants_q=2)
+    assert sizes == [5, 4, 3, 2, 1]

@@ -132,6 +132,34 @@ def test_detect_noisy_threshold_is_strict():
     assert not residual_detect_noisy(ONES3, z, crossing * 1.001).attacked
 
 
+def test_residual_detection_takes_one_svd_per_call(monkeypatch):
+    rng = np.random.default_rng(6)
+    phi = CodingMatrix(rng.normal(size=(8, 2)), 2, 4)
+    z = sv(rng.normal(size=8), 2, 4)
+    want = pinv(phi.entries) @ z.data
+    calls = []
+    svd, np_pinv = np.linalg.svd, np.linalg.pinv
+
+    def svd_spy(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+
+    def pinv_spy(*args, **kwargs):  # np.linalg.pinv takes an SVD of its own
+        calls.append("pinv")
+        return np_pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "pinv", pinv_spy)
+    res = residual_detect_noisy(phi, z, v_max=0.1)
+    assert calls == ["svd"]
+    # the rank check and the estimate come from that one decomposition, bit for bit
+    assert np.array_equal(res.estimate, want)
+    deficient = CodingMatrix(np.outer(rng.normal(size=8), [1.0, 1.0]), 2, 4)
+    with pytest.raises(ValueError, match="full column rank"):
+        residual_detect_noisy(deficient, z, v_max=0.1)
+    assert calls == ["svd", "svd"]
+
+
 # ---------------------------------------------------------------------------
 # candidate enumeration
 

@@ -172,6 +172,15 @@ def test_cli_analyze_three_inertia(tmp_path, capsys):
     assert "max_correctable_q: 1" in out
 
 
+def test_cli_analyze_names_witness(tmp_path, capsys):
+    model_file = write_json(tmp_path / "m.json", THREE_INERTIA_DOC)
+    assert main(["analyze", "--model", model_file]) == 0
+    assert "witness: {1,2,3}\n" in capsys.readouterr().out
+    assert main(["analyze", "--model", model_file, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["security_index"], doc["witness"]) == (3, [1, 2, 3])
+
+
 def test_cli_analyze_json_output(tmp_path, capsys):
     model_file = write_json(tmp_path / "m.json", SCALAR_MODEL_DOC)
     assert main(["analyze", "--model", model_file, "--q", "1", "--r", "2", "--json"]) == 0
@@ -189,6 +198,7 @@ def test_cli_analyze_unobservable_model(tmp_path, capsys):
     assert main(["analyze", "--model", model_file]) == 0
     out = capsys.readouterr().out
     assert "security_index: 0" in out
+    assert "witness: {}" in out
     assert "redundancy_degree: not observable" in out
 
 
@@ -354,6 +364,21 @@ def test_cli_simulate_malformed_scenario_shape_exit_2(tmp_path, capsys, doc):
 def test_cli_simulate_unwritable_output_exit_2(tmp_path, capsys):
     sfile = write_json(tmp_path / "s.json", scalar_scenario_doc(horizon=20))
     out = tmp_path / "missing_dir" / "t.csv"
+    assert main(["simulate", "--scenario", sfile, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write trace")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing_dir/t.csv", "."])
+def test_cli_simulate_checks_output_before_running(tmp_path, capsys, monkeypatch, where):
+    def never(scenario):
+        raise AssertionError("simulate ran although --out cannot be written")
+
+    monkeypatch.setattr("resilest.cli.simulate", never)
+    sfile = write_json(tmp_path / "s.json", scalar_scenario_doc(horizon=20))
+    out = tmp_path / where  # a path below a missing directory, or a directory itself
     assert main(["simulate", "--scenario", sfile, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
