@@ -180,11 +180,21 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+DEMO_PLOT_FILES = ("attacked_measurement.svg", "angle1_estimate.svg",
+                   "rate2_estimate.svg", "tracking.svg")
+DEMO_OUTPUT_FILES = ("scenario.json", "trace.csv") + DEMO_PLOT_FILES
+
+
 def cmd_demo(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     scenario_path = outdir / "scenario.json"
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+        # outputs are unlinked and re-created, so only a directory in the way
+        # fails; find it before the run, not after it
+        for name in DEMO_OUTPUT_FILES:
+            if (outdir / name).is_dir():
+                raise IsADirectoryError(f"{outdir / name} is a directory")
         save_scenario_dict(DEMO_SCENARIO, scenario_path)
     except OSError as exc:
         print(f"error: cannot write demo output: {exc}", file=sys.stderr)
@@ -192,7 +202,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     sc = load_scenario(scenario_path)
     trace = simulate(sc)
     trace_path = outdir / "trace.csv"
-    write_trace_csv(trace, trace_path)
 
     t = trace.t
     ref = np.where(
@@ -200,27 +209,27 @@ def cmd_demo(args: argparse.Namespace) -> int:
         DEMO_SCENARIO["controller"]["reference"],
         0.0,
     )
-    panels = [
-        ("attacked_measurement.svg", [("ybar_1", t, trace.ybar[:, 0])],
-         "Sensor 1 measurement under injection"),
-        ("angle1_estimate.svg",
-         [("theta_1", t, trace.x[:, 0]), ("theta_1 estimate", t, trace.x_hat[:, 0])],
+    panels = zip(DEMO_PLOT_FILES, [
+        ([("ybar_1", t, trace.ybar[:, 0])], "Sensor 1 measurement under injection"),
+        ([("theta_1", t, trace.x[:, 0]), ("theta_1 estimate", t, trace.x_hat[:, 0])],
          "First inertia angle and its estimate"),
-        ("rate2_estimate.svg",
-         [("rate_2", t, trace.x[:, 3]), ("rate_2 estimate", t, trace.x_hat[:, 3])],
+        ([("rate_2", t, trace.x[:, 3]), ("rate_2 estimate", t, trace.x_hat[:, 3])],
          "Second inertia rate and its estimate"),
-        ("tracking.svg",
-         [("reference", t, ref), ("theta_3", t, trace.x[:, 4])],
-         "Output tracking"),
-    ]
-    for fname, series, title in panels:
-        write_svg_plot(outdir / fname, series, title)
+        ([("reference", t, ref), ("theta_3", t, trace.x[:, 4])], "Output tracking"),
+    ])
+    try:
+        write_trace_csv(trace, trace_path)
+        for fname, (series, title) in panels:
+            write_svg_plot(outdir / fname, series, title)
+    except OSError as exc:
+        print(f"error: cannot write demo output: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
     errors = trace.estimation_errors()
     minimizer_steps = int(np.count_nonzero(trace.branch == 1))
     print(f"scenario={scenario_path}")
     print(f"trace={trace_path}")
-    print(f"plots={', '.join(str(outdir / f) for f, _, _ in panels)}")
+    print(f"plots={', '.join(str(outdir / f) for f in DEMO_PLOT_FILES)}")
     print(
         f"steps={trace.horizon} max_error={errors.max():.6g} "
         f"max_bound={trace.bound.max():.6g} minimizer_invocations={minimizer_steps}"

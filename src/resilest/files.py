@@ -9,8 +9,9 @@ are JSON.  The trace CSV has the fixed header
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Union
+from typing import TextIO, Union
 
 import numpy as np
 
@@ -153,8 +154,25 @@ def load_scenario(path: PathLike) -> Scenario:
         raise ScenarioValidationError(f"malformed scenario file: {exc}") from exc
 
 
+def open_fresh(path: PathLike) -> TextIO:
+    """Open ``path`` for writing as a new file: unlink what is there, then create.
+
+    Every output goes to a new inode, so a symlink or hard link at ``path``
+    is replaced rather than written through.  On ext4 with ``auto_da_alloc``
+    (the default), truncating the previous run's file first writes back its
+    delayed-allocation data, and renaming a temporary file over it flushes
+    the new one; a rerun waits for that writeback.  Unlinking waits for
+    neither.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "x")
+
+
 def save_scenario_dict(doc: dict, path: PathLike) -> None:
-    with open(path, "w") as fh:
+    with open_fresh(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -212,23 +230,22 @@ def trace_header(n: int, m: int, p: int) -> list[str]:
 
 
 def write_trace_csv(trace: Trace, path: PathLike) -> None:
+    """One row per step: integers by ``str``, floats by ``repr`` of ``.tolist()`` values."""
     n = trace.x.shape[1]
     m = trace.u.shape[1]
     p = trace.ybar.shape[1]
     header = ",".join(trace_header(n, m, p))
-    with open(path, "w") as fh:
+    with open_fresh(path) as fh:
         fh.write(header + "\n")
-        for k in range(trace.horizon):
-            parts = [str(int(trace.k[k])), repr(float(trace.t[k]))]
-            parts += [repr(float(v)) for v in trace.x[k]]
-            parts += [repr(float(v)) for v in trace.x_hat[k]]
-            parts += [repr(float(v)) for v in trace.u[k]]
-            parts += [repr(float(v)) for v in trace.ybar[k]]
-            parts += [repr(float(v)) for v in trace.a[k]]
-            parts += [
-                str(int(trace.f[k])),
-                str(int(trace.lam_mask[k])),
-                str(int(trace.branch[k])),
-                repr(float(trace.bound[k])),
-            ]
-            fh.write(",".join(parts) + "\n")
+        for lo in range(0, trace.horizon, 128):  # small slabs keep peak memory flat
+            rows = slice(lo, lo + 128)
+            floats = np.hstack((trace.t[rows, None], trace.x[rows], trace.x_hat[rows],
+                                trace.u[rows], trace.ybar[rows], trace.a[rows]))
+            fh.writelines(
+                f"{k},{','.join(map(repr, vals))},{f},{lam},{branch},{bound!r}\n"
+                for k, vals, f, lam, branch, bound in zip(
+                    trace.k[rows].tolist(), floats.tolist(), trace.f[rows].tolist(),
+                    trace.lam_mask[rows].tolist(), trace.branch[rows].tolist(),
+                    trace.bound[rows].tolist(),
+                )
+            )

@@ -11,6 +11,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .files import open_fresh
+
 _COLORS = ("#1f6fb2", "#d2442c", "#3d9948", "#8a56b0", "#b08c00")
 
 _WIDTH, _HEIGHT = 760, 380
@@ -102,4 +104,5 @@ def write_svg_plot(
         )
 
     lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open_fresh(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -2,12 +2,13 @@ import copy
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from resilest.analysis import RobustnessConstants
-from resilest.cli import DEMO_SCENARIO, main
+from resilest.cli import DEMO_OUTPUT_FILES, DEMO_SCENARIO, main
 from resilest.files import (
     load_model,
     load_scenario,
@@ -150,6 +151,61 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
     # spot-check column alignment: k column and bound column
     assert np.array_equal(data[:, 0], np.arange(12))
     assert np.allclose(data[:, -1], tr.bound)
+
+
+def reference_trace_csv(trace):
+    """The per-element formatting loop that ``write_trace_csv`` replaced."""
+    n, m, p = trace.x.shape[1], trace.u.shape[1], trace.ybar.shape[1]
+    out = [",".join(trace_header(n, m, p)) + "\n"]
+    for k in range(trace.horizon):
+        parts = [str(int(trace.k[k])), repr(float(trace.t[k]))]
+        parts += [repr(float(v)) for v in trace.x[k]]
+        parts += [repr(float(v)) for v in trace.x_hat[k]]
+        parts += [repr(float(v)) for v in trace.u[k]]
+        parts += [repr(float(v)) for v in trace.ybar[k]]
+        parts += [repr(float(v)) for v in trace.a[k]]
+        parts += [
+            str(int(trace.f[k])),
+            str(int(trace.lam_mask[k])),
+            str(int(trace.branch[k])),
+            repr(float(trace.bound[k])),
+        ]
+        out.append(",".join(parts) + "\n")
+    return "".join(out)
+
+
+def nonfinite_burst_trace():
+    """The demo plant with a NaN, inf, -inf and 1e308 burst on sensor 1."""
+    from resilest.plant import simulate
+
+    doc = copy.deepcopy(DEMO_SCENARIO)
+    doc["horizon"] = 2100  # sixteen 128-row slabs and a partial one
+    doc["attacks"] = [
+        {"sensor": 1, "start_step": 2000 + 3 * i, "end_step": 2003 + 3 * i,
+         "waveform": {"kind": "constant", "value": value}}
+        for i, value in enumerate([math.nan, math.inf, -math.inf, 1e308])
+    ]
+    tr = simulate(scenario_from_dict(doc))
+    for column in (tr.ybar[:, 0], tr.a[:, 0]):
+        assert np.isnan(column).any() and np.isposinf(column).any()
+        assert np.isneginf(column).any() and (column == 1e308).any()
+    return tr
+
+
+def negative_zero_trace():
+    from resilest.plant import simulate
+
+    tr = simulate(scenario_from_dict(scalar_scenario_doc(horizon=12)))
+    tr.t[0] = tr.x[1, 0] = tr.ybar[2, 1] = tr.a[3, 2] = tr.bound[4] = -0.0
+    return tr
+
+
+@pytest.mark.parametrize("make_trace", [nonfinite_burst_trace, negative_zero_trace])
+def test_trace_csv_bytes_match_per_element_reference(tmp_path, make_trace):
+    tr = make_trace()
+    out = tmp_path / "trace.csv"
+    write_trace_csv(tr, out)
+    assert out.read_bytes() == reference_trace_csv(tr).encode()
 
 
 def test_trace_header_three_inertia_width():
@@ -397,6 +453,33 @@ def test_cli_demo_output_over_a_file_exit_2(tmp_path, capsys):
     assert target.read_text() == "keep"
 
 
+@pytest.mark.parametrize("name", ["trace.csv", "tracking.svg"])
+def test_cli_demo_checks_outputs_before_running(tmp_path, capsys, monkeypatch, name):
+    def never(scenario):
+        raise AssertionError("simulate ran although a demo output cannot be written")
+
+    monkeypatch.setattr("resilest.cli.simulate", never)
+    (tmp_path / name).mkdir()
+    assert main(["demo", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write demo output")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_demo_write_failure_after_run_exit_2(tmp_path, capsys, monkeypatch, demo_run):
+    def refuse(path, *args):
+        raise PermissionError(f"cannot write {path}")
+
+    monkeypatch.setattr("resilest.cli.simulate", lambda scenario: demo_run["trace"])
+    monkeypatch.setattr("resilest.cli.write_svg_plot", refuse)
+    assert main(["demo", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write demo output")
+    assert captured.err.count("\n") == 1
+
+
 def test_scenario_accepts_positive_integer_recert_every():
     assert scenario_from_dict(scalar_scenario_doc(recert_every=10)).recert_every == 10
     assert scenario_from_dict(scalar_scenario_doc(recert_every=None)).recert_every is None
@@ -455,6 +538,24 @@ def test_cli_demo_scenario_revalidates(demo_run):
     lines = (demo_run["dir"] / "trace.csv").read_text().strip().split("\n")
     assert lines[0].split(",") == header_cols
     assert len(lines) == 1 + trace.horizon
+
+
+def test_cli_demo_rerun_replaces_outputs(tmp_path, capsys):
+    outdir = tmp_path / "demo"
+    assert main(["demo", "--out", str(outdir)]) == 0
+    first = {name: (outdir / name).read_bytes() for name in DEMO_OUTPUT_FILES}
+    # a hard link to each first-run file, whose shared inode is then marked
+    keep = tmp_path / "keep"
+    keep.mkdir()
+    for name in DEMO_OUTPUT_FILES:
+        os.link(outdir / name, keep / name)
+        (keep / name).write_bytes(b"first run " + name.encode())
+    assert main(["demo", "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    for name in DEMO_OUTPUT_FILES:
+        assert (outdir / name).read_bytes() == first[name], name
+        assert (keep / name).read_bytes() == b"first run " + name.encode(), name
+        assert not os.path.samefile(outdir / name, keep / name), name
 
 
 def test_cli_env_eps_override(tmp_path, monkeypatch, capsys):
