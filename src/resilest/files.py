@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from pathlib import Path
 from typing import TextIO, Union
 
@@ -157,18 +158,22 @@ def load_scenario(path: PathLike) -> Scenario:
 def open_fresh(path: PathLike) -> TextIO:
     """Open ``path`` for writing as a new file: unlink what is there, then create.
 
-    Every output goes to a new inode, so a symlink or hard link at ``path``
-    is replaced rather than written through.  On ext4 with ``auto_da_alloc``
+    When ``path`` names a regular file (directly or through a symlink), the
+    output goes to a new inode, so a symlink or hard link at ``path`` is
+    replaced rather than written through.  On ext4 with ``auto_da_alloc``
     (the default), truncating the previous run's file first writes back its
     delayed-allocation data, and renaming a temporary file over it flushes
     the new one; a rerun waits for that writeback.  Unlinking waits for
-    neither.
+    neither.  Anything else at ``path`` (a device such as ``/dev/null``, a
+    FIFO, a symlink to either) is opened and written as it stands, and so is
+    a regular file whose directory does not allow the unlink.
     """
     try:
-        os.unlink(path)
-    except FileNotFoundError:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            os.unlink(path)
+    except (FileNotFoundError, PermissionError):
         pass
-    return open(path, "x")
+    return open(path, "w")
 
 
 def save_scenario_dict(doc: dict, path: PathLike) -> None:

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from resilest.cli import DEMO_OUTPUT_FILES, DEMO_SCENARIO, main
 from resilest.files import (
     load_model,
     load_scenario,
+    open_fresh,
     read_matrix_csv,
     read_vector_csv,
     scenario_from_dict,
@@ -556,6 +559,59 @@ def test_cli_demo_rerun_replaces_outputs(tmp_path, capsys):
         assert (outdir / name).read_bytes() == first[name], name
         assert (keep / name).read_bytes() == b"first run " + name.encode(), name
         assert not os.path.samefile(outdir / name, keep / name), name
+
+
+def test_cli_simulate_writes_through_devices_and_fifos(tmp_path, capsys, monkeypatch):
+    # only a regular file is unlinked; a device, a FIFO or a symlink to either
+    # is written as it stands.  The unlink is refused here, so a regression
+    # fails the test without touching the device node.
+    unlinked = []
+
+    def refuse_unlink(path, *args, **kwargs):
+        unlinked.append(str(path))
+        raise AssertionError(f"unlink({path}) attempted")
+
+    monkeypatch.setattr(os, "unlink", refuse_unlink)
+    sfile = write_json(tmp_path / "s.json", scalar_scenario_doc(horizon=40))
+    assert main(["simulate", "--scenario", sfile, "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    link = tmp_path / "null_link.csv"
+    link.symlink_to(os.devnull)
+    assert main(["simulate", "--scenario", sfile, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == os.devnull
+
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    assert main(["simulate", "--scenario", sfile, "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    lines = received[0].decode().strip().split("\n")
+    assert lines[0].split(",") == trace_header(1, 1, 3) and len(lines) == 41
+    assert unlinked == []
+    capsys.readouterr()
+
+
+def test_open_fresh_truncates_in_place_when_unlink_is_refused(tmp_path, monkeypatch):
+    # an existing writable file in a directory that refuses the unlink (a
+    # read-only directory, for a user other than root) is written in place
+    target = tmp_path / "trace.csv"
+    target.write_text("old contents, longer than the new ones\n")
+    twin = tmp_path / "twin.csv"
+    os.link(target, twin)
+
+    def refuse_unlink(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(os, "unlink", refuse_unlink)
+    with open_fresh(target) as fh:
+        fh.write("new\n")
+    assert target.read_text() == "new\n"
+    assert os.path.samefile(target, twin)
 
 
 def test_cli_env_eps_override(tmp_path, monkeypatch, capsys):
