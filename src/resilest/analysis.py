@@ -1,15 +1,30 @@
 """Detectability, correctability, and security-index analysis of coding matrices.
 
 The central objects are an LTI plant ``x(k+1) = A x(k) + B u(k) + d(k)``,
-``y(k) = C x(k) + noise + attack`` and the stacked observability matrix built
-from the per-sensor observability blocks.  A coding matrix tolerates q
-corrupted sensor blocks exactly when every selection of ``p - q`` blocks
-retains full column rank; the security index is the smallest number of
-blocks an undetectable input can be confined to, i.e. the smallest q for
-which the plant is not q-redundant observable.  One stacked scan of the
-smallest singular value per selection size (exhaustive and batched: the
-intended envelope is small p, not large sensor networks) serves both views
-and also supplies the robustness constants' rho and rho_2q.
+``y(k) = C x(k) + noise + attack`` and its coding matrix ``Z'``: one block per
+sensor, the orthonormal staircase basis of that sensor's observable quotient
+padded with zero rows (:func:`coding_matrix`), the same matrix the estimator
+decodes with.  A coding matrix tolerates q corrupted sensor blocks exactly
+when every selection of ``p - q`` blocks retains full column rank; the
+security index is the smallest number of blocks an undetectable input can be
+confined to, i.e. the smallest q for which the plant is not q-redundant
+observable.  One scan of the smallest singular value per selection size
+(exhaustive and batched: the intended envelope is small p, not large sensor
+networks) serves both views and also supplies the robustness constants' rho
+and rho_2q.
+
+The scans work on one Gram table ``G_i = B_i'B_i`` per coding matrix: a 0/1
+membership product gives each selection's ``G_S = sum_{i in S} G_i``, one
+batched ``eigvalsh`` per chunk gives ``sigma_min^2 = lambda_min``, and the
+outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1 B_i')`` come from
+one batched Gram inverse per chunk.  The Gram values decide only what they can
+(``_linalg.gram_floor``: ``lambda_min`` must clear the squared SVD floor by
+more than the rounding bound ``sqrt(b)``).  Every other selection goes to the
+SVD route, and so does the one winning selection that sets each reported
+``rho``, ``rho_2q``, ``eta`` and ``eta_prime``.  So the rank decisions are the
+SVD route's on any coding matrix, and every constant is an SVD value of a
+real selection; where two selections tie to within the Gram rounding band
+(``sqrt(b)`` relative), the reported one may be the other's.
 """
 
 from __future__ import annotations
@@ -19,8 +34,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import eigvalsh, inv
 
-from ._linalg import pinv, sigma_min, spectral_norm
+from ._linalg import gram_floor, pinv, sigma_min, spectral_norm
 from .stacked import CodingMatrix, IndexSet
 
 __all__ = [
@@ -30,10 +46,12 @@ __all__ = [
     "SystemModel",
     "UnsupportedInputError",
     "analyze",
+    "coding_matrix",
     "is_q_error_correctable",
     "is_q_error_detectable",
     "is_q_redundant_observable",
     "observability_matrix",
+    "quotient_basis",
     "robustness_constants",
     "security_index",
     "security_index_eigenvector",
@@ -148,12 +166,62 @@ def sensor_observability_matrix(A: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def observability_matrix(model: SystemModel) -> CodingMatrix:
-    """Stacked observability matrix: one n x n sensor block per row slab."""
+    """Stacked monomial observability matrix: one n x n sensor block per row slab.
+
+    It is the input-output map of the first n samples (initial-state recovery
+    decodes with it); the analysis runs on :func:`coding_matrix`, which has the
+    same selection ranks in exact arithmetic and no powers of ``A``.
+    """
     blocks = [sensor_observability_matrix(model.A, model.C[i]) for i in range(model.p)]
     return CodingMatrix.from_blocks(blocks)
 
 
-_STACK_FLOATS = 1 << 15  # per chunk of stacked selections: 256 kB of intermediates
+# The staircase stops when the new direction is below this fraction of
+# ||A||_2; nu is the same for every value from 1e-6 to 1e-13 on the inertia
+# chains (N = 3..8, T_s = 0.1 ms..0.1 s) and first changes at 1e-14.
+_STAIRCASE_TOL = 1e-10
+
+
+def quotient_basis(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Orthonormal rows ``Z'`` (nu x n) spanning the observable quotient of ``(A, c)``.
+
+    The orthogonal staircase (Paige, IEEE TAC 1981; Van Dooren, IEEE TAC
+    1981) is Arnoldi with full reorthogonalization on the rows ``c, cA, ...``:
+    ``q_1 = c/|c|`` and ``q_{j+1}`` is the normalized part of ``q_j A``
+    orthogonal to ``q_1..q_j``, until that part falls below
+    ``_STAIRCASE_TOL * |A|_2``.  A zero row ``c`` observes nothing: no rows.
+    """
+    norm_c = float(np.linalg.norm(c))
+    if norm_c == 0.0:
+        return np.zeros((0, len(c)))
+    floor = _STAIRCASE_TOL * float(np.linalg.norm(A, 2))
+    Q = c[None] / norm_c  # the rows q_1, q_2, ... of Z'
+    while len(Q) < len(c):
+        v = Q[-1] @ A
+        for _ in range(2):  # a second Gram-Schmidt pass restores orthogonality to round-off
+            v = v - (Q @ v) @ Q
+        h = float(np.linalg.norm(v))
+        if h <= floor:
+            break
+        Q = np.vstack([Q, v / h])
+    return Q
+
+
+def coding_matrix(model: SystemModel) -> CodingMatrix:
+    """The padded staircase bases ``Z'``: block i is ``quotient_basis(A, c_i)`` over
+    ``n - nu_i`` zero rows (a zero block for a zero output row).
+
+    This is the estimator's coding matrix (``ObserverBank.phi``), bit for bit.
+    """
+    n = model.n
+    blocks = np.zeros((model.p, n, n))
+    for i, c in enumerate(model.C):
+        Q = quotient_basis(model.A, c)
+        blocks[i, : len(Q)] = Q
+    return CodingMatrix(blocks.reshape(model.p * n, n), n, model.p)
+
+
+_STACK_FLOATS = 1 << 15  # per chunk of selections: 256 kB of intermediates
 
 
 def sensor_selections(p: int, size: int) -> np.ndarray:
@@ -163,13 +231,26 @@ def sensor_selections(p: int, size: int) -> np.ndarray:
     return np.fromiter(members, dtype=np.intp, count=count * size).reshape(count, size)
 
 
-def _selection_stacks(phi: CodingMatrix, size: int, floats_per_selection: int):
-    """Lexicographic chunks of (0-based members, ``(c, size * n, n)`` compacted stack)."""
-    members = sensor_selections(phi.block_count, size)
+def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int,
+                     eps_rel: float | None):
+    """Lexicographic chunks of (0-based members, ``(c, n, n)`` Gram sums ``G_S``, their
+    ``lambda_min``, and whether ``_linalg.gram_floor`` certifies them full rank).
+
+    Each chunk's ``G_S`` is one product of its 0/1 membership rows with the Gram table,
+    and its eigenvalues one batched ``eigvalsh``.
+    """
+    p, n = phi.block_count, phi.block_len
+    members = sensor_selections(p, size)
+    table = phi.grams.reshape(p, n * n)
+    floor = gram_floor(size * n, n, eps_rel)
     step = max(1, _STACK_FLOATS // max(1, floats_per_selection))
     for start in range(0, len(members), step):
         chunk = members[start:start + step]
-        yield chunk, phi.selection_stack(chunk)
+        inside = np.zeros((len(chunk), p))
+        np.put_along_axis(inside, chunk, 1.0, axis=1)
+        grams = (inside @ table).reshape(len(chunk), n, n)
+        lam = eigvalsh(grams)
+        yield chunk, grams, lam[:, 0], lam[:, 0] > floor * lam[:, -1]  # False for NaN too
 
 
 def _selection_sigma_min(phi: CodingMatrix, size: int,
@@ -179,16 +260,35 @@ def _selection_sigma_min(phi: CodingMatrix, size: int,
     Stops at the first chunk holding a rank-deficient selection and returns 0.0 with the
     0-based members of the lexicographically first one; otherwise the minimum and None.
     This is the one selection scan: detectability, the security index and rho share it.
+    Selections the Gram eigenvalues cannot certify take the SVD, which decides their rank
+    and gives their ``sigma_min``; the minimum, if a certified selection holds it, is that
+    selection's SVD value.
     """
-    n = phi.block_len
-    rho = math.inf
-    for members, stack in _selection_stacks(phi, size, size * n * n):
-        smallest = sigma_min(stack, eps_rel)
-        first = int(np.argmin(smallest))
-        if smallest[first] == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
-            return 0.0, members[first]
-        rho = min(rho, float(smallest[first]))
+    rho, winner = math.inf, None  # winner: a certified selection to confirm by SVD
+    for members, _, smallest, certified in _selection_grams(phi, size, phi.block_len ** 2,
+                                                            eps_rel):
+        doubtful = np.flatnonzero(~certified)
+        if doubtful.size:
+            svd = sigma_min(phi.selection_stack(members[doubtful]), eps_rel)
+            first = int(np.argmin(svd))
+            if svd[first] == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
+                return 0.0, members[doubtful[first]]
+            if svd[first] < rho:
+                rho, winner = float(svd[first]), None
+        if doubtful.size < len(members):
+            best = int(np.argmin(np.where(certified, smallest, math.inf)))
+            if math.sqrt(smallest[best]) < rho:
+                rho, winner = math.sqrt(smallest[best]), members[best]
+    if winner is not None:
+        rho = float(sigma_min(phi.selection_stack(winner[None]), eps_rel)[0])
     return rho, None
+
+
+def _svd_gains(phi: CodingMatrix, members: np.ndarray, others: np.ndarray,
+               eps_rel: float | None) -> np.ndarray:
+    """The SVD route's ``|block_i @ pinv(selection)|``: a row per selection, one per ``others``."""
+    excluded = phi.blocks[others]
+    return spectral_norm(excluded @ pinv(phi.selection_stack(members), eps_rel)[:, None])
 
 
 def is_q_error_detectable(phi: CodingMatrix, q: int, eps_rel: float | None = None) -> bool:
@@ -243,7 +343,7 @@ def stacked_cospark(phi: CodingMatrix, eps_rel: float | None = None) -> int:
 
 def security_index(model: SystemModel, eps_rel: float | None = None) -> int:
     """Minimum number of corrupted sensors that can stay undetectable."""
-    return stacked_cospark(observability_matrix(model), eps_rel)
+    return stacked_cospark(coding_matrix(model), eps_rel)
 
 
 def security_index_eigenvector(
@@ -279,7 +379,7 @@ def security_index_eigenvector(
 
 def is_q_redundant_observable(model: SystemModel, q: int, eps_rel: float | None = None) -> bool:
     """True when (A, C) stays observable after removing any q sensor rows."""
-    return is_q_error_detectable(observability_matrix(model), q, eps_rel)
+    return is_q_error_detectable(coding_matrix(model), q, eps_rel)
 
 
 def robustness_constants(
@@ -321,31 +421,53 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float | None,
     rho_2q, rho = rho_of(p - 2 * q), rho_of(p - q)  # the first scan decides correctability
 
     def outside_gains(size: int) -> np.ndarray:
-        """Norms of ``block_i @ pinv(selection)``: a row per selection, 0 for its members."""
+        """``|block_i @ pinv(selection)|``: a row per selection, -inf at its members.
+
+        A certified selection reads ``sqrt(lambda_max(B_i G_S^-1 B_i'))`` from one batched
+        Gram inverse per chunk; the others take the SVD route."""
         tables = []
-        for members, stack in _selection_stacks(phi, size, (p - size + 3) * size * n * n):
-            outside = (np.arange(p) != members[:, :, None]).all(axis=1)
-            excluded = phi.blocks[np.nonzero(outside)[1]].reshape(len(members), p - size, n, n)
-            gains = np.zeros(outside.shape)
-            gains[outside] = spectral_norm(excluded @ pinv(stack, eps_rel)[:, None]).ravel()
+        chunks = _selection_grams(phi, size, (3 * (p - size) + 4) * n * n, eps_rel)
+        for members, grams, _, certified in chunks:
+            others = np.nonzero((np.arange(p) != members[:, :, None]).all(axis=1))[1]
+            others = others.reshape(len(members), p - size)
+            gains = np.full((len(members), p), -math.inf)
+            rows = np.flatnonzero(certified)
+            excluded = phi.blocks[others[rows]]
+            squared = eigvalsh(excluded @ inv(grams[rows])[:, None] @ excluded.swapaxes(2, 3))
+            gains[rows[:, None], others[rows]] = np.sqrt(squared[..., -1])
+            rows = np.flatnonzero(~certified)
+            if rows.size:  # a selection_stack needs at least one selection
+                gains[rows[:, None], others[rows]] = _svd_gains(phi, members[rows], others[rows],
+                                                                eps_rel)
             tables.append(gains)
         return np.concatenate(tables)
 
+    def confirmed(size: int, row: int, i: int) -> float:
+        """The SVD route's gain of block ``i`` on the ``row``-th ``size``-selection."""
+        members = sensor_selections(p, size)[row]
+        return float(_svd_gains(phi, members[None], np.array([[i]]), eps_rel)[0, 0])
+
     # each distinct selection is inverted once, for eta and eta_prime alike
     tables = {size: outside_gains(size) for size in {p - q, p - r}}
-    eta = float(tables[p - q].max(initial=0.0))
+    eta = 0.0
+    if q > 0:
+        eta = confirmed(p - q, *np.unravel_index(np.argmax(tables[p - q]), tables[p - q].shape))
 
-    # eta_prime: max over lam of the min over its subselections bar of lam's largest gain;
-    # at r == q lam is its own only subselection and excludes none of lam's blocks
+    # eta_prime: max over lam of the min over its subselections bar of lam's largest gain,
+    # read at the winning (bar, block) pair; at r == q lam is its own only subselection and
+    # excludes none of lam's blocks
     eta_prime = 0.0
     if r > q:
         outer = sensor_selections(p, p - q)
         subs = outer[:, sensor_selections(p - q, p - r)]  # each lam's subselections
         # every (p - r)-selection is one; unique() sorts them into the table's lexicographic rows
         index = np.unique(subs.reshape(-1, p - r), axis=0, return_inverse=True)[1]
-        gains = tables[p - r][index.reshape(subs.shape[:2])]
-        worst = np.take_along_axis(gains, outer[:, None], axis=2)
-        eta_prime = float(worst.max(axis=2).min(axis=1).max(initial=0.0))
+        index = index.reshape(subs.shape[:2])
+        worst = np.take_along_axis(tables[p - r][index], outer[:, None], axis=2)
+        largest = worst.max(axis=2)
+        lam = int(np.argmax(largest.min(axis=1)))
+        bar = int(np.argmin(largest[lam]))
+        eta_prime = confirmed(p - r, index[lam, bar], outer[lam, np.argmax(worst[lam, bar])])
 
     sqrt_p = math.sqrt(p)
     kappa_d = (sqrt_p + 1.0) * math.sqrt(p - q) / rho
@@ -376,7 +498,11 @@ def analyze(
     r: int | None = None,
     eps_rel: float | None = None,
 ) -> AnalysisReport:
-    """Full resilience report for a model.
+    """Full resilience report for a model, taken on its coding matrix ``Z'``.
+
+    The index, the witness and the constants are those of :func:`coding_matrix`,
+    the matrix the estimator decodes with, so the constants equal the
+    estimator's own ``robustness_constants(bank.phi, q, r)``.
 
     ``max_detectable_q`` is ``security_index - 1`` (a value of -1 marks an
     unobservable pair), ``max_correctable_q`` is its floor half, and the
@@ -387,8 +513,8 @@ def analyze(
     undetectable: the complement of the lexicographically first rank-deficient
     selection where the index scan stops (empty for an unobservable pair).
     """
-    g = observability_matrix(model)
-    alpha, rhos, deficient = _index_scan(g, eps_rel)
+    z = coding_matrix(model)
+    alpha, rhos, deficient = _index_scan(z, eps_rel)
     max_detectable = alpha - 1
     max_correctable = max_detectable // 2 if max_detectable >= 0 else -1
 
@@ -405,7 +531,7 @@ def analyze(
         if q < 1 or model.p < 2 * q + 1:
             continue
         rr = r if r is not None else q
-        per_q[q] = _constants(g, q, rr, eps_rel, rhos)
+        per_q[q] = _constants(z, q, rr, eps_rel, rhos)
 
     return AnalysisReport(
         security_index=alpha,

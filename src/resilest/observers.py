@@ -16,14 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._linalg import spectral_norm
-from .analysis import SystemModel
+from .analysis import SystemModel, quotient_basis
 
 POLE_MATCH_TOL = 1e-6
-
-# The staircase stops when the new direction is below this fraction of
-# ||A||_2; nu is the same for every value from 1e-6 to 1e-13 on the inertia
-# chains (N = 3..8, T_s = 0.1 ms..0.1 s) and first changes at 1e-14.
-_STAIRCASE_TOL = 1e-10
 
 _POWER_CAP = 2_000_000
 _POWER_CHUNK = 256  # powers generated, then normed by one batched SVD
@@ -56,31 +51,18 @@ class PartialObserver:
 def kalman_decompose(model: SystemModel, i: int) -> PartialObserver:
     """Observability decomposition for sensor ``i`` (1-based), gain unset.
 
-    The orthogonal staircase (Paige, IEEE TAC 1981; Van Dooren, IEEE TAC
-    1981) is Arnoldi with full reorthogonalization on the rows ``c, cA, ...``:
-    ``q_1 = c/|c|`` and ``q_{j+1}`` is the normalized part of ``q_j A``
-    orthogonal to ``q_1..q_j``, until that part falls below
-    ``_STAIRCASE_TOL * |A|_2``.  The rows span the observable quotient, so
-    ``Z' A = S Z'`` with ``S`` lower Hessenberg and ``t = |c| e_1'``.
+    The quotient basis is :func:`resilest.analysis.quotient_basis`, the orthogonal
+    staircase on the rows ``c, cA, ...``, so ``Z' A = S Z'`` with ``S`` lower
+    Hessenberg and ``t = |c| e_1'``.  A zero output row raises ``ValueError``.
     """
     if not 1 <= i <= model.p:
         raise ValueError(f"sensor index {i} outside 1..{model.p}")
     c = model.C[i - 1]
-    norm_c = float(np.linalg.norm(c))
-    if norm_c == 0.0:
+    Q = quotient_basis(model.A, c)
+    if not len(Q):
         raise ValueError(f"sensor {i} observes nothing (zero output row)")
-    floor = _STAIRCASE_TOL * float(np.linalg.norm(model.A, 2))
-    Q = c[None] / norm_c  # the rows q_1, q_2, ... of Z'
-    while len(Q) < model.n:
-        v = Q[-1] @ model.A
-        for _ in range(2):  # a second Gram-Schmidt pass restores orthogonality to round-off
-            v = v - (Q @ v) @ Q
-        h = float(np.linalg.norm(v))
-        if h <= floor:
-            break
-        Q = np.vstack([Q, v / h])
     return PartialObserver(sensor_index=i, nu=len(Q), Z=Q.T, S=Q @ model.A @ Q.T,
-                           t=norm_c * np.eye(1, len(Q)), Bz=Q @ model.B)
+                           t=float(np.linalg.norm(c)) * np.eye(1, len(Q)), Bz=Q @ model.B)
 
 
 def default_poles(nu: int, radius: float = 0.5) -> np.ndarray:

@@ -11,6 +11,7 @@ All operations here are pure; none mutate their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -165,6 +166,12 @@ class CodingMatrix:
     def blocks(self) -> np.ndarray:
         """The row slabs as a ``(block_count, n, n)`` view."""
         return self.entries.reshape(self.block_count, self.block_len, self.block_len)
+
+    @cached_property
+    def grams(self) -> np.ndarray:
+        """Gram table ``B_i'B_i`` of the row slabs, ``(block_count, n, n)``, formed once."""
+        blocks = self.blocks
+        return blocks.transpose(0, 2, 1) @ blocks
 
     def selection_stack(self, members: np.ndarray) -> np.ndarray:
         """Row slabs of each row of 0-based ``members`` (c, size), compacted: ``(c, size*n, n)``."""

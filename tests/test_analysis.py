@@ -14,6 +14,7 @@ from resilest.analysis import (
     SystemModel,
     UnsupportedInputError,
     analyze,
+    coding_matrix,
     is_q_error_correctable,
     is_q_error_detectable,
     is_q_redundant_observable,
@@ -161,27 +162,36 @@ def test_stacked_cospark_equals_selection_loop(seed, n, p, style, eps_rel):
     assert stacked_cospark(phi, eps_rel) == reference_cospark(phi, eps_rel)
 
 
-@pytest.mark.parametrize(("stack_floats", "calls"), [(analysis._STACK_FLOATS, 10), (64, 164)])
+@pytest.mark.parametrize(("stack_floats", "calls"), [(analysis._STACK_FLOATS, 10), (64, 38)])
 def test_stacked_cospark_checks_ranks_per_chunk(monkeypatch, stack_floats, calls):
     phi = CodingMatrix(np.random.default_rng(3).normal(size=(18, 2)), 2, 9)
     want = reference_cospark(phi)
-    shapes = []
+    grams, stacks = [], []
 
-    def spy(matrix, eps_rel=None):
-        shapes.append(np.shape(matrix))
+    def spy_eigvalsh(matrix):
+        grams.append(np.shape(matrix))
+        return np.linalg.eigvalsh(matrix)
+
+    def spy_sigma_min(matrix, eps_rel=None):
+        stacks.append(np.shape(matrix))
         return sigma_min(matrix, eps_rel)
 
-    monkeypatch.setattr(analysis, "sigma_min", spy)
+    monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
+    monkeypatch.setattr(analysis, "sigma_min", spy_sigma_min)
     monkeypatch.setattr(analysis, "_STACK_FLOATS", stack_floats)
     assert stacked_cospark(phi) == want == 9
-    # one stacked SVD per chunk of each size 9, 8, ..., 0: not one per selection (2^9)
+    # one batched eigvalsh of the Gram sums per chunk of each size 9, 8, ..., 0: not one per
+    # selection (2^9)
     chunks = []
     for size in range(9, -1, -1):
-        step = max(1, stack_floats // max(1, size * 4))
+        step = max(1, stack_floats // 4)
         count = math.comb(9, size)
-        chunks += [(min(step, count - start), 2 * size, 2) for start in range(0, count, step)]
-    assert shapes == chunks
-    assert len(shapes) == calls
+        chunks += [(min(step, count - start), 2, 2) for start in range(0, count, step)]
+    assert grams == chunks
+    assert len(grams) == calls
+    # the SVD confirms each size's winner, and decides the empty selection, which no Gram
+    # eigenvalue certifies
+    assert stacks == [(1, 2 * size, 2) for size in range(9, 0, -1)] + [(1, 0, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +213,49 @@ def test_security_index_unobservable():
     m = SystemModel(A=np.diag([1.0, 2.0]), B=np.zeros((2, 1)),
                     C=[[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     assert security_index(m) == 0
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_security_index_equals_eigenvector_oracle_on_1ms_chains(inertia_chain, N):
+    # the monomial matrix read index 6 for N = 7 and 8: at 1 ms its selections fall to
+    # round-off; the staircase bases keep every rank
+    model = inertia_chain(N, 0.001)
+    assert security_index(model) == security_index_eigenvector(model) == N
+
+
+def test_coding_matrix_is_the_estimators_phi_bit_for_bit(three_inertia, inertia_chain):
+    from resilest.estimator import ObserverBank
+    from resilest.plant import ObserverConfig, build_observer_bank
+
+    for model in (three_inertia, inertia_chain(5, 0.01)):
+        bank = build_observer_bank(model, ObserverConfig(mode="contract", factor=0.98))
+        phi = ObserverBank.stack(bank).phi
+        z = coding_matrix(model)
+        assert (z.block_len, z.block_count) == (phi.block_len, phi.block_count)
+        assert z.entries.tobytes() == phi.entries.tobytes()
+
+
+def test_analyze_constants_are_the_estimators(three_inertia):
+    from resilest.estimator import ObserverBank
+    from resilest.plant import ObserverConfig, build_observer_bank
+
+    bank = build_observer_bank(three_inertia, ObserverConfig("contract", factor=0.98))
+    want = robustness_constants(ObserverBank.stack(bank).phi, 1, 1)
+    assert analyze(three_inertia).per_q_constants[1] == want
+    assert want.kappa_c == pytest.approx(5.196152422706633, rel=1e-12)
+
+
+def test_zero_output_row_reads_as_a_blind_sensor():
+    # sensor 2 observes nothing: a zero block, not a ValueError
+    A = np.array([[0.9, 0.2, 0.0], [0.0, 0.8, 0.1], [0.0, 0.0, 0.7]])
+    C = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    model = SystemModel(A=A, B=np.zeros((3, 1)), C=C)
+    z = coding_matrix(model)
+    assert not z.block(2).any()
+    g = observability_matrix(model)
+    rep = analyze(model)
+    assert rep.security_index == security_index(model) == reference_cospark(g)
+    assert rep.witness == reference_first_deficient(g).complement()
 
 
 def test_eigenvector_route_rejects_repeated_spectrum():
@@ -478,16 +531,24 @@ def test_sigma_min_reads_zero_below_full_column_rank():
 def test_constants_take_one_stacked_pinv_per_selection_size(monkeypatch):
     phi = CodingMatrix(np.random.default_rng(9).normal(size=(18, 2)), 2, 9)
     want = reference_constants(phi, 2, 4)
-    shapes = []
+    inverses, pinvs = [], []
 
-    def spy(matrix, eps_rel=None):
-        shapes.append(np.shape(matrix))
+    def spy_inv(matrix):
+        inverses.append(np.shape(matrix))
+        return np.linalg.inv(matrix)
+
+    def spy_pinv(matrix, eps_rel=None):
+        pinvs.append(np.shape(matrix))
         return pinv(matrix, eps_rel)
 
-    monkeypatch.setattr(analysis, "pinv", spy)
+    monkeypatch.setattr(analysis, "inv", spy_inv)
+    monkeypatch.setattr(analysis, "pinv", spy_pinv)
     assert robustness_constants(phi, 2, 4) == want
-    # every 7-block and every 5-block selection once: 36 + 126, not 36 + 36 * 21
-    assert sorted(shapes) == [(36, 14, 2), (126, 10, 2)]
+    # one Gram inverse per chunk: every 7-block and every 5-block selection once,
+    # 36 + 126, not 36 + 36 * 21
+    assert sorted(inverses) == [(36, 2, 2), (126, 2, 2)]
+    # and one SVD pinv for each winner: eta's 7-selection and eta_prime's 5-selection
+    assert sorted(pinvs) == [(1, 10, 2), (1, 14, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -636,16 +697,18 @@ def test_analyze_equals_its_public_pieces(seed, n, p, style):
         A = np.diag(np.arange(1.0, n + 1.0) / (n + 1))
         C = (C != 0.0).astype(float)
     model = SystemModel(A=A, B=np.zeros((n, 1)), C=C)
-    g = observability_matrix(model)
+    z = coding_matrix(model)
     rep = analyze(model)
-    assert rep.security_index == reference_cospark(g)
+    assert rep.security_index == reference_cospark(z)
+    # the staircase bases and the monomial matrix share every selection's rank
+    assert rep.security_index == reference_cospark(observability_matrix(model))
     assert set(rep.per_q_constants) == set(range(1, rep.max_correctable_q + 1))
     for q, constants in rep.per_q_constants.items():
-        assert constants == robustness_constants(g, q, q)
-    deficient = reference_first_deficient(g)
+        assert constants == robustness_constants(z, q, q)
+    deficient = reference_first_deficient(z)
     assert rep.witness == deficient.complement()
     assert len(rep.witness) == rep.security_index
-    assert matrix_rank(g.compacted(deficient)) < n
+    assert matrix_rank(z.compacted(deficient)) < n
 
 
 def test_analyze_witness_is_the_first_deficient_selections_complement():

@@ -350,3 +350,9 @@ def test_simulate_isolates_nonfinite_attack(value):
     assert np.all(np.isfinite(errors))
     assert np.count_nonzero(errors > tr.bound) == 0
     assert not tr.lam_mask[-1] & 1  # sensor 1 untrusted at the last step
+
+
+def test_validate_accepts_q3_on_the_1ms_eight_inertia_chain(inertia_chain):
+    # 6-redundant observable (security index 8): the monomial route read index 6 and
+    # rejected this scenario as "not 6-redundant observable"
+    Scenario(model=inertia_chain(8, 0.001), horizon=1, q=3, r=3).validate()
