@@ -6,7 +6,6 @@ partial observers with a switching decoder, and a simulation testbed with a
 built-in three-inertia benchmark plant.
 """
 
-from ._linalg import get_eps_rel, set_eps_rel
 from .analysis import (
     AnalysisReport,
     CorrectabilityError,
@@ -66,11 +65,6 @@ from .plant import (
     three_inertia_model,
     zoh_discretize,
 )
-from .stacked import (
-    CodingMatrix,
-    IndexSet,
-    StackedVector,
-    stacked_support,
-)
+from .stacked import CodingMatrix, IndexSet, StackedVector
 
 __version__ = "0.1.0"

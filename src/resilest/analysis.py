@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import eigvalsh, inv
 
-from ._linalg import gram_floor, pinv, sigma_min, spectral_norm
+from ._linalg import DEFAULT_EPS_REL, gram_floor, pinv, sigma_min, spectral_norm
 from .stacked import CodingMatrix, IndexSet
 
 __all__ = [
@@ -232,7 +232,7 @@ def sensor_selections(p: int, size: int) -> np.ndarray:
 
 
 def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int,
-                     eps_rel: float | None):
+                     eps_rel: float):
     """Lexicographic chunks of (0-based members, ``(c, n, n)`` Gram sums ``G_S``, their
     ``lambda_min``, and whether ``_linalg.gram_floor`` certifies them full rank).
 
@@ -254,7 +254,7 @@ def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int,
 
 
 def _selection_sigma_min(phi: CodingMatrix, size: int,
-                         eps_rel: float | None) -> tuple[float, np.ndarray | None]:
+                         eps_rel: float) -> tuple[float, np.ndarray | None]:
     """Smallest ``sigma_min`` over the ``size``-selections, and the first deficient selection.
 
     Stops at the first chunk holding a rank-deficient selection and returns 0.0 with the
@@ -285,13 +285,13 @@ def _selection_sigma_min(phi: CodingMatrix, size: int,
 
 
 def _svd_gains(phi: CodingMatrix, members: np.ndarray, others: np.ndarray,
-               eps_rel: float | None) -> np.ndarray:
+               eps_rel: float) -> np.ndarray:
     """The SVD route's ``|block_i @ pinv(selection)|``: a row per selection, one per ``others``."""
     excluded = phi.blocks[others]
     return spectral_norm(excluded @ pinv(phi.selection_stack(members), eps_rel)[:, None])
 
 
-def is_q_error_detectable(phi: CodingMatrix, q: int, eps_rel: float | None = None) -> bool:
+def is_q_error_detectable(phi: CodingMatrix, q: int, eps_rel: float = DEFAULT_EPS_REL) -> bool:
     """True when every selection of ``p - q`` blocks has full column rank.
 
     Checking only selections of exactly ``p - q`` blocks suffices: adding
@@ -303,7 +303,7 @@ def is_q_error_detectable(phi: CodingMatrix, q: int, eps_rel: float | None = Non
     return _selection_sigma_min(phi, p - q, eps_rel)[0] > 0.0
 
 
-def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float | None = None) -> bool:
+def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float = DEFAULT_EPS_REL) -> bool:
     """True when any two q-block corruptions remain distinguishable.
 
     Equivalent to 2q-error detectability; for ``2q > p`` this is never
@@ -316,7 +316,7 @@ def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float | None = No
     return is_q_error_detectable(phi, 2 * q, eps_rel)
 
 
-def _index_scan(phi: CodingMatrix, eps_rel: float | None):
+def _index_scan(phi: CodingMatrix, eps_rel: float):
     """Selection sizes p, p - 1, ... down to the first with a rank-deficient selection.
 
     Returns the cospark, the smallest ``sigma_min`` of every size scanned (0.0 at the
@@ -332,7 +332,7 @@ def _index_scan(phi: CodingMatrix, eps_rel: float | None):
     raise AssertionError("unreachable: the empty selection is rank deficient")
 
 
-def stacked_cospark(phi: CodingMatrix, eps_rel: float | None = None) -> int:
+def stacked_cospark(phi: CodingMatrix, eps_rel: float = DEFAULT_EPS_REL) -> int:
     """Minimum number of nonzero blocks of ``phi @ x`` over nonzero ``x``.
 
     Equals the smallest ``q`` for which ``phi`` is not q-error detectable:
@@ -341,7 +341,7 @@ def stacked_cospark(phi: CodingMatrix, eps_rel: float | None = None) -> int:
     return _index_scan(phi, eps_rel)[0]
 
 
-def security_index(model: SystemModel, eps_rel: float | None = None) -> int:
+def security_index(model: SystemModel, eps_rel: float = DEFAULT_EPS_REL) -> int:
     """Minimum number of corrupted sensors that can stay undetectable."""
     return stacked_cospark(coding_matrix(model), eps_rel)
 
@@ -377,7 +377,8 @@ def security_index_eigenvector(
     return best
 
 
-def is_q_redundant_observable(model: SystemModel, q: int, eps_rel: float | None = None) -> bool:
+def is_q_redundant_observable(model: SystemModel, q: int,
+                              eps_rel: float = DEFAULT_EPS_REL) -> bool:
     """True when (A, C) stays observable after removing any q sensor rows."""
     return is_q_error_detectable(coding_matrix(model), q, eps_rel)
 
@@ -386,21 +387,22 @@ def robustness_constants(
     phi: CodingMatrix,
     q: int,
     r: int,
-    eps_rel: float | None = None,
+    eps_rel: float = DEFAULT_EPS_REL,
 ) -> RobustnessConstants:
     """Evaluate every worst-case constant by exhaustive subset enumeration.
 
     Requires ``q <= r <= 2q`` and ``p >= 2q + 1``.  Pseudoinverses are taken
     on compacted selections; a maximum over an empty index collection is 0.
 
-    Raises :class:`CorrectabilityError` when the (p-2q)-selections are not
-    all full rank (the constants are undefined without q-error
-    correctability), read from the same SVDs that give ``rho_2q``.
+    Raises :class:`CorrectabilityError` when ``p < 2q + 1`` or the
+    (p-2q)-selections are not all full rank (the constants are undefined
+    without q-error correctability), read from the same SVDs that give
+    ``rho_2q``.
     """
     return _constants(phi, q, r, eps_rel, {})
 
 
-def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float | None,
+def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
                rhos: dict[int, float]) -> RobustnessConstants:
     """:func:`robustness_constants`, reading rho of a selection size from ``rhos`` when
     an earlier scan recorded it, and recording every size it scans itself."""
@@ -408,7 +410,8 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float | None,
     if not q <= r <= 2 * q:
         raise ValueError(f"need q <= r <= 2q, got q={q}, r={r}")
     if p < 2 * q + 1:
-        raise ValueError(f"need p >= 2q+1 for the correction constants, got p={p}, q={q}")
+        raise CorrectabilityError(f"constants undefined: q={q} needs p >= 2q+1 sensors, "
+                                  f"got p={p}")
 
     def rho_of(size: int) -> float:
         if size not in rhos:
@@ -496,7 +499,7 @@ def analyze(
     model: SystemModel,
     constants_q: int | None = None,
     r: int | None = None,
-    eps_rel: float | None = None,
+    eps_rel: float = DEFAULT_EPS_REL,
 ) -> AnalysisReport:
     """Full resilience report for a model, taken on its coding matrix ``Z'``.
 
@@ -507,8 +510,11 @@ def analyze(
     ``max_detectable_q`` is ``security_index - 1`` (a value of -1 marks an
     unobservable pair), ``max_correctable_q`` is its floor half, and the
     redundancy degree coincides with ``max_detectable_q``.  Robustness
-    constants are attached for ``constants_q`` (default: every feasible q up
-    to the correctable maximum) with search size ``r`` (default ``q``).
+    constants are attached for ``constants_q`` (default: every q from 1 up
+    to the correctable maximum) with search size ``r`` (default ``q``).  An
+    explicit ``constants_q`` below 1 raises ``ValueError``; one the model
+    cannot correct (``p < 2q + 1`` or a rank-deficient ``(p - 2q)``-selection)
+    raises :class:`CorrectabilityError`.
     ``witness`` names ``security_index`` sensors whose corruption can stay
     undetectable: the complement of the lexicographically first rank-deficient
     selection where the index scan stops (empty for an unobservable pair).
@@ -518,18 +524,16 @@ def analyze(
     max_detectable = alpha - 1
     max_correctable = max_detectable // 2 if max_detectable >= 0 else -1
 
-    qs: list[int]
+    qs = range(1, max_correctable + 1)  # each has p >= alpha >= 2q + 1
     if constants_q is not None:
+        if constants_q < 1:
+            raise ValueError(f"constants_q must be at least 1, got {constants_q}")
         qs = [constants_q]
-    else:
-        qs = [q for q in range(1, max_correctable + 1)]
 
     # the index scan recorded rho down to size p - alpha, so every correctable q reads its
     # rho and rho_2q from it; only a q beyond the correctable maximum scans a further size
     per_q: dict[int, RobustnessConstants] = {}
     for q in qs:
-        if q < 1 or model.p < 2 * q + 1:
-            continue
         rr = r if r is not None else q
         per_q[q] = _constants(z, q, rr, eps_rel, rhos)
 

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 invalid input (including malformed JSON shapes and
 unwritable outputs), 3 mathematical precondition failed (non-correctable
 coding matrix, undefined constants).  The environment variable
-``RESILEST_EPS`` overrides the relative rank tolerance.
+``RESILEST_EPS`` sets the relative rank tolerance ``eps_rel`` of ``analyze`` and
+``decode``; ``simulate`` and ``demo`` decide on the orthonormal coding matrix
+``Z'`` with the default.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _linalg
+from ._linalg import DEFAULT_EPS_REL
 from .analysis import CorrectabilityError, analyze
 from .decoding import decode_noiseless, decode_noisy
 from .files import (
@@ -69,7 +71,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: invalid model: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
-        report = analyze(model, constants_q=args.q, r=args.r)
+        report = analyze(model, constants_q=args.q, r=args.r, eps_rel=args.eps_rel)
     except CorrectabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -155,9 +157,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
     try:
         if args.vmax is not None:
-            result = decode_noisy(phi, z, args.q, args.r, args.vmax)
+            result = decode_noisy(phi, z, args.q, args.r, args.vmax, eps_rel=args.eps_rel)
         else:
-            result = decode_noiseless(phi, z, args.q, args.r)
+            result = decode_noiseless(phi, z, args.q, args.r, eps_rel=args.eps_rel)
     except CorrectabilityError as exc:
         print(
             f"error: {exc} (correctability of q errors needs every "
@@ -273,14 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    eps_env = os.environ.get("RESILEST_EPS")
-    if eps_env is not None:
-        try:
-            _linalg.set_eps_rel(float(eps_env))
-        except ValueError as exc:
-            print(f"error: bad RESILEST_EPS: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
+    try:
+        eps_rel = float(os.environ.get("RESILEST_EPS", DEFAULT_EPS_REL))
+        if not 0.0 < eps_rel < 1.0:
+            raise ValueError(f"eps_rel must lie in (0, 1), got {eps_rel}")
+    except ValueError as exc:
+        print(f"error: bad RESILEST_EPS: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     args = build_parser().parse_args(argv)
+    args.eps_rel = eps_rel
     return args.func(args)
 
 

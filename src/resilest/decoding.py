@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _relative_floor, pinv
+from ._linalg import DEFAULT_EPS_REL, _relative_floor, pinv
 from .analysis import (
     CorrectabilityError,
     RobustnessConstants,
@@ -54,7 +54,7 @@ def _projection_residual(phi: CodingMatrix, z: StackedVector) -> tuple[np.ndarra
     """Least-squares estimate and residual from one SVD, used for both the rank check
     and the pseudoinverse (formed as ``np.linalg.pinv`` forms it)."""
     u, s, vt = np.linalg.svd(phi.entries, full_matrices=False)
-    large = s > _relative_floor(phi.entries, None) * s[:1]
+    large = s > _relative_floor(phi.entries, DEFAULT_EPS_REL) * s[:1]
     if np.count_nonzero(large) < phi.block_len:
         raise ValueError("coding matrix must have full column rank")
     inverse = np.divide(1, s, where=large, out=np.zeros_like(s))
@@ -97,8 +97,7 @@ def residual_detect_noisy(
     only that any corruption is small enough for the least-squares estimate
     to remain accurate.
     """
-    if v_max < 0:
-        raise ValueError("v_max must be nonnegative")
+    _check_v_max(v_max)
     x_hat, residual = _projection_residual(phi, z)
     norms = residual.block_norms()
     threshold = math.sqrt(phi.block_count) * v_max
@@ -109,6 +108,11 @@ def residual_detect_noisy(
         per_block_residual_norms=norms,
         threshold=threshold,
     )
+
+
+def _check_v_max(v_max: float) -> None:
+    if not 0.0 <= v_max < math.inf:
+        raise ValueError(f"v_max must be finite and nonnegative, got {v_max}")
 
 
 def block_misfits(phi: CodingMatrix, z: StackedVector, estimates: np.ndarray) -> np.ndarray:
@@ -138,12 +142,12 @@ class CandidateStack:
     pinvs: np.ndarray
 
     @classmethod
-    def build(cls, phi: CodingMatrix, r: int) -> "CandidateStack":
+    def build(cls, phi: CodingMatrix, r: int, eps_rel: float = DEFAULT_EPS_REL) -> "CandidateStack":
         p = phi.block_count
         if not 0 <= r <= p:
             raise ValueError(f"r must lie in 0..{p}, got {r}")
         members = sensor_selections(p, p - r)
-        return cls(phi, r, members, pinv(phi.selection_stack(members)))
+        return cls(phi, r, members, pinv(phi.selection_stack(members), eps_rel))
 
     def estimates(self, z: StackedVector) -> np.ndarray:
         """Every candidate's least-squares estimate, one row per selection."""
@@ -174,25 +178,27 @@ def decode_noiseless(
     q: int,
     r: int | None = None,
     support_tol: float | None = None,
+    eps_rel: float = DEFAULT_EPS_REL,
 ) -> DecodeResult:
     """Recover ``x`` from ``z = Phi x + e`` with at most q corrupted blocks.
 
     Searches the candidate set with ``q <= r <= 2q`` (default ``r = q``,
     the cheapest choice for small q) and minimizes the number of nonzero
     residual blocks.  With q-error correctability the minimizer is exact,
-    and an objective value of at most q certifies it.
+    and an objective value of at most q certifies it.  ``eps_rel`` is the
+    relative rank tolerance of the correctability check and the candidates.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
     r = q if r is None else r
     if not q <= r <= 2 * q:
         raise ValueError(f"need q <= r <= 2q, got q={q}, r={r}")
-    if not is_q_error_correctable(phi, q):
+    if not is_q_error_correctable(phi, q, eps_rel):
         raise CorrectabilityError(
             f"coding matrix is not {q}-error correctable; decoding is ill-posed"
         )
     tol = default_support_tol(z) if support_tol is None else support_tol
-    estimate, objective, support = CandidateStack.build(phi, r).search(z, tol)
+    estimate, objective, support = CandidateStack.build(phi, r, eps_rel).search(z, tol)
     return DecodeResult(
         estimate=estimate,
         support_estimate=support,
@@ -209,26 +215,28 @@ def decode_noisy(
     r: int | None = None,
     v_max: float = 0.0,
     constants: RobustnessConstants | None = None,
+    eps_rel: float = DEFAULT_EPS_REL,
 ) -> DecodeResult:
     """Recover ``x`` from ``z = Phi x + e + v`` with bounded per-block noise.
 
     The violation threshold is ``theta * v_max``; any minimizer of the
     violation count lies within ``kappa_c * v_max`` of the true vector.
     Passing precomputed ``constants`` skips the subset enumerations (their
-    existence certifies correctability).
+    existence certifies correctability).  ``eps_rel`` is the relative rank
+    tolerance of the constants and the candidates.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
     r = q if r is None else r
     if not q <= r <= 2 * q:
         raise ValueError(f"need q <= r <= 2q, got q={q}, r={r}")
-    if v_max < 0:
-        raise ValueError("v_max must be nonnegative")
+    _check_v_max(v_max)
     if constants is None:
-        constants = robustness_constants(phi, q, r)
+        constants = robustness_constants(phi, q, r, eps_rel)
     elif (constants.q, constants.r) != (q, r):
         raise ValueError("supplied constants were computed for different (q, r)")
-    estimate, objective, support = CandidateStack.build(phi, r).search(z, constants.theta * v_max)
+    candidates = CandidateStack.build(phi, r, eps_rel)
+    estimate, objective, support = candidates.search(z, constants.theta * v_max)
     return DecodeResult(
         estimate=estimate,
         support_estimate=support,
@@ -254,6 +262,7 @@ def certify_estimate(
     more than q violating blocks place it farther than
     ``kappa_c_prime * v_max`` away.
     """
+    _check_v_max(v_max)
     r = q if r is None else r
     if constants is None:
         constants = robustness_constants(phi, q, r)

@@ -40,18 +40,9 @@ class IndexSet:
     def full(cls, p: int) -> "IndexSet":
         return cls(tuple(range(1, p + 1)), p)
 
-    @classmethod
-    def empty(cls, p: int) -> "IndexSet":
-        return cls((), p)
-
     def complement(self) -> "IndexSet":
         members = set(self.indices)
         return IndexSet(tuple(i for i in range(1, self.p + 1) if i not in members), self.p)
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        if other.p != self.p:
-            raise ValueError("index sets over different ambient counts")
-        return IndexSet.of(set(self.indices) | set(other.indices), self.p)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -100,37 +91,11 @@ class StackedVector:
             raise ValueError("all blocks must share one length")
         return cls(np.concatenate(parts), n, len(parts))
 
-    def block(self, i: int) -> np.ndarray:
-        """Block ``i`` (1-based), a copy of length ``block_len``."""
-        if not 1 <= i <= self.block_count:
-            raise IndexError(f"block index {i} outside 1..{self.block_count}")
-        n = self.block_len
-        return self.data[n * (i - 1): n * i].copy()
-
     def block_norms(self) -> np.ndarray:
         """2-norm of every block, in index order."""
         return np.linalg.norm(
             self.data.reshape(self.block_count, self.block_len), axis=1
         )
-
-    def zeroed(self, lam: IndexSet) -> "StackedVector":
-        """Copy with the blocks outside ``lam`` set to zero."""
-        self._check(lam)
-        out = np.zeros_like(self.data)
-        rows = lam.row_indices(self.block_len)
-        out[rows] = self.data[rows]
-        return StackedVector(out, self.block_len, self.block_count)
-
-    def compacted(self, lam: IndexSet) -> np.ndarray:
-        """Concatenation of the member blocks only (plain vector)."""
-        self._check(lam)
-        return self.data[lam.row_indices(self.block_len)].copy()
-
-    def _check(self, lam: IndexSet) -> None:
-        if lam.p != self.block_count:
-            raise ValueError(
-                f"index set over {lam.p} sensors applied to {self.block_count} blocks"
-            )
 
 
 @dataclass(frozen=True)
@@ -176,39 +141,3 @@ class CodingMatrix:
     def selection_stack(self, members: np.ndarray) -> np.ndarray:
         """Row slabs of each row of 0-based ``members`` (c, size), compacted: ``(c, size*n, n)``."""
         return self.blocks[members].reshape(len(members), -1, self.block_len)
-
-    def block(self, i: int) -> np.ndarray:
-        """Row slab ``i`` (1-based), an ``n x n`` copy."""
-        if not 1 <= i <= self.block_count:
-            raise IndexError(f"block index {i} outside 1..{self.block_count}")
-        n = self.block_len
-        return self.entries[n * (i - 1): n * i, :].copy()
-
-    def zeroed(self, lam: IndexSet) -> "CodingMatrix":
-        """Copy with the row slabs outside ``lam`` set to zero."""
-        self._check(lam)
-        out = np.zeros_like(self.entries)
-        rows = lam.row_indices(self.block_len)
-        out[rows, :] = self.entries[rows, :]
-        return CodingMatrix(out, self.block_len, self.block_count)
-
-    def compacted(self, lam: IndexSet) -> np.ndarray:
-        """Member row slabs stacked in index order (plain 2-d array)."""
-        self._check(lam)
-        return self.entries[lam.row_indices(self.block_len), :].copy()
-
-    def _check(self, lam: IndexSet) -> None:
-        if lam.p != self.block_count:
-            raise ValueError(
-                f"index set over {lam.p} sensors applied to {self.block_count} blocks"
-            )
-
-
-def stacked_support(z: StackedVector, tol: float = 0.0) -> IndexSet:
-    """Indices of blocks whose 2-norm exceeds ``tol``.
-
-    The default tolerance is exact zero; callers working with
-    floating-point residuals pass an explicit tolerance.
-    """
-    norms = z.block_norms()
-    return IndexSet.of((i + 1 for i in range(z.block_count) if norms[i] > tol), z.block_count)

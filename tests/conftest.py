@@ -1,8 +1,26 @@
 import numpy as np
 import pytest
 
+from resilest._linalg import DEFAULT_EPS_REL
 from resilest.analysis import SystemModel
 from resilest.plant import ContinuousModel, three_inertia_model, zoh_discretize
+from resilest.stacked import CodingMatrix
+
+
+def compacted(stacked, lam):
+    """The member blocks of the index set ``lam``, in index order: the rows of a
+    ``CodingMatrix`` or the entries of a ``StackedVector`` (a reference for the
+    per-selection oracles; the library gathers with ``selection_stack``)."""
+    data = stacked.entries if isinstance(stacked, CodingMatrix) else stacked.data
+    return data[lam.row_indices(stacked.block_len)]
+
+
+def matrix_rank(matrix, eps_rel=DEFAULT_EPS_REL):
+    """Numerical rank under the library's floor: the count of singular values above
+    ``max(rows, cols) * sigma_max * eps_rel``."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.count_nonzero(s > max(matrix.shape) * eps_rel * s[:1]))
 
 
 @pytest.fixture(scope="session")

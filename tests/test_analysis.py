@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilest import analysis
-from resilest._linalg import matrix_rank, pinv, sigma_min
+from conftest import compacted, matrix_rank
+from resilest._linalg import DEFAULT_EPS_REL, pinv, sigma_min
 from resilest.analysis import (
     CorrectabilityError,
     RobustnessConstants,
@@ -25,7 +26,7 @@ from resilest.analysis import (
     sensor_selections,
     stacked_cospark,
 )
-from resilest.stacked import CodingMatrix, IndexSet, StackedVector, stacked_support
+from resilest.stacked import CodingMatrix, IndexSet
 
 ONES3 = CodingMatrix(np.array([[1.0], [1.0], [1.0]]), 1, 3)
 
@@ -43,13 +44,13 @@ def test_observability_matrix_n1():
 def test_observability_matrix_diag():
     m = SystemModel(A=np.diag([1.0, 2.0]), B=np.zeros((2, 1)), C=[[1.0, 0.0]])
     g = observability_matrix(m)
-    assert np.array_equal(g.block(1), [[1.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(g.blocks[0], [[1.0, 0.0], [1.0, 0.0]])
 
 
 def test_observability_matrix_nilpotent():
     m = SystemModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=[[1.0, 1.0]])
     g = observability_matrix(m)
-    assert np.array_equal(g.block(1), [[1.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(g.blocks[0], [[1.0, 1.0], [0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +92,7 @@ def cospark_null_vector_oracle(phi, tol=1e-8):
     candidates = [rng.normal(size=n) for _ in range(5)]
     for size in range(p + 1):
         for lam in itertools.combinations(range(1, p + 1), size):
-            sub = phi.compacted(IndexSet(lam, p))
+            sub = compacted(phi, IndexSet(lam, p))
             if sub.size == 0:
                 continue
             _, s, vt = np.linalg.svd(sub)
@@ -101,8 +102,8 @@ def cospark_null_vector_oracle(phi, tol=1e-8):
         if np.linalg.norm(x) < 1e-12:
             continue
         x = x / np.linalg.norm(x)
-        prod = StackedVector(phi.entries @ x, n, p)
-        best = min(best, len(stacked_support(prod, tol=tol)))
+        block_norms = np.linalg.norm((phi.entries @ x).reshape(p, n), axis=1)
+        best = min(best, int(np.count_nonzero(block_norms > tol)))
     return best
 
 
@@ -128,25 +129,25 @@ def test_cospark_matches_null_vector_oracle_randomized():
         assert stacked_cospark(phi) == cospark_null_vector_oracle(phi)
 
 
-def reference_first_deficient(phi, eps_rel=None):
+def reference_first_deficient(phi, eps_rel=DEFAULT_EPS_REL):
     """Per-selection loop: one compacted copy and one rank check per selection,
     sizes p down to 0, returning the first rank-deficient selection (1-based)."""
     p, n = phi.block_count, phi.block_len
     for size in range(p, -1, -1):
         for lam in itertools.combinations(range(1, p + 1), size):
-            if matrix_rank(phi.compacted(IndexSet(lam, p)), eps_rel) < n:
+            if matrix_rank(compacted(phi, IndexSet(lam, p)), eps_rel) < n:
                 return IndexSet(lam, p)
     raise AssertionError("unreachable: empty selection is always rank deficient")
 
 
-def reference_cospark(phi, eps_rel=None):
+def reference_cospark(phi, eps_rel=DEFAULT_EPS_REL):
     return phi.block_count - len(reference_first_deficient(phi, eps_rel))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(0, 7),
        style=st.sampled_from(["dense", "zero", "repeat", "near"]),
-       eps_rel=st.sampled_from([None, 1e-8]))
+       eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]))
 def test_stacked_cospark_equals_selection_loop(seed, n, p, style, eps_rel):
     rng = np.random.default_rng(seed)
     entries = rng.normal(size=(n * p, n))
@@ -172,7 +173,7 @@ def test_stacked_cospark_checks_ranks_per_chunk(monkeypatch, stack_floats, calls
         grams.append(np.shape(matrix))
         return np.linalg.eigvalsh(matrix)
 
-    def spy_sigma_min(matrix, eps_rel=None):
+    def spy_sigma_min(matrix, eps_rel=DEFAULT_EPS_REL):
         stacks.append(np.shape(matrix))
         return sigma_min(matrix, eps_rel)
 
@@ -251,7 +252,7 @@ def test_zero_output_row_reads_as_a_blind_sensor():
     C = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
     model = SystemModel(A=A, B=np.zeros((3, 1)), C=C)
     z = coding_matrix(model)
-    assert not z.block(2).any()
+    assert not z.blocks[1].any()
     g = observability_matrix(model)
     rep = analyze(model)
     assert rep.security_index == security_index(model) == reference_cospark(g)
@@ -404,7 +405,7 @@ def test_constants_undefined_when_not_correctable():
 def test_constants_parameter_validation():
     with pytest.raises(ValueError):
         robustness_constants(ONES3, q=1, r=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(CorrectabilityError, match="needs p >= 2q"):
         robustness_constants(ONES3, q=2, r=2)  # p < 2q+1
 
 
@@ -415,7 +416,7 @@ def reference_constants(phi, q, r):
     p, n = phi.block_count, phi.block_len
 
     def comp(lam):
-        return phi.compacted(IndexSet(lam, p))
+        return compacted(phi, IndexSet(lam, p))
 
     def sels(size):
         return itertools.combinations(range(1, p + 1), size)
@@ -424,7 +425,7 @@ def reference_constants(phi, q, r):
         raise CorrectabilityError("a (p-2q)-block selection is rank deficient")
     rho = min(sigma_min(comp(lam)) for lam in sels(p - q))
     rho_2q = min(sigma_min(comp(lam)) for lam in sels(p - 2 * q))
-    blocks = [phi.block(i) for i in range(1, p + 1)]
+    blocks = list(phi.blocks)
     eta = 0.0
     for lam in sels(p - q):
         pin = pinv(comp(lam))
@@ -537,7 +538,7 @@ def test_constants_take_one_stacked_pinv_per_selection_size(monkeypatch):
         inverses.append(np.shape(matrix))
         return np.linalg.inv(matrix)
 
-    def spy_pinv(matrix, eps_rel=None):
+    def spy_pinv(matrix, eps_rel=DEFAULT_EPS_REL):
         pinvs.append(np.shape(matrix))
         return pinv(matrix, eps_rel)
 
@@ -607,7 +608,7 @@ def test_exact_size_selection_equivalent_to_all_larger():
         p, n = phi.block_count, phi.block_len
         for q in range(p + 1):
             full_scan = all(
-                rank_of(phi.compacted(IndexSet(lam, p))) == n
+                rank_of(compacted(phi, IndexSet(lam, p))) == n
                 for size in range(p - q, p + 1)
                 for lam in itertools.combinations(range(1, p + 1), size)
             )
@@ -675,7 +676,20 @@ def test_analyze_unobservable_pair():
     assert rep.max_detectable_q == -1
     assert rep.max_correctable_q == -1
     # every sensor together is rank deficient: no corruption at all is needed
-    assert rep.witness == IndexSet.empty(3)
+    assert rep.witness == IndexSet((), 3)
+
+
+def test_analyze_refuses_a_requested_q_it_cannot_serve(three_inertia):
+    # p = 5: q = 2 leaves 1-sensor selections, which are rank deficient, and q = 3
+    # has no 2q + 1 sensors; q below 1 is no attack budget
+    with pytest.raises(CorrectabilityError, match="correctability violated"):
+        analyze(three_inertia, constants_q=2)
+    with pytest.raises(CorrectabilityError, match="needs p >= 2q"):
+        analyze(three_inertia, constants_q=3)
+    for q in (0, -1):
+        with pytest.raises(ValueError, match="constants_q must be at least 1"):
+            analyze(three_inertia, constants_q=q)
+    assert set(analyze(three_inertia, constants_q=1).per_q_constants) == {1}
 
 
 def test_analyze_witness_three_inertia(three_inertia):
@@ -708,7 +722,7 @@ def test_analyze_equals_its_public_pieces(seed, n, p, style):
     deficient = reference_first_deficient(z)
     assert rep.witness == deficient.complement()
     assert len(rep.witness) == rep.security_index
-    assert matrix_rank(z.compacted(deficient)) < n
+    assert matrix_rank(compacted(z, deficient)) < n
 
 
 def test_analyze_witness_is_the_first_deficient_selections_complement():

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import compacted
 from resilest._linalg import pinv
-from resilest.analysis import CorrectabilityError, SystemModel, robustness_constants
+from resilest.analysis import (
+    CorrectabilityError,
+    SystemModel,
+    observability_matrix,
+    robustness_constants,
+)
 from resilest.decoding import (
     CandidateStack,
     certify_estimate,
@@ -204,7 +210,7 @@ def reference_search(phi, z, r, threshold):
     best = None
     for lam_t in itertools.combinations(range(1, p + 1), p - r):
         lam = IndexSet(lam_t, p)
-        x = pinv(phi.compacted(lam)) @ z.compacted(lam)
+        x = pinv(compacted(phi, lam)) @ compacted(z, lam)
         norms = np.linalg.norm((z.data - phi.entries @ x).reshape(p, n), axis=1)
         violating = tuple(i + 1 for i in range(p) if not norms[i] <= threshold)
         if best is None or len(violating) < len(best[2]):
@@ -296,8 +302,8 @@ def brute_force_support_search(phi, z, q):
     for size in range(q + 1):
         for bad in itertools.combinations(range(1, p + 1), size):
             healthy = IndexSet.of(set(range(1, p + 1)) - set(bad), p)
-            sub = phi.compacted(healthy)
-            rhs = z.compacted(healthy)
+            sub = compacted(phi, healthy)
+            rhs = compacted(z, healthy)
             x, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
             if np.linalg.norm(sub @ x - rhs) < 1e-8 * (1 + np.linalg.norm(rhs)):
                 hits.append(x)
@@ -421,6 +427,25 @@ def test_decode_noisy_relaxation_equivalence():
         assert int(np.count_nonzero(np.linalg.norm(slack, axis=1))) == res.objective
 
 
+def test_decoders_take_the_rank_tolerance(three_inertia):
+    # the three-inertia monomial matrix is 1-error correctable at the default
+    # tolerance and not at 1e-6
+    g = observability_matrix(three_inertia)
+    data = g.entries @ np.ones(6)
+    data[:6] += 20.0
+    z = StackedVector(data, 6, 5)
+    res = decode_noiseless(g, z, 1)
+    assert res.certified and tuple(res.support_estimate) == (1,)
+    with pytest.raises(CorrectabilityError):
+        decode_noiseless(g, z, 1, eps_rel=1e-6)
+    with pytest.raises(CorrectabilityError):
+        decode_noisy(g, z, 1, v_max=1e-3, eps_rel=1e-6)
+    # the candidates' pinv cuts a 1e-9 direction at 1e-6, not at the default
+    phi = CodingMatrix(np.vstack([np.diag([1.0, 1e-9])] * 3), 2, 3)
+    assert np.abs(CandidateStack.build(phi, 1).pinvs[:, 1]).max() == pytest.approx(5e8)
+    assert not CandidateStack.build(phi, 1, eps_rel=1e-6).pinvs[:, 1].any()
+
+
 def test_decode_noisy_constants_mismatch_rejected():
     consts = robustness_constants(ONES3, 1, 2)
     with pytest.raises(ValueError):
@@ -429,6 +454,19 @@ def test_decode_noisy_constants_mismatch_rejected():
 
 # ---------------------------------------------------------------------------
 # certification
+
+
+@pytest.mark.parametrize("v_max", [math.nan, math.inf, -1.0])
+def test_noise_bound_must_be_finite_and_nonnegative(v_max):
+    # a NaN bound would certify nothing and an infinite one everything
+    z = sv([5, 5, 12], 1, 3)
+    message = "v_max must be finite and nonnegative"
+    with pytest.raises(ValueError, match=message):
+        decode_noisy(ONES3, z, q=1, v_max=v_max)
+    with pytest.raises(ValueError, match=message):
+        residual_detect_noisy(ONES3, z, v_max)
+    with pytest.raises(ValueError, match=message):
+        certify_estimate(ONES3, z, [5.0], q=1, v_max=v_max)
 
 
 def test_certify_estimate_cases():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import compacted
 from resilest.analysis import SystemModel, is_q_error_correctable
 from resilest.estimator import (
     DecoderState,
@@ -46,9 +47,8 @@ def test_build_phi_pads_unobservable_rows():
             design_gain(kalman_decompose(m, 2), [0.5]),
             design_gain(kalman_decompose(m, 3), default_poles(2, 0.5))]
     phi = ObserverBank.stack(bank).phi
-    block1 = phi.block(1)
-    assert np.allclose(np.abs(block1), [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
-    assert np.all(phi.block(2)[1] == 0.0)
+    assert np.allclose(np.abs(phi.blocks[0]), [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
+    assert np.all(phi.blocks[1][1] == 0.0)
 
 
 def test_build_phi_three_inertia_shape_and_correctability(three_inertia):
@@ -71,8 +71,8 @@ def test_phi_selections_span_observability_rows(three_inertia):
     for _ in range(8):
         size = int(rng.integers(1, 6))
         lam = IndexSet.of(rng.choice(5, size=size, replace=False) + 1, 5)
-        rows_phi = phi.compacted(lam)
-        rows_g = g.compacted(lam)
+        rows_phi = compacted(phi, lam)
+        rows_g = compacted(g, lam)
         rank_phi = np.linalg.matrix_rank(rows_phi, tol=1e-8)
         rank_g = np.linalg.matrix_rank(rows_g, tol=1e-8)
         stacked = np.linalg.matrix_rank(np.vstack([rows_phi, rows_g]), tol=1e-8)
@@ -104,8 +104,9 @@ def test_pad_inserts_zeros():
         ref = first.F @ ref + first.Bz @ u + first.L[:, 0] * y[0]
     z = bank.output()
     assert z.block_len == 2 and z.block_count == 3
-    assert z.block(1)[1] == 0.0 and z.block(2)[1] == 0.0
-    assert z.block(1)[0] == pytest.approx(ref[0], rel=1e-14)
+    blocks = z.data.reshape(3, 2)
+    assert blocks[0, 1] == 0.0 and blocks[1, 1] == 0.0
+    assert blocks[0, 0] == pytest.approx(ref[0], rel=1e-14)
 
 
 def test_stack_rejects_observer_state_beyond_padding(scalar_triple):

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from resilest.analysis import RobustnessConstants
+from resilest.analysis import RobustnessConstants, observability_matrix
 from resilest.cli import DEMO_OUTPUT_FILES, DEMO_SCENARIO, main
 from resilest.files import (
     load_model,
@@ -296,6 +296,20 @@ def test_cli_analyze_malformed_model_shape_exit_2(tmp_path, capsys, doc):
     assert captured.err.startswith("error: invalid model: malformed model file")
 
 
+@pytest.mark.parametrize(("q", "code", "message"), [
+    ("3", 3, "needs p >= 2q+1 sensors, got p=5"),
+    ("2", 3, "correctability violated"),
+    ("0", 2, "constants_q must be at least 1, got 0"),
+    ("-1", 2, "constants_q must be at least 1, got -1"),
+], ids=["q3-too-few-sensors", "q2-not-correctable", "q0", "q-1"])
+def test_cli_analyze_refuses_a_requested_q_it_cannot_serve(tmp_path, capsys, q, code, message):
+    model_file = write_json(tmp_path / "m.json", THREE_INERTIA_DOC)
+    assert main(["analyze", "--model", model_file, "--q", q]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cli_analyze_constants_undefined_exit_3(tmp_path, capsys):
     doc = {"A": [[1.0]], "B": [[0.0]], "C": [[1.0], [1.0], [0.0]]}
     model_file = write_json(tmp_path / "m.json", doc)
@@ -328,8 +342,24 @@ def test_cli_decode_refuses_impossible_q(tmp_path, capsys):
     phi.write_text("1\n1\n1\n")
     z = tmp_path / "z.csv"
     z.write_text("5\n5\n12\n")
-    assert main(["decode", "--phi", str(phi), "--z", str(z), "--q", "2"]) == 3
+    argv = ["decode", "--phi", str(phi), "--z", str(z), "--q", "2"]
+    assert main(argv) == 3
     assert "correctab" in capsys.readouterr().err
+    assert main(argv + ["--vmax", "0.1"]) == 3  # the constants need p >= 2q + 1
+    assert "needs p >= 2q+1 sensors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vmax", ["nan", "inf", "-1"])
+def test_cli_decode_rejects_a_nonfinite_or_negative_vmax(tmp_path, capsys, vmax):
+    phi = tmp_path / "phi.csv"
+    phi.write_text("1\n1\n1\n")
+    z = tmp_path / "z.csv"
+    z.write_text("5\n5\n12\n")
+    argv = ["decode", "--phi", str(phi), "--z", str(z), "--q", "1", "--vmax", vmax]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"v_max must be finite and nonnegative, got {float(vmax)}" in captured.err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e308"])
@@ -614,15 +644,39 @@ def test_open_fresh_truncates_in_place_when_unlink_is_refused(tmp_path, monkeypa
     assert os.path.samefile(target, twin)
 
 
-def test_cli_env_eps_override(tmp_path, monkeypatch, capsys):
-    import resilest._linalg as lin
+def test_cli_env_eps_override(tmp_path, monkeypatch, capsys, three_inertia):
+    # sensor 1 attacked on the three-inertia monomial matrix, which is 1-error
+    # correctable at the default tolerance and not at 1e-6: the setting reaches the
+    # decoder, and nothing of it outlives the call that read it
+    g = observability_matrix(three_inertia).entries
+    z = g @ np.ones(6)
+    z[:6] += 20.0
+    np.savetxt(tmp_path / "phi.csv", g, delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "z.csv", z, fmt="%.17g")
+    argv = ["decode", "--phi", str(tmp_path / "phi.csv"), "--z", str(tmp_path / "z.csv"),
+            "--q", "1"]
+    monkeypatch.setenv("RESILEST_EPS", "1e-6")
+    assert main(argv) == 3
+    assert "not 1-error correctable" in capsys.readouterr().err
+    monkeypatch.delenv("RESILEST_EPS")
+    assert main(argv) == 0
+    assert "support: {1}\nobjective: 1\ncertified: true\n" in capsys.readouterr().out
+    for bad in ("banana", "0", "1", "-1e-6", "nan"):
+        monkeypatch.setenv("RESILEST_EPS", bad)
+        assert main(argv) == 2
+        assert "error: bad RESILEST_EPS: " in capsys.readouterr().err
 
-    monkeypatch.setenv("RESILEST_EPS", "1e-9")
-    model_file = write_json(tmp_path / "m.json", SCALAR_MODEL_DOC)
-    try:
-        assert main(["analyze", "--model", model_file]) == 0
-        assert lin.get_eps_rel() == 1e-9
-    finally:
-        lin.set_eps_rel(lin.DEFAULT_EPS_REL)
-    monkeypatch.setenv("RESILEST_EPS", "banana")
-    assert main(["analyze", "--model", model_file]) == 2
+
+def test_cli_env_eps_reaches_analyze(tmp_path, monkeypatch, capsys):
+    # A = I/2: each sensor observes only the direction of its own row, and the rows
+    # of sensors 1 and 2 lie 1e-7 apart, a pair of full rank at the default
+    # tolerance and not at 1e-6
+    doc = {"A": [[0.5, 0.0], [0.0, 0.5]], "B": [[0.0], [0.0]],
+           "C": [[1.0, 0.0], [1.0, 1e-7], [0.0, 1.0]]}
+    model_file = write_json(tmp_path / "m.json", doc)
+    monkeypatch.setenv("RESILEST_EPS", "1e-6")
+    assert main(["analyze", "--model", model_file]) == 0
+    assert capsys.readouterr().out.startswith("security_index: 1\nwitness: {3}\n")
+    monkeypatch.delenv("RESILEST_EPS")
+    assert main(["analyze", "--model", model_file]) == 0
+    assert capsys.readouterr().out.startswith("security_index: 2\nwitness: {2,3}\n")

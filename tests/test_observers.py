@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from resilest import observers
-from resilest._linalg import get_eps_rel
+from resilest._linalg import DEFAULT_EPS_REL
 from resilest.analysis import SystemModel, sensor_observability_matrix
 from resilest.estimator import ObserverBank
 from resilest.observers import (
@@ -132,7 +132,7 @@ def reference_decompose(model, i):
     """
     g = sensor_observability_matrix(model.A, model.C[i - 1])
     _, s, vt = np.linalg.svd(g)
-    nu = int(np.count_nonzero(s > max(g.shape) * s[0] * get_eps_rel()))
+    nu = int(np.count_nonzero(s > max(g.shape) * s[0] * DEFAULT_EPS_REL))
     return nu, vt[:nu].T, s
 
 
