@@ -31,6 +31,26 @@ inertia chains N = 3..8 (1 on dense models), against a floor of at most
 1.4e-6, and whose deficient ones read round-off (``<= 5e-16``).
 On a monomial observability matrix ``lambda`` itself falls to round-off
 (``rho_2q^2`` is 6.7e-14 on the demo plant), so there the SVD decides.
+
+Cholesky certificate.  Where only the rank is wanted, one Cholesky stands in
+for the eigenvalues.  A floating-point Cholesky of a symmetric ``H`` that
+completes gives ``H + E = R'R`` with ``|E|_2 <= gamma_{n+1} tr H / (1 -
+gamma_{n+1})`` (Rump, *Verification of positive definiteness*, BIT 46, 2006),
+so ``lambda_min(H) >= -(n + 1) u tr H`` to first order.
+:func:`cholesky_certified` factors ``H = fl(G - s I)`` with the shift
+``s = (gram_floor + delta) * tr G``, ``delta = (8 n^2 + 2 n + 2) eps``.  The
+diagonal subtraction errs by at most ``u tr G``, so a completed
+factorization proves ``lambda_min(G) >= s - (n + 2) u tr G``.  By the bound
+above, ``eigvalsh`` would then read ``lambda_min`` at least ``8 n^2 u tr G``
+lower and ``lambda_max`` at most ``(1 + 8 n^2 u) tr G``, and rounding ``tr G``,
+``s`` and the comparison costs ``(n + 3) u tr G`` more.  ``delta`` covers the
+sum ``(16 n^2 + 2 n + 5) u`` for any floor below 1, so a Gram matrix the Cholesky
+certifies clears ``gram_floor * lambda_max`` by its eigenvalues as well: the
+certificate decides nothing the eigenvalues would have left to the SVD.  (A
+floor of 1 or more gives ``s >= tr G``, and the first pivot fails.)  It is
+stricter than the eigenvalues by up to ``tr G / lambda_max <= n``, nothing
+against the gap on ``Z'``.  One failed matrix fails its whole batch, whose
+Gram sums then go to the eigenvalues.
 """
 
 from __future__ import annotations
@@ -73,6 +93,25 @@ def gram_floor(rows: int, cols: int, eps_rel: float = DEFAULT_EPS_REL) -> float:
     b = 2.0 * (rows + 2 * cols) * cols * np.finfo(float).eps
     f = max(rows, cols) * eps_rel
     return 4.0 * f * f + math.sqrt(b)
+
+
+def cholesky_certified(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_REL) -> bool:
+    """True when one Cholesky of every shifted ``G - s I`` in the stack ``(c, n, n)`` completes,
+    which certifies each ``G`` as :func:`gram_floor` would from its eigenvalues (see the module
+    docstring)."""
+    if not np.isfinite(grams).all():  # numpy's Cholesky runs through NaN pivots
+        return False
+    n = grams.shape[-1]
+    delta = (8 * n * n + 2 * n + 2) * np.finfo(float).eps
+    shifted = grams.copy()  # shift the diagonal of one copy in place: no ``s * I`` temporaries
+    diagonal = np.arange(n)
+    shifted[:, diagonal, diagonal] -= ((gram_floor(rows, n, eps_rel) + delta)
+                                       * np.trace(grams, axis1=1, axis2=2))[:, None]
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def spectral_norm(matrix: np.ndarray) -> np.ndarray:

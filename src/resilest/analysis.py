@@ -8,23 +8,30 @@ decodes with.  A coding matrix tolerates q corrupted sensor blocks exactly
 when every selection of ``p - q`` blocks retains full column rank; the
 security index is the smallest number of blocks an undetectable input can be
 confined to, i.e. the smallest q for which the plant is not q-redundant
-observable.  One scan of the smallest singular value per selection size
-(exhaustive and batched: the intended envelope is small p, not large sensor
-networks) serves both views and also supplies the robustness constants' rho
-and rho_2q.
+observable.  One rank scan per selection size (exhaustive and batched: the
+intended envelope is small p, not large sensor networks) serves both views.
+The robustness constants' rho and rho_2q, the smallest ``sigma_min`` over the
+sizes ``p - q`` and ``p - 2q``, take a second scan of those sizes only.
 
 The scans work on one Gram table ``G_i = B_i'B_i`` per coding matrix: a 0/1
-membership product gives each selection's ``G_S = sum_{i in S} G_i``, one
-batched ``eigvalsh`` per chunk gives ``sigma_min^2 = lambda_min``, and the
-outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1 B_i')`` come from
-one batched Gram inverse per chunk.  The Gram values decide only what they can
+membership product gives each selection's ``G_S = sum_{i in S} G_i``, a chunk
+at a time.  A scan that only decides rank (the security index and its
+witness, detectability, redundant observability, and which selections the
+constants' gains may read from the Gram inverse) takes one batched shifted
+Cholesky per chunk (``_linalg.cholesky_certified``); when it completes, every
+selection in the chunk is full rank.  Only the sizes whose ``rho`` the
+constants report, and the chunks whose Cholesky fails, take one batched
+``eigvalsh`` per chunk, which gives ``sigma_min^2 = lambda_min``.  The outside
+gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1 B_i')`` come from one
+batched Gram inverse per chunk.  Gram values decide only what they can
 (``_linalg.gram_floor``: ``lambda_min`` must clear the squared SVD floor by
-more than the rounding bound ``sqrt(b)``).  Every other selection goes to the
-SVD route, and so does the one winning selection that sets each reported
-``rho``, ``rho_2q``, ``eta`` and ``eta_prime``.  So the rank decisions are the
-SVD route's on any coding matrix, and every constant is an SVD value of a
-real selection; where two selections tie to within the Gram rounding band
-(``sqrt(b)`` relative), the reported one may be the other's.
+more than the rounding bound ``sqrt(b)``; the Cholesky shift is wider still,
+so it certifies nothing the eigenvalues would not).  Every other selection
+goes to the SVD route, and so does the one winning selection that sets each
+reported ``rho``, ``rho_2q``, ``eta`` and ``eta_prime``.  So the rank
+decisions are the SVD route's on any coding matrix, and every constant is an
+SVD value of a real selection; where two selections tie to within the Gram
+rounding band (``sqrt(b)`` relative), the reported one may be the other's.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import eigvalsh, inv
 
-from ._linalg import DEFAULT_EPS_REL, gram_floor, pinv, sigma_min, spectral_norm
+from ._linalg import (DEFAULT_EPS_REL, cholesky_certified, gram_floor, pinv, sigma_min,
+                      spectral_norm)
 from .stacked import CodingMatrix, IndexSet
 
 __all__ = [
@@ -231,48 +239,77 @@ def sensor_selections(p: int, size: int) -> np.ndarray:
     return np.fromiter(members, dtype=np.intp, count=count * size).reshape(count, size)
 
 
-def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int,
-                     eps_rel: float):
-    """Lexicographic chunks of (0-based members, ``(c, n, n)`` Gram sums ``G_S``, their
-    ``lambda_min``, and whether ``_linalg.gram_floor`` certifies them full rank).
+def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int):
+    """Lexicographic chunks of (0-based members, their ``(c, n, n)`` Gram sums ``G_S``).
 
-    Each chunk's ``G_S`` is one product of its 0/1 membership rows with the Gram table,
-    and its eigenvalues one batched ``eigvalsh``.
+    Each chunk's ``G_S`` is one product of its 0/1 membership rows with the Gram table.
     """
     p, n = phi.block_count, phi.block_len
     members = sensor_selections(p, size)
     table = phi.grams.reshape(p, n * n)
-    floor = gram_floor(size * n, n, eps_rel)
     step = max(1, _STACK_FLOATS // max(1, floats_per_selection))
     for start in range(0, len(members), step):
         chunk = members[start:start + step]
         inside = np.zeros((len(chunk), p))
         np.put_along_axis(inside, chunk, 1.0, axis=1)
-        grams = (inside @ table).reshape(len(chunk), n, n)
-        lam = eigvalsh(grams)
-        yield chunk, grams, lam[:, 0], lam[:, 0] > floor * lam[:, -1]  # False for NaN too
+        yield chunk, (inside @ table).reshape(len(chunk), n, n)
 
 
-def _selection_sigma_min(phi: CodingMatrix, size: int,
-                         eps_rel: float) -> tuple[float, np.ndarray | None]:
-    """Smallest ``sigma_min`` over the ``size``-selections, and the first deficient selection.
+def _gram_spectrum(grams: np.ndarray, rows: int, eps_rel: float):
+    """``lambda_min`` of each Gram sum of ``rows`` rows, and whether ``_linalg.gram_floor``
+    certifies it full rank: one batched ``eigvalsh``."""
+    lam = eigvalsh(grams)
+    floor = gram_floor(rows, grams.shape[-1], eps_rel)
+    return lam[:, 0], lam[:, 0] > floor * lam[:, -1]  # False for NaN too
 
-    Stops at the first chunk holding a rank-deficient selection and returns 0.0 with the
-    0-based members of the lexicographically first one; otherwise the minimum and None.
-    This is the one selection scan: detectability, the security index and rho share it.
+
+def _full_rank_certified(grams: np.ndarray, rows: int, eps_rel: float) -> np.ndarray:
+    """Which Gram sums are certified full rank: all of them when the chunk's shifted
+    Cholesky completes, otherwise those the eigenvalues certify."""
+    if cholesky_certified(grams, rows, eps_rel):
+        return np.ones(len(grams), dtype=bool)
+    return _gram_spectrum(grams, rows, eps_rel)[1]
+
+
+def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int, ...] | None:
+    """0-based members of the lexicographically first rank-deficient ``size``-selection,
+    or None when every one has full column rank.
+
+    The rank-only scan: detectability and the security index share it.  It stops at the
+    first chunk holding a deficient selection; the selections no Gram value certifies
+    take the SVD, which decides their rank.
+    """
+    n = phi.block_len
+    # three n x n per selection: G_S, the certificate's shifted copy and its factor
+    for members, grams in _selection_grams(phi, size, 3 * n * n):
+        doubtful = np.flatnonzero(~_full_rank_certified(grams, size * n, eps_rel))
+        if doubtful.size:
+            svd = sigma_min(phi.selection_stack(members[doubtful]), eps_rel)
+            first = int(np.argmin(svd))
+            if svd[first] == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
+                # a tuple, not a view that would keep every size-selection alive
+                return tuple(members[doubtful[first]].tolist())
+    return None
+
+
+def _selection_sigma_min(phi: CodingMatrix, size: int, eps_rel: float) -> float:
+    """Smallest ``sigma_min`` over the ``size``-selections: 0.0 when one is rank deficient.
+
+    The scan that reads values, for rho and rho_2q: one batched ``eigvalsh`` per chunk.
     Selections the Gram eigenvalues cannot certify take the SVD, which decides their rank
     and gives their ``sigma_min``; the minimum, if a certified selection holds it, is that
     selection's SVD value.
     """
+    n = phi.block_len
     rho, winner = math.inf, None  # winner: a certified selection to confirm by SVD
-    for members, _, smallest, certified in _selection_grams(phi, size, phi.block_len ** 2,
-                                                            eps_rel):
+    for members, grams in _selection_grams(phi, size, n * n):
+        smallest, certified = _gram_spectrum(grams, size * n, eps_rel)
         doubtful = np.flatnonzero(~certified)
         if doubtful.size:
             svd = sigma_min(phi.selection_stack(members[doubtful]), eps_rel)
             first = int(np.argmin(svd))
             if svd[first] == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
-                return 0.0, members[doubtful[first]]
+                return 0.0
             if svd[first] < rho:
                 rho, winner = float(svd[first]), None
         if doubtful.size < len(members):
@@ -281,7 +318,7 @@ def _selection_sigma_min(phi: CodingMatrix, size: int,
                 rho, winner = math.sqrt(smallest[best]), members[best]
     if winner is not None:
         rho = float(sigma_min(phi.selection_stack(winner[None]), eps_rel)[0])
-    return rho, None
+    return rho
 
 
 def _svd_gains(phi: CodingMatrix, members: np.ndarray, others: np.ndarray,
@@ -300,7 +337,7 @@ def is_q_error_detectable(phi: CodingMatrix, q: int, eps_rel: float = DEFAULT_EP
     p = phi.block_count
     if not 0 <= q <= p:
         raise ValueError(f"q must lie in 0..{p}, got {q}")
-    return _selection_sigma_min(phi, p - q, eps_rel)[0] > 0.0
+    return _first_deficient(phi, p - q, eps_rel) is None
 
 
 def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float = DEFAULT_EPS_REL) -> bool:
@@ -319,16 +356,14 @@ def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float = DEFAULT_E
 def _index_scan(phi: CodingMatrix, eps_rel: float):
     """Selection sizes p, p - 1, ... down to the first with a rank-deficient selection.
 
-    Returns the cospark, the smallest ``sigma_min`` of every size scanned (0.0 at the
-    stopping size) and the 0-based members of the stopping size's first deficient selection.
-    The scan always stops, because the empty selection has rank 0 < n.
+    Returns the cospark and the 0-based members of the stopping size's first deficient
+    selection.  The scan always stops, because the empty selection has rank 0 < n.
     """
     p = phi.block_count
-    rhos: dict[int, float] = {}
     for size in range(p, -1, -1):
-        rhos[size], deficient = _selection_sigma_min(phi, size, eps_rel)
+        deficient = _first_deficient(phi, size, eps_rel)
         if deficient is not None:
-            return p - size, rhos, deficient
+            return p - size, deficient
     raise AssertionError("unreachable: the empty selection is rank deficient")
 
 
@@ -405,7 +440,7 @@ def robustness_constants(
 def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
                rhos: dict[int, float]) -> RobustnessConstants:
     """:func:`robustness_constants`, reading rho of a selection size from ``rhos`` when
-    an earlier scan recorded it, and recording every size it scans itself."""
+    an earlier call recorded it, and recording every size it scans itself."""
     p, n = phi.block_count, phi.block_len
     if not q <= r <= 2 * q:
         raise ValueError(f"need q <= r <= 2q, got q={q}, r={r}")
@@ -415,7 +450,7 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
 
     def rho_of(size: int) -> float:
         if size not in rhos:
-            rhos[size] = _selection_sigma_min(phi, size, eps_rel)[0]
+            rhos[size] = _selection_sigma_min(phi, size, eps_rel)
         if rhos[size] == 0.0:
             raise CorrectabilityError("constants undefined: correctability violated "
                                       f"(a {size}-block selection is rank deficient)")
@@ -429,8 +464,8 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
         A certified selection reads ``sqrt(lambda_max(B_i G_S^-1 B_i'))`` from one batched
         Gram inverse per chunk; the others take the SVD route."""
         tables = []
-        chunks = _selection_grams(phi, size, (3 * (p - size) + 4) * n * n, eps_rel)
-        for members, grams, _, certified in chunks:
+        for members, grams in _selection_grams(phi, size, (3 * (p - size) + 4) * n * n):
+            certified = _full_rank_certified(grams, size * n, eps_rel)
             others = np.nonzero((np.arange(p) != members[:, :, None]).all(axis=1))[1]
             others = others.reshape(len(members), p - size)
             gains = np.full((len(members), p), -math.inf)
@@ -520,7 +555,7 @@ def analyze(
     selection where the index scan stops (empty for an unobservable pair).
     """
     z = coding_matrix(model)
-    alpha, rhos, deficient = _index_scan(z, eps_rel)
+    alpha, deficient = _index_scan(z, eps_rel)
     max_detectable = alpha - 1
     max_correctable = max_detectable // 2 if max_detectable >= 0 else -1
 
@@ -530,8 +565,9 @@ def analyze(
             raise ValueError(f"constants_q must be at least 1, got {constants_q}")
         qs = [constants_q]
 
-    # the index scan recorded rho down to size p - alpha, so every correctable q reads its
-    # rho and rho_2q from it; only a q beyond the correctable maximum scans a further size
+    # the index scan only certified ranks; the constants scan the sizes whose rho they
+    # read, each once across every q (q's rho_2q size is 2q's rho size)
+    rhos: dict[int, float] = {}
     per_q: dict[int, RobustnessConstants] = {}
     for q in qs:
         rr = r if r is not None else q
@@ -542,6 +578,6 @@ def analyze(
         max_detectable_q=max_detectable,
         max_correctable_q=max_correctable,
         redundancy_degree=max_detectable,
-        witness=IndexSet(tuple(int(i) + 1 for i in deficient), model.p).complement(),
+        witness=IndexSet(tuple(i + 1 for i in deficient), model.p).complement(),
         per_q_constants=per_q,
     )

@@ -266,6 +266,8 @@ def certify_estimate(
     r = q if r is None else r
     if constants is None:
         constants = robustness_constants(phi, q, r)
+    elif (constants.q, constants.r) != (q, r):
+        raise ValueError("supplied constants were computed for different (q, r)")
     misfits = block_misfits(phi, z, np.asarray(x_hat, dtype=float).reshape(1, -1))
     count = int(np.count_nonzero(violations(misfits, constants.theta * v_max)))
     return count <= q, count

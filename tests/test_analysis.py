@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from resilest import analysis
 from conftest import compacted, matrix_rank
-from resilest._linalg import DEFAULT_EPS_REL, pinv, sigma_min
+from resilest._linalg import DEFAULT_EPS_REL, cholesky_certified, gram_floor, pinv, sigma_min
 from resilest.analysis import (
     CorrectabilityError,
     RobustnessConstants,
@@ -144,11 +144,9 @@ def reference_cospark(phi, eps_rel=DEFAULT_EPS_REL):
     return phi.block_count - len(reference_first_deficient(phi, eps_rel))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(0, 7),
-       style=st.sampled_from(["dense", "zero", "repeat", "near"]),
-       eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]))
-def test_stacked_cospark_equals_selection_loop(seed, n, p, style, eps_rel):
+def random_coding_entries(seed, n, p, style):
+    """``(n p, n)`` entries: dense Gaussian, some zero or repeated blocks, or rank n - 1
+    plus a perturbation near either floor."""
     rng = np.random.default_rng(seed)
     entries = rng.normal(size=(n * p, n))
     for blk in range(1, p):
@@ -159,15 +157,91 @@ def test_stacked_cospark_equals_selection_loop(seed, n, p, style, eps_rel):
     if style == "near" and n > 1:  # rank n - 1 plus a perturbation near either floor
         entries = rng.normal(size=(n * p, n - 1)) @ rng.normal(size=(n - 1, n))
         entries += 10.0 ** rng.integers(-16, -6) * rng.normal(size=entries.shape)
-    phi = CodingMatrix(entries, n, p)
+    return entries
+
+
+CODING_STYLES = st.sampled_from(["dense", "zero", "repeat", "near"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(0, 7),
+       style=CODING_STYLES, eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]))
+def test_stacked_cospark_equals_selection_loop(seed, n, p, style, eps_rel):
+    phi = CodingMatrix(random_coding_entries(seed, n, p, style), n, p)
     assert stacked_cospark(phi, eps_rel) == reference_cospark(phi, eps_rel)
 
 
-@pytest.mark.parametrize(("stack_floats", "calls"), [(analysis._STACK_FLOATS, 10), (64, 38)])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(1, 7),
+       style=CODING_STYLES, eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]))
+def test_cholesky_certifies_only_what_the_gram_eigenvalues_certify(seed, n, p, style, eps_rel):
+    phi = CodingMatrix(random_coding_entries(seed, n, p, style), n, p)
+    for size in range(p + 1):
+        floor = gram_floor(size * n, n, eps_rel)
+        for _, grams in analysis._selection_grams(phi, size, n * n):
+            lam = np.linalg.eigvalsh(grams)
+            by_eigenvalues = lam[:, 0] > floor * lam[:, -1]
+            # each Gram sum alone, then the chunk: a chunk certifies only if all of it would
+            alone = np.array([cholesky_certified(g[None], size * n, eps_rel) for g in grams])
+            assert not (alone & ~by_eigenvalues).any()
+            assert cholesky_certified(grams, size * n, eps_rel) == alone.all()
+
+
+def test_cholesky_certificate_refuses_nonfinite_grams():
+    for bad in (np.nan, np.inf):
+        grams = np.stack([np.eye(3), np.eye(3)])
+        grams[1, 2, 0] = grams[1, 0, 2] = bad
+        assert cholesky_certified(grams[:1], 3)
+        assert not cholesky_certified(grams, 3)
+        grams[1] = np.diag([1.0, bad, 1.0])
+        assert not cholesky_certified(grams, 3)
+
+
+def test_a_chunk_holding_a_deficient_selection_falls_back_to_eigenvalues(monkeypatch):
+    # sensors 4 and 6 see one direction between them: {4, 6} is the one deficient
+    # 2-selection, number 16 of 21, in the last chunk of 2-selections when a chunk holds 8
+    rng = np.random.default_rng(21)
+    entries = rng.normal(size=(14, 2))
+    entries[6:8] = np.outer(rng.normal(size=2), [1.0, 2.0])
+    entries[10:12] = np.outer(rng.normal(size=2), [1.0, 2.0])
+    phi = CodingMatrix(entries, 2, 7)
+    want = reference_first_deficient(phi)
+    assert want == IndexSet((4, 6), 7)
+    choleskys, spectra = [], []
+
+    def spy_certified(grams, rows, eps_rel):
+        choleskys.append((rows // 2, len(grams), cholesky_certified(grams, rows, eps_rel)))
+        return choleskys[-1][2]
+
+    def spy_eigvalsh(matrix):
+        spectra.append(np.shape(matrix))
+        return np.linalg.eigvalsh(matrix)
+
+    monkeypatch.setattr(analysis, "cholesky_certified", spy_certified)
+    monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
+    # 8 selections per chunk: the rank scan budgets three 2 x 2 arrays per selection
+    monkeypatch.setattr(analysis, "_STACK_FLOATS", 96)
+    cospark, deficient = analysis._index_scan(phi, DEFAULT_EPS_REL)
+    assert cospark == reference_cospark(phi) == 5
+    assert IndexSet(tuple(int(i) + 1 for i in deficient), 7) == want
+    # sizes 7..3 certify chunk by chunk; at size 2 the first two chunks certify, and the
+    # last, which holds {4, 6}, fails, takes eigvalsh and stops the scan
+    expected = [(size, min(8, math.comb(7, size) - start), True)
+                for size in range(7, 1, -1) for start in range(0, math.comb(7, size), 8)]
+    expected[-1] = (2, 5, False)
+    assert choleskys == expected
+    assert spectra == [(5, 2, 2)]
+
+
+@pytest.mark.parametrize(("stack_floats", "calls"), [(analysis._STACK_FLOATS, 10), (192, 38)])
 def test_stacked_cospark_checks_ranks_per_chunk(monkeypatch, stack_floats, calls):
     phi = CodingMatrix(np.random.default_rng(3).normal(size=(18, 2)), 2, 9)
     want = reference_cospark(phi)
-    grams, stacks = [], []
+    choleskys, grams, stacks = [], [], []
+
+    def spy_certified(matrix, rows, eps_rel):
+        choleskys.append(np.shape(matrix))
+        return cholesky_certified(matrix, rows, eps_rel)
 
     def spy_eigvalsh(matrix):
         grams.append(np.shape(matrix))
@@ -177,22 +251,78 @@ def test_stacked_cospark_checks_ranks_per_chunk(monkeypatch, stack_floats, calls
         stacks.append(np.shape(matrix))
         return sigma_min(matrix, eps_rel)
 
+    monkeypatch.setattr(analysis, "cholesky_certified", spy_certified)
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
     monkeypatch.setattr(analysis, "sigma_min", spy_sigma_min)
     monkeypatch.setattr(analysis, "_STACK_FLOATS", stack_floats)
     assert stacked_cospark(phi) == want == 9
-    # one batched eigvalsh of the Gram sums per chunk of each size 9, 8, ..., 0: not one per
-    # selection (2^9)
+    # one batched shifted Cholesky of the Gram sums per chunk of each size 9, 8, ..., 0: not
+    # one per selection (2^9), and no eigenvalues, since the scan only decides ranks.  A
+    # chunk holds G_S, its shifted copy and the factor: three 2 x 2 arrays per selection
     chunks = []
     for size in range(9, -1, -1):
-        step = max(1, stack_floats // 4)
+        step = max(1, stack_floats // 12)
         count = math.comb(9, size)
         chunks += [(min(step, count - start), 2, 2) for start in range(0, count, step)]
-    assert grams == chunks
-    assert len(grams) == calls
-    # the SVD confirms each size's winner, and decides the empty selection, which no Gram
-    # eigenvalue certifies
-    assert stacks == [(1, 2 * size, 2) for size in range(9, 0, -1)] + [(1, 0, 2)]
+    assert choleskys == chunks
+    assert len(choleskys) == calls
+    # only the empty selection's zero Gram matrix fails its Cholesky: it alone takes
+    # eigvalsh, then the SVD, which decides it
+    assert grams == [(1, 2, 2)]
+    assert stacks == [(1, 0, 2)]
+
+
+# bit-for-bit reports of the 1 ms inertia chains: (security index, max correctable q,
+# {q: (rho, rho_2q, eta, kappa_c)}); the witness is each chain's N absolute angles
+CHAIN_1MS_REPORTS = {
+    3: (3, 1, {
+        1: ("0x1.6a09e667f3bccp+0", "0x1.fffffffffffffp-1",
+            "0x1.6a09e667f3bccp-1", "0x1.4c8dc2e423981p+2"),
+    }),
+    4: (4, 1, {
+        1: ("0x1.bb67ae8584ca9p+0", "0x1.6a09e667f3bcap+0",
+            "0x1.279a74590331bp-1", "0x1.5d105675e3e44p+2"),
+    }),
+    5: (5, 2, {
+        1: ("0x1.ffffffffffffep+0", "0x1.bb67ae8584ca6p+0",
+            "0x1.0000000000001p-1", "0x1.7645f19cb1674p+2"),
+        2: ("0x1.bb67ae8584ca6p+0", "0x1.fffffffffffffp-1",
+            "0x1.279a74590331dp-1", "0x1.04de64fafde42p+3"),
+    }),
+    6: (6, 2, {
+        1: ("0x1.1e3779b97f4a8p+1", "0x1.fffffffffffffp+0",
+            "0x1.c9f25c5bfeddbp-2", "0x1.8f9422c23c480p+2"),
+        2: ("0x1.fffffffffffffp+0", "0x1.6a09e667f3bcbp+0",
+            "0x1.0000000000002p-1", "0x1.deeea11683f4cp+2"),
+    }),
+    7: (7, 3, {
+        1: ("0x1.3988e1409212dp+1", "0x1.1e3779b97f4a8p+1",
+            "0x1.a20bd700c2c3cp-2", "0x1.a7c3ea599fc36p+2"),
+        2: ("0x1.1e3779b97f4a8p+1", "0x1.bb67ae8584ca9p+0",
+            "0x1.c9f25c5bfeddcp-2", "0x1.de80d5b78e41cp+2"),
+        3: ("0x1.0000000000000p+1", "0x1.ffffffffffffcp-1",
+            "0x1.0000000000000p-1", "0x1.60652f2216e1ap+3"),
+    }),
+    8: (8, 3, {
+        1: ("0x1.52a7fa9d2f8e9p+1", "0x1.3988e1409212ep+1",
+            "0x1.83091e6a7f7e8p-2", "0x1.beb0a17f8ac76p+2"),
+        2: ("0x1.3988e1409212ep+1", "0x1.fffffffffffffp+0",
+            "0x1.a20bd700c2c41p-2", "0x1.e8cbdcbf0ae52p+2"),
+        3: ("0x1.1e3779b97f4a7p+1", "0x1.6a09e667f3bcbp+0",
+            "0x1.c9f25c5bfede1p-2", "0x1.2f088423eb41bp+3"),
+    }),
+}
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_analyze_1ms_chains_bit_for_bit(inertia_chain, N):
+    rep = analyze(inertia_chain(N, 0.001))
+    index, correctable, constants = CHAIN_1MS_REPORTS[N]
+    assert (rep.security_index, rep.max_correctable_q) == (index, correctable)
+    assert rep.witness == IndexSet(tuple(range(1, N + 1)), 2 * N - 1)
+    got = {q: tuple(float(v).hex() for v in (c.rho, c.rho_2q, c.eta, c.kappa_c))
+           for q, c in rep.per_q_constants.items()}
+    assert got == constants
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +869,32 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
     dense = SystemModel(A=np.random.default_rng(4).normal(size=(2, 2)), B=np.zeros((2, 1)),
                         C=np.random.default_rng(5).normal(size=(7, 2)))
     sizes = scanned_sizes(monkeypatch)
+    certified, spectra = [], []
+
+    def spy_certified(grams, rows, eps_rel):
+        certified.append(rows // grams.shape[-1])
+        return cholesky_certified(grams, rows, eps_rel)
+
+    def spy_eigvalsh(matrix):
+        if np.ndim(matrix) == 3:  # a chunk of Gram sums, not the gains' (c, p - size, n, n)
+            spectra.append(len(matrix))
+        return np.linalg.eigvalsh(matrix)
+
+    monkeypatch.setattr(analysis, "cholesky_certified", spy_certified)
+    monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
     rep = analyze(dense)
     assert (rep.security_index, sorted(rep.per_q_constants)) == (7, [1, 2, 3])
-    assert sizes == list(range(7, -1, -1))  # the constants of q = 1, 2, 3 scan nothing new
+    # the index scan decides ranks only: one Cholesky per chunk of sizes 7..0, and the gains
+    # of q = 1, 2, 3 one per chunk of sizes 6, 5, 4
+    assert certified == list(range(7, -1, -1)) + [6, 5, 4]
+    # eigenvalues only at the sizes whose rho the constants read (rho_2q, then rho of
+    # q = 1, 2, 3; q = 2's rho is q = 1's rho_2q), each once, and for the empty
+    # selection, whose Cholesky fails
+    assert sizes == [5, 6, 3, 1, 4]
+    assert spectra == [1] + [math.comb(7, size) for size in sizes]
     sizes.clear()
+    certified.clear()
     with pytest.raises(CorrectabilityError):  # q = 2 needs 1-block selections: one new scan
         analyze(three_inertia, constants_q=2)
-    assert sizes == [5, 4, 3, 2, 1]
+    assert certified == [5, 4, 3, 2]
+    assert sizes == [1]

@@ -480,6 +480,22 @@ def test_certify_estimate_cases():
     assert not ok and count == 3
 
 
+def test_certify_estimate_constants_mismatch_rejected():
+    # constants of (2, 2) carry another theta, so they cannot certify for q = r = 1
+    rng = np.random.default_rng(61)
+    phi = CodingMatrix(rng.normal(size=(14, 2)), 2, 7)
+    x = rng.normal(size=2)
+    z = sv(phi.entries @ x, 2, 7)
+    consts = robustness_constants(phi, 2, 2)
+    assert certify_estimate(phi, z, x, q=2, v_max=1e-6, constants=consts) == (True, 0)
+    message = r"^supplied constants were computed for different \(q, r\)$"
+    for q, r in ((1, None), (1, 1), (2, 3)):
+        with pytest.raises(ValueError, match=message):
+            certify_estimate(phi, z, x, q=q, r=r, v_max=1e-6, constants=consts)
+        with pytest.raises(ValueError, match=message):
+            decode_noisy(phi, z, q=q, r=r, v_max=1e-6, constants=consts)
+
+
 def test_certify_true_state_clean():
     rng = np.random.default_rng(61)
     phi = CodingMatrix(rng.normal(size=(10, 2)), 2, 5)
