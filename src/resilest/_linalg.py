@@ -24,11 +24,12 @@ its ``sigma_min`` is then at least twice the floor ``f * sigma_max`` and far
 above the SVD's own rounding, so the SVD decides full rank as well.  Its
 eigenvalues are then accurate to ``b * kappa <= sqrt(b)`` relative, which
 bounds the error of any value ranked by them.  Every other Gram matrix is
-undecided and goes to the SVD.  The gap is wide on orthonormal blocks such
-as the padded staircase bases: there ``G_S`` is a sum of projectors, whose
-full-rank selections read ``lambda_min/lambda_max >= 0.125`` on the 1 ms
-inertia chains N = 3..8 (1 on dense models), against a floor of at most
-1.4e-6, and whose deficient ones read round-off (``<= 5e-16``).
+undecided, and the scans send its whole chunk to the SVD.  The gap is wide
+on orthonormal blocks such as the padded staircase bases: there ``G_S`` is a
+sum of projectors, whose full-rank selections read ``lambda_min/lambda_max
+>= 0.125`` on the 1 ms inertia chains N = 3..8 (1 on dense models), against
+a floor of at most 1.4e-6, and whose deficient ones read round-off
+(``<= 5e-16``).
 On a monomial observability matrix ``lambda`` itself falls to round-off
 (``rho_2q^2`` is 6.7e-14 on the demo plant), so there the SVD decides.
 
@@ -50,7 +51,7 @@ certificate decides nothing the eigenvalues would have left to the SVD.  (A
 floor of 1 or more gives ``s >= tr G``, and the first pivot fails.)  It is
 stricter than the eigenvalues by up to ``tr G / lambda_max <= n``, nothing
 against the gap on ``Z'``.  One failed matrix fails its whole batch, whose
-Gram sums then go to the eigenvalues.
+selections then go to the SVD as a whole.
 """
 
 from __future__ import annotations

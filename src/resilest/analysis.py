@@ -15,20 +15,19 @@ sizes ``p - q`` and ``p - 2q``, take a second scan of those sizes only.
 
 The scans work on one Gram table ``G_i = B_i'B_i`` per coding matrix: a 0/1
 membership product gives each selection's ``G_S = sum_{i in S} G_i``, a chunk
-at a time.  A scan that only decides rank (the security index and its
-witness, detectability, redundant observability, and which selections the
-constants' gains may read from the Gram inverse) takes one batched shifted
-Cholesky per chunk (``_linalg.cholesky_certified``); when it completes, every
-selection in the chunk is full rank.  Only the sizes whose ``rho`` the
-constants report, and the chunks whose Cholesky fails, take one batched
-``eigvalsh`` per chunk, which gives ``sigma_min^2 = lambda_min``.  The outside
-gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1 B_i')`` come from one
-batched Gram inverse per chunk.  Gram values decide only what they can
-(``_linalg.gram_floor``: ``lambda_min`` must clear the squared SVD floor by
-more than the rounding bound ``sqrt(b)``; the Cholesky shift is wider still,
-so it certifies nothing the eigenvalues would not).  Every other selection
-goes to the SVD route, and so does the one winning selection that sets each
-reported ``rho``, ``rho_2q``, ``eta`` and ``eta_prime``.  So the rank
+at a time, and each chunk takes one route as a whole.  A scan that only
+decides rank (the security index and its witness, detectability, redundant
+observability, and which chunks the constants' gains may read from the Gram
+inverse) certifies a chunk full rank by one batched shifted Cholesky
+(``_linalg.cholesky_certified``).  The scan for rho and rho_2q takes one
+batched ``eigvalsh`` per chunk, which gives ``sigma_min^2 = lambda_min``, and
+certifies the chunk when every ``lambda_min`` clears ``_linalg.gram_floor``
+times ``lambda_max``: the squared SVD floor plus the rounding bound ``sqrt(b)``
+(the Cholesky shift is wider still, so it certifies nothing the eigenvalues
+would not).  The outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1
+B_i')`` of a certified chunk come from one batched Gram inverse.  Any other
+chunk goes to the SVD route whole, and so does the one winning selection that
+sets each reported ``rho``, ``rho_2q``, ``eta`` and ``eta_prime``.  So the rank
 decisions are the SVD route's on any coding matrix, and every constant is an
 SVD value of a real selection; where two selections tie to within the Gram
 rounding band (``sqrt(b)`` relative), the reported one may be the other's.
@@ -255,67 +254,51 @@ def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int):
         yield chunk, (inside @ table).reshape(len(chunk), n, n)
 
 
-def _gram_spectrum(grams: np.ndarray, rows: int, eps_rel: float):
-    """``lambda_min`` of each Gram sum of ``rows`` rows, and whether ``_linalg.gram_floor``
-    certifies it full rank: one batched ``eigvalsh``."""
-    lam = eigvalsh(grams)
-    floor = gram_floor(rows, grams.shape[-1], eps_rel)
-    return lam[:, 0], lam[:, 0] > floor * lam[:, -1]  # False for NaN too
-
-
-def _full_rank_certified(grams: np.ndarray, rows: int, eps_rel: float) -> np.ndarray:
-    """Which Gram sums are certified full rank: all of them when the chunk's shifted
-    Cholesky completes, otherwise those the eigenvalues certify."""
-    if cholesky_certified(grams, rows, eps_rel):
-        return np.ones(len(grams), dtype=bool)
-    return _gram_spectrum(grams, rows, eps_rel)[1]
-
-
 def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int, ...] | None:
     """0-based members of the lexicographically first rank-deficient ``size``-selection,
     or None when every one has full column rank.
 
-    The rank-only scan: detectability and the security index share it.  It stops at the
-    first chunk holding a deficient selection; the selections no Gram value certifies
-    take the SVD, which decides their rank.
+    The rank-only scan: detectability and the security index share it.  A chunk whose
+    shifted Cholesky completes is full rank; any other chunk takes the SVD as a whole,
+    which decides its ranks, and the scan stops at the first chunk holding a deficient
+    selection.
     """
     n = phi.block_len
     # three n x n per selection: G_S, the certificate's shifted copy and its factor
     for members, grams in _selection_grams(phi, size, 3 * n * n):
-        doubtful = np.flatnonzero(~_full_rank_certified(grams, size * n, eps_rel))
-        if doubtful.size:
-            svd = sigma_min(phi.selection_stack(members[doubtful]), eps_rel)
+        if not cholesky_certified(grams, size * n, eps_rel):
+            svd = sigma_min(phi.selection_stack(members), eps_rel)
             first = int(np.argmin(svd))
             if svd[first] == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
                 # a tuple, not a view that would keep every size-selection alive
-                return tuple(members[doubtful[first]].tolist())
+                return tuple(members[first].tolist())
     return None
 
 
 def _selection_sigma_min(phi: CodingMatrix, size: int, eps_rel: float) -> float:
     """Smallest ``sigma_min`` over the ``size``-selections: 0.0 when one is rank deficient.
 
-    The scan that reads values, for rho and rho_2q: one batched ``eigvalsh`` per chunk.
-    Selections the Gram eigenvalues cannot certify take the SVD, which decides their rank
-    and gives their ``sigma_min``; the minimum, if a certified selection holds it, is that
-    selection's SVD value.
+    The scan that reads values, for rho and rho_2q: one batched ``eigvalsh`` per chunk.  A
+    chunk whose every ``lambda_min`` clears ``_linalg.gram_floor`` reads ``sigma_min^2 =
+    lambda_min``; any other chunk takes the SVD whole, which decides its ranks and gives
+    its ``sigma_min``.  A minimum a certified chunk holds is confirmed by its SVD value.
     """
     n = phi.block_len
+    floor = gram_floor(size * n, n, eps_rel)
     rho, winner = math.inf, None  # winner: a certified selection to confirm by SVD
     for members, grams in _selection_grams(phi, size, n * n):
-        smallest, certified = _gram_spectrum(grams, size * n, eps_rel)
-        doubtful = np.flatnonzero(~certified)
-        if doubtful.size:
-            svd = sigma_min(phi.selection_stack(members[doubtful]), eps_rel)
+        lam = eigvalsh(grams)
+        if (lam[:, 0] > floor * lam[:, -1]).all():  # False for NaN too
+            best = int(np.argmin(lam[:, 0]))
+            if math.sqrt(lam[best, 0]) < rho:
+                rho, winner = math.sqrt(lam[best, 0]), members[best]
+        else:
+            svd = sigma_min(phi.selection_stack(members), eps_rel)
             first = int(np.argmin(svd))
             if svd[first] == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
                 return 0.0
             if svd[first] < rho:
                 rho, winner = float(svd[first]), None
-        if doubtful.size < len(members):
-            best = int(np.argmin(np.where(certified, smallest, math.inf)))
-            if math.sqrt(smallest[best]) < rho:
-                rho, winner = math.sqrt(smallest[best]), members[best]
     if winner is not None:
         rho = float(sigma_min(phi.selection_stack(winner[None]), eps_rel)[0])
     return rho
@@ -426,8 +409,8 @@ def robustness_constants(
 ) -> RobustnessConstants:
     """Evaluate every worst-case constant by exhaustive subset enumeration.
 
-    Requires ``q <= r <= 2q`` and ``p >= 2q + 1``.  Pseudoinverses are taken
-    on compacted selections; a maximum over an empty index collection is 0.
+    Requires ``q <= r <= 2q`` and ``p >= 2q + 1``.  A chunk of selections no Gram
+    certificate decides takes the SVD whole; a maximum over an empty collection is 0.
 
     Raises :class:`CorrectabilityError` when ``p < 2q + 1`` or the
     (p-2q)-selections are not all full rank (the constants are undefined
@@ -461,22 +444,20 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
     def outside_gains(size: int) -> np.ndarray:
         """``|block_i @ pinv(selection)|``: a row per selection, -inf at its members.
 
-        A certified selection reads ``sqrt(lambda_max(B_i G_S^-1 B_i'))`` from one batched
-        Gram inverse per chunk; the others take the SVD route."""
+        A chunk the shifted Cholesky certifies reads ``sqrt(lambda_max(B_i G_S^-1 B_i'))``
+        from one batched Gram inverse; any other chunk takes the SVD route as a whole."""
         tables = []
         for members, grams in _selection_grams(phi, size, (3 * (p - size) + 4) * n * n):
-            certified = _full_rank_certified(grams, size * n, eps_rel)
             others = np.nonzero((np.arange(p) != members[:, :, None]).all(axis=1))[1]
             others = others.reshape(len(members), p - size)
+            if cholesky_certified(grams, size * n, eps_rel):
+                excluded = phi.blocks[others]
+                squared = eigvalsh(excluded @ inv(grams)[:, None] @ excluded.swapaxes(2, 3))
+                outside = np.sqrt(squared[..., -1])
+            else:
+                outside = _svd_gains(phi, members, others, eps_rel)
             gains = np.full((len(members), p), -math.inf)
-            rows = np.flatnonzero(certified)
-            excluded = phi.blocks[others[rows]]
-            squared = eigvalsh(excluded @ inv(grams[rows])[:, None] @ excluded.swapaxes(2, 3))
-            gains[rows[:, None], others[rows]] = np.sqrt(squared[..., -1])
-            rows = np.flatnonzero(~certified)
-            if rows.size:  # a selection_stack needs at least one selection
-                gains[rows[:, None], others[rows]] = _svd_gains(phi, members[rows], others[rows],
-                                                                eps_rel)
+            np.put_along_axis(gains, others, outside, axis=1)
             tables.append(gains)
         return np.concatenate(tables)
 

@@ -59,8 +59,8 @@ def zoh_discretize(
     matrix exponential of the augmented block matrix [[A_c, B_c], [0, 0]]
     scaled by ``T_s``.
     """
-    if T_s <= 0:
-        raise ValueError("sampling period must be positive")
+    if not 0.0 < T_s < math.inf:  # False for NaN too
+        raise ValueError(f"sampling period must be positive and finite, got {T_s}")
     n = cm.A_c.shape[0]
     m = cm.B_c.shape[1]
     aug = np.zeros((n + m, n + m))
@@ -261,6 +261,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ScenarioValidationError("horizon must be >= 1")
+        if not 0.0 < self.dt < math.inf:  # False for NaN too
+            raise ScenarioValidationError(
+                f"sampling period dt must be positive and finite, got {self.dt}")
         if self.q < 0:
             raise ScenarioValidationError("q must be nonnegative")
         if not 0.0 <= self.noise_scale <= 1.0:

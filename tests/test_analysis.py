@@ -197,7 +197,7 @@ def test_cholesky_certificate_refuses_nonfinite_grams():
         assert not cholesky_certified(grams, 3)
 
 
-def test_a_chunk_holding_a_deficient_selection_falls_back_to_eigenvalues(monkeypatch):
+def test_a_chunk_holding_a_deficient_selection_falls_back_to_the_svd(monkeypatch):
     # sensors 4 and 6 see one direction between them: {4, 6} is the one deficient
     # 2-selection, number 16 of 21, in the last chunk of 2-selections when a chunk holds 8
     rng = np.random.default_rng(21)
@@ -207,7 +207,7 @@ def test_a_chunk_holding_a_deficient_selection_falls_back_to_eigenvalues(monkeyp
     phi = CodingMatrix(entries, 2, 7)
     want = reference_first_deficient(phi)
     assert want == IndexSet((4, 6), 7)
-    choleskys, spectra = [], []
+    choleskys, spectra, stacks = [], [], []
 
     def spy_certified(grams, rows, eps_rel):
         choleskys.append((rows // 2, len(grams), cholesky_certified(grams, rows, eps_rel)))
@@ -217,20 +217,27 @@ def test_a_chunk_holding_a_deficient_selection_falls_back_to_eigenvalues(monkeyp
         spectra.append(np.shape(matrix))
         return np.linalg.eigvalsh(matrix)
 
+    def spy_sigma_min(matrix, eps_rel=DEFAULT_EPS_REL):
+        stacks.append(np.shape(matrix))
+        return sigma_min(matrix, eps_rel)
+
     monkeypatch.setattr(analysis, "cholesky_certified", spy_certified)
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
+    monkeypatch.setattr(analysis, "sigma_min", spy_sigma_min)
     # 8 selections per chunk: the rank scan budgets three 2 x 2 arrays per selection
     monkeypatch.setattr(analysis, "_STACK_FLOATS", 96)
     cospark, deficient = analysis._index_scan(phi, DEFAULT_EPS_REL)
     assert cospark == reference_cospark(phi) == 5
     assert IndexSet(tuple(int(i) + 1 for i in deficient), 7) == want
     # sizes 7..3 certify chunk by chunk; at size 2 the first two chunks certify, and the
-    # last, which holds {4, 6}, fails, takes eigvalsh and stops the scan
+    # last, which holds {4, 6}, fails, takes the SVD of all five of its selections as a
+    # whole and stops the scan
     expected = [(size, min(8, math.comb(7, size) - start), True)
                 for size in range(7, 1, -1) for start in range(0, math.comb(7, size), 8)]
     expected[-1] = (2, 5, False)
     assert choleskys == expected
-    assert spectra == [(5, 2, 2)]
+    assert stacks == [(5, 4, 2)]
+    assert spectra == []
 
 
 @pytest.mark.parametrize(("stack_floats", "calls"), [(analysis._STACK_FLOATS, 10), (192, 38)])
@@ -266,9 +273,9 @@ def test_stacked_cospark_checks_ranks_per_chunk(monkeypatch, stack_floats, calls
         chunks += [(min(step, count - start), 2, 2) for start in range(0, count, step)]
     assert choleskys == chunks
     assert len(choleskys) == calls
-    # only the empty selection's zero Gram matrix fails its Cholesky: it alone takes
-    # eigvalsh, then the SVD, which decides it
-    assert grams == [(1, 2, 2)]
+    # only the empty selection's zero Gram matrix fails its Cholesky: its chunk goes straight
+    # to the SVD, which decides it
+    assert grams == []
     assert stacks == [(1, 0, 2)]
 
 
@@ -607,6 +614,26 @@ def test_batched_constants_equal_selection_loop(seed, q):
     assert robustness_constants(phi, q, r) == want
 
 
+@pytest.mark.parametrize(("N", "q", "r"), [(N, 1, r) for N in range(4, 9) for r in (1, 2)]
+                         + [(5, 2, 3), (6, 2, 3)])
+def test_monomial_chain_constants_take_the_svd_route(monkeypatch, inertia_chain, N, q, r):
+    # at 1 ms the monomial selections fall to round-off, so every chunk fails its
+    # certificate and goes to the SVD as a whole: no Gram inverse at all
+    phi = observability_matrix(inertia_chain(N, 0.001))
+    want = reference_constants(phi, q, r)
+    inverses = []
+
+    def spy_inv(matrix):
+        inverses.append(np.shape(matrix))
+        return np.linalg.inv(matrix)
+
+    monkeypatch.setattr(analysis, "inv", spy_inv)
+    got = robustness_constants(phi, q, r)
+    assert inverses == []
+    for name, value in vars(want).items():
+        assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
 def test_batched_constants_still_raise_when_not_correctable():
     entries = np.random.default_rng(5).normal(size=(10, 2))
     entries[4:6] = 0.0  # sensor 3 sees nothing, so a one-block selection is deficient
@@ -888,10 +915,10 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
     # of q = 1, 2, 3 one per chunk of sizes 6, 5, 4
     assert certified == list(range(7, -1, -1)) + [6, 5, 4]
     # eigenvalues only at the sizes whose rho the constants read (rho_2q, then rho of
-    # q = 1, 2, 3; q = 2's rho is q = 1's rho_2q), each once, and for the empty
-    # selection, whose Cholesky fails
+    # q = 1, 2, 3; q = 2's rho is q = 1's rho_2q), each once; the empty selection, whose
+    # Cholesky fails, goes straight to the SVD
     assert sizes == [5, 6, 3, 1, 4]
-    assert spectra == [1] + [math.comb(7, size) for size in sizes]
+    assert spectra == [math.comb(7, size) for size in sizes]
     sizes.clear()
     certified.clear()
     with pytest.raises(CorrectabilityError):  # q = 2 needs 1-block selections: one new scan

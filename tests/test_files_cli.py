@@ -433,6 +433,31 @@ def test_cli_simulate_rejects_bad_scenario_numbers(tmp_path, capsys, field, doc_
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("T_s", [math.nan, math.inf, 0.0, -1.0])
+def test_cli_simulate_rejects_a_bad_sampling_period(tmp_path, capsys, T_s):
+    # the sinusoid reads step * dt: a NaN period would inject sin(nan)
+    doc = scalar_scenario_doc(horizon=5)
+    doc["model"]["T_s"] = T_s
+    doc["attacks"][0]["waveform"] = {"kind": "sinusoid", "amplitude": 1.0, "freq_hz": 2.0}
+    sfile = write_json(tmp_path / "s.json", doc)
+    assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid scenario: sampling period")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("T_s", [math.nan, math.inf])
+def test_cli_analyze_rejects_a_nonfinite_builtin_sampling_period(tmp_path, capsys, T_s):
+    model_file = write_json(tmp_path / "m.json", dict(THREE_INERTIA_DOC, T_s=T_s))
+    assert main(["analyze", "--model", model_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sampling period" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("doc", [
     scalar_scenario_doc(attacks=5),
     scalar_scenario_doc(observer="x"),
