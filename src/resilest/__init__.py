@@ -65,6 +65,6 @@ from .plant import (
     three_inertia_model,
     zoh_discretize,
 )
-from .stacked import CodingMatrix, IndexSet, StackedVector
+from .stacked import CodingMatrix, IndexSet
 
 __version__ = "0.1.0"

@@ -241,17 +241,20 @@ def sensor_selections(p: int, size: int) -> np.ndarray:
 def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int):
     """Lexicographic chunks of (0-based members, their ``(c, n, n)`` Gram sums ``G_S``).
 
-    Each chunk's ``G_S`` is one product of its 0/1 membership rows with the Gram table.
+    Each chunk's members are drawn from ``combinations`` as it is reached, and its ``G_S``
+    is one product of its 0/1 membership rows with the Gram table.
     """
     p, n = phi.block_count, phi.block_len
-    members = sensor_selections(p, size)
     table = phi.grams.reshape(p, n * n)
     step = max(1, _STACK_FLOATS // max(1, floats_per_selection))
-    for start in range(0, len(members), step):
-        chunk = members[start:start + step]
-        inside = np.zeros((len(chunk), p))
+    total, selections = math.comb(p, size), itertools.combinations(range(p), size)
+    for start in range(0, total, step):
+        count = min(step, total - start)
+        flat = itertools.chain.from_iterable(itertools.islice(selections, count))
+        chunk = np.fromiter(flat, dtype=np.intp, count=count * size).reshape(count, size)
+        inside = np.zeros((count, p))
         np.put_along_axis(inside, chunk, 1.0, axis=1)
-        yield chunk, (inside @ table).reshape(len(chunk), n, n)
+        yield chunk, (inside @ table).reshape(count, n, n)
 
 
 def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int, ...] | None:

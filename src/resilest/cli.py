@@ -32,7 +32,7 @@ from .files import (
 )
 from .plant import ScenarioValidationError, simulate
 from .plots import write_svg_plot
-from .stacked import CodingMatrix, StackedVector
+from .stacked import CodingMatrix
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -150,7 +150,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
             raise ValueError(f"coding matrix rows {rows} not a multiple of columns {n}")
         p = rows // n
         phi = CodingMatrix(phi_raw, n, p)
-        z = StackedVector(z_raw, n, p)
+        if z_raw.size != rows:
+            raise ValueError(f"measurement length {z_raw.size} != coding matrix rows {rows}")
+        z = z_raw.reshape(p, n)
     except (OSError, ValueError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -261,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decode", help="offline block-sparse decode")
     pd.add_argument("--phi", required=True, help="coding matrix CSV (row-major)")
-    pd.add_argument("--z", required=True, help="measurement CSV (one value per line)")
+    pd.add_argument("--z", required=True, help="measurement CSV, one value per line: "
+                    "the n-value blocks in sensor order")
     pd.add_argument("--q", type=int, required=True, help="attack sparsity budget")
     pd.add_argument("--r", type=int, default=None, help="search size (default q)")
     pd.add_argument("--vmax", type=float, default=None, help="per-block noise bound")

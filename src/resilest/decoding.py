@@ -1,9 +1,10 @@
 """Residual-based corruption detection and finite-search block-sparse decoding.
 
 Measurements take the form ``z = Phi x + v + e``: ``v`` is bounded noise,
-``e`` is a block-sparse corruption of unbounded magnitude.  Detection
-projects ``z`` onto the range of ``Phi`` and inspects the residual per
-block.  Decoding searches the finite candidate set obtained by least-squares
+``e`` is a block-sparse corruption of unbounded magnitude.  ``z`` is a
+``(p, n)`` array, one row per sensor block, as the observer bank holds it.
+Detection projects ``z`` onto the range of ``Phi`` and inspects the residual
+per block.  Decoding searches the finite candidate set obtained by least-squares
 solves on all (p - r)-block selections and picks the candidate violating the
 fewest per-block thresholds; ties break on the lexicographically smallest
 selection for reproducibility.
@@ -27,14 +28,14 @@ from .analysis import (
     robustness_constants,
     sensor_selections,
 )
-from .stacked import CodingMatrix, IndexSet, StackedVector
+from .stacked import CodingMatrix, IndexSet
 
 
 @dataclass(frozen=True)
 class DetectionResult:
     """Outcome of one residual test."""
 
-    residual: StackedVector
+    residual: np.ndarray  # (p, n), one row per block
     attacked: bool
     estimate: np.ndarray
     per_block_residual_norms: np.ndarray
@@ -50,7 +51,15 @@ class DecodeResult:
     error_bound: float
 
 
-def _projection_residual(phi: CodingMatrix, z: StackedVector) -> tuple[np.ndarray, StackedVector]:
+def _shaped(values: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``values`` as a float array of ``shape``; any other shape raises, naming both."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{name} shape {values.shape} != {shape}")
+    return values
+
+
+def _projection_residual(phi: CodingMatrix, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares estimate and residual from one SVD, used for both the rank check
     and the pseudoinverse (formed as ``np.linalg.pinv`` forms it)."""
     u, s, vt = np.linalg.svd(phi.entries, full_matrices=False)
@@ -58,13 +67,13 @@ def _projection_residual(phi: CodingMatrix, z: StackedVector) -> tuple[np.ndarra
     if np.count_nonzero(large) < phi.block_len:
         raise ValueError("coding matrix must have full column rank")
     inverse = np.divide(1, s, where=large, out=np.zeros_like(s))
-    x_hat = (vt.T @ (inverse[:, None] * u.T)) @ z.data
-    resid = z.data - phi.entries @ x_hat
-    return x_hat, StackedVector(resid, z.block_len, z.block_count)
+    data = z.reshape(-1)
+    x_hat = (vt.T @ (inverse[:, None] * u.T)) @ data
+    return x_hat, (data - phi.entries @ x_hat).reshape(z.shape)
 
 
 def residual_detect_noiseless(
-    phi: CodingMatrix, z: StackedVector, tol: float | None = None
+    phi: CodingMatrix, z: np.ndarray, tol: float | None = None
 ) -> DetectionResult:
     """Noise-free detection: any residual above round-off flags a corruption.
 
@@ -74,20 +83,21 @@ def residual_detect_noiseless(
     finite and within ``tol``.  The default tolerance only absorbs the
     round-off of the projection itself; pass an explicit value to override.
     """
+    z = _shaped(z, phi.blocks.shape[:2], "measurement (p, n)")
     if tol is None:
         tol = default_support_tol(z)
     x_hat, residual = _projection_residual(phi, z)
     return DetectionResult(
         residual=residual,
-        attacked=bool(violations(np.linalg.norm(residual.data), tol)),
+        attacked=bool(violations(np.linalg.norm(residual), tol)),
         estimate=x_hat,
-        per_block_residual_norms=residual.block_norms(),
+        per_block_residual_norms=np.linalg.norm(residual, axis=1),
         threshold=tol,
     )
 
 
 def residual_detect_noisy(
-    phi: CodingMatrix, z: StackedVector, v_max: float
+    phi: CodingMatrix, z: np.ndarray, v_max: float
 ) -> DetectionResult:
     """Thresholded detection under per-block noise bounded by ``v_max``.
 
@@ -97,9 +107,10 @@ def residual_detect_noisy(
     only that any corruption is small enough for the least-squares estimate
     to remain accurate.
     """
+    z = _shaped(z, phi.blocks.shape[:2], "measurement (p, n)")
     _check_v_max(v_max)
     x_hat, residual = _projection_residual(phi, z)
-    norms = residual.block_norms()
+    norms = np.linalg.norm(residual, axis=1)
     threshold = math.sqrt(phi.block_count) * v_max
     return DetectionResult(
         residual=residual,
@@ -115,9 +126,9 @@ def _check_v_max(v_max: float) -> None:
         raise ValueError(f"v_max must be finite and nonnegative, got {v_max}")
 
 
-def block_misfits(phi: CodingMatrix, z: StackedVector, estimates: np.ndarray) -> np.ndarray:
+def block_misfits(phi: CodingMatrix, z: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """Block norms of ``z - Phi x`` for each row ``x`` of ``estimates``: shape (rows, p)."""
-    resid = z.data[:, None] - phi.entries @ estimates.T
+    resid = z.reshape(-1, 1) - phi.entries @ estimates.T
     return np.linalg.norm(resid.reshape(phi.block_count, phi.block_len, -1), axis=1).T
 
 
@@ -149,12 +160,13 @@ class CandidateStack:
         members = sensor_selections(p, p - r)
         return cls(phi, r, members, pinv(phi.selection_stack(members), eps_rel))
 
-    def estimates(self, z: StackedVector) -> np.ndarray:
-        """Every candidate's least-squares estimate, one row per selection."""
-        data = z.data.reshape(z.block_count, z.block_len)[self.members]
-        return (self.pinvs @ data.reshape(len(self.members), -1, 1))[:, :, 0]
+    def estimates(self, z: np.ndarray) -> np.ndarray:
+        """Every candidate's least-squares estimate from the ``(p, n)`` blocks ``z``, one row
+        per selection."""
+        data = z[self.members].reshape(len(self.members), -1, 1)
+        return (self.pinvs @ data)[:, :, 0]
 
-    def search(self, z: StackedVector, threshold: float) -> tuple[np.ndarray, int, IndexSet]:
+    def search(self, z: np.ndarray, threshold: float) -> tuple[np.ndarray, int, IndexSet]:
         """Candidate with the fewest violating blocks: (estimate, count, violating set)."""
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite misfits violate by design
             estimates = self.estimates(z)
@@ -165,16 +177,16 @@ class CandidateStack:
         return estimates[best], int(counts[best]), IndexSet(support, self.phi.block_count)
 
 
-def default_support_tol(z: StackedVector) -> float:
+def default_support_tol(z: np.ndarray) -> float:
     """Round-off tolerance for residual blocks, scaled by the finite entries of ``z`` only."""
-    finite = z.data[np.isfinite(z.data)]
+    finite = z[np.isfinite(z)]
     with np.errstate(over="ignore"):  # an overflowing norm gives an infinite tolerance
         return math.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(finite)))
 
 
 def decode_noiseless(
     phi: CodingMatrix,
-    z: StackedVector,
+    z: np.ndarray,
     q: int,
     r: int | None = None,
     support_tol: float | None = None,
@@ -188,6 +200,7 @@ def decode_noiseless(
     and an objective value of at most q certifies it.  ``eps_rel`` is the
     relative rank tolerance of the correctability check and the candidates.
     """
+    z = _shaped(z, phi.blocks.shape[:2], "measurement (p, n)")
     if q < 0:
         raise ValueError("q must be nonnegative")
     r = q if r is None else r
@@ -210,7 +223,7 @@ def decode_noiseless(
 
 def decode_noisy(
     phi: CodingMatrix,
-    z: StackedVector,
+    z: np.ndarray,
     q: int,
     r: int | None = None,
     v_max: float = 0.0,
@@ -225,6 +238,7 @@ def decode_noisy(
     existence certifies correctability).  ``eps_rel`` is the relative rank
     tolerance of the constants and the candidates.
     """
+    z = _shaped(z, phi.blocks.shape[:2], "measurement (p, n)")
     if q < 0:
         raise ValueError("q must be nonnegative")
     r = q if r is None else r
@@ -248,7 +262,7 @@ def decode_noisy(
 
 def certify_estimate(
     phi: CodingMatrix,
-    z: StackedVector,
+    z: np.ndarray,
     x_hat: np.ndarray,
     q: int,
     r: int | None = None,
@@ -262,13 +276,15 @@ def certify_estimate(
     more than q violating blocks place it farther than
     ``kappa_c_prime * v_max`` away.
     """
+    z = _shaped(z, phi.blocks.shape[:2], "measurement (p, n)")
+    x_hat = _shaped(x_hat, (phi.block_len,), "estimate (n,)")
     _check_v_max(v_max)
     r = q if r is None else r
     if constants is None:
         constants = robustness_constants(phi, q, r)
     elif (constants.q, constants.r) != (q, r):
         raise ValueError("supplied constants were computed for different (q, r)")
-    misfits = block_misfits(phi, z, np.asarray(x_hat, dtype=float).reshape(1, -1))
+    misfits = block_misfits(phi, z, x_hat[None, :])
     count = int(np.count_nonzero(violations(misfits, constants.theta * v_max)))
     return count <= q, count
 
@@ -308,7 +324,5 @@ def recover_initial_state(
         state = model.A @ state + model.B @ inputs[k - 1]
         forced[k] = model.C @ state
 
-    free = outputs[:n] - forced
-    z = StackedVector.from_blocks([free[:, i] for i in range(p)])
-    g = observability_matrix(model)
-    return decode_noiseless(g, z, q, r, support_tol)
+    free = outputs[:n] - forced  # column i is sensor i's block
+    return decode_noiseless(observability_matrix(model), free.T, q, r, support_tol)

@@ -19,7 +19,7 @@ from ._linalg import pinv
 from .analysis import RobustnessConstants, robustness_constants
 from .decoding import CandidateStack, block_misfits, violations
 from .observers import PartialObserver
-from .stacked import CodingMatrix, IndexSet, StackedVector
+from .stacked import CodingMatrix, IndexSet
 
 
 class EstimatorAssumptionError(ValueError):
@@ -28,7 +28,7 @@ class EstimatorAssumptionError(ValueError):
 
 @dataclass
 class ObserverBank:
-    """The observer bank as one LTI system on the padded state ``z`` (p x n).
+    """The observer bank as one LTI system on the ``(p, n)`` padded state ``z``, a row per sensor.
 
     Block i advances as ``F_i z_i + B_i u + L_i y_i`` with sensor i's matrices
     zero-padded to n rows, so ``z`` is the decoder input as it stands.  A
@@ -71,16 +71,12 @@ class ObserverBank:
                              f"!= bank shapes {self.B.shape[2:]} and {self.z.shape[:1]}")
         self.z = (self.F @ self.z[:, :, None])[:, :, 0] + self.B @ u + self.L * y[:, None]
 
-    def output(self) -> StackedVector:
-        p, n = self.z.shape
-        return StackedVector(self.z.reshape(-1), n, p)
-
 
 @dataclass
 class DecoderState:
     """Mutable single-owner state of the switching decoder.
 
-    ``operators`` caches the calculator's (gather rows, pinv) per trusted set;
+    ``operators`` caches the calculator's (0-based members, pinv) per trusted set;
     ``candidates`` holds the minimizer's operators from the first search on.
     """
 
@@ -112,9 +108,9 @@ class DecoderState:
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite misfits violate by design
 def decoder_step(
-    state: DecoderState, z: StackedVector, k: int, v_max: float
+    state: DecoderState, z: np.ndarray, k: int, v_max: float
 ) -> tuple[np.ndarray, int]:
-    """One monitor-then-decode pass on the padded observer vector: ``(x_hat, f)``.
+    """One monitor-then-decode pass on the ``(p, n)`` padded observer state: ``(x_hat, f)``.
 
     ``v_max`` is the error envelope ``v_max(k)``.  The calculator solves least
     squares on the trusted set ``state.lam``, reading only the trusted blocks,
@@ -126,10 +122,10 @@ def decoder_step(
     """
     p = state.phi.block_count
     if state.lam not in state.operators:
-        rows = state.lam.row_indices(state.phi.block_len)
-        state.operators[state.lam] = (rows, pinv(state.phi.entries[rows]))
-    rows, lsq = state.operators[state.lam]
-    x_hat = lsq @ z.data[rows]
+        members = np.array(state.lam.indices, dtype=np.intp) - 1
+        state.operators[state.lam] = (members, pinv(state.phi.selection_stack(members[None])[0]))
+    members, lsq = state.operators[state.lam]
+    x_hat = lsq @ z[members].reshape(-1)
     threshold = state.constants.theta * v_max
     f = int(np.count_nonzero(violations(block_misfits(state.phi, z, x_hat[None, :]), threshold)))
 
@@ -157,4 +153,4 @@ def estimator_step(
     step-k+1 plant state, so ``v_max`` is the envelope ``v_max(k + 1)``.
     """
     bank.step(u, y_bar)
-    return decoder_step(state, bank.output(), k + 1, v_max)
+    return decoder_step(state, bank.z, k + 1, v_max)

@@ -202,6 +202,8 @@ def read_matrix_csv(path: PathLike) -> np.ndarray:
             line = line.strip()
             if not line:
                 continue
+            if not line.replace(",", "").strip():
+                raise ValueError(f"{path}: no value at line {lineno + 1}")
             if not _numeric_line(line):
                 if lineno == 0:
                     continue

@@ -410,7 +410,7 @@ def simulate(sc: Scenario) -> Trace:
 
     x = sc.x0.copy()
     v_max = v_max_at(bounds, 0)
-    x_hat, f = decoder_step(state, bank.output(), 0, v_max)
+    x_hat, f = decoder_step(state, bank.z, 0, v_max)
 
     for k in range(H):
         u = controller.step(x_hat, k) if controller else np.zeros(m)

@@ -1,9 +1,9 @@
-"""Block-structured index sets, vectors, and coding matrices.
+"""Sensor index sets and block-structured coding matrices.
 
-A length ``n*p`` vector is read as ``p`` contiguous blocks of length ``n``,
-one block per sensor.  An ``(n*p) x n`` matrix is read as ``p`` stacked
-``n x n`` row slabs.  Sensor index sets are 1-based on the public surface
-and converted to 0-based row ranges only at the numpy boundary.
+A measurement is a ``(p, n)`` array whose row ``i`` is sensor ``i``'s block,
+as the observer bank holds it.  An ``(n*p) x n`` coding matrix is read as
+``p`` stacked ``n x n`` row slabs.  Sensor index sets are 1-based on the
+public surface and 0-based only at the numpy boundary.
 
 All operations here are pure; none mutate their inputs.
 """
@@ -52,50 +52,6 @@ class IndexSet:
 
     def __contains__(self, i: object) -> bool:
         return i in self.indices
-
-    def row_indices(self, block_len: int) -> np.ndarray:
-        """0-based row positions covered by the member blocks of length n."""
-        if not self.indices:
-            return np.zeros(0, dtype=int)
-        return np.concatenate(
-            [np.arange((i - 1) * block_len, i * block_len) for i in self.indices]
-        )
-
-
-@dataclass(frozen=True)
-class StackedVector:
-    """Real vector of length ``block_len * block_count`` viewed blockwise."""
-
-    data: np.ndarray
-    block_len: int
-    block_count: int
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float).reshape(-1)
-        object.__setattr__(self, "data", data)
-        if self.block_len < 1 or self.block_count < 0:
-            raise ValueError("need block_len >= 1 and block_count >= 0")
-        if data.size != self.block_len * self.block_count:
-            raise ValueError(
-                f"data length {data.size} != block_len*block_count "
-                f"{self.block_len * self.block_count}"
-            )
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[np.ndarray]) -> "StackedVector":
-        parts = [np.asarray(b, dtype=float).reshape(-1) for b in blocks]
-        if not parts:
-            raise ValueError("at least one block required")
-        n = parts[0].size
-        if any(b.size != n for b in parts):
-            raise ValueError("all blocks must share one length")
-        return cls(np.concatenate(parts), n, len(parts))
-
-    def block_norms(self) -> np.ndarray:
-        """2-norm of every block, in index order."""
-        return np.linalg.norm(
-            self.data.reshape(self.block_count, self.block_len), axis=1
-        )
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ from resilest.stacked import CodingMatrix
 
 def compacted(stacked, lam):
     """The member blocks of the index set ``lam``, in index order: the rows of a
-    ``CodingMatrix`` or the entries of a ``StackedVector`` (a reference for the
+    ``CodingMatrix`` or the entries of a ``(p, n)`` measurement (a reference for the
     per-selection oracles; the library gathers with ``selection_stack``)."""
-    data = stacked.entries if isinstance(stacked, CodingMatrix) else stacked.data
-    return data[lam.row_indices(stacked.block_len)]
+    members = np.array(lam.indices, dtype=int) - 1
+    if isinstance(stacked, CodingMatrix):
+        return stacked.blocks[members].reshape(-1, stacked.block_len)
+    return np.asarray(stacked)[members].reshape(-1)
 
 
 def matrix_rank(matrix, eps_rel=DEFAULT_EPS_REL):

@@ -38,7 +38,7 @@ from resilest.plant import (
     three_inertia_model,
     zoh_discretize,
 )
-from resilest.stacked import CodingMatrix, StackedVector
+from resilest.stacked import CodingMatrix
 
 
 def report(criterion: str, detail: str) -> None:
@@ -92,7 +92,7 @@ def test_criterion_2_exact_recovery_200_instances():
             blk = rng.normal(size=n)
             blk *= rng.uniform(0.5, 20) / max(np.linalg.norm(blk), 1e-300)
             e[(b - 1) * n: b * n] = blk
-        z = StackedVector(phi.entries @ x + e, n, p)
+        z = (phi.entries @ x + e).reshape(p, n)
         for r in range(q, 2 * q + 1):
             res = decode_noiseless(phi, z, q=q, r=r)
             rel = np.linalg.norm(res.estimate - x) / (1 + np.linalg.norm(x))
@@ -253,7 +253,7 @@ def test_criterion_5_detection_soundness():
         v = rng.normal(size=(p, n))
         v *= (v_max * rng.uniform(0, 1, size=(p, 1))) / np.maximum(
             np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-        z = StackedVector(phi.entries @ x + v.reshape(-1), n, p)
+        z = (phi.entries @ x).reshape(p, n) + v
         assert not residual_detect_noisy(phi, z, v_max).attacked
 
     # noiseless scalar plant: the alarm fires exactly at the first corrupted sample
@@ -265,7 +265,7 @@ def test_criterion_5_detection_soundness():
         y = np.array([x, x, x])
         if k >= onset:
             y[2] += 7.0
-        res = residual_detect_noiseless(g, StackedVector(y, 1, 3))
+        res = residual_detect_noiseless(g, y[:, None])
         if res.attacked and first_alarm is None:
             first_alarm = k
     assert first_alarm == onset

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,13 +26,14 @@ from resilest.decoding import (
     residual_detect_noisy,
 )
 from resilest.plant import three_inertia_model, zoh_discretize
-from resilest.stacked import CodingMatrix, IndexSet, StackedVector
+from resilest.stacked import CodingMatrix, IndexSet
 
 ONES3 = CodingMatrix(np.array([[1.0], [1.0], [1.0]]), 1, 3)
 
 
 def sv(data, n, p):
-    return StackedVector(np.asarray(data, dtype=float), n, p)
+    """The length ``n*p`` values as ``(p, n)`` sensor blocks."""
+    return np.asarray(data, dtype=float).reshape(p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +50,8 @@ def test_detect_noiseless_corrupted():
     res = residual_detect_noiseless(ONES3, sv([5, 5, 12], 1, 3))
     assert res.attacked
     assert res.estimate == pytest.approx([22.0 / 3.0])
-    assert res.residual.data == pytest.approx([-7 / 3, -7 / 3, 14 / 3])
+    assert res.residual.shape == (3, 1)
+    assert res.residual[:, 0] == pytest.approx([-7 / 3, -7 / 3, 14 / 3])
 
 
 def test_detect_noiseless_zero_vector():
@@ -142,7 +145,7 @@ def test_residual_detection_takes_one_svd_per_call(monkeypatch):
     rng = np.random.default_rng(6)
     phi = CodingMatrix(rng.normal(size=(8, 2)), 2, 4)
     z = sv(rng.normal(size=8), 2, 4)
-    want = pinv(phi.entries) @ z.data
+    want = pinv(phi.entries) @ z.reshape(-1)
     calls = []
     svd, np_pinv = np.linalg.svd, np.linalg.pinv
 
@@ -211,7 +214,7 @@ def reference_search(phi, z, r, threshold):
     for lam_t in itertools.combinations(range(1, p + 1), p - r):
         lam = IndexSet(lam_t, p)
         x = pinv(compacted(phi, lam)) @ compacted(z, lam)
-        norms = np.linalg.norm((z.data - phi.entries @ x).reshape(p, n), axis=1)
+        norms = np.linalg.norm(z - (phi.entries @ x).reshape(p, n), axis=1)
         violating = tuple(i + 1 for i in range(p) if not norms[i] <= threshold)
         if best is None or len(violating) < len(best[2]):
             best = (x, len(violating), violating)
@@ -347,8 +350,7 @@ def test_lemma_style_certificate_biconditional():
         assert res.certified and np.allclose(res.estimate, x, atol=1e-8)
         # converse: a wrong state cannot have objective <= q
         wrong = x + rng.normal(size=n) * 0.7 + 0.1
-        resid = z.data - phi.entries @ wrong
-        norms = np.linalg.norm(resid.reshape(p, n), axis=1)
+        norms = np.linalg.norm(z - (phi.entries @ wrong).reshape(p, n), axis=1)
         assert int(np.count_nonzero(norms > 1e-8)) > q
 
 
@@ -419,7 +421,7 @@ def test_decode_noisy_relaxation_equivalence():
         z = sv(phi.entries @ x + e + v, n, p)
         res = decode_noisy(phi, z, q=q, r=q, v_max=v_max, constants=consts)
         v_prime = consts.theta * v_max
-        resid = (z.data - phi.entries @ res.estimate).reshape(p, n)
+        resid = z - (phi.entries @ res.estimate).reshape(p, n)
         norms = np.linalg.norm(resid, axis=1)
         slack = np.where((norms > v_prime)[:, None], resid, 0.0)
         leftover = np.linalg.norm(resid - slack, axis=1)
@@ -433,7 +435,7 @@ def test_decoders_take_the_rank_tolerance(three_inertia):
     g = observability_matrix(three_inertia)
     data = g.entries @ np.ones(6)
     data[:6] += 20.0
-    z = StackedVector(data, 6, 5)
+    z = data.reshape(5, 6)
     res = decode_noiseless(g, z, 1)
     assert res.certified and tuple(res.support_estimate) == (1,)
     with pytest.raises(CorrectabilityError):
@@ -566,3 +568,33 @@ def test_recover_initial_state_needs_n_samples():
     m = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=np.eye(2))
     with pytest.raises(ValueError):
         recover_initial_state(m, np.zeros((1, 2)), None, q=0)
+
+
+# ---------------------------------------------------------------------------
+# input shapes
+
+EYE3 = CodingMatrix(np.vstack([np.eye(2)] * 3), 2, 3)  # p = 3 blocks of n = 2
+
+ENTRY_POINTS = {
+    "detect-noiseless": lambda z: residual_detect_noiseless(EYE3, z),
+    "detect-noisy": lambda z: residual_detect_noisy(EYE3, z, v_max=0.1),
+    "decode-noiseless": lambda z: decode_noiseless(EYE3, z, q=1),
+    "decode-noisy": lambda z: decode_noisy(EYE3, z, q=1, v_max=0.1),
+    "certify": lambda z: certify_estimate(EYE3, z, np.ones(2), q=1, v_max=0.1),
+}
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (2, 3), (6,), (3, 1), (5,)])
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_entry_points_reject_a_measurement_not_blocked_like_phi(entry, shape):
+    # the six values of three 2-blocks read as six 1-blocks would give six block
+    # norms against the sqrt(3) threshold of three blocks
+    entry(np.ones((3, 2)))
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape} != (3, 2)")):
+        entry(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (1, 2)])
+def test_certify_estimate_rejects_an_estimate_not_of_length_n(shape):
+    with pytest.raises(ValueError, match=re.escape(f"estimate (n,) shape {shape} != (2,)")):
+        certify_estimate(EYE3, np.ones((3, 2)), np.ones(shape), q=1, v_max=0.1)

@@ -22,7 +22,7 @@ from resilest.observers import (
     v_max_at,
 )
 from resilest.plant import AttackSpec, ObserverConfig, Scenario, build_observer_bank, simulate
-from resilest.stacked import IndexSet, StackedVector
+from resilest.stacked import IndexSet
 
 
 def scalar_bank(model):
@@ -84,9 +84,8 @@ def test_pad_observer_outputs(scalar_triple):
     bank = ObserverBank.stack(observers)
     y = np.array([5.0, 5.0, 12.0])
     bank.step(np.zeros(1), y)
-    z = bank.output()
-    assert (z.block_len, z.block_count) == (1, 3)
-    assert np.array_equal(z.data, [obs.L[0, 0] * v for obs, v in zip(observers, y)])
+    assert bank.z.shape == (3, 1)
+    assert np.array_equal(bank.z[:, 0], [obs.L[0, 0] * v for obs, v in zip(observers, y)])
 
 
 def test_pad_inserts_zeros():
@@ -102,9 +101,8 @@ def test_pad_inserts_zeros():
         u, y = rng.normal(size=1), rng.normal(size=3)
         bank.step(u, y)
         ref = first.F @ ref + first.Bz @ u + first.L[:, 0] * y[0]
-    z = bank.output()
-    assert z.block_len == 2 and z.block_count == 3
-    blocks = z.data.reshape(3, 2)
+    blocks = bank.z
+    assert blocks.shape == (3, 2)
     assert blocks[0, 1] == 0.0 and blocks[1, 1] == 0.0
     assert blocks[0, 0] == pytest.approx(ref[0], rel=1e-14)
 
@@ -131,7 +129,7 @@ def test_decoder_calculator_on_clean_data(scalar_triple):
     bank = scalar_bank(scalar_triple)
     state, bounds = fresh_state_and_bounds(scalar_triple, bank)
     x_true = 4.2
-    z = StackedVector(state.phi.entries @ [x_true], 1, 3)
+    z = (state.phi.entries @ [x_true]).reshape(3, 1)
     x_hat, f = decoder_step(state, z, 5, v_max_at(bounds, 5))
     assert f == 0
     assert x_hat == pytest.approx([x_true])
@@ -142,7 +140,7 @@ def test_decoder_minimizer_excludes_corrupted_sensor(scalar_triple):
     bank = scalar_bank(scalar_triple)
     state, bounds = fresh_state_and_bounds(scalar_triple, bank)
     x_true = 4.2
-    z = StackedVector(state.phi.entries @ [x_true] + [0.0, 0.0, 500.0], 1, 3)
+    z = (state.phi.entries @ [x_true] + [0.0, 0.0, 500.0]).reshape(3, 1)
     x_hat, f = decoder_step(state, z, 400, v_max_at(bounds, 400))  # observer 3 corrupted
     assert f > state.q
     assert tuple(state.lam) == (1, 2)
@@ -156,7 +154,7 @@ def test_decoder_minimizer_excludes_corrupted_sensor(scalar_triple):
 def test_decoder_boundary_misfit_counts_as_trusted(scalar_triple):
     bank = scalar_bank(scalar_triple)
     state, bounds = fresh_state_and_bounds(scalar_triple, bank)
-    z = StackedVector(np.zeros(3), 1, 3)
+    z = np.zeros((3, 1))
     # zero data, zero misfits, threshold > 0: membership uses <=, so all stay
     _, f = decoder_step(state, z, 0, v_max_at(bounds, 0))
     assert f == 0
@@ -182,7 +180,7 @@ def test_estimator_step_equals_manual_composition(scalar_triple):
 
     # per-sensor recursion F z + Bz u + L y from the zero state
     z = [obs.Bz @ u + obs.L[:, 0] * y[i] for i, obs in enumerate(observers)]
-    x_b, f_b = decoder_step(state_b, StackedVector.from_blocks(z), 8, v_max_at(bounds, 8))
+    x_b, f_b = decoder_step(state_b, np.array(z), 8, v_max_at(bounds, 8))
 
     assert x_a == pytest.approx(x_b)
     assert f_a == f_b
@@ -219,7 +217,7 @@ def test_recertification_readmits_sensors(scalar_triple):
     state = DecoderState.fresh(phi, 1, 1, recert_every=10)
     bounds = compute_error_bounds(bank, 0.001, 0.001, 1.0)
     state.lam = IndexSet.of([1, 2], 3)
-    decoder_step(state, StackedVector(np.zeros(3), 1, 3), 10, v_max_at(bounds, 10))
+    decoder_step(state, np.zeros((3, 1)), 10, v_max_at(bounds, 10))
     assert tuple(state.lam) == (1, 2, 3)
     # estimator_step at k decodes step k + 1, so k = 9 is the step that readmits
     state.lam = IndexSet.of([1, 2], 3)

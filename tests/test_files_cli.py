@@ -383,6 +383,24 @@ def test_cli_decode_rejects_nonfinite_phi_exit_2(tmp_path, capsys, bad):
     assert "coding matrix entries must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("phi_text", "z_text", "message"), [
+    (",\n,\n,\n", "5\n5\n5\n", "phi.csv: no value at line 1"),
+    ("1,0\n0,1\n1,0\n0,1\n1,0\n0,1\n", "5\n5\n5\n5\n5\n",
+     "measurement length 5 != coding matrix rows 6"),
+], ids=["phi-lines-without-values", "z-one-value-short"])
+def test_cli_decode_rejects_malformed_input_exit_2(tmp_path, capsys, phi_text, z_text, message):
+    # a phi of "," lines would read as width 0, which the block count divides by
+    phi = tmp_path / "phi.csv"
+    phi.write_text(phi_text)
+    z = tmp_path / "z.csv"
+    z.write_text(z_text)
+    assert main(["decode", "--phi", str(phi), "--z", str(z), "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: invalid input: ") and message in captured.err
+
+
 def test_cli_simulate(tmp_path, capsys):
     sfile = write_json(tmp_path / "s.json", scalar_scenario_doc(horizon=40))
     out = tmp_path / "t.csv"

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from resilest.decoding import violations
-from resilest.stacked import CodingMatrix, IndexSet, StackedVector
+from resilest.stacked import CodingMatrix, IndexSet
 
 
 def vec(data, n, p):
-    return StackedVector(np.asarray(data, dtype=float), n, p)
+    return np.asarray(data, dtype=float).reshape(p, n)
 
 
 def stacked_support(z, tol=0.0):
-    """1-based blocks whose 2-norm exceeds ``tol``: the decoder's violation test on
-    ``block_norms``."""
-    return tuple(int(i) + 1 for i in np.flatnonzero(violations(z.block_norms(), tol)))
+    """1-based blocks whose 2-norm exceeds ``tol``: the decoder's violation test on the
+    row norms of ``(p, n)`` blocks."""
+    return tuple(int(i) + 1 for i in np.flatnonzero(violations(np.linalg.norm(z, axis=1), tol)))
 
 
 def test_support_block_inspection():
@@ -40,24 +40,6 @@ def test_l0_examples():
     assert len(stacked_support(vec([5, 5, 12], 1, 3))) == 3
 
 
-def test_expand_index_set():
-    assert IndexSet.of([1, 3], 3).row_indices(2).tolist() == [0, 1, 4, 5]
-    assert IndexSet((), 4).row_indices(3).tolist() == []
-    assert IndexSet.of([2], 2).row_indices(3).tolist() == [3, 4, 5]
-
-
-def test_expand_distributes_over_union():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        p = int(rng.integers(1, 8))
-        n = int(rng.integers(1, 4))
-        a = IndexSet.of(rng.choice(p, size=rng.integers(0, p + 1), replace=False) + 1, p)
-        b = IndexSet.of(rng.choice(p, size=rng.integers(0, p + 1), replace=False) + 1, p)
-        lhs = IndexSet.of(set(a) | set(b), p).row_indices(n).tolist()
-        rhs = sorted(set(a.row_indices(n)) | set(b.row_indices(n)))
-        assert lhs == rhs
-
-
 def test_select_compacted():
     # selection_stack gathers each selection's member slabs, in index order
     m = CodingMatrix(np.arange(12, dtype=float).reshape(6, 2), 2, 3)
@@ -75,10 +57,9 @@ def test_zeroed_and_compacted_share_singular_values():
         n = int(rng.integers(1, 4))
         m = CodingMatrix(rng.normal(size=(n * p, n)), n, p)
         members = np.sort(rng.choice(p, size=rng.integers(1, p + 1), replace=False))
-        zeroed = np.zeros_like(m.entries)
-        rows = IndexSet.of(members + 1, p).row_indices(n)
-        zeroed[rows] = m.entries[rows]
-        s_zero = np.linalg.svd(zeroed, compute_uv=False)
+        zeroed = np.zeros_like(m.blocks)
+        zeroed[members] = m.blocks[members]
+        s_zero = np.linalg.svd(zeroed.reshape(n * p, n), compute_uv=False)
         s_comp = np.linalg.svd(m.selection_stack(members[None])[0], compute_uv=False)
         s_zero = np.sort(s_zero[s_zero > 1e-12])
         s_comp = np.sort(s_comp[s_comp > 1e-12])
@@ -104,8 +85,6 @@ def test_index_set_validation():
 
 def test_vector_shape_validation():
     with pytest.raises(ValueError):
-        StackedVector(np.zeros(5), 2, 3)
-    with pytest.raises(ValueError):
         CodingMatrix(np.zeros((5, 2)), 2, 3)
 
 
@@ -113,4 +92,3 @@ def test_vector_shape_validation():
 def test_coding_matrix_rejects_nonfinite_entries(bad):
     with pytest.raises(ValueError, match="coding matrix entries must be finite"):
         CodingMatrix(np.array([[1.0], [bad], [1.0]]), 1, 3)
-    StackedVector(np.array([1.0, bad, 1.0]), 1, 3)  # measurements may be attacked
