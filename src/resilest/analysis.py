@@ -231,6 +231,11 @@ def coding_matrix(model: SystemModel) -> CodingMatrix:
 _STACK_FLOATS = 1 << 15  # per chunk of selections: 256 kB of intermediates
 
 
+def _per_chunk(floats_per_selection: int) -> int:
+    """Selections per chunk: as many as ``_STACK_FLOATS`` floats hold, at least one."""
+    return max(1, _STACK_FLOATS // max(1, floats_per_selection))
+
+
 def sensor_selections(p: int, size: int) -> np.ndarray:
     """Every ``size``-subset of ``range(p)``, lexicographic: the order of every selection scan."""
     count = math.comb(p, size)
@@ -246,7 +251,7 @@ def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int):
     """
     p, n = phi.block_count, phi.block_len
     table = phi.grams.reshape(p, n * n)
-    step = max(1, _STACK_FLOATS // max(1, floats_per_selection))
+    step = _per_chunk(floats_per_selection)
     total, selections = math.comb(p, size), itertools.combinations(range(p), size)
     for start in range(0, total, step):
         count = min(step, total - start)
@@ -270,7 +275,7 @@ def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int,
     # three n x n per selection: G_S, the certificate's shifted copy and its factor
     for members, grams in _selection_grams(phi, size, 3 * n * n):
         if not cholesky_certified(grams, size * n, eps_rel):
-            svd = sigma_min(phi.selection_stack(members), eps_rel)
+            svd = _svd_sigma_min(phi, members, eps_rel)
             first = int(np.argmin(svd))
             if svd[first] == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
                 # a tuple, not a view that would keep every size-selection alive
@@ -291,12 +296,13 @@ def _selection_sigma_min(phi: CodingMatrix, size: int, eps_rel: float) -> float:
     rho, winner = math.inf, None  # winner: a certified selection to confirm by SVD
     for members, grams in _selection_grams(phi, size, n * n):
         lam = eigvalsh(grams)
+        del grams  # an SVD-route chunk stacks its slices without the Gram sums alive
         if (lam[:, 0] > floor * lam[:, -1]).all():  # False for NaN too
             best = int(np.argmin(lam[:, 0]))
             if math.sqrt(lam[best, 0]) < rho:
                 rho, winner = math.sqrt(lam[best, 0]), members[best]
         else:
-            svd = sigma_min(phi.selection_stack(members), eps_rel)
+            svd = _svd_sigma_min(phi, members, eps_rel)
             first = int(np.argmin(svd))
             if svd[first] == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
                 return 0.0
@@ -307,11 +313,25 @@ def _selection_sigma_min(phi: CodingMatrix, size: int, eps_rel: float) -> float:
     return rho
 
 
+def _svd_sigma_min(phi: CodingMatrix, members: np.ndarray, eps_rel: float) -> np.ndarray:
+    """The SVD route's ``sigma_min`` of each selection row of ``members``, stacked
+    ``_STACK_FLOATS`` floats at a time, not a Gram-sized chunk (``size`` times that) at once.
+    Each matrix's SVD does not depend on its batch, so the values are those of one stack."""
+    step = _per_chunk(members.shape[1] * phi.block_len ** 2)
+    return np.concatenate([sigma_min(phi.selection_stack(members[start:start + step]), eps_rel)
+                           for start in range(0, len(members), step)])
+
+
 def _svd_gains(phi: CodingMatrix, members: np.ndarray, others: np.ndarray,
                eps_rel: float) -> np.ndarray:
-    """The SVD route's ``|block_i @ pinv(selection)|``: a row per selection, one per ``others``."""
-    excluded = phi.blocks[others]
-    return spectral_norm(excluded @ pinv(phi.selection_stack(members), eps_rel)[:, None])
+    """The SVD route's ``|block_i @ pinv(selection)|``: a row per selection, one per ``others``.
+    Sliced like :func:`_svd_sigma_min`, counting per selection its ``p - size`` products and
+    five copies of its stack inside ``pinv``."""
+    step = _per_chunk((others.shape[1] + 5) * members.shape[1] * phi.block_len ** 2)
+    return np.concatenate([
+        spectral_norm(phi.blocks[others[start:start + step]]
+                      @ pinv(phi.selection_stack(members[start:start + step]), eps_rel)[:, None])
+        for start in range(0, len(members), step)])
 
 
 def is_q_error_detectable(phi: CodingMatrix, q: int, eps_rel: float = DEFAULT_EPS_REL) -> bool:

@@ -127,7 +127,13 @@ def _check_v_max(v_max: float) -> None:
 
 
 def block_misfits(phi: CodingMatrix, z: np.ndarray, estimates: np.ndarray) -> np.ndarray:
-    """Block norms of ``z - Phi x`` for each row ``x`` of ``estimates``: shape (rows, p)."""
+    """Block norms of ``z - Phi x`` for each row ``x`` of ``estimates``: shape (rows, p).
+
+    ``z`` must already be a ``(p, n)`` array: this runs every online step, so its shape is
+    compared, not converted."""
+    if z.shape != (phi.block_count, phi.block_len):
+        raise ValueError(f"measurement (p, n) shape {z.shape} != "
+                         f"{(phi.block_count, phi.block_len)}")
     resid = z.reshape(-1, 1) - phi.entries @ estimates.T
     return np.linalg.norm(resid.reshape(phi.block_count, phi.block_len, -1), axis=1).T
 
@@ -163,11 +169,13 @@ class CandidateStack:
     def estimates(self, z: np.ndarray) -> np.ndarray:
         """Every candidate's least-squares estimate from the ``(p, n)`` blocks ``z``, one row
         per selection."""
+        z = _shaped(z, self.phi.blocks.shape[:2], "measurement (p, n)")
         data = z[self.members].reshape(len(self.members), -1, 1)
         return (self.pinvs @ data)[:, :, 0]
 
     def search(self, z: np.ndarray, threshold: float) -> tuple[np.ndarray, int, IndexSet]:
         """Candidate with the fewest violating blocks: (estimate, count, violating set)."""
+        z = _shaped(z, self.phi.blocks.shape[:2], "measurement (p, n)")
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite misfits violate by design
             estimates = self.estimates(z)
             violating = violations(block_misfits(self.phi, z, estimates), threshold)

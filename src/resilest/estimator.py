@@ -6,18 +6,21 @@ bank on the padded state) followed by cached least-squares operators.
 During normal operation one product with the pseudoinverse of the trusted
 rows (the calculator) suffices; only when more than q sensors disagree does
 the decoder fall back to the combinatorial search (the minimizer) and
-re-select the trusted set.
+re-select the trusted set.  The search stops at the first candidate it can
+certify, so it solves the few selections it tries, not all ``C(p, p - r)``;
+the exhaustive minimum stays in the offline decoders of ``decoding``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ._linalg import pinv
-from .analysis import RobustnessConstants, robustness_constants
-from .decoding import CandidateStack, block_misfits, violations
+from .analysis import RobustnessConstants, robustness_constants, sensor_selections
+from .decoding import block_misfits, violations
 from .observers import PartialObserver
 from .stacked import CodingMatrix, IndexSet
 
@@ -76,8 +79,8 @@ class ObserverBank:
 class DecoderState:
     """Mutable single-owner state of the switching decoder.
 
-    ``operators`` caches the calculator's (0-based members, pinv) per trusted set;
-    ``candidates`` holds the minimizer's operators from the first search on.
+    ``operators`` caches (0-based members, pinv) per block selection, solved when first
+    needed: the calculator's trusted sets and the candidates the minimizer has tried.
     """
 
     lam: IndexSet
@@ -87,7 +90,6 @@ class DecoderState:
     constants: RobustnessConstants
     recert_every: int | None = None
     operators: dict[IndexSet, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    candidates: CandidateStack | None = None
 
     @classmethod
     def fresh(
@@ -105,6 +107,19 @@ class DecoderState:
         return cls(lam=IndexSet.full(phi.block_count), q=q, r=r, phi=phi,
                    constants=constants, recert_every=recert_every)
 
+    @cached_property
+    def selections(self) -> np.ndarray:
+        """The minimizer's candidates: 0-based ``(p - r)``-selections, lexicographic."""
+        p = self.phi.block_count
+        return sensor_selections(p, p - self.r)
+
+    def operator(self, lam: IndexSet) -> tuple[np.ndarray, np.ndarray]:
+        """(0-based members, pinv of their row slabs) of ``lam``, solved once and cached."""
+        if lam not in self.operators:
+            members = np.array(lam.indices, dtype=np.intp) - 1
+            self.operators[lam] = (members, pinv(self.phi.selection_stack(members[None])[0]))
+        return self.operators[lam]
+
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite misfits violate by design
 def decoder_step(
@@ -116,32 +131,54 @@ def decoder_step(
     squares on the trusted set ``state.lam``, reading only the trusted blocks,
     and counts as ``f`` the sensors whose block misfit is not within
     ``theta * v_max``; ``f <= q`` keeps its estimate.  Otherwise the minimizer
-    searches the candidate set and the trusted set becomes the sensors
-    consistent with its estimate (non-strict threshold, lexicographic
-    tie-break inherited from the search).
+    (:func:`_first_fit`) re-selects the trusted set.
     """
     p = state.phi.block_count
-    if state.lam not in state.operators:
-        members = np.array(state.lam.indices, dtype=np.intp) - 1
-        state.operators[state.lam] = (members, pinv(state.phi.selection_stack(members[None])[0]))
-    members, lsq = state.operators[state.lam]
+    members, lsq = state.operator(state.lam)
     x_hat = lsq @ z[members].reshape(-1)
     threshold = state.constants.theta * v_max
-    f = int(np.count_nonzero(violations(block_misfits(state.phi, z, x_hat[None, :]), threshold)))
+    misfits = block_misfits(state.phi, z, x_hat[None, :])[0]
+    f = int(np.count_nonzero(violations(misfits, threshold)))
 
     if f > state.q:
-        if state.candidates is None:
-            state.candidates = CandidateStack.build(state.phi, state.r)
-        x_hat, _, attacked = state.candidates.search(z, threshold)
-        state.lam = attacked.complement()
-        if len(state.lam) < p - state.q:
-            raise EstimatorAssumptionError(
-                f"trusted set {tuple(state.lam)} shrank below p - q; more than q sensors attacked"
-            )
+        x_hat, state.lam = _first_fit(state, z, misfits, threshold)
 
     if state.recert_every and k > 0 and k % state.recert_every == 0:
         state.lam = IndexSet.full(p)
     return x_hat, f
+
+
+def _first_fit(
+    state: DecoderState, z: np.ndarray, misfits: np.ndarray, threshold: float
+) -> tuple[np.ndarray, IndexSet]:
+    """The first candidate estimate with at most q violating blocks: (estimate, the sensors
+    it does not violate).
+
+    Any such candidate is certified.  At most q blocks are attacked and at most q violate,
+    so at least ``p - 2q`` blocks are neither: each lies within ``v`` of ``Phi_i x`` and
+    within ``theta * v`` of ``Phi_i x_hat``, so ``|Phi_i (x - x_hat)| <= (theta + 1) v``.
+    On ``p - 2q`` of them ``|x - x_hat| <= (theta + 1) sqrt(p - 2q) v / rho_2q``, which is
+    ``kappa_c * v``: the bound ``decoding.certify_estimate`` states.  So the search need
+    not find the fewest violations; it tries the ``(p - r)``-selections in ascending order
+    of the largest calculator ``misfits`` among their members (a non-finite misfit ranks
+    last; ties keep the lexicographic order) and solves each one's operator only when it
+    is tried.  When none qualifies, the exhaustive minimum would violate more than q
+    blocks too and leave fewer than ``p - q`` sensors trusted, so the step raises.
+    """
+    selections = state.selections
+    score = np.where(np.isfinite(misfits), misfits, np.inf)[selections].max(axis=1)
+    for c in np.argsort(score, kind="stable"):
+        members, lsq = state.operator(IndexSet(tuple(int(i) + 1 for i in selections[c]),
+                                               state.phi.block_count))
+        x_hat = lsq @ z[members].reshape(-1)
+        bad = violations(block_misfits(state.phi, z, x_hat[None, :]), threshold)[0]
+        if np.count_nonzero(bad) <= state.q:
+            trusted = tuple(int(i) + 1 for i in np.flatnonzero(~bad))
+            return x_hat, IndexSet(trusted, state.phi.block_count)
+    raise EstimatorAssumptionError(
+        "no candidate violates at most q blocks, so the trusted set would shrink below "
+        "p - q; more than q sensors attacked"
+    )
 
 
 def estimator_step(

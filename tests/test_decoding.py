@@ -17,6 +17,7 @@ from resilest.analysis import (
 )
 from resilest.decoding import (
     CandidateStack,
+    block_misfits,
     certify_estimate,
     decode_noiseless,
     decode_noisy,
@@ -581,14 +582,19 @@ ENTRY_POINTS = {
     "decode-noiseless": lambda z: decode_noiseless(EYE3, z, q=1),
     "decode-noisy": lambda z: decode_noisy(EYE3, z, q=1, v_max=0.1),
     "certify": lambda z: certify_estimate(EYE3, z, np.ones(2), q=1, v_max=0.1),
+    "estimates": lambda z: CandidateStack.build(EYE3, 1).estimates(z),
+    "search": lambda z: CandidateStack.build(EYE3, 1).search(z, 0.1),
+    "block-misfits": lambda z: block_misfits(EYE3, z, np.ones((1, 2))),
 }
 
 
-@pytest.mark.parametrize("shape", [(6, 1), (2, 3), (6,), (3, 1), (5,)])
+@pytest.mark.parametrize("shape", [(6, 1), (2, 3), (6,), (3, 1), (5,), (4, 2)])
 @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 def test_entry_points_reject_a_measurement_not_blocked_like_phi(entry, shape):
     # the six values of three 2-blocks read as six 1-blocks would give six block
-    # norms against the sqrt(3) threshold of three blocks
+    # norms against the sqrt(3) threshold of three blocks.  Unchecked, the search
+    # steps fail inside numpy on (6, 1) and (4, 2), search fails on (2, 3) with an
+    # IndexError, and block_misfits reads (2, 3) in the wrong layout without complaint
     entry(np.ones((3, 2)))
     with pytest.raises(ValueError, match=re.escape(f"shape {shape} != (3, 2)")):
         entry(np.ones(shape))

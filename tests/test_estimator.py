@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compacted
-from resilest.analysis import SystemModel, is_q_error_correctable
+from resilest.analysis import SystemModel, is_q_error_correctable, robustness_constants
+from resilest.decoding import CandidateStack, certify_estimate
 from resilest.estimator import (
     DecoderState,
     EstimatorAssumptionError,
@@ -22,7 +24,7 @@ from resilest.observers import (
     v_max_at,
 )
 from resilest.plant import AttackSpec, ObserverConfig, Scenario, build_observer_bank, simulate
-from resilest.stacked import IndexSet
+from resilest.stacked import CodingMatrix, IndexSet
 
 
 def scalar_bank(model):
@@ -280,3 +282,63 @@ def test_two_attacked_sensors_raise_typed_error(monkeypatch):
     monkeypatch.setattr(Scenario, "validate", lambda self: None)
     with pytest.raises(EstimatorAssumptionError, match="p - q"):
         simulate(sc)
+
+
+# ---------------------------------------------------------------------------
+# the minimizer's first-fit search
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf, 1e300, 1e6]))
+def test_first_fit_estimate_is_certified(seed, bad):
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, 3))
+    n, p = int(rng.integers(1, 4)), int(rng.integers(2 * q + 1, 2 * q + 5))
+    r = int(rng.integers(q, 2 * q + 1))
+    phi = CodingMatrix(rng.normal(size=(n * p, n)), n, p)  # correctable almost surely
+    state = DecoderState.fresh(phi, q, r, constants=robustness_constants(phi, q, r))
+    x, v_max = rng.normal(size=n), 1e-3
+    v = rng.normal(size=(p, n))
+    v *= v_max * rng.uniform(0, 1, size=(p, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+    z = phi.blocks @ x + v
+    attacked = rng.choice(p, size=int(rng.integers(1, q + 1)), replace=False)
+    z[attacked] = bad * rng.choice([-1.0, 1.0], size=(len(attacked), n))
+    # every sensor starts trusted, so the calculator reads the corrupted blocks, and on
+    # these draws more than q of its misfits violate: the search runs
+    x_hat, f = decoder_step(state, z, 1, v_max)
+    assert f > q
+    with np.errstate(over="ignore", invalid="ignore"):  # the corrupted blocks' misfits
+        certified, count = certify_estimate(phi, z, x_hat, q, r, v_max, state.constants)
+    assert certified and count <= q
+    assert len(state.lam) >= p - q
+    assert np.linalg.norm(x_hat - x) <= state.constants.kappa_c * v_max
+
+
+def test_fifteen_sensor_chain_searches_without_the_candidate_stack(monkeypatch, inertia_chain):
+    # the 10 ms eight-inertia chain: C(15, 11) = 1365 candidates, whose stacked operators
+    # alone take 30.75 MB; the first-fit search solves only the few it tries
+    builds, states = [], []
+    monkeypatch.setattr(CandidateStack, "build", classmethod(lambda cls, *a: builds.append(a)))
+    fresh = DecoderState.fresh
+    monkeypatch.setattr(DecoderState, "fresh", lambda *a, **kw: states.append(fresh(*a, **kw))
+                        or states[-1])
+    model = inertia_chain(8, 0.01)
+    x0 = np.random.default_rng(8).standard_normal(model.n)
+    sc = Scenario(model=model, horizon=600, q=2, r=4, seed=8, dt=0.01, recert_every=10,
+                  x0=x0 * 0.5 / np.linalg.norm(x0),
+                  observer=ObserverConfig(mode="contract", factor=0.98, x0_max=1.0),
+                  attacks=(AttackSpec(1, 200, None, {"kind": "random", "lo": -50.0, "hi": 50.0}),
+                           AttackSpec(6, 500, None, {"kind": "constant", "value": 50.0})))
+    tracemalloc.start()
+    try:
+        trace = simulate(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(trace.estimation_errors() > trace.bound) == 0
+    assert np.any(trace.branch == 1)
+    assert peak < 8e6  # 121 MB with every candidate solved at the first search
+    (state,) = states
+    assert sum(members.nbytes + lsq.nbytes for members, lsq in state.operators.values()) < 3e6
+    assert builds == []
