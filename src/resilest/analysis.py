@@ -8,8 +8,11 @@ decodes with.  A coding matrix tolerates q corrupted sensor blocks exactly
 when every selection of ``p - q`` blocks retains full column rank; the
 security index is the smallest number of blocks an undetectable input can be
 confined to, i.e. the smallest q for which the plant is not q-redundant
-observable.  One rank scan per selection size (exhaustive and batched: the
-intended envelope is small p, not large sensor networks) serves both views.
+observable.  Detectability of one q takes one rank scan of the size ``p - q``.
+The security index moves two frontiers, whichever's next level holds fewer
+selections: that scan on the sizes p, p - 1, ... downward, and an Apriori
+frontier upward from the empty selection that tests only the selections whose
+subsets all failed to certify their supersets full rank (:func:`_index_scan`).
 The robustness constants' rho and rho_2q, the smallest ``sigma_min`` over the
 sizes ``p - q`` and ``p - 2q``, take a second scan of those sizes only.
 
@@ -19,10 +22,12 @@ at a time, and each chunk takes one route as a whole.  A scan that only
 decides rank (the security index and its witness, detectability, redundant
 observability, and which chunks the constants' gains may read from the Gram
 inverse) certifies a chunk full rank by one batched shifted Cholesky
-(``_linalg.cholesky_certified``).  The scan for rho and rho_2q takes one
-batched ``eigvalsh`` per chunk, which gives ``sigma_min^2 = lambda_min``, and
-certifies the chunk when every ``lambda_min`` clears ``_linalg.gram_floor``
-times ``lambda_max``: the squared SVD floor plus the rounding bound ``sqrt(b)``
+(``_linalg.cholesky_certified``); the upward frontier shifts by the floor of
+the whole matrix instead, which certifies every superset too.  The scan for
+rho and rho_2q takes one batched ``eigvalsh`` per chunk, which gives
+``sigma_min^2 = lambda_min``, and certifies the chunk when every
+``lambda_min`` clears ``_linalg.gram_floor`` times ``lambda_max``: the
+squared SVD floor plus the rounding bound ``sqrt(b)``
 (the Cholesky shift is wider still, so it certifies nothing the eigenvalues
 would not).  The outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1
 B_i')`` of a certified chunk come from one batched Gram inverse.  Any other
@@ -243,33 +248,35 @@ def sensor_selections(p: int, size: int) -> np.ndarray:
     return np.fromiter(members, dtype=np.intp, count=count * size).reshape(count, size)
 
 
-def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int):
-    """Lexicographic chunks of (0-based members, their ``(c, n, n)`` Gram sums ``G_S``).
-
-    Each chunk's members are drawn from ``combinations`` as it is reached, and its ``G_S``
-    is one product of its 0/1 membership rows with the Gram table.
-    """
+def _gram_sums(phi: CodingMatrix, members: np.ndarray) -> np.ndarray:
+    """``(c, n, n)`` Gram sums ``G_S`` of the rows of 0-based ``members`` (c, size): one
+    product of their 0/1 membership rows with the Gram table."""
     p, n = phi.block_count, phi.block_len
-    table = phi.grams.reshape(p, n * n)
-    step = _per_chunk(floats_per_selection)
+    inside = np.zeros((len(members), p))
+    np.put_along_axis(inside, members, 1.0, axis=1)
+    return (inside @ phi.grams.reshape(p, n * n)).reshape(len(members), n, n)
+
+
+def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int):
+    """Lexicographic chunks of (0-based members, their ``(c, n, n)`` Gram sums ``G_S``),
+    each chunk's members drawn from ``combinations`` as it is reached."""
+    p, step = phi.block_count, _per_chunk(floats_per_selection)
     total, selections = math.comb(p, size), itertools.combinations(range(p), size)
     for start in range(0, total, step):
         count = min(step, total - start)
         flat = itertools.chain.from_iterable(itertools.islice(selections, count))
         chunk = np.fromiter(flat, dtype=np.intp, count=count * size).reshape(count, size)
-        inside = np.zeros((count, p))
-        np.put_along_axis(inside, chunk, 1.0, axis=1)
-        yield chunk, (inside @ table).reshape(count, n, n)
+        yield chunk, _gram_sums(phi, chunk)
 
 
 def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int, ...] | None:
     """0-based members of the lexicographically first rank-deficient ``size``-selection,
     or None when every one has full column rank.
 
-    The rank-only scan: detectability and the security index share it.  A chunk whose
-    shifted Cholesky completes is full rank; any other chunk takes the SVD as a whole,
-    which decides its ranks, and the scan stops at the first chunk holding a deficient
-    selection.
+    The rank-only scan: detectability and the security index's downward frontier share it.
+    A chunk whose shifted Cholesky completes is full rank; any other chunk takes the SVD as
+    a whole, which decides its ranks, and the scan stops at the first chunk holding a
+    deficient selection.
     """
     n = phi.block_len
     # three n x n per selection: G_S, the certificate's shifted copy and its factor
@@ -359,25 +366,94 @@ def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float = DEFAULT_E
     return is_q_error_detectable(phi, 2 * q, eps_rel)
 
 
-def _index_scan(phi: CodingMatrix, eps_rel: float):
-    """Selection sizes p, p - 1, ... down to the first with a rank-deficient selection.
+def _upward_levels(phi: CodingMatrix, eps_rel: float):
+    """The upward frontier: yields ``(k, first, ahead)`` for the sizes k = 0, 1, ..., with
+    ``first`` the 0-based members of the lexicographically first rank-deficient k-selection
+    (None when no k-selection is) and ``ahead`` the number of selections level k + 1 tests.
+    It ends after a level with ``ahead == 0``: then no larger selection is deficient.
 
-    Returns the cospark and the 0-based members of the stopping size's first deficient
-    selection.  The scan always stops, because the empty selection has rank 0 < n.
+    The frontier holds the k-selections found deficient or only weakly full rank, and level
+    k + 1 tests the selections whose k-subsets all lie in it (the Apriori candidates; Agrawal
+    & Srikant, VLDB 1994), in lexicographic chunks by the rank scan's route: one shifted
+    Cholesky, and the SVD for a chunk it fails.  Level 0 is the empty selection, of rank 0.
+
+    Why weak selections stay.  The SVD rule is not down-closed: a selection's floor
+    ``max(rows, n) * eps_rel * sigma_max`` grows with its rows and its ``sigma_max``, so a
+    full-rank selection can have a deficient superset (on ``[1e-10 I; diag(1e4, 0)]``,
+    ``{1}`` is full rank and ``{1, 2}`` deficient).  In exact arithmetic adding blocks never
+    lowers ``sigma_min``, and no selection's floor exceeds ``f |Phi|_2`` with
+    ``f = max(pn, n) * eps_rel``.  So a selection is strong, and prunes its supersets, only
+    when its ``sigma_min^2`` clears ``gram_floor(pn, n)`` times ``tr(Phi'Phi) = |Phi|_F^2 >=
+    |Phi|_2^2``, certified by the Cholesky shifted with that scale or read from the SVD
+    value.  Then its exact ``sigma_min``, and every superset's, exceeds ``2 f |Phi|_2`` by a
+    margin (the ``sqrt(b)`` of ``_linalg.gram_floor``) far above the SVD's rounding, and the
+    SVD decides every superset full rank.  A full-rank selection below that is weak.  Every
+    subset of a deficient selection is thus deficient or weak, so by induction on its size it
+    is a candidate and stays in the frontier: each level tests every deficient selection of
+    its size, and a level without candidates has no deficient superset left.  A level of weak
+    selections alone can still lead to a deficient one (two blocks ``diag(1, 3e-14)``: each
+    is full rank, the pair deficient), so the frontier runs until its candidates run out.
+    """
+    p, n = phi.block_count, phi.block_len
+    scale = float(np.trace(phi.grams, axis1=1, axis2=2).sum())
+    floor = gram_floor(p * n, n, eps_rel) * scale
+    step = _per_chunk(3 * n * n)  # as the rank scan: G_S, its shifted copy and the factor
+    level, first, frontier = 0, (), [()]
+    while True:
+        kept = set(frontier)
+        candidates = [s + (e,) for s in frontier for e in range(s[-1] + 1 if s else 0, p)
+                      if all(s[:j] + s[j + 1:] + (e,) in kept for j in range(level))]
+        yield level, first, len(candidates)
+        if not candidates:
+            return
+        level, first, frontier = level + 1, None, []
+        members = np.array(candidates, dtype=np.intp)
+        for start in range(0, len(members), step):
+            chunk = members[start:start + step]
+            if cholesky_certified(_gram_sums(phi, chunk), p * n, eps_rel, scale):
+                continue  # every selection of the chunk is strong
+            svd = _svd_sigma_min(phi, chunk, eps_rel)
+            if first is None and svd.min() == 0.0:  # 0 exactly at a rank-deficient selection
+                first = tuple(chunk[np.argmin(svd)].tolist())
+            frontier += [candidates[start + i] for i in np.flatnonzero(~(svd * svd > floor))]
+
+
+def _index_scan(phi: CodingMatrix, eps_rel: float):
+    """The cospark and the 0-based members of the lexicographically first rank-deficient
+    selection of the largest size that holds one (the empty selection, of rank 0 < n, at
+    the least).
+
+    Two frontiers close in on that size.  The downward one runs :func:`_first_deficient` on
+    the sizes p, p - 1, ... and ends at the first size holding a deficient selection; the
+    upward one is :func:`_upward_levels`.  Each round advances the frontier whose next level
+    holds fewer selections (the upward on a tie), and the scan ends when either one ends or
+    they meet, every size then decided.  Alone, the downward frontier decides every
+    selection above the index (all ``2^p`` at index p) and the upward one every subset of a
+    deficient selection (``2^(p - 1)`` when one sensor alone sees a mode); together each
+    round spends only the smaller of the two next levels.
     """
     p = phi.block_count
-    for size in range(p, -1, -1):
-        deficient = _first_deficient(phi, size, eps_rel)
-        if deficient is not None:
-            return p - size, deficient
-    raise AssertionError("unreachable: the empty selection is rank deficient")
+    upward = _upward_levels(phi, eps_rel)
+    level, first, ahead = next(upward)
+    found, top = (level, first), p  # the sizes above top hold no deficient selection
+    while ahead and level < top:
+        if math.comb(p, top) < ahead:
+            deficient = _first_deficient(phi, top, eps_rel)
+            if deficient is not None:
+                return p - top, deficient
+            top -= 1
+        else:
+            level, first, ahead = next(upward)
+            if first is not None:
+                found = (level, first)
+    return p - found[0], found[1]
 
 
 def stacked_cospark(phi: CodingMatrix, eps_rel: float = DEFAULT_EPS_REL) -> int:
     """Minimum number of nonzero blocks of ``phi @ x`` over nonzero ``x``.
 
-    Equals the smallest ``q`` for which ``phi`` is not q-error detectable:
-    the scan runs q = 0, 1, ..., p (selection sizes p down to 0).
+    Equals the smallest ``q`` for which ``phi`` is not q-error detectable, found by
+    two frontiers of selection sizes, one from p down and one from 0 up.
     """
     return _index_scan(phi, eps_rel)[0]
 
@@ -556,7 +632,7 @@ def analyze(
     raises :class:`CorrectabilityError`.
     ``witness`` names ``security_index`` sensors whose corruption can stay
     undetectable: the complement of the lexicographically first rank-deficient
-    selection where the index scan stops (empty for an unobservable pair).
+    selection of the largest size that holds one (empty for an unobservable pair).
     """
     z = coding_matrix(model)
     alpha, deficient = _index_scan(z, eps_rel)

@@ -279,6 +279,10 @@ class Scenario:
                 f"recert_every must be a positive integer or None, got {self.recert_every!r}"
             )
         c, (n, m, p) = self.controller, (self.model.n, self.model.m, self.model.p)
+        if p > 63:  # sensor i is bit i - 1 of an int64
+            raise ScenarioValidationError(
+                f"a scenario takes at most 63 sensors, got p={p}: Trace.lam_mask records the "
+                "trusted set as one int64 bit mask")
         if c is not None and c.K.shape != (m, n):
             raise ScenarioValidationError(f"controller K must be m x n = {(m, n)}, got {c.K.shape}")
         if c is not None and c.output_index > p:

@@ -171,6 +171,102 @@ def test_stacked_cospark_equals_selection_loop(seed, n, p, style, eps_rel):
     assert stacked_cospark(phi, eps_rel) == reference_cospark(phi, eps_rel)
 
 
+def upward_alone(phi, eps_rel=DEFAULT_EPS_REL):
+    """The cospark and the deficient selection (1-based) of the upward frontier alone: its
+    last level with a deficient selection, up to the first with no next level."""
+    for level, first, ahead in analysis._upward_levels(phi, eps_rel):
+        if first is not None:
+            found = (level, first)
+        if not ahead:
+            break
+    size, first = found
+    return phi.block_count - size, IndexSet(tuple(i + 1 for i in first), phi.block_count)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(0, 7),
+       style=CODING_STYLES, eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]))
+def test_each_frontier_finds_the_reference_selection(seed, n, p, style, eps_rel):
+    # the upward frontier alone and the two-frontier scan both give the cospark and the first
+    # deficient selection of the per-selection loop ("near" gives many weakly full-rank ones)
+    phi = CodingMatrix(random_coding_entries(seed, n, p, style), n, p)
+    want = reference_first_deficient(phi, eps_rel)
+    assert upward_alone(phi, eps_rel) == (p - len(want), want)
+    cospark, deficient = analysis._index_scan(phi, eps_rel)
+    assert (cospark, IndexSet(tuple(i + 1 for i in deficient), p)) == (p - len(want), want)
+
+
+@pytest.mark.parametrize("blocks", [
+    [1e-10 * np.eye(2), np.diag([1e4, 0.0])],
+    [np.diag([1.0, 3e-14]), np.diag([1.0, 3e-14])],
+], ids=["full-rank-beside-deficient", "full-rank-level"])
+@pytest.mark.parametrize("stack_floats", [analysis._STACK_FLOATS, 1])
+def test_upward_frontier_keeps_weakly_full_rank_selections(monkeypatch, blocks, stack_floats):
+    # the SVD rule is not down-closed: {1, 2} is deficient under its floor 4 eps_rel sigma_max
+    # while {1} is full rank under 2 eps_rel sigma_max (in the second case {2} as well, so
+    # level 1 holds no deficient selection at all).  A frontier of deficient selections alone
+    # would never test {1, 2}, and read index 1, or 2.  With one selection per chunk, {1}
+    # alone meets the Cholesky, which must not certify it against its own trace
+    monkeypatch.setattr(analysis, "_STACK_FLOATS", stack_floats)
+    phi = CodingMatrix.from_blocks(blocks)
+    want = reference_first_deficient(phi)
+    assert want == IndexSet((1, 2), 2)
+    assert upward_alone(phi) == (0, want)
+
+
+def decided_selections(monkeypatch):
+    """Returns a callable giving the number of selections the rank scans decided since its
+    last call, each counted once: every chunk goes to ``cholesky_certified``, and exactly the
+    chunks it fails go on to ``_svd_sigma_min``."""
+    certified, failed, svd = [], [], []
+    svd_sigma_min = analysis._svd_sigma_min
+
+    def spy_certified(grams, rows, eps_rel, scale=None):
+        ok = cholesky_certified(grams, rows, eps_rel, scale)
+        (certified if ok else failed).append(len(grams))
+        return ok
+
+    def spy_svd(phi, members, eps_rel):
+        svd.append(len(members))
+        return svd_sigma_min(phi, members, eps_rel)
+
+    monkeypatch.setattr(analysis, "cholesky_certified", spy_certified)
+    monkeypatch.setattr(analysis, "_svd_sigma_min", spy_svd)
+
+    def count():
+        assert sum(svd) == sum(failed)
+        total = sum(certified) + sum(failed)
+        for calls in (certified, failed, svd):
+            calls.clear()
+        return total
+
+    return count
+
+
+def test_index_scan_decides_few_selections(monkeypatch, inertia_chain):
+    count = decided_selections(monkeypatch)
+    rng = np.random.default_rng(20)
+    # every sensor of a dense model sees every mode: the downward frontier alone would decide
+    # all 2^20 selections, the upward one ends at the single sensors
+    dense = coding_matrix(SystemModel(A=rng.normal(size=(4, 4)), B=np.zeros((4, 1)),
+                                      C=rng.normal(size=(20, 4))))
+    assert stacked_cospark(dense) == 20
+    assert count() <= 2 * 20 + 1
+    # sensor 1 alone sees the fourth mode: the upward frontier alone would decide every subset
+    # of the other 13 sensors, the downward one ends at size 13
+    C = np.zeros((14, 4))
+    C[0, 3] = 1.0
+    C[1:, :3] = rng.normal(size=(13, 3))
+    lone = coding_matrix(SystemModel(A=np.diag([0.2, 0.4, 0.6, 0.8]), B=np.zeros((4, 1)), C=C))
+    assert [is_q_error_detectable(lone, q) for q in (0, 1)] == [True, False]
+    downward = count()
+    assert stacked_cospark(lone) == 1
+    assert count() <= 2 * downward + 14
+    # the 1 ms eight-inertia chain (p = 15, index 8): 22,819 selections downward alone
+    assert stacked_cospark(coding_matrix(inertia_chain(8, 0.001))) == 8
+    assert count() <= 300
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(1, 7),
        style=CODING_STYLES, eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]))
@@ -207,6 +303,7 @@ def test_a_chunk_holding_a_deficient_selection_falls_back_to_the_svd(monkeypatch
     phi = CodingMatrix(entries, 2, 7)
     want = reference_first_deficient(phi)
     assert want == IndexSet((4, 6), 7)
+    assert stacked_cospark(phi) == reference_cospark(phi) == 5
     choleskys, spectra, stacks = [], [], []
 
     def spy_certified(grams, rows, eps_rel):
@@ -226,9 +323,7 @@ def test_a_chunk_holding_a_deficient_selection_falls_back_to_the_svd(monkeypatch
     monkeypatch.setattr(analysis, "sigma_min", spy_sigma_min)
     # 8 selections per chunk: the rank scan budgets three 2 x 2 arrays per selection
     monkeypatch.setattr(analysis, "_STACK_FLOATS", 96)
-    cospark, deficient = analysis._index_scan(phi, DEFAULT_EPS_REL)
-    assert cospark == reference_cospark(phi) == 5
-    assert IndexSet(tuple(int(i) + 1 for i in deficient), 7) == want
+    assert [is_q_error_detectable(phi, q) for q in range(6)] == [True] * 5 + [False]
     # sizes 7..3 certify chunk by chunk; at size 2 the first two chunks certify, and the
     # last, which holds {4, 6}, fails, takes the SVD of all five of its selections as a
     # whole and stops the scan
@@ -238,12 +333,14 @@ def test_a_chunk_holding_a_deficient_selection_falls_back_to_the_svd(monkeypatch
     assert choleskys == expected
     assert stacks == [(5, 4, 2)]
     assert spectra == []
+    deficient = analysis._first_deficient(phi, 2, DEFAULT_EPS_REL)
+    assert IndexSet(tuple(i + 1 for i in deficient), 7) == want
 
 
 @pytest.mark.parametrize(("stack_floats", "calls"), [(analysis._STACK_FLOATS, 10), (192, 38)])
-def test_stacked_cospark_checks_ranks_per_chunk(monkeypatch, stack_floats, calls):
+def test_detectability_checks_ranks_per_chunk(monkeypatch, stack_floats, calls):
     phi = CodingMatrix(np.random.default_rng(3).normal(size=(18, 2)), 2, 9)
-    want = reference_cospark(phi)
+    assert stacked_cospark(phi) == reference_cospark(phi) == 9
     choleskys, grams, stacks = [], [], []
 
     def spy_certified(matrix, rows, eps_rel):
@@ -262,7 +359,7 @@ def test_stacked_cospark_checks_ranks_per_chunk(monkeypatch, stack_floats, calls
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
     monkeypatch.setattr(analysis, "sigma_min", spy_sigma_min)
     monkeypatch.setattr(analysis, "_STACK_FLOATS", stack_floats)
-    assert stacked_cospark(phi) == want == 9
+    assert [is_q_error_detectable(phi, q) for q in range(10)] == [True] * 9 + [False]
     # one batched shifted Cholesky of the Gram sums per chunk of each size 9, 8, ..., 0: not
     # one per selection (2^9), and no eigenvalues, since the scan only decides ranks.  A
     # chunk holds G_S, its shifted copy and the factor: three 2 x 2 arrays per selection
@@ -898,9 +995,9 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
     sizes = scanned_sizes(monkeypatch)
     certified, spectra = [], []
 
-    def spy_certified(grams, rows, eps_rel):
-        certified.append(rows // grams.shape[-1])
-        return cholesky_certified(grams, rows, eps_rel)
+    def spy_certified(grams, rows, eps_rel, scale=None):
+        certified.append((rows // grams.shape[-1], len(grams)))
+        return cholesky_certified(grams, rows, eps_rel, scale)
 
     def spy_eigvalsh(matrix):
         if np.ndim(matrix) == 3:  # a chunk of Gram sums, not the gains' (c, p - size, n, n)
@@ -911,17 +1008,20 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
     rep = analyze(dense)
     assert (rep.security_index, sorted(rep.per_q_constants)) == (7, [1, 2, 3])
-    # the index scan decides ranks only: one Cholesky per chunk of sizes 7..0, and the gains
-    # of q = 1, 2, 3 one per chunk of sizes 6, 5, 4
-    assert certified == list(range(7, -1, -1)) + [6, 5, 4]
+    # (rows / n, selections) per Cholesky.  The index scan decides ranks only: the downward
+    # frontier certifies the one 7-selection, then the upward frontier certifies the seven
+    # single sensors against the whole matrix's floor (7 n rows), which prunes every larger
+    # selection; the gains of q = 1, 2, 3 take one per chunk of sizes 6, 5, 4
+    assert certified == [(7, 1), (7, 7), (6, 7), (5, 21), (4, 35)]
     # eigenvalues only at the sizes whose rho the constants read (rho_2q, then rho of
-    # q = 1, 2, 3; q = 2's rho is q = 1's rho_2q), each once; the empty selection, whose
-    # Cholesky fails, goes straight to the SVD
+    # q = 1, 2, 3; q = 2's rho is q = 1's rho_2q), each once
     assert sizes == [5, 6, 3, 1, 4]
     assert spectra == [math.comb(7, size) for size in sizes]
     sizes.clear()
     certified.clear()
     with pytest.raises(CorrectabilityError):  # q = 2 needs 1-block selections: one new scan
         analyze(three_inertia, constants_q=2)
-    assert certified == [5, 4, 3, 2]
+    # the full selection downward, then upward the five single sensors and the three
+    # candidate pairs, after which no 3-selection is a candidate
+    assert certified == [(5, 1), (5, 5), (5, 3)]
     assert sizes == [1]

@@ -466,6 +466,22 @@ def test_cli_simulate_rejects_a_bad_sampling_period(tmp_path, capsys, T_s):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_cli_simulate_rejects_more_than_63_sensors(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((4, 4))
+    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+    model = {"n": 4, "m": 1, "p": 64, "A": A.tolist(), "B": rng.standard_normal((4, 1)).tolist(),
+             "C": rng.standard_normal((64, 4)).tolist(), "d_max": 0.001, "n_max": 0.001}
+    doc = scalar_scenario_doc(model=model, horizon=3, x0=[0.0] * 4, attacks=[])
+    sfile = write_json(tmp_path / "s.json", doc)
+    assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid scenario: a scenario takes at most 63 sensors")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("T_s", [math.nan, math.inf])
 def test_cli_analyze_rejects_a_nonfinite_builtin_sampling_period(tmp_path, capsys, T_s):
     model_file = write_json(tmp_path / "m.json", dict(THREE_INERTIA_DOC, T_s=T_s))

@@ -271,6 +271,23 @@ def test_simulate_rejects_x0_beyond_declared_bound():
         simulate(scalar_scenario(x0=np.array([5.0])))
 
 
+def dense_sensor_model(p):
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((4, 4))
+    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+    return SystemModel(A=A, B=rng.standard_normal((4, 1)), C=rng.standard_normal((p, 4)),
+                       d_max=0.001, n_max=0.001)
+
+
+def test_scenario_takes_at_most_the_sensors_the_trusted_set_mask_holds():
+    # the trusted set is recorded as an int64 bit mask: 63 sensors fill it, and a 64th would
+    # overflow it only after the whole set-up, so the scenario refuses it up front
+    trace = simulate(Scenario(model=dense_sensor_model(63), horizon=3, q=1, r=1))
+    assert trace.lam_mask.tolist() == [2**63 - 1] * 3
+    with pytest.raises(ScenarioValidationError, match="at most 63 sensors, got p=64"):
+        Scenario(model=dense_sensor_model(64), horizon=3, q=1, r=1)
+
+
 def test_simulate_bound_conformance_and_trace_consistency():
     sc = scalar_scenario(attacks=(
         AttackSpec(3, 10, None, {"kind": "constant", "value": 1.0}),))
