@@ -50,12 +50,8 @@ certifies clears ``gram_floor * lambda_max`` by its eigenvalues as well: the
 certificate decides nothing the eigenvalues would have left to the SVD.  (A
 floor of 1 or more gives ``s >= tr G``, and the first pivot fails.)  It is
 stricter than the eigenvalues by up to ``tr G / lambda_max <= n``, nothing
-against the gap on ``Z'``.  Given a ``scale`` at least every ``tr G`` of the
-stack, the certificate shifts by ``(gram_floor + delta) * scale`` instead, and the
-same argument with ``scale`` in place of ``tr G`` proves ``lambda_min(G) >
-gram_floor * scale``: a floor on ``G`` that holds against any ``lambda_max`` up
-to ``scale``.  One failed matrix fails its whole batch, whose selections then go
-to the SVD as a whole.
+against the gap on ``Z'``.  One failed matrix fails its whole batch, whose
+selections then go to the SVD as a whole.
 """
 
 from __future__ import annotations
@@ -100,19 +96,18 @@ def gram_floor(rows: int, cols: int, eps_rel: float = DEFAULT_EPS_REL) -> float:
     return 4.0 * f * f + math.sqrt(b)
 
 
-def cholesky_certified(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_REL,
-                       scale: float | None = None) -> bool:
+def cholesky_certified(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_REL) -> bool:
     """True when one Cholesky of every shifted ``G - s I`` in the stack ``(c, n, n)`` completes,
-    which certifies each ``G`` as :func:`gram_floor` would from its eigenvalues, against its own
-    trace or against ``scale`` when given (see the module docstring)."""
+    which certifies each ``G`` as :func:`gram_floor` would from its eigenvalues (see the module
+    docstring)."""
     if not np.isfinite(grams).all():  # numpy's Cholesky runs through NaN pivots
         return False
     n = grams.shape[-1]
     delta = (8 * n * n + 2 * n + 2) * np.finfo(float).eps
     shifted = grams.copy()  # shift the diagonal of one copy in place: no ``s * I`` temporaries
     diagonal = np.arange(n)
-    bound = np.trace(grams, axis1=1, axis2=2)[:, None] if scale is None else scale
-    shifted[:, diagonal, diagonal] -= (gram_floor(rows, n, eps_rel) + delta) * bound
+    shifted[:, diagonal, diagonal] -= ((gram_floor(rows, n, eps_rel) + delta)
+                                       * np.trace(grams, axis1=1, axis2=2))[:, None]
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -22,14 +22,13 @@ at a time, and each chunk takes one route as a whole.  A scan that only
 decides rank (the security index and its witness, detectability, redundant
 observability, and which chunks the constants' gains may read from the Gram
 inverse) certifies a chunk full rank by one batched shifted Cholesky
-(``_linalg.cholesky_certified``); the upward frontier shifts by the floor of
-the whole matrix instead, which certifies every superset too.  The scan for
-rho and rho_2q takes one batched ``eigvalsh`` per chunk, which gives
-``sigma_min^2 = lambda_min``, and certifies the chunk when every
-``lambda_min`` clears ``_linalg.gram_floor`` times ``lambda_max``: the
-squared SVD floor plus the rounding bound ``sqrt(b)``
-(the Cholesky shift is wider still, so it certifies nothing the eigenvalues
-would not).  The outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1
+(``_linalg.cholesky_certified``); the upward frontier, whose levels nearly
+always hold a deficient selection, takes the SVD alone.  The scan for rho and
+rho_2q takes one batched ``eigvalsh`` per chunk, which gives ``sigma_min^2 =
+lambda_min``, and certifies the chunk when every ``lambda_min`` clears
+``_linalg.gram_floor`` times ``lambda_max``: the squared SVD floor plus the
+rounding bound ``sqrt(b)`` (the Cholesky shift is wider still, so it certifies
+nothing the eigenvalues would not).  The outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1
 B_i')`` of a certified chunk come from one batched Gram inverse.  Any other
 chunk goes to the SVD route whole, and so does the one winning selection that
 sets each reported ``rho``, ``rho_2q``, ``eta`` and ``eta_prime``.  So the rank
@@ -248,25 +247,23 @@ def sensor_selections(p: int, size: int) -> np.ndarray:
     return np.fromiter(members, dtype=np.intp, count=count * size).reshape(count, size)
 
 
-def _gram_sums(phi: CodingMatrix, members: np.ndarray) -> np.ndarray:
-    """``(c, n, n)`` Gram sums ``G_S`` of the rows of 0-based ``members`` (c, size): one
-    product of their 0/1 membership rows with the Gram table."""
-    p, n = phi.block_count, phi.block_len
-    inside = np.zeros((len(members), p))
-    np.put_along_axis(inside, members, 1.0, axis=1)
-    return (inside @ phi.grams.reshape(p, n * n)).reshape(len(members), n, n)
-
-
 def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int):
-    """Lexicographic chunks of (0-based members, their ``(c, n, n)`` Gram sums ``G_S``),
-    each chunk's members drawn from ``combinations`` as it is reached."""
-    p, step = phi.block_count, _per_chunk(floats_per_selection)
+    """Lexicographic chunks of (0-based members, their ``(c, n, n)`` Gram sums ``G_S``).
+
+    Each chunk's members are drawn from ``combinations`` as it is reached, and its ``G_S``
+    is one product of its 0/1 membership rows with the Gram table.
+    """
+    p, n = phi.block_count, phi.block_len
+    table = phi.grams.reshape(p, n * n)
+    step = _per_chunk(floats_per_selection)
     total, selections = math.comb(p, size), itertools.combinations(range(p), size)
     for start in range(0, total, step):
         count = min(step, total - start)
         flat = itertools.chain.from_iterable(itertools.islice(selections, count))
         chunk = np.fromiter(flat, dtype=np.intp, count=count * size).reshape(count, size)
-        yield chunk, _gram_sums(phi, chunk)
+        inside = np.zeros((count, p))
+        np.put_along_axis(inside, chunk, 1.0, axis=1)
+        yield chunk, (inside @ table).reshape(count, n, n)
 
 
 def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int, ...] | None:
@@ -369,13 +366,18 @@ def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float = DEFAULT_E
 def _upward_levels(phi: CodingMatrix, eps_rel: float):
     """The upward frontier: yields ``(k, first, ahead)`` for the sizes k = 0, 1, ..., with
     ``first`` the 0-based members of the lexicographically first rank-deficient k-selection
-    (None when no k-selection is) and ``ahead`` the number of selections level k + 1 tests.
-    It ends after a level with ``ahead == 0``: then no larger selection is deficient.
+    (None when no k-selection is) and ``ahead`` a bound on the number of selections level
+    k + 1 tests.  It ends after a level with ``ahead == 0``: then no larger selection is
+    deficient.
 
     The frontier holds the k-selections found deficient or only weakly full rank, and level
     k + 1 tests the selections whose k-subsets all lie in it (the Apriori candidates; Agrawal
-    & Srikant, VLDB 1994), in lexicographic chunks by the rank scan's route: one shifted
-    Cholesky, and the SVD for a chunk it fails.  Level 0 is the empty selection, of rank 0.
+    & Srikant, VLDB 1994): the joins of two frontier selections that differ in their last
+    member only, less those with another k-subset outside the frontier.  ``ahead`` counts
+    the joins, and the candidates are built only when the level runs.  Level 0 is the empty
+    selection, of rank 0, and level 1 tests the p single sensors.  Each level takes the SVD
+    alone: the frontier only reaches selections whose subsets are deficient or weak, so on
+    ``Z'`` nearly every level holds a deficient one, which would fail a Cholesky certificate.
 
     Why weak selections stay.  The SVD rule is not down-closed: a selection's floor
     ``max(rows, n) * eps_rel * sigma_max`` grows with its rows and its ``sigma_max``, so a
@@ -383,39 +385,43 @@ def _upward_levels(phi: CodingMatrix, eps_rel: float):
     ``{1}`` is full rank and ``{1, 2}`` deficient).  In exact arithmetic adding blocks never
     lowers ``sigma_min``, and no selection's floor exceeds ``f |Phi|_2`` with
     ``f = max(pn, n) * eps_rel``.  So a selection is strong, and prunes its supersets, only
-    when its ``sigma_min^2`` clears ``gram_floor(pn, n)`` times ``tr(Phi'Phi) = |Phi|_F^2 >=
-    |Phi|_2^2``, certified by the Cholesky shifted with that scale or read from the SVD
-    value.  Then its exact ``sigma_min``, and every superset's, exceeds ``2 f |Phi|_2`` by a
-    margin (the ``sqrt(b)`` of ``_linalg.gram_floor``) far above the SVD's rounding, and the
-    SVD decides every superset full rank.  A full-rank selection below that is weak.  Every
-    subset of a deficient selection is thus deficient or weak, so by induction on its size it
-    is a candidate and stays in the frontier: each level tests every deficient selection of
-    its size, and a level without candidates has no deficient superset left.  A level of weak
-    selections alone can still lead to a deficient one (two blocks ``diag(1, 3e-14)``: each
-    is full rank, the pair deficient), so the frontier runs until its candidates run out.
+    when its SVD ``sigma_min^2`` clears ``gram_floor(pn, n)`` times ``tr(Phi'Phi) =
+    |Phi|_F^2 >= |Phi|_2^2``.  Then its exact ``sigma_min``, and every superset's, exceeds
+    ``2 f |Phi|_2`` by a margin (the ``sqrt(b)`` of ``_linalg.gram_floor``) far above the
+    SVD's rounding, and the SVD decides every superset full rank.  A full-rank selection
+    below that is weak.  Every subset of a deficient selection is thus deficient or weak, so
+    by induction on its size it is a candidate and stays in the frontier: each level tests
+    every deficient selection of its size, and a level without candidates has no deficient
+    superset left.  A level of weak selections alone can still lead to a deficient one (two
+    blocks ``diag(1, 3e-14)``: each is full rank, the pair deficient), so the frontier runs
+    until its candidates run out.
     """
     p, n = phi.block_count, phi.block_len
-    scale = float(np.trace(phi.grams, axis1=1, axis2=2).sum())
-    floor = gram_floor(p * n, n, eps_rel) * scale
-    step = _per_chunk(3 * n * n)  # as the rank scan: G_S, its shifted copy and the factor
-    level, first, frontier = 0, (), [()]
+    floor = gram_floor(p * n, n, eps_rel) * float(np.trace(phi.grams, axis1=1, axis2=2).sum())
+    level, first, frontier, groups, ahead = 0, (), [()], [], p
     while True:
-        kept = set(frontier)
-        candidates = [s + (e,) for s in frontier for e in range(s[-1] + 1 if s else 0, p)
-                      if all(s[:j] + s[j + 1:] + (e,) in kept for j in range(level))]
-        yield level, first, len(candidates)
-        if not candidates:
+        yield level, first, ahead
+        if not ahead:
             return
+        if level == 0:
+            candidates = [(e,) for e in range(p)]
+        else:
+            kept = set(frontier)
+            candidates = [prefix + (a, b) for prefix, lasts in groups
+                          for i, a in enumerate(lasts) for b in lasts[i + 1:]
+                          if all(prefix[:j] + prefix[j + 1:] + (a, b) in kept
+                                 for j in range(level - 1))]
         level, first, frontier = level + 1, None, []
-        members = np.array(candidates, dtype=np.intp)
-        for start in range(0, len(members), step):
-            chunk = members[start:start + step]
-            if cholesky_certified(_gram_sums(phi, chunk), p * n, eps_rel, scale):
-                continue  # every selection of the chunk is strong
-            svd = _svd_sigma_min(phi, chunk, eps_rel)
-            if first is None and svd.min() == 0.0:  # 0 exactly at a rank-deficient selection
-                first = tuple(chunk[np.argmin(svd)].tolist())
-            frontier += [candidates[start + i] for i in np.flatnonzero(~(svd * svd > floor))]
+        if candidates:
+            svd = _svd_sigma_min(phi, np.array(candidates, dtype=np.intp), eps_rel)
+            if svd.min() == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
+                first = candidates[int(np.argmin(svd))]
+            frontier = [candidates[i] for i in np.flatnonzero(~(svd * svd > floor))]
+        # the frontier is lexicographic, so selections sharing all but their last member
+        # are adjacent
+        groups = [(prefix, [s[-1] for s in group])
+                  for prefix, group in itertools.groupby(frontier, key=lambda s: s[:-1])]
+        ahead = sum(math.comb(len(lasts), 2) for _, lasts in groups)
 
 
 def _index_scan(phi: CodingMatrix, eps_rel: float):
@@ -426,11 +432,11 @@ def _index_scan(phi: CodingMatrix, eps_rel: float):
     Two frontiers close in on that size.  The downward one runs :func:`_first_deficient` on
     the sizes p, p - 1, ... and ends at the first size holding a deficient selection; the
     upward one is :func:`_upward_levels`.  Each round advances the frontier whose next level
-    holds fewer selections (the upward on a tie), and the scan ends when either one ends or
-    they meet, every size then decided.  Alone, the downward frontier decides every
-    selection above the index (all ``2^p`` at index p) and the upward one every subset of a
-    deficient selection (``2^(p - 1)`` when one sensor alone sees a mode); together each
-    round spends only the smaller of the two next levels.
+    holds fewer selections (the upward one's counted by its joins; the upward on a tie), and
+    the scan ends when either one ends or they meet, every size then decided.  Alone, the
+    downward frontier decides every selection above the index (all ``2^p`` at index p) and
+    the upward one every subset of a deficient selection (``2^(p - 1)`` when one sensor
+    alone sees a mode); together each round spends only the smaller of the two next levels.
     """
     p = phi.block_count
     upward = _upward_levels(phi, eps_rel)

@@ -205,8 +205,8 @@ def test_upward_frontier_keeps_weakly_full_rank_selections(monkeypatch, blocks, 
     # the SVD rule is not down-closed: {1, 2} is deficient under its floor 4 eps_rel sigma_max
     # while {1} is full rank under 2 eps_rel sigma_max (in the second case {2} as well, so
     # level 1 holds no deficient selection at all).  A frontier of deficient selections alone
-    # would never test {1, 2}, and read index 1, or 2.  With one selection per chunk, {1}
-    # alone meets the Cholesky, which must not certify it against its own trace
+    # would never test {1, 2}, and read index 1, or 2.  With one selection per SVD slice,
+    # the level's first deficient selection is read across the slices
     monkeypatch.setattr(analysis, "_STACK_FLOATS", stack_floats)
     phi = CodingMatrix.from_blocks(blocks)
     want = reference_first_deficient(phi)
@@ -216,13 +216,14 @@ def test_upward_frontier_keeps_weakly_full_rank_selections(monkeypatch, blocks, 
 
 def decided_selections(monkeypatch):
     """Returns a callable giving the number of selections the rank scans decided since its
-    last call, each counted once: every chunk goes to ``cholesky_certified``, and exactly the
-    chunks it fails go on to ``_svd_sigma_min``."""
+    last call, each counted once: the downward scan's chunks go to ``cholesky_certified`` and
+    those it fails on to ``_svd_sigma_min``, the upward frontier's to ``_svd_sigma_min``
+    alone.  So each is decided by a Cholesky that passes or by one SVD."""
     certified, failed, svd = [], [], []
     svd_sigma_min = analysis._svd_sigma_min
 
-    def spy_certified(grams, rows, eps_rel, scale=None):
-        ok = cholesky_certified(grams, rows, eps_rel, scale)
+    def spy_certified(grams, rows, eps_rel):
+        ok = cholesky_certified(grams, rows, eps_rel)
         (certified if ok else failed).append(len(grams))
         return ok
 
@@ -234,8 +235,8 @@ def decided_selections(monkeypatch):
     monkeypatch.setattr(analysis, "_svd_sigma_min", spy_svd)
 
     def count():
-        assert sum(svd) == sum(failed)
-        total = sum(certified) + sum(failed)
+        assert sum(svd) >= sum(failed)
+        total = sum(certified) + sum(svd)
         for calls in (certified, failed, svd):
             calls.clear()
         return total
@@ -993,11 +994,16 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
     dense = SystemModel(A=np.random.default_rng(4).normal(size=(2, 2)), B=np.zeros((2, 1)),
                         C=np.random.default_rng(5).normal(size=(7, 2)))
     sizes = scanned_sizes(monkeypatch)
-    certified, spectra = [], []
+    routes, spectra = [], []
+    svd_sigma_min = analysis._svd_sigma_min
 
-    def spy_certified(grams, rows, eps_rel, scale=None):
-        certified.append((rows // grams.shape[-1], len(grams)))
-        return cholesky_certified(grams, rows, eps_rel, scale)
+    def spy_certified(grams, rows, eps_rel):
+        routes.append(("cholesky", rows // grams.shape[-1], len(grams)))
+        return cholesky_certified(grams, rows, eps_rel)
+
+    def spy_svd(phi, members, eps_rel):
+        routes.append(("svd", members.shape[1], len(members)))
+        return svd_sigma_min(phi, members, eps_rel)
 
     def spy_eigvalsh(matrix):
         if np.ndim(matrix) == 3:  # a chunk of Gram sums, not the gains' (c, p - size, n, n)
@@ -1005,23 +1011,26 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
         return np.linalg.eigvalsh(matrix)
 
     monkeypatch.setattr(analysis, "cholesky_certified", spy_certified)
+    monkeypatch.setattr(analysis, "_svd_sigma_min", spy_svd)
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
     rep = analyze(dense)
     assert (rep.security_index, sorted(rep.per_q_constants)) == (7, [1, 2, 3])
-    # (rows / n, selections) per Cholesky.  The index scan decides ranks only: the downward
-    # frontier certifies the one 7-selection, then the upward frontier certifies the seven
-    # single sensors against the whole matrix's floor (7 n rows), which prunes every larger
-    # selection; the gains of q = 1, 2, 3 take one per chunk of sizes 6, 5, 4
-    assert certified == [(7, 1), (7, 7), (6, 7), (5, 21), (4, 35)]
+    # (route, selection size, selections) per call.  The index scan decides ranks only: the
+    # downward frontier certifies the one 7-selection, then the upward frontier's SVD finds
+    # the seven single sensors strong, which prunes every larger selection; the gains of
+    # q = 1, 2, 3 take one Cholesky per chunk of sizes 6, 5, 4
+    assert routes == [("cholesky", 7, 1), ("svd", 1, 7),
+                      ("cholesky", 6, 7), ("cholesky", 5, 21), ("cholesky", 4, 35)]
     # eigenvalues only at the sizes whose rho the constants read (rho_2q, then rho of
     # q = 1, 2, 3; q = 2's rho is q = 1's rho_2q), each once
     assert sizes == [5, 6, 3, 1, 4]
     assert spectra == [math.comb(7, size) for size in sizes]
     sizes.clear()
-    certified.clear()
+    routes.clear()
     with pytest.raises(CorrectabilityError):  # q = 2 needs 1-block selections: one new scan
         analyze(three_inertia, constants_q=2)
     # the full selection downward, then upward the five single sensors and the three
-    # candidate pairs, after which no 3-selection is a candidate
-    assert certified == [(5, 1), (5, 5), (5, 3)]
+    # candidate pairs, after which no 3-selection is a candidate; last, rho_2q's scan of the
+    # single sensors, whose eigenvalues do not certify the chunk
+    assert routes == [("cholesky", 5, 1), ("svd", 1, 5), ("svd", 2, 3), ("svd", 1, 5)]
     assert sizes == [1]
