@@ -42,6 +42,7 @@ from .estimator import (
     estimator_step,
 )
 from .observers import (
+    EnvelopeError,
     ErrorBoundParams,
     PartialObserver,
     compute_error_bounds,

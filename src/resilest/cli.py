@@ -30,6 +30,7 @@ from .files import (
     save_scenario_dict,
     write_trace_csv,
 )
+from .observers import EnvelopeError
 from .plant import ScenarioValidationError, simulate
 from .plots import write_svg_plot
 from .stacked import CodingMatrix
@@ -123,7 +124,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.seed is not None:
             sc = dataclasses.replace(sc, seed=args.seed)
         trace = simulate(sc)
-    except (OSError, json.JSONDecodeError, ScenarioValidationError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ScenarioValidationError, ValueError,
+            EnvelopeError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:

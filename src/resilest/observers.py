@@ -5,7 +5,8 @@ the orthogonal staircase builds an orthonormal basis ``Z`` of the sensor's
 observable quotient in Hessenberg observer form, and a single-output
 Luenberger observer with placed poles runs on the quotient.  The bank's
 error envelope ``mu_F * x0_max * beta**k + w_max`` is certified by explicit
-powering of each closed-loop matrix, normed in chunks by batched SVDs.
+powering of each closed-loop matrix.  Each chunk of powers is bracketed by
+norm bounds first; only the powers the bounds cannot decide take the SVD.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .analysis import SystemModel, quotient_basis
 POLE_MATCH_TOL = 1e-6
 
 _POWER_CAP = 2_000_000
-_POWER_CHUNK = 256  # powers generated, then normed by one batched SVD
+_POWER_CHUNK = 256  # powers generated, then normed together
 
 
 @dataclass
@@ -178,6 +179,58 @@ class ErrorBoundParams:
     x0_max: float
 
 
+class EnvelopeError(RuntimeError):
+    """The powering of an observer reached ``_POWER_CAP`` without its norm ratio settling."""
+
+
+def _ratio_bounds(mats: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``lo <= norm(mats[k]) / scales[k] <= hi`` on the SVD 2-norm of each matrix of a
+    ``(c, nu, m)`` stack, from the Frobenius norms and, for ``m > 1``, the top right singular
+    vector of the matrix with the largest Frobenius ratio (see :func:`compute_error_bounds`).
+    A non-finite norm anywhere gives every matrix the bounds ``-inf`` and ``inf``."""
+    nu, cols = mats.shape[-2:]
+    fro = np.sqrt(np.einsum("kij,kij->k", mats, mats))
+    if not np.isfinite(fro).all():
+        return np.full_like(fro, -np.inf), np.full_like(fro, np.inf)
+    lower = fro / math.sqrt(cols)
+    if cols > 1:
+        v = np.linalg.svd(mats[np.argmax(fro / scales)])[2][0]
+        lower = np.maximum(lower, np.linalg.norm(mats @ v, axis=-1))
+    slack, margin = 16 * nu * nu * np.finfo(float).eps, nu * 2.0**-536
+    return (lower - margin) * (1.0 - slack) / scales, (fro + margin) * (1.0 + slack) / scales
+
+
+def _svd_ratios(mats: np.ndarray, scales: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                idx: np.ndarray) -> None:
+    """Replace both bounds at ``idx`` by the SVD ratio itself."""
+    if idx.size:
+        lo[idx] = hi[idx] = spectral_norm(mats[idx]) / scales[idx]
+
+
+def _max_ratio(mats: np.ndarray, scales: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               running: float) -> float:
+    """``max(running, norm(mats[k]) / scales[k] over all k)``: only the ratios whose ``hi`` reaches
+    the larger of ``running`` and every ``lo`` take the SVD (``lo == hi`` marks one taken)."""
+    _svd_ratios(mats, scales, lo, hi, np.flatnonzero((hi >= max(running, lo.max())) & (lo < hi)))
+    return max(running, float(hi.max()))
+
+
+def _norm_chunk(powers: np.ndarray, scales: np.ndarray, L: np.ndarray,
+                mu_f: float, mu_l: float) -> tuple[bool, float, float]:
+    """Whether a chunk of powers ``F^k`` (``scales`` holds ``beta**k``) holds one whose ratio
+    settles below 1, and ``mu_f`` and ``mu_l`` raised over the powers up to the first that does."""
+    lo, hi = _ratio_bounds(powers, scales)
+    ahead = np.flatnonzero(hi < 1.0)  # powers that surely settle
+    end = int(ahead[0]) if ahead.size else len(powers)
+    _svd_ratios(powers, scales, lo, hi, np.flatnonzero(lo[:end] < 1.0))
+    below = np.flatnonzero(hi < 1.0)  # never k = 0, where the ratio is norm(I) = 1
+    last = int(below[0]) + 1 if below.size else len(powers)
+    mu_f = _max_ratio(powers[:last], scales[:last], lo[:last], hi[:last], mu_f)
+    vectors = powers[:last] @ L
+    mu_l = _max_ratio(vectors, scales[:last], *_ratio_bounds(vectors, scales[:last]), mu_l)
+    return below.size > 0, mu_f, mu_l
+
+
 def compute_error_bounds(
     bank: list[PartialObserver],
     d_max: float,
@@ -192,6 +245,30 @@ def compute_error_bounds(
     and ``l_(K+j) <= r_K l_j < l_j``, so by induction the maxima over ``0..K`` cover
     every k.  The disturbance term uses ``norm(F^k Z') = norm(F^k)``, so ``Z'Z``
     farther than 1e-10 from ``I`` raises ``ValueError`` (the staircase gives 1e-15).
+    Powering that reaches ``_POWER_CAP`` raises :class:`EnvelopeError`.
+
+    Norm bounds.  Every ratio is first bracketed without an SVD.  For ``M`` with ``m``
+    columns and a unit ``v``, ``|M v| <= |M|_2 <= |M|_F`` and ``|M|_2 >= |M|_F / sqrt(m)``
+    (Golub & Van Loan, *Matrix Computations*, 4th ed., section 2.3).  Here ``v`` is the top
+    right singular vector of the chunk's power with the largest Frobenius ratio; for the
+    vectors ``F^k L`` (``m = 1``) the Frobenius norm is the 2-norm.  With ``s = 16 nu^2 eps``
+    and ``d = nu 2^-536``, ``hi = (|M|_F + d)(1 + s)`` and ``lo = (max(|M v|, |M|_F /
+    sqrt(m)) - d)(1 - s)`` bracket the SVD's own ``norm(M)`` in floating point.  The argument
+    takes the SVD's error model from the Gram floor of :mod:`resilest._linalg`: backward
+    stable, its ``sigma_max`` is within ``8 nu^2 u |M|_2`` of the exact value (``u = eps/2``),
+    and its ``V`` is orthonormal to the same order.  Against that, the sum of squares behind
+    ``|M|_F`` errs by ``(nu^2 + 3) u`` relative, ``M v`` and its norm by ``(nu^(3/2) + nu/2 + 1)
+    u``, and the division by ``sqrt(m)`` and the margins by ``4 u``.  The bound ``hi`` then needs
+    ``s >= (9 nu^2 + 5) u``, ``lo`` at most ``(16 nu^2 + nu^(3/2) + nu/2 + 3) u <= 20.5 nu^2 u``;
+    ``s = 32 nu^2 u`` leaves the rest for second-order terms.  Gradual underflow adds at most
+    ``2^-1075`` to an operation, so it moves each norm by less than ``nu 2^-537``, which ``d``
+    covers.  Division by ``beta**k`` rounds monotonically, so ``lo / beta**k <= r_k <=
+    hi / beta**k`` holds for the computed ratio ``r_k``.  A power with ``hi`` below one
+    settles, one with ``lo`` at least one does not, and only the undecided powers before the
+    first that surely settles take the SVD.  A ratio whose ``hi`` falls below the running
+    maximum or below some ``lo`` cannot raise the maximum; the rest take the SVD, so every
+    maximum is the maximum of SVD values, the same floats a full SVD of the chunk would give.
+    A chunk with a non-finite norm takes the SVD whole.
     """
     if not bank:
         raise ValueError("observer bank is empty")
@@ -216,15 +293,12 @@ def compute_error_bounds(
             for j in range(count):
                 powers[j], scales[j] = Fk, bk
                 Fk, bk = Fk @ obs.F, bk * beta
-            ratio = spectral_norm(powers[:count]) / scales[:count]
-            settled = np.flatnonzero(ratio < 1.0)  # never k = 0, where the ratio is norm(I) = 1
-            last = int(settled[0]) + 1 if settled.size else count
-            mu_f = max(mu_f, float(ratio[:last].max()))
-            mu_l = max(mu_l, float((spectral_norm(powers[:last] @ obs.L) / scales[:last]).max()))
-            if settled.size:
+            settled, mu_f, mu_l = _norm_chunk(powers[:count], scales[:count], obs.L, mu_f, mu_l)
+            if settled:
                 break
         else:
-            raise RuntimeError("observer powering did not settle; beta too close to 1")
+            raise EnvelopeError(f"sensor {obs.sensor_index}: observer powering did not settle "
+                                f"within {_POWER_CAP} powers; beta too close to 1")
 
     w_max = (mu_l * n_max + mu_f * d_max) / (1.0 - beta)
     return ErrorBoundParams(mu_f=mu_f, beta=beta, mu_l=mu_l, w_max=w_max, x0_max=x0_max)

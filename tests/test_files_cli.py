@@ -410,6 +410,30 @@ def test_cli_simulate(tmp_path, capsys):
     assert out.exists()
 
 
+# a slow observer: three copies of one sensor on a near-integrator pair, poles at 0.9999**2,
+# whose envelope powering runs about 116,000 powers per sensor before it settles
+SLOW_OBSERVER_DOC = {
+    "model": {"A": [[0.9999, 1.0], [0.0, 0.9999]], "B": [[0.0], [1.0]],
+              "C": [[1.0, 0.0]] * 3, "d_max": 0.001, "n_max": 0.001, "T_s": 0.01},
+    "horizon": 5, "q": 1, "r": 1,
+    "observer": {"poles": {"mode": "contract", "factor": 0.9999}, "x0_max": 1.0},
+}
+
+
+def test_cli_simulate_reports_an_envelope_that_does_not_settle(tmp_path, capsys, monkeypatch):
+    from resilest import observers
+
+    monkeypatch.setattr(observers, "_POWER_CAP", 1000)
+    sfile = write_json(tmp_path / "s.json", SLOW_OBSERVER_DOC)
+    assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("error: invalid scenario: sensor 1: ")
+    assert "within 1000 powers" in captured.err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_cli_simulate_rejects_assumption_violation(tmp_path, capsys):
     doc = scalar_scenario_doc()
     doc["attacks"].append({"sensor": 2, "start_step": 5, "end_step": None,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,6 +371,45 @@ def test_batched_envelope_equals_power_loop(seed, sensors):
     assert mu_z == pytest.approx(want.mu_f, rel=1e-12)
 
 
+def rotated(obs, rng):
+    """The observer in another orthonormal basis: the same norms of every ``F^k`` and
+    ``F^k L`` in exact arithmetic, rounded differently."""
+    Q = np.linalg.qr(rng.normal(size=(obs.nu, obs.nu)))[0]
+    F = Q @ obs.F @ Q.T
+    return replace(obs, sensor_index=2, Z=obs.Z @ Q.T, S=F.copy(), L=Q @ obs.L, F=F)
+
+
+def hard_bank(case, rng, inertia_chain):
+    if case == "scaled_orthogonal":  # every singular value a^k: the Frobenius bound is sqrt(nu) loose
+        F = 0.999 * np.linalg.qr(rng.normal(size=(8, 8)))[0]
+        obs = stable_observer(rng, 8, 0.5, 10)
+        return [replace(obs, S=F.copy(), F=F)]
+    if case == "nilpotent":  # F^k = 0 from k = nu on
+        F = np.triu(rng.normal(size=(6, 6)) * 5.0, 1)
+        obs = stable_observer(rng, 6, 0.5, 10)
+        return [replace(obs, S=F.copy(), F=F)]
+    if case == "nu_1":
+        return [stable_observer(rng, 1, 0.999, 4), stable_observer(rng, 1, 0.3, 4)]
+    if case == "frobenius_overflow":  # finite powers whose squares overflow for ~1,150 powers
+        obs = jordan_observer(0.5, 10)
+        F = np.array([[0.5, 1e200], [0.0, 0.5]])
+        return [replace(obs, S=F.copy(), F=F)]
+    if case == "tied_maxima":  # the same observer twice, and once rotated
+        obs = jordan_observer(0.99, 300)
+        return [obs, replace(obs, sensor_index=2), rotated(obs, rng)]
+    from resilest.plant import ObserverConfig, build_observer_bank
+
+    return build_observer_bank(inertia_chain(5, 0.01), ObserverConfig(mode="contract", factor=0.98))
+
+
+@pytest.mark.parametrize("case", ["scaled_orthogonal", "nilpotent", "nu_1", "frobenius_overflow",
+                                  "tied_maxima", "chain_search"])
+def test_norm_bounds_equal_power_loop_on_hard_inputs(case, inertia_chain):
+    bank = hard_bank(case, np.random.default_rng(7), inertia_chain)
+    want, _, _ = reference_error_bounds(bank, 0.003, 0.002, 1.5)
+    assert compute_error_bounds(bank, 0.003, 0.002, 1.5) == want
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), nu=st.integers(2, 8))
 def test_ratio_stop_covers_later_powers_of_non_normal_F(seed, nu):
@@ -422,24 +462,26 @@ def test_error_bounds_reject_non_orthonormal_basis():
         compute_error_bounds([obs], 0.001, 0.001, 1.0)
 
 
-def test_envelope_takes_one_svd_per_chunk_per_norm(three_inertia, monkeypatch):
+def test_envelope_takes_the_svd_of_few_powers(three_inertia, monkeypatch):
     from resilest.plant import ObserverConfig, build_observer_bank
 
     bank = build_observer_bank(three_inertia, ObserverConfig(mode="contract", factor=0.98))
     want, visited, _ = reference_error_bounds(bank, 0.001, 0.001, 1.0)
-    calls = []
+    matrices = []
     svd = np.linalg.svd
 
     def spy(*args, **kwargs):
-        calls.append(args[0].shape)
+        matrices.append(math.prod(args[0].shape[:-2]))
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(observers.np.linalg, "svd", spy)
     assert compute_error_bounds(bank, 0.001, 0.001, 1.0) == want
+    # a batched SVD of every power of every chunk, of every F^k L up to the stop, and of
+    # each basis check would norm 8,824 matrices on this bank
     chunks = sum(math.ceil(v / observers._POWER_CHUNK) for v in visited)
-    assert sum(visited) > 10 * len(calls)
-    # F^k and F^k L per chunk, and the orthonormality check of each basis
-    assert len(calls) == 2 * chunks + len(bank)
+    every = chunks * observers._POWER_CHUNK + sum(visited) + len(bank)
+    assert every == 8824
+    assert sum(matrices) <= 0.05 * every
 
 
 def test_three_inertia_bounds_regression(three_inertia):
