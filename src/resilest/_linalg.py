@@ -33,25 +33,44 @@ a floor of at most 1.4e-6, and whose deficient ones read round-off
 On a monomial observability matrix ``lambda`` itself falls to round-off
 (``rho_2q^2`` is 6.7e-14 on the demo plant), so there the SVD decides.
 
-Cholesky certificate.  Where only the rank is wanted, one Cholesky stands in
-for the eigenvalues.  A floating-point Cholesky of a symmetric ``H`` that
-completes gives ``H + E = R'R`` with ``|E|_2 <= gamma_{n+1} tr H / (1 -
-gamma_{n+1})`` (Rump, *Verification of positive definiteness*, BIT 46, 2006),
-so ``lambda_min(H) >= -(n + 1) u tr H`` to first order.
-:func:`cholesky_certified` factors ``H = fl(G - s I)`` with the shift
-``s = (gram_floor + delta) * tr G``, ``delta = (8 n^2 + 2 n + 2) eps``.  The
-diagonal subtraction errs by at most ``u tr G``, so a completed
-factorization proves ``lambda_min(G) >= s - (n + 2) u tr G``.  By the bound
-above, ``eigvalsh`` would then read ``lambda_min`` at least ``8 n^2 u tr G``
-lower and ``lambda_max`` at most ``(1 + 8 n^2 u) tr G``, and rounding ``tr G``,
-``s`` and the comparison costs ``(n + 3) u tr G`` more.  ``delta`` covers the
-sum ``(16 n^2 + 2 n + 5) u`` for any floor below 1, so a Gram matrix the Cholesky
-certifies clears ``gram_floor * lambda_max`` by its eigenvalues as well: the
-certificate decides nothing the eigenvalues would have left to the SVD.  (A
-floor of 1 or more gives ``s >= tr G``, and the first pivot fails.)  It is
-stricter than the eigenvalues by up to ``tr G / lambda_max <= n``, nothing
-against the gap on ``Z'``.  One failed matrix fails its whole batch, whose
-selections then go to the SVD as a whole.
+Cholesky certificate.  Where only the rank is wanted, or only whether a Gram matrix
+clears a value, one Cholesky stands in for the eigenvalues.  A floating-point
+Cholesky of a symmetric ``H`` that completes gives ``H + E = R'R`` with ``|E|_2 <=
+gamma_{n+1} tr H / (1 - gamma_{n+1})`` (Rump, *Verification of positive
+definiteness*, BIT 46, 2006), so ``lambda_min(H) >= -(n + 1) u tr H`` to first order.
+:func:`certified_above` factors ``H = fl(G - s I)`` with the shift ``s = max(least,
+gram_floor * tr G) + delta * tr G``, ``delta = (8 n^2 + 2 n + 2) eps = (16 n^2 + 4 n +
+4) u``: :func:`cholesky_certified` takes ``least = 0``, and the rho scan of
+``analysis`` takes ``fl(rho * rho)`` for its running minimum ``rho``.  A factorization
+can complete only when ``s <= tr G / n`` to first order, so ``least`` and the floor
+term are at most ``tr G``, and ``delta`` covers five error sources, each a multiple of
+``u tr G``:
+
+* Rump's term and the diagonal subtraction, ``(n + 2) u tr G``: a completed
+  factorization proves ``lambda_min(G) >= s - (n + 2) u tr G``;
+* rounding the shift (``tr G`` sums ``n`` entries, then a product, a maximum and a
+  sum), ``(n + 2) u tr G``;
+* the errors of the eigenvalues: ``eigvalsh`` reads ``lambda_min`` at most ``8 n^2 u
+  tr G`` low and ``lambda_max`` at most ``(1 + 8 n^2 u) tr G`` (the bound above);
+* the SVD needs no term of its own: a chunk the floor sends to the SVD goes to it whole,
+  selections certified in it included, as it would without them;
+* rounding ``rho^2`` to ``least``, ``u rho^2 <= u tr G``, and the comparisons: the
+  floor's product ``floor * lambda_max`` rounds by ``u tr G``, and ``sqrt`` is
+  correctly rounded, hence monotone, so a computed ``lambda_min >= rho^2`` reads
+  ``fl(sqrt(lambda_min)) >= rho`` at no cost.
+
+A certified ``G`` then clears ``gram_floor * lambda_max`` by its eigenvalues, which
+takes ``(16 n^2 + 2 n + 5) u``, and its computed ``lambda_min`` is at least ``rho^2``,
+which takes ``(8 n^2 + 2 n + 5) u``; ``delta`` covers either for every ``n >= 1`` and any
+floor below 1.  (A floor of 1 or more gives ``s >= tr G``, and the first pivot fails.)
+So the certificate decides nothing the eigenvalues would have left to the SVD, and a
+selection certified above ``rho^2`` would read ``sigma_min >= rho``: it never lowers
+the running minimum, nor is the first of a lower one.  It is stricter than the
+eigenvalues by up to ``tr G / lambda_max <= n``, nothing against the gap on ``Z'``.  A
+``G`` with ``tr G <= n s`` has ``lambda_min <= tr G / n <= s`` and is not factored: on
+tied selections, such as orthonormal blocks where every ``G_S`` is ``|S| I`` to
+round-off, ``s`` lies above every ``lambda_min``.  The rest factor in slices, and one
+failed matrix fails its whole slice.
 """
 
 from __future__ import annotations
@@ -96,23 +115,44 @@ def gram_floor(rows: int, cols: int, eps_rel: float = DEFAULT_EPS_REL) -> float:
     return 4.0 * f * f + math.sqrt(b)
 
 
+def certified_above(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_REL,
+                    least: float = 0.0, per_slice: int | None = None) -> np.ndarray:
+    """Which matrices of the Gram stack ``(c, n, n)`` a Cholesky of ``G - s I`` certifies,
+    ``s = max(least, gram_floor * tr G) + delta * tr G``: each certified ``G`` clears
+    :func:`gram_floor` by its eigenvalues, and with ``least = fl(rho * rho)`` ``eigvalsh``
+    reads its ``lambda_min`` at least ``rho^2`` (see the module docstring).
+
+    A ``G`` with ``tr G <= n s`` has ``lambda_min <= s`` and is not factored.  The others
+    factor ``per_slice`` at a time (all together by default), and a slice whose factorization
+    completes certifies each of its matrices.  A stack with a non-finite entry certifies none.
+    """
+    n = grams.shape[-1]
+    certified = np.zeros(len(grams), dtype=bool)
+    # numpy's Cholesky runs through NaN pivots; a sum that overflows also certifies none
+    if not math.isfinite(grams.sum()):
+        return certified
+    trace = np.trace(grams, axis1=1, axis2=2)
+    delta = (8 * n * n + 2 * n + 2) * np.finfo(float).eps
+    shift = np.maximum(least, gram_floor(rows, n, eps_rel) * trace) + delta * trace
+    tried = np.flatnonzero(trace > n * shift)
+    step = per_slice or max(1, len(tried))
+    for start in range(0, len(tried), step):
+        part = tried[start:start + step]
+        shifted = grams[part]  # a copy of the slice, shifted on its diagonal in place
+        shifted.reshape(len(part), n * n)[:, ::n + 1] -= shift[part, None]
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            continue
+        certified[part] = True
+    return certified
+
+
 def cholesky_certified(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_REL) -> bool:
     """True when one Cholesky of every shifted ``G - s I`` in the stack ``(c, n, n)`` completes,
     which certifies each ``G`` as :func:`gram_floor` would from its eigenvalues (see the module
     docstring)."""
-    if not np.isfinite(grams).all():  # numpy's Cholesky runs through NaN pivots
-        return False
-    n = grams.shape[-1]
-    delta = (8 * n * n + 2 * n + 2) * np.finfo(float).eps
-    shifted = grams.copy()  # shift the diagonal of one copy in place: no ``s * I`` temporaries
-    diagonal = np.arange(n)
-    shifted[:, diagonal, diagonal] -= ((gram_floor(rows, n, eps_rel) + delta)
-                                       * np.trace(grams, axis1=1, axis2=2))[:, None]
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return bool(certified_above(grams, rows, eps_rel).all())
 
 
 def spectral_norm(matrix: np.ndarray) -> np.ndarray:

@@ -24,11 +24,13 @@ observability, and which chunks the constants' gains may read from the Gram
 inverse) certifies a chunk full rank by one batched shifted Cholesky
 (``_linalg.cholesky_certified``); the upward frontier, whose levels nearly
 always hold a deficient selection, takes the SVD alone.  The scan for rho and
-rho_2q takes one batched ``eigvalsh`` per chunk, which gives ``sigma_min^2 =
-lambda_min``, and certifies the chunk when every ``lambda_min`` clears
-``_linalg.gram_floor`` times ``lambda_max``: the squared SVD floor plus the
-rounding bound ``sqrt(b)`` (the Cholesky shift is wider still, so it certifies
-nothing the eigenvalues would not).  The outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1
+rho_2q reads ``sigma_min^2 = lambda_min`` from one batched ``eigvalsh`` per chunk,
+and certifies the chunk when every ``lambda_min`` clears ``_linalg.gram_floor``
+times ``lambda_max``: the squared SVD floor plus the rounding bound ``sqrt(b)``.
+Past a size's first chunk it first drops the selections a shifted Cholesky proves
+cannot lower its running minimum (``_linalg.certified_above``; the shift is wide
+enough that it drops nothing the eigenvalues would have read lower, or sent to the
+SVD).  The outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1
 B_i')`` of a certified chunk come from one batched Gram inverse.  Any other
 chunk goes to the SVD route whole, and so does the one winning selection that
 sets each reported ``rho``, ``rho_2q``, ``eta`` and ``eta_prime``.  So the rank
@@ -46,8 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import eigvalsh, inv
 
-from ._linalg import (DEFAULT_EPS_REL, cholesky_certified, gram_floor, pinv, sigma_min,
-                      spectral_norm)
+from ._linalg import (DEFAULT_EPS_REL, certified_above, cholesky_certified, gram_floor, pinv,
+                      sigma_min, spectral_norm)
 from .stacked import CodingMatrix, IndexSet
 
 __all__ = [
@@ -233,6 +235,7 @@ def coding_matrix(model: SystemModel) -> CodingMatrix:
 
 
 _STACK_FLOATS = 1 << 15  # per chunk of selections: 256 kB of intermediates
+_SLICE_FLOATS = 1 << 12  # per slice of the rho scan's certificate: 16 Gram sums at n = 16
 
 
 def _per_chunk(floats_per_selection: int) -> int:
@@ -290,21 +293,41 @@ def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int,
 def _selection_sigma_min(phi: CodingMatrix, size: int, eps_rel: float) -> float:
     """Smallest ``sigma_min`` over the ``size``-selections: 0.0 when one is rank deficient.
 
-    The scan that reads values, for rho and rho_2q: one batched ``eigvalsh`` per chunk.  A
-    chunk whose every ``lambda_min`` clears ``_linalg.gram_floor`` reads ``sigma_min^2 =
-    lambda_min``; any other chunk takes the SVD whole, which decides its ranks and gives
-    its ``sigma_min``.  A minimum a certified chunk holds is confirmed by its SVD value.
+    The scan that reads values, for rho and rho_2q, a chunk at a time.  The first chunk takes
+    one batched ``eigvalsh`` and sets a running minimum ``rho``.  Each later chunk first drops
+    the selections that ``_linalg.certified_above`` proves cannot lower it: a Cholesky of
+    ``G_S - s I``, ``s = max(rho^2, gram_floor tr G_S) + delta tr G_S``, ``_SLICE_FLOATS``
+    floats at a time, after a trace filter that passes over, unfactored, the selections with
+    ``tr G_S <= n s``; the rest take ``eigvalsh`` in slices of the same size.  When each
+    ``lambda_min`` read clears ``_linalg.gram_floor``, they give ``sigma_min^2 = lambda_min``;
+    otherwise the whole chunk, dropped selections included, takes the SVD, which decides its
+    ranks and gives its ``sigma_min``.  A minimum read from eigenvalues is confirmed by its
+    winner's SVD value.  A dropped selection would have cleared the floor, and its eigenvalues
+    would have read ``sigma_min >= rho``, so it is never the first minimum: the scan returns
+    the same value from the same winner as one that reads every selection.
     """
     n = phi.block_len
     floor = gram_floor(size * n, n, eps_rel)
+    per_slice = max(1, _SLICE_FLOATS // (n * n))
     rho, winner = math.inf, None  # winner: a certified selection to confirm by SVD
     for members, grams in _selection_grams(phi, size, n * n):
-        lam = eigvalsh(grams)
-        del grams  # an SVD-route chunk stacks its slices without the Gram sums alive
+        read = members  # the selections whose eigenvalues are read
+        if rho < math.inf:
+            kept = ~certified_above(grams, size * n, eps_rel, rho * rho, per_slice)
+            if not kept.all():  # the rest, a slice at a time: no chunk-sized copy
+                rows = np.flatnonzero(kept)
+                read, lam = members[rows], np.empty((len(rows), n))
+                for start in range(0, len(rows), per_slice):
+                    lam[start:start + per_slice] = eigvalsh(grams[rows[start:start + per_slice]])
+        if read is members:  # nothing dropped
+            lam = eigvalsh(grams)
+        del grams  # the next chunk, or an SVD-route chunk's slices, stack without these alive
+        if not len(read):
+            continue
         if (lam[:, 0] > floor * lam[:, -1]).all():  # False for NaN too
             best = int(np.argmin(lam[:, 0]))
             if math.sqrt(lam[best, 0]) < rho:
-                rho, winner = math.sqrt(lam[best, 0]), members[best]
+                rho, winner = math.sqrt(lam[best, 0]), read[best]
         else:
             svd = _svd_sigma_min(phi, members, eps_rel)
             first = int(np.argmin(svd))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from resilest import analysis
 from conftest import compacted, matrix_rank
-from resilest._linalg import DEFAULT_EPS_REL, cholesky_certified, gram_floor, pinv, sigma_min
+from resilest._linalg import (DEFAULT_EPS_REL, certified_above, cholesky_certified, gram_floor,
+                             pinv, sigma_min)
 from resilest.analysis import (
     CorrectabilityError,
     RobustnessConstants,
@@ -768,6 +769,163 @@ def test_constants_decide_correctability_from_the_rho_2q_pass(monkeypatch):
     with pytest.raises(CorrectabilityError, match=message):
         robustness_constants(CodingMatrix(entries, 2, 5), 2, 3)
     assert sizes == [1]
+
+
+def unpruned_selection_sigma_min(phi, size, eps_rel):
+    """The rho scan that reads every selection: one batched ``eigvalsh`` per chunk, and the
+    SVD for a chunk whose eigenvalues do not clear the Gram floor."""
+    n = phi.block_len
+    floor = gram_floor(size * n, n, eps_rel)
+    rho, winner = math.inf, None
+    for members, grams in analysis._selection_grams(phi, size, n * n):
+        lam = np.linalg.eigvalsh(grams)
+        if (lam[:, 0] > floor * lam[:, -1]).all():
+            best = int(np.argmin(lam[:, 0]))
+            if math.sqrt(lam[best, 0]) < rho:
+                rho, winner = math.sqrt(lam[best, 0]), members[best]
+        else:
+            svd = analysis._svd_sigma_min(phi, members, eps_rel)
+            first = int(np.argmin(svd))
+            if svd[first] == 0.0:
+                return 0.0
+            if svd[first] < rho:
+                rho, winner = float(svd[first]), None
+    if winner is not None:
+        rho = float(analysis.sigma_min(phi.selection_stack(winner[None]), eps_rel)[0])
+    return rho
+
+
+def tie_heavy_entries(seed, n, p, style):
+    """``(n p, n)`` entries whose selections of one size tie: random square orthonormal
+    blocks (each ``G_S`` is ``|S| I`` to round-off), or one Gaussian block repeated."""
+    rng = np.random.default_rng(seed)
+    if style == "orthonormal":
+        return np.concatenate([np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(p)])
+    return np.tile(rng.normal(size=(n, n)), (p, 1))
+
+
+def assert_pruned_rho_scan_is_unpruned(phi, eps_rel, chunk, per_slice):
+    """Every size's pruned scan, ``chunk`` selections per chunk and ``per_slice`` per
+    certificate slice, against :func:`unpruned_selection_sigma_min`: the same value, from the
+    same SVDs (the chunks that take the SVD route, whole, then the same winner)."""
+    stacks = []
+
+    def spy_sigma_min(matrix, eps_rel=DEFAULT_EPS_REL):
+        stacks.append(matrix)
+        return sigma_min(matrix, eps_rel)
+
+    n = phi.block_len
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_STACK_FLOATS", chunk * n * n)
+        patch.setattr(analysis, "_SLICE_FLOATS", per_slice * n * n)
+        patch.setattr(analysis, "sigma_min", spy_sigma_min)
+        for size in range(phi.block_count + 1):
+            got = analysis._selection_sigma_min(phi, size, eps_rel)
+            pruned = stacks.copy()
+            stacks.clear()
+            assert got == unpruned_selection_sigma_min(phi, size, eps_rel)
+            assert len(stacks) == len(pruned)
+            assert all(np.array_equal(a, b) for a, b in zip(stacks, pruned))
+            stacks.clear()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(1, 7),
+       style=CODING_STYLES, eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]),
+       chunk=st.integers(1, 12), per_slice=st.integers(1, 4))
+def test_pruned_rho_scan_equals_the_unpruned_scan(seed, n, p, style, eps_rel, chunk, per_slice):
+    phi = CodingMatrix(random_coding_entries(seed, n, p, style), n, p)
+    assert_pruned_rho_scan_is_unpruned(phi, eps_rel, chunk, per_slice)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), p=st.integers(4, 8),
+       style=st.sampled_from(["orthonormal", "repeated"]), chunk=st.integers(1, 12),
+       per_slice=st.integers(1, 4))
+def test_pruned_rho_scan_equals_the_unpruned_scan_on_ties(seed, n, p, style, chunk, per_slice):
+    # selections that tie to round-off: a certificate without its delta drops some of them
+    phi = CodingMatrix(tie_heavy_entries(seed, n, p, style), n, p)
+    assert_pruned_rho_scan_is_unpruned(phi, DEFAULT_EPS_REL, chunk, per_slice)
+
+
+def test_rho_scan_keeps_a_selection_the_floor_sends_to_the_svd(monkeypatch):
+    # {1} sets rho = 1e-7 from its eigenvalues.  {2} = diag(1, 1e-6) has lambda_min = 1e-12
+    # above rho^2, yet below the Gram floor (7.3e-8 of lambda_max), and its SVD reads it rank
+    # deficient under eps_rel = 1e-6: a shift at rho^2 + delta tr G alone would drop it
+    monkeypatch.setattr(analysis, "_STACK_FLOATS", 4)  # one selection per chunk
+    phi = CodingMatrix.from_blocks([1e-7 * np.eye(2), np.diag([1.0, 1e-6])])
+    assert analysis._selection_sigma_min(phi, 1, 1e-6) == 0.0
+    assert unpruned_selection_sigma_min(phi, 1, 1e-6) == 0.0
+
+
+@pytest.mark.parametrize(("N", "read"), [(7, 1900), (8, 2500)])
+def test_rho_scans_read_few_eigenvalues_on_1ms_chains(monkeypatch, inertia_chain, N, read):
+    # analyze reads rho at five sizes: 2,808 selections on N = 7 (sizes 12, 11, 10, 9, 7) and
+    # 6,945 on N = 8 (14, 13, 12, 11, 9).  The certificate drops most selections past each
+    # size's first chunk
+    counts = []
+
+    def spy_eigvalsh(matrix):
+        if np.ndim(matrix) == 3:  # a chunk of Gram sums, not the gains' (c, p - size, n, n)
+            counts.append(len(matrix))
+        return np.linalg.eigvalsh(matrix)
+
+    monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
+    rep = analyze(inertia_chain(N, 0.001))
+    index, correctable, constants = CHAIN_1MS_REPORTS[N]
+    assert (rep.security_index, rep.max_correctable_q) == (index, correctable)
+    assert 0 < sum(counts) <= read
+
+
+@pytest.mark.parametrize(("N", "T_s", "q", "r"), [(3, 0.001, 1, 1), (5, 0.01, 2, 4)],
+                         ids=["demo", "chain_search"])
+def test_rho_scans_of_one_chunk_run_no_certificate(monkeypatch, inertia_chain, N, T_s, q, r):
+    # the demo's three-inertia plant (p = 5) and the simulated five-inertia chain (p = 9):
+    # each size's selections fit one chunk, so no running minimum is set before the last one
+    phi = coding_matrix(inertia_chain(N, T_s))
+    want = robustness_constants(phi, q, r)
+    calls = []
+    monkeypatch.setattr(analysis, "certified_above",
+                        lambda *args: calls.append(args) or certified_above(*args))
+    assert robustness_constants(phi, q, r) == want
+    assert calls == []
+
+
+def test_tied_selections_skip_the_certificate(monkeypatch):
+    # a dense n = 4, p = 16 model: every sensor sees every mode, so each block is a square
+    # orthonormal basis and every G_S is |S| I to round-off.  Its constants read rho at eleven
+    # sizes, each over several chunks, and no selection can clear rho^2 + delta tr G_S: the
+    # trace filter passes them all over without a factorization
+    rng = np.random.default_rng(16)
+    A = rng.standard_normal((4, 4))
+    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+    model = SystemModel(A=A, B=rng.standard_normal((4, 1)), C=rng.standard_normal((16, 4)))
+    z = coding_matrix(model)
+    sizes = [15, 14, 13, 12, 11, 10, 9, 8, 6, 4, 2]
+    want = {size: unpruned_selection_sigma_min(z, size, DEFAULT_EPS_REL) for size in sizes}
+    certificates, factored, cholesky = [], [], np.linalg.cholesky
+
+    def spy_certified(grams, rows, eps_rel, least, per_slice):
+        certificates.append(len(grams))
+        return certified_above(grams, rows, eps_rel, least, per_slice)
+
+    def spy_cholesky(matrix):
+        factored.append(len(matrix))
+        return cholesky(matrix)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "certified_above", spy_certified)
+        patch.setattr(np.linalg, "cholesky", spy_cholesky)
+        assert {size: analysis._selection_sigma_min(z, size, DEFAULT_EPS_REL)
+                for size in sizes} == want
+    # every chunk but the first of each size, of 2,048 selections: 34,454 of 49,150
+    assert sum(certificates) == sum(math.comb(16, size) - min(2048, math.comb(16, size))
+                                    for size in sizes)
+    assert factored == []
+    rep = analyze(model)
+    assert (rep.security_index, sorted(rep.per_q_constants)) == (16, list(range(1, 8)))
+    for q, c in rep.per_q_constants.items():
+        assert (c.rho, c.rho_2q) == (want[16 - q], want[16 - 2 * q])
 
 
 def test_sigma_min_reads_zero_below_full_column_rank():
