@@ -60,6 +60,7 @@ __all__ = [
     "UnsupportedInputError",
     "analyze",
     "coding_matrix",
+    "decoder_budget",
     "is_q_error_correctable",
     "is_q_error_detectable",
     "is_q_redundant_observable",
@@ -293,34 +294,29 @@ def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int,
 def _selection_sigma_min(phi: CodingMatrix, size: int, eps_rel: float) -> float:
     """Smallest ``sigma_min`` over the ``size``-selections: 0.0 when one is rank deficient.
 
-    The scan that reads values, for rho and rho_2q, a chunk at a time.  The first chunk takes
-    one batched ``eigvalsh`` and sets a running minimum ``rho``.  Each later chunk first drops
-    the selections that ``_linalg.certified_above`` proves cannot lower it: a Cholesky of
-    ``G_S - s I``, ``s = max(rho^2, gram_floor tr G_S) + delta tr G_S``, ``_SLICE_FLOATS``
-    floats at a time, after a trace filter that passes over, unfactored, the selections with
-    ``tr G_S <= n s``; the rest take ``eigvalsh`` in slices of the same size.  When each
-    ``lambda_min`` read clears ``_linalg.gram_floor``, they give ``sigma_min^2 = lambda_min``;
-    otherwise the whole chunk, dropped selections included, takes the SVD, which decides its
-    ranks and gives its ``sigma_min``.  A minimum read from eigenvalues is confirmed by its
-    winner's SVD value.  A dropped selection would have cleared the floor, and its eigenvalues
-    would have read ``sigma_min >= rho``, so it is never the first minimum: the scan returns
-    the same value from the same winner as one that reads every selection.
+    The scan that reads values, for rho and rho_2q, a chunk at a time, keeping a running
+    minimum ``rho``.  Each chunk first drops the selections that ``_linalg.certified_above``
+    proves cannot lower it: a Cholesky of ``G_S - s I``, ``s = max(rho^2, gram_floor tr G_S) +
+    delta tr G_S``, ``_SLICE_FLOATS`` floats at a time, after a trace filter that passes over,
+    unfactored, the selections with ``tr G_S <= n s`` (all of them while ``rho`` is still
+    infinite, at a size's first chunk); the rest take ``eigvalsh`` in slices of the same size.
+    When each ``lambda_min`` read clears ``_linalg.gram_floor``, they give ``sigma_min^2 =
+    lambda_min``; otherwise the whole chunk, dropped selections included, takes the SVD, which
+    decides its ranks and gives its ``sigma_min``.  A minimum read from eigenvalues is
+    confirmed by its winner's SVD value.  A dropped selection would have cleared the floor, and
+    its eigenvalues would have read ``sigma_min >= rho``, so it is never the first minimum: the
+    scan returns the same value from the same winner as one that reads every selection.
     """
     n = phi.block_len
     floor = gram_floor(size * n, n, eps_rel)
     per_slice = max(1, _SLICE_FLOATS // (n * n))
     rho, winner = math.inf, None  # winner: a certified selection to confirm by SVD
     for members, grams in _selection_grams(phi, size, n * n):
-        read = members  # the selections whose eigenvalues are read
-        if rho < math.inf:
-            kept = ~certified_above(grams, size * n, eps_rel, rho * rho, per_slice)
-            if not kept.all():  # the rest, a slice at a time: no chunk-sized copy
-                rows = np.flatnonzero(kept)
-                read, lam = members[rows], np.empty((len(rows), n))
-                for start in range(0, len(rows), per_slice):
-                    lam[start:start + per_slice] = eigvalsh(grams[rows[start:start + per_slice]])
-        if read is members:  # nothing dropped
-            lam = eigvalsh(grams)
+        # the selections whose eigenvalues are read; at rho = inf none is factored or dropped
+        rows = np.flatnonzero(~certified_above(grams, size * n, eps_rel, rho * rho, per_slice))
+        read, lam = members[rows], np.empty((len(rows), n))
+        for start in range(0, len(rows), per_slice):  # a slice at a time: no chunk-sized copy
+            lam[start:start + per_slice] = eigvalsh(grams[rows[start:start + per_slice]])
         del grams  # the next chunk, or an SVD-route chunk's slices, stack without these alive
         if not len(read):
             continue
@@ -529,6 +525,19 @@ def is_q_redundant_observable(model: SystemModel, q: int,
     return is_q_error_detectable(coding_matrix(model), q, eps_rel)
 
 
+def decoder_budget(q: int, r: int | None = None,
+                   constants: RobustnessConstants | None = None) -> int:
+    """The search size ``r`` of the decoder budget ``(q, r)``, ``q`` when None.  The budget
+    needs ``q <= r <= 2q``, and supplied ``constants`` must have been made for it (their
+    ``theta`` and ``kappa_c`` certify that budget alone); otherwise ``ValueError``."""
+    r = q if r is None else r
+    if not q <= r <= 2 * q:
+        raise ValueError(f"need q <= r <= 2q, got q={q}, r={r}")
+    if constants is not None and (constants.q, constants.r) != (q, r):
+        raise ValueError("supplied constants were computed for different (q, r)")
+    return r
+
+
 def robustness_constants(
     phi: CodingMatrix,
     q: int,
@@ -553,8 +562,7 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
     """:func:`robustness_constants`, reading rho of a selection size from ``rhos`` when
     an earlier call recorded it, and recording every size it scans itself."""
     p, n = phi.block_count, phi.block_len
-    if not q <= r <= 2 * q:
-        raise ValueError(f"need q <= r <= 2q, got q={q}, r={r}")
+    decoder_budget(q, r)
     if p < 2 * q + 1:
         raise CorrectabilityError(f"constants undefined: q={q} needs p >= 2q+1 sensors, "
                                   f"got p={p}")

@@ -23,6 +23,7 @@ from .analysis import (
     CorrectabilityError,
     RobustnessConstants,
     SystemModel,
+    decoder_budget,
     is_q_error_correctable,
     observability_matrix,
     robustness_constants,
@@ -192,6 +193,14 @@ def default_support_tol(z: np.ndarray) -> float:
         return math.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(finite)))
 
 
+def _decoded(phi: CodingMatrix, z: np.ndarray, q: int, r: int, threshold: float,
+             error_bound: float, eps_rel: float) -> DecodeResult:
+    """The search over every ``(p - r)``-selection, certified when at most q blocks violate
+    ``threshold``."""
+    estimate, objective, support = CandidateStack.build(phi, r, eps_rel).search(z, threshold)
+    return DecodeResult(estimate, support, objective, objective <= q, error_bound)
+
+
 def decode_noiseless(
     phi: CodingMatrix,
     z: np.ndarray,
@@ -209,24 +218,13 @@ def decode_noiseless(
     relative rank tolerance of the correctability check and the candidates.
     """
     z = _shaped(z, phi.blocks.shape[:2], "measurement (p, n)")
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    r = q if r is None else r
-    if not q <= r <= 2 * q:
-        raise ValueError(f"need q <= r <= 2q, got q={q}, r={r}")
+    r = decoder_budget(q, r)
     if not is_q_error_correctable(phi, q, eps_rel):
         raise CorrectabilityError(
             f"coding matrix is not {q}-error correctable; decoding is ill-posed"
         )
     tol = default_support_tol(z) if support_tol is None else support_tol
-    estimate, objective, support = CandidateStack.build(phi, r, eps_rel).search(z, tol)
-    return DecodeResult(
-        estimate=estimate,
-        support_estimate=support,
-        objective=objective,
-        certified=objective <= q,
-        error_bound=0.0,
-    )
+    return _decoded(phi, z, q, r, tol, 0.0, eps_rel)
 
 
 def decode_noisy(
@@ -247,25 +245,11 @@ def decode_noisy(
     tolerance of the constants and the candidates.
     """
     z = _shaped(z, phi.blocks.shape[:2], "measurement (p, n)")
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    r = q if r is None else r
-    if not q <= r <= 2 * q:
-        raise ValueError(f"need q <= r <= 2q, got q={q}, r={r}")
     _check_v_max(v_max)
+    r = decoder_budget(q, r, constants)
     if constants is None:
         constants = robustness_constants(phi, q, r, eps_rel)
-    elif (constants.q, constants.r) != (q, r):
-        raise ValueError("supplied constants were computed for different (q, r)")
-    candidates = CandidateStack.build(phi, r, eps_rel)
-    estimate, objective, support = candidates.search(z, constants.theta * v_max)
-    return DecodeResult(
-        estimate=estimate,
-        support_estimate=support,
-        objective=objective,
-        certified=objective <= q,
-        error_bound=constants.kappa_c * v_max,
-    )
+    return _decoded(phi, z, q, r, constants.theta * v_max, constants.kappa_c * v_max, eps_rel)
 
 
 def certify_estimate(
@@ -287,11 +271,9 @@ def certify_estimate(
     z = _shaped(z, phi.blocks.shape[:2], "measurement (p, n)")
     x_hat = _shaped(x_hat, (phi.block_len,), "estimate (n,)")
     _check_v_max(v_max)
-    r = q if r is None else r
+    r = decoder_budget(q, r, constants)
     if constants is None:
         constants = robustness_constants(phi, q, r)
-    elif (constants.q, constants.r) != (q, r):
-        raise ValueError("supplied constants were computed for different (q, r)")
     misfits = block_misfits(phi, z, x_hat[None, :])
     count = int(np.count_nonzero(violations(misfits, constants.theta * v_max)))
     return count <= q, count

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import pinv
-from .analysis import RobustnessConstants, robustness_constants, sensor_selections
+from .analysis import RobustnessConstants, decoder_budget, robustness_constants, sensor_selections
 from .decoding import block_misfits, violations
 from .observers import PartialObserver
 from .stacked import CodingMatrix, IndexSet
@@ -79,13 +79,12 @@ class ObserverBank:
 class DecoderState:
     """Mutable single-owner state of the switching decoder.
 
-    ``operators`` caches (0-based members, pinv) per block selection, solved when first
-    needed: the calculator's trusted sets and the candidates the minimizer has tried.
+    The budget ``(q, r)`` is the one ``constants`` certify.  ``operators`` caches (0-based
+    members, pinv) per block selection, solved when first needed: the calculator's trusted
+    sets and the candidates the minimizer has tried.
     """
 
     lam: IndexSet
-    q: int
-    r: int
     phi: CodingMatrix
     constants: RobustnessConstants
     recert_every: int | None = None
@@ -100,18 +99,18 @@ class DecoderState:
         constants: RobustnessConstants | None = None,
         recert_every: int | None = None,
     ) -> "DecoderState":
-        """Start trusting every sensor; constants are computed once here."""
-        r = q if r is None else r
+        """Start trusting every sensor; constants are computed once here unless supplied."""
+        r = decoder_budget(q, r, constants)
         if constants is None:
             constants = robustness_constants(phi, q, r)
-        return cls(lam=IndexSet.full(phi.block_count), q=q, r=r, phi=phi,
-                   constants=constants, recert_every=recert_every)
+        return cls(lam=IndexSet.full(phi.block_count), phi=phi, constants=constants,
+                   recert_every=recert_every)
 
     @cached_property
     def selections(self) -> np.ndarray:
         """The minimizer's candidates: 0-based ``(p - r)``-selections, lexicographic."""
         p = self.phi.block_count
-        return sensor_selections(p, p - self.r)
+        return sensor_selections(p, p - self.constants.r)
 
     def operator(self, lam: IndexSet) -> tuple[np.ndarray, np.ndarray]:
         """(0-based members, pinv of their row slabs) of ``lam``, solved once and cached."""
@@ -140,7 +139,7 @@ def decoder_step(
     misfits = block_misfits(state.phi, z, x_hat[None, :])[0]
     f = int(np.count_nonzero(violations(misfits, threshold)))
 
-    if f > state.q:
+    if f > state.constants.q:
         x_hat, state.lam = _first_fit(state, z, misfits, threshold)
 
     if state.recert_every and k > 0 and k % state.recert_every == 0:
@@ -172,7 +171,7 @@ def _first_fit(
                                                state.phi.block_count))
         x_hat = lsq @ z[members].reshape(-1)
         bad = violations(block_misfits(state.phi, z, x_hat[None, :]), threshold)[0]
-        if np.count_nonzero(bad) <= state.q:
+        if np.count_nonzero(bad) <= state.constants.q:
             trusted = tuple(int(i) + 1 for i in np.flatnonzero(~bad))
             return x_hat, IndexSet(trusted, state.phi.block_count)
     raise EstimatorAssumptionError(

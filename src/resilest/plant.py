@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .analysis import SystemModel, is_q_redundant_observable
+from .analysis import SystemModel, coding_matrix, is_q_error_correctable
 from .estimator import DecoderState, ObserverBank, decoder_step, estimator_step
 from .observers import (
     PartialObserver,
@@ -264,8 +264,6 @@ class Scenario:
         if not 0.0 < self.dt < math.inf:  # False for NaN too
             raise ScenarioValidationError(
                 f"sampling period dt must be positive and finite, got {self.dt}")
-        if self.q < 0:
-            raise ScenarioValidationError("q must be nonnegative")
         if not 0.0 <= self.noise_scale <= 1.0:
             raise ScenarioValidationError("noise_scale must lie in [0, 1]")
         if not self.q <= self.r <= 2 * self.q:
@@ -320,7 +318,7 @@ class Scenario:
                 f"sparsity assumption violated: {len(attacked)} sensors attacked "
                 f"({sorted(attacked)}) exceeds the budget q={self.q}"
             )
-        if not is_q_redundant_observable(self.model, 2 * self.q):
+        if not is_q_error_correctable(coding_matrix(self.model), self.q):
             raise ScenarioValidationError(
                 f"redundancy assumption violated: the pair (A, C) is not "
                 f"{2 * self.q}-redundant observable"
@@ -336,19 +334,16 @@ class Scenario:
 class Trace:
     """Per-step log of a simulation run.
 
-    Arrays are indexed by step; ``y`` holds the noisy attack-free outputs so
-    that ``ybar == y + a`` reproduces the measurements bit-exactly.  ``branch``
-    is 1 where the minimizer searched (``f > q``), else 0; ``bound`` is the
-    certified error bound ``kappa_c * v_max(k)``.
+    Arrays are indexed by step; ``ybar`` holds the measurements, the attack
+    ``a`` included.  ``branch`` is 1 where the minimizer searched (``f > q``),
+    else 0; ``bound`` is the certified error bound ``kappa_c * v_max(k)``.
     """
 
-    dt: float
     k: np.ndarray
     t: np.ndarray
     x: np.ndarray
     x_hat: np.ndarray
     u: np.ndarray
-    y: np.ndarray
     ybar: np.ndarray
     a: np.ndarray
     f: np.ndarray
@@ -397,13 +392,11 @@ def simulate(sc: Scenario) -> Trace:
 
     H = sc.horizon
     tr = Trace(
-        dt=sc.dt,
         k=np.arange(H),
         t=np.arange(H) * sc.dt,
         x=np.zeros((H, n)),
         x_hat=np.zeros((H, n)),
         u=np.zeros((H, m)),
-        y=np.zeros((H, p)),
         ybar=np.zeros((H, p)),
         a=np.zeros((H, p)),
         f=np.zeros(H, dtype=int),
@@ -429,18 +422,16 @@ def simulate(sc: Scenario) -> Trace:
         for spec, spec_rng in zip(sc.attacks, attack_rngs):
             a[spec.sensor - 1] += spec.value(k, sc.dt, spec_rng)
 
-        y = model.C @ x + noise
-        ybar = y + a
+        ybar = model.C @ x + noise + a
 
         tr.x[k] = x
         tr.x_hat[k] = x_hat
         tr.u[k] = u
-        tr.y[k] = y
         tr.ybar[k] = ybar
         tr.a[k] = a
         tr.f[k] = f
         tr.lam_mask[k] = sum(1 << (i - 1) for i in state.lam)
-        tr.branch[k] = f > state.q
+        tr.branch[k] = f > sc.q
         tr.bound[k] = state.constants.kappa_c * v_max
 
         if k < H - 1:

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from resilest import analysis
 from conftest import compacted, matrix_rank
-from resilest._linalg import (DEFAULT_EPS_REL, certified_above, cholesky_certified, gram_floor,
-                             pinv, sigma_min)
+from resilest._linalg import DEFAULT_EPS_REL, cholesky_certified, gram_floor, pinv, sigma_min
 from resilest.analysis import (
     CorrectabilityError,
     RobustnessConstants,
@@ -881,14 +880,16 @@ def test_rho_scans_read_few_eigenvalues_on_1ms_chains(monkeypatch, inertia_chain
                          ids=["demo", "chain_search"])
 def test_rho_scans_of_one_chunk_run_no_certificate(monkeypatch, inertia_chain, N, T_s, q, r):
     # the demo's three-inertia plant (p = 5) and the simulated five-inertia chain (p = 9):
-    # each size's selections fit one chunk, so no running minimum is set before the last one
+    # each size's selections fit one chunk, so the certificate only runs at rho = inf and
+    # factors nothing
     phi = coding_matrix(inertia_chain(N, T_s))
-    want = robustness_constants(phi, q, r)
-    calls = []
-    monkeypatch.setattr(analysis, "certified_above",
-                        lambda *args: calls.append(args) or certified_above(*args))
-    assert robustness_constants(phi, q, r) == want
-    assert calls == []
+    sizes = {phi.block_count - q, phi.block_count - 2 * q}
+    want = {size: unpruned_selection_sigma_min(phi, size, DEFAULT_EPS_REL) for size in sizes}
+    factored, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(len(m)) or cholesky(m))
+    assert {size: analysis._selection_sigma_min(phi, size, DEFAULT_EPS_REL)
+            for size in sizes} == want
+    assert factored == []
 
 
 def test_tied_selections_skip_the_certificate(monkeypatch):
@@ -903,24 +904,10 @@ def test_tied_selections_skip_the_certificate(monkeypatch):
     z = coding_matrix(model)
     sizes = [15, 14, 13, 12, 11, 10, 9, 8, 6, 4, 2]
     want = {size: unpruned_selection_sigma_min(z, size, DEFAULT_EPS_REL) for size in sizes}
-    certificates, factored, cholesky = [], [], np.linalg.cholesky
-
-    def spy_certified(grams, rows, eps_rel, least, per_slice):
-        certificates.append(len(grams))
-        return certified_above(grams, rows, eps_rel, least, per_slice)
-
-    def spy_cholesky(matrix):
-        factored.append(len(matrix))
-        return cholesky(matrix)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(analysis, "certified_above", spy_certified)
-        patch.setattr(np.linalg, "cholesky", spy_cholesky)
-        assert {size: analysis._selection_sigma_min(z, size, DEFAULT_EPS_REL)
-                for size in sizes} == want
-    # every chunk but the first of each size, of 2,048 selections: 34,454 of 49,150
-    assert sum(certificates) == sum(math.comb(16, size) - min(2048, math.comb(16, size))
-                                    for size in sizes)
+    factored, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(len(m)) or cholesky(m))
+    assert {size: analysis._selection_sigma_min(z, size, DEFAULT_EPS_REL)
+            for size in sizes} == want
     assert factored == []
     rep = analyze(model)
     assert (rep.security_index, sorted(rep.per_q_constants)) == (16, list(range(1, 8)))

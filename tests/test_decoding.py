@@ -26,7 +26,8 @@ from resilest.decoding import (
     residual_detect_noiseless,
     residual_detect_noisy,
 )
-from resilest.plant import three_inertia_model, zoh_discretize
+from resilest.estimator import DecoderState
+from resilest.plant import Scenario, three_inertia_model, zoh_discretize
 from resilest.stacked import CodingMatrix, IndexSet
 
 ONES3 = CodingMatrix(np.array([[1.0], [1.0], [1.0]]), 1, 3)
@@ -497,6 +498,40 @@ def test_certify_estimate_constants_mismatch_rejected():
             certify_estimate(phi, z, x, q=q, r=r, v_max=1e-6, constants=consts)
         with pytest.raises(ValueError, match=message):
             decode_noisy(phi, z, q=q, r=r, v_max=1e-6, constants=consts)
+
+
+BUDGET_PHI = CodingMatrix(np.random.default_rng(61).normal(size=(14, 2)), 2, 7)
+BUDGET_Z = np.ones((7, 2))
+# every entry point that takes a decoder budget (q, r), called with it and any constants
+BUDGET_ENTRY_POINTS = {
+    "decode_noiseless": lambda q, r: decode_noiseless(BUDGET_PHI, BUDGET_Z, q, r),
+    "robustness_constants": lambda q, r: robustness_constants(BUDGET_PHI, q, r),
+    "Scenario": lambda q, r: Scenario(model=zoh_discretize(three_inertia_model(), 0.001),
+                                      horizon=1, q=q, r=r),
+    "decode_noisy": lambda q, r, constants=None: decode_noisy(
+        BUDGET_PHI, BUDGET_Z, q, r, v_max=1e-6, constants=constants),
+    "certify_estimate": lambda q, r, constants=None: certify_estimate(
+        BUDGET_PHI, BUDGET_Z, np.zeros(2), q, r, v_max=1e-6, constants=constants),
+    "DecoderState.fresh": lambda q, r, constants=None: DecoderState.fresh(
+        BUDGET_PHI, q, r, constants=constants),
+}
+TAKES_CONSTANTS = ("decode_noisy", "certify_estimate", "DecoderState.fresh")
+# (q, r, the budget the supplied constants were made for): q < 0, r < q, r > 2q, and
+# constants of another budget, both ways round
+BUDGET_CASES = [(-1, -1, None), (1, 0, None), (1, 3, None), (2, 2, (1, 1)), (1, 1, (2, 2))]
+
+
+@pytest.mark.parametrize(("entry", "q", "r", "made_for"), [
+    (entry, q, r, made_for) for entry in BUDGET_ENTRY_POINTS for q, r, made_for in BUDGET_CASES
+    if made_for is None or entry in TAKES_CONSTANTS], ids=str)
+def test_every_entry_point_rejects_a_budget_outside_the_rule(entry, q, r, made_for):
+    # the budget needs q <= r <= 2q, and supplied constants certify their own budget alone:
+    # theta and kappa_c of another (q, r) would threshold and bound this one's search
+    kwargs = {} if made_for is None else {"constants": robustness_constants(BUDGET_PHI, *made_for)}
+    message = (r"^supplied constants were computed for different \(q, r\)$" if made_for
+               else rf"^need q <= r <= 2q, got q={q}, r={r}$")
+    with pytest.raises(ValueError, match=message):
+        BUDGET_ENTRY_POINTS[entry](q, r, **kwargs)
 
 
 def test_certify_true_state_clean():

@@ -144,7 +144,7 @@ def test_decoder_minimizer_excludes_corrupted_sensor(scalar_triple):
     x_true = 4.2
     z = (state.phi.entries @ [x_true] + [0.0, 0.0, 500.0]).reshape(3, 1)
     x_hat, f = decoder_step(state, z, 400, v_max_at(bounds, 400))  # observer 3 corrupted
-    assert f > state.q
+    assert f > state.constants.q
     assert tuple(state.lam) == (1, 2)
     assert x_hat == pytest.approx([x_true], abs=1e-6)
     # next step: calculator again, corrupted sensor still excluded
@@ -196,7 +196,7 @@ def test_estimator_step_zero_everything(scalar_triple):
     for k in range(5):
         x_hat, f = estimator_step(bank, state, np.zeros(1), np.zeros(3), k, v_max_at(bounds, k + 1))
         assert x_hat == pytest.approx([0.0])
-        assert f <= state.q
+        assert f <= state.constants.q
 
 
 @pytest.mark.parametrize(("u", "y"), [
