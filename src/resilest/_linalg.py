@@ -71,6 +71,14 @@ eigenvalues by up to ``tr G / lambda_max <= n``, nothing against the gap on ``Z'
 tied selections, such as orthonormal blocks where every ``G_S`` is ``|S| I`` to
 round-off, ``s`` lies above every ``lambda_min``.  The rest factor in slices, and one
 failed matrix fails its whole slice.
+
+Margin.  A certificate can speak for Gram matrices it never forms: a ``margin`` ``m``
+adds ``2 m`` to the shift, and then every ``H`` with ``|H - G|_2 <= m`` clears the floor as
+``G`` would, since ``lambda_min(H) >= lambda_min(G) - m`` and ``floor * lambda_max(H) <=
+floor * lambda_max(G) + m`` (Weyl; the floor is below 1).  The error terms of ``H`` grow
+with ``tr H <= tr G + n m``, which the slack ``(1 - floor) m`` covers to first order.  The
+selection scans of ``analysis`` pass ``m = 2 |S| tau`` for the selections that share a
+representative's sensor subspaces.
 """
 
 from __future__ import annotations
@@ -107,20 +115,29 @@ def sigma_min(matrix: np.ndarray, eps_rel: float = DEFAULT_EPS_REL):
     return float(smallest) if matrix.ndim == 2 else smallest
 
 
+def gram_rounding(rows: int, cols: int) -> float:
+    """The rounding band ``b``: each eigenvalue of a computed ``cols x cols`` Gram matrix of
+    ``rows`` rows lies within ``b * lambda_max`` of the exact one (see the module docstring)."""
+    return 2.0 * (rows + 2 * cols) * cols * np.finfo(float).eps
+
+
 def gram_floor(rows: int, cols: int, eps_rel: float = DEFAULT_EPS_REL) -> float:
     """``lambda_min/lambda_max`` a ``cols x cols`` Gram matrix of ``rows`` rows must exceed to
     certify full column rank (see the module docstring)."""
-    b = 2.0 * (rows + 2 * cols) * cols * np.finfo(float).eps
     f = max(rows, cols) * eps_rel
-    return 4.0 * f * f + math.sqrt(b)
+    return 4.0 * f * f + math.sqrt(gram_rounding(rows, cols))
 
 
 def certified_above(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_REL,
-                    least: float = 0.0, per_slice: int | None = None) -> np.ndarray:
+                    least: float = 0.0, per_slice: int | None = None,
+                    margin: float = 0.0) -> np.ndarray:
     """Which matrices of the Gram stack ``(c, n, n)`` a Cholesky of ``G - s I`` certifies,
-    ``s = max(least, gram_floor * tr G) + delta * tr G``: each certified ``G`` clears
+    ``s = max(least, gram_floor * tr G) + delta * tr G + 2 margin``: each certified ``G`` clears
     :func:`gram_floor` by its eigenvalues, and with ``least = fl(rho * rho)`` ``eigvalsh``
-    reads its ``lambda_min`` at least ``rho^2`` (see the module docstring).
+    reads its ``lambda_min`` at least ``rho^2`` (see the module docstring).  So does every
+    Gram matrix within ``margin`` of ``G`` in the 2-norm: its ``lambda_min`` is at least
+    ``lambda_min(G) - margin`` and its ``lambda_max`` at most ``lambda_max(G) + margin``, and
+    the floor is below 1.
 
     A ``G`` with ``tr G <= n s`` has ``lambda_min <= s`` and is not factored.  The others
     factor ``per_slice`` at a time (all together by default), and a slice whose factorization
@@ -133,7 +150,7 @@ def certified_above(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_R
         return certified
     trace = np.trace(grams, axis1=1, axis2=2)
     delta = (8 * n * n + 2 * n + 2) * np.finfo(float).eps
-    shift = np.maximum(least, gram_floor(rows, n, eps_rel) * trace) + delta * trace
+    shift = np.maximum(least, gram_floor(rows, n, eps_rel) * trace) + delta * trace + 2 * margin
     tried = np.flatnonzero(trace > n * shift)
     step = per_slice or max(1, len(tried))
     for start in range(0, len(tried), step):
@@ -148,11 +165,12 @@ def certified_above(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_R
     return certified
 
 
-def cholesky_certified(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_REL) -> bool:
+def cholesky_certified(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_REL,
+                       margin: float = 0.0) -> bool:
     """True when one Cholesky of every shifted ``G - s I`` in the stack ``(c, n, n)`` completes,
-    which certifies each ``G`` as :func:`gram_floor` would from its eigenvalues (see the module
-    docstring)."""
-    return bool(certified_above(grams, rows, eps_rel).all())
+    which certifies each ``G``, and each Gram matrix within ``margin`` of it, as
+    :func:`gram_floor` would from its eigenvalues (see :func:`certified_above`)."""
+    return bool(certified_above(grams, rows, eps_rel, margin=margin).all())
 
 
 def spectral_norm(matrix: np.ndarray) -> np.ndarray:

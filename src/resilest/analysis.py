@@ -32,11 +32,44 @@ cannot lower its running minimum (``_linalg.certified_above``; the shift is wide
 enough that it drops nothing the eigenvalues would have read lower, or sent to the
 SVD).  The outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1
 B_i')`` of a certified chunk come from one batched Gram inverse.  Any other
-chunk goes to the SVD route whole, and so does the one winning selection that
+chunk goes to the SVD route, and so does the one winning selection that
 sets each reported ``rho``, ``rho_2q``, ``eta`` and ``eta_prime``.  So the rank
 decisions are the SVD route's on any coding matrix, and every constant is an
 SVD value of a real selection; where two selections tie to within the Gram
 rounding band (``sqrt(b)`` relative), the reported one may be the other's.
+
+The three scans (:func:`_first_deficient`, :func:`_selection_sigma_min` and the
+constants' outside gains) enumerate sensor subspaces, not sensor subsets.  Blocks
+whose ``G_i`` lie within ``tau`` of their group's first form a group
+(``CodingMatrix.groups``).  On ``Z'`` each ``G_i`` is the projector onto sensor
+i's observable subspace, so a group is one subspace seen by several sensors: the
+parallel elements of the polymatroid rank of a sum of subspaces (Edmonds,
+"Submodular functions, matroids and certain polyhedra", 1970).  A selection's
+count vector holds its members per group, and the scans read one representative
+per count vector, the first ``c_j`` blocks of each group j (:func:`_representatives`).
+It is the lexicographically first selection with its count vector: a smaller one
+would miss one of those first blocks at the first place the two differ.  The
+representatives come in lexicographic order, so "first deficient", the witness
+and "first minimum" keep their meaning.  Every member differs from its
+representative in at most ``|S|`` blocks, each by at most ``2 tau`` in Frobenius
+norm, so by Weyl's inequality its ``G_S`` and every eigenvalue lie within the
+margin ``m = 2 |S| tau`` of the representative's (``tau`` is
+``CodingMatrix.group_spread``, the largest distance actually grouped).  The
+certificates add ``2 m`` to their shift and the floor comparisons read
+``lambda_min - m > floor (lambda_max + m)``, so a certified representative
+speaks for every member of its count vector.  A representative no certificate
+decides expands to its members on the SVD route (:func:`_svd_route`), so every
+rank decision, the security index and the witness stay the SVD's.  rho and rho_2q
+are the minimum over the representatives, and the gains one per count vector and
+group: ``B_i G_S^-1 B_i'`` has the eigenvalues of ``G_S^-1/2 G_i G_S^-1/2``, which
+depend on i only through its group.  A member's value can thus differ from its
+representative's by the margin alone.  On ``Z'`` the grouped ``G_i`` agree to
+1.7e-12 or better (the inertia chains N = 3..12 at 1 ms and 10 ms; 7e-16 on dense
+models), against at least 1.41 between groups.  On the 1 ms chain N = 8 (7.4e-13)
+the margin is 2.1e-11 beside ``lambda_min = rho^2 >= 2``: about 1e-11 relative,
+far inside the ``sqrt(b)`` tie band (1.3e-6 there).  When every group is a singleton, the
+margin is 0 and the representatives are every subset, so the scans are the
+subset scans.
 """
 
 from __future__ import annotations
@@ -245,29 +278,118 @@ def _per_chunk(floats_per_selection: int) -> int:
 
 
 def sensor_selections(p: int, size: int) -> np.ndarray:
-    """Every ``size``-subset of ``range(p)``, lexicographic: the order of every selection scan."""
+    """Every ``size``-subset of ``range(p)``, lexicographic: the order of every enumeration of
+    selections (the scans read one representative of each count vector in this order)."""
     count = math.comb(p, size)
     members = itertools.chain.from_iterable(itertools.combinations(range(p), size))
     return np.fromiter(members, dtype=np.intp, count=count * size).reshape(count, size)
 
 
-def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int):
-    """Lexicographic chunks of (0-based members, their ``(c, n, n)`` Gram sums ``G_S``).
+def _lex_rank(members: np.ndarray, p: int) -> np.ndarray:
+    """The row of each 0-based selection (last axis, ``k`` sorted members) in
+    ``sensor_selections(p, k)``: ``C(p, k) - 1 - sum_i C(p - 1 - c_i, k - i)``, the
+    combinatorial number system (Knuth, TAOCP 4A, section 7.2.1.3)."""
+    k = members.shape[-1]
+    binomial = np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(p)],
+                        dtype=np.int64).reshape(p, k + 1)
+    return math.comb(p, k) - 1 - binomial[p - 1 - members, np.arange(k, 0, -1)].sum(axis=-1)
 
-    Each chunk's members are drawn from ``combinations`` as it is reached, and its ``G_S``
-    is one product of its 0/1 membership rows with the Gram table.
+
+def _places(phi: CodingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's group in ``phi.groups`` and its place in that group."""
+    labels, rank = np.empty((2, phi.block_count), dtype=np.intp)
+    for j, group in enumerate(phi.groups):
+        labels[list(group)], rank[list(group)] = j, np.arange(len(group))
+    return labels, rank
+
+
+def _counts(phi: CodingMatrix, members: np.ndarray) -> np.ndarray:
+    """The count vector of each selection row of ``members``: its members per group, ``(c, m)``."""
+    counts = np.zeros((len(members), len(phi.groups)), dtype=np.intp)
+    np.add.at(counts, (np.arange(len(members))[:, None], _places(phi)[0][members]), 1)
+    return counts
+
+
+def _margin(phi: CodingMatrix, size: int) -> float:
+    """``2 size tau``, ``tau = phi.group_spread``: the 2-norm within which every
+    ``size``-selection's ``G_S`` lies of its count vector's representative's (Weyl)."""
+    return 2.0 * size * phi.group_spread
+
+
+def _representatives(phi: CodingMatrix, size: int):
+    """Each count vector's representative, the first ``c_j`` blocks of each group j, as a tuple
+    of 0-based members: the lexicographically first selection with that count vector.
+
+    They come in lexicographic order from a depth-first search that takes a block only when
+    the blocks of its group before it are taken: it fills the selection with the first blocks
+    it may take, then drops its last block and resumes after it.  Past the last block of a
+    group with several, every block is a group of its own and may be taken freely, so there
+    the search completes the selection with ``combinations``, and with singleton groups alone
+    its representatives are ``combinations`` of every block."""
+    p = phi.block_count
+    labels, rank = (part.tolist() for part in _places(phi))
+    free = p  # the blocks from here on are singleton groups
+    while free and len(phi.groups[labels[free - 1]]) == 1:
+        free -= 1
+    counts, chosen, e = [0] * len(phi.groups), [], 0
+    while True:
+        while len(chosen) < size and free > e <= p - (size - len(chosen)):
+            if counts[labels[e]] == rank[e]:  # the blocks of e's group before it are taken
+                chosen.append(e)
+                counts[labels[e]] += 1
+            e += 1
+        yield from map(tuple(chosen).__add__,
+                       itertools.combinations(range(e, p), size - len(chosen)))
+        if not chosen:
+            return
+        e = chosen.pop()
+        counts[labels[e]] -= 1
+        e += 1
+
+
+def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int):
+    """Lexicographic chunks of (0-based members of count-vector representatives, their
+    ``(c, n, n)`` Gram sums ``G_S``).
+
+    Each chunk's representatives are drawn from :func:`_representatives` as it is reached, and
+    its ``G_S`` is one product of its 0/1 membership rows with the Gram table.  When every
+    group is a singleton these are the chunks of every ``size``-selection.
     """
     p, n = phi.block_count, phi.block_len
     table = phi.grams.reshape(p, n * n)
-    step = _per_chunk(floats_per_selection)
-    total, selections = math.comb(p, size), itertools.combinations(range(p), size)
-    for start in range(0, total, step):
-        count = min(step, total - start)
-        flat = itertools.chain.from_iterable(itertools.islice(selections, count))
+    step, selections = _per_chunk(floats_per_selection), _representatives(phi, size)
+    while part := list(itertools.islice(selections, step)):
+        count = len(part)
+        flat = itertools.chain.from_iterable(part)
         chunk = np.fromiter(flat, dtype=np.intp, count=count * size).reshape(count, size)
         inside = np.zeros((count, p))
         np.put_along_axis(inside, chunk, 1.0, axis=1)
         yield chunk, (inside @ table).reshape(count, n, n)
+
+
+def _members(phi: CodingMatrix, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The members of each row's count vector other than the row itself (the first of its
+    count vector), and the row each came from: ``(k, size)`` members and ``(k,)`` rows."""
+    found, owner = [], []
+    for row, counts in enumerate(_counts(phi, reps).tolist()):
+        picks = itertools.product(*map(itertools.combinations, phi.groups, counts))
+        next(picks)  # the representative
+        for pick in picks:
+            found.append(sorted(itertools.chain.from_iterable(pick)))
+            owner.append(row)
+    return (np.array(found, dtype=np.intp).reshape(len(found), reps.shape[1]),
+            np.array(owner, dtype=np.intp))
+
+
+def _svd_route(phi: CodingMatrix, members: np.ndarray, undecided: np.ndarray, eps_rel: float):
+    """The SVD route of a chunk of representatives no certificate decided as a whole: the
+    ``sigma_min`` of every representative, from one values-only SVD stack, then the members
+    and ``sigma_min`` of every other member of each count vector whose representative is full
+    rank and flagged ``undecided`` (no certificate spoke for its members).  A deficient
+    representative is its count vector's first deficient selection, and needs no other."""
+    svd = _svd_sigma_min(phi, members, eps_rel)
+    others = _members(phi, members[undecided & (svd > 0.0)])[0]
+    return svd, others, _svd_sigma_min(phi, others, eps_rel) if len(others) else np.zeros(0)
 
 
 def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int, ...] | None:
@@ -275,62 +397,85 @@ def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int,
     or None when every one has full column rank.
 
     The rank-only scan: detectability and the security index's downward frontier share it.
-    A chunk whose shifted Cholesky completes is full rank; any other chunk takes the SVD as
-    a whole, which decides its ranks, and the scan stops at the first chunk holding a
-    deficient selection.
+    A chunk of representatives whose shifted Cholesky completes with the margin is full rank,
+    every member of its count vectors with it; any other chunk takes the SVD route
+    (:func:`_svd_route`), each representative not certified on its own expanded to its
+    members.  Representatives come in lexicographic order and each is its count vector's
+    first member, so the scan stops at a chunk holding a deficient representative, or at one
+    whose first representative follows the first deficient member already found.
     """
     n = phi.block_len
+    margin = _margin(phi, size)
+    found = None
     # three n x n per selection: G_S, the certificate's shifted copy and its factor
     for members, grams in _selection_grams(phi, size, 3 * n * n):
-        if not cholesky_certified(grams, size * n, eps_rel):
-            svd = _svd_sigma_min(phi, members, eps_rel)
-            first = int(np.argmin(svd))
-            if svd[first] == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
-                # a tuple, not a view that would keep every size-selection alive
-                return tuple(members[first].tolist())
-    return None
+        if found is not None and tuple(members[0].tolist()) > found:
+            break
+        if cholesky_certified(grams, size * n, eps_rel, margin):
+            continue
+        # the representatives of count vectors with other members, less those certified alone
+        counts = _counts(phi, members)
+        undecided = ((counts > 0) & (counts < [len(group) for group in phi.groups])).any(axis=1)
+        undecided[undecided] = ~certified_above(grams[undecided], size * n, eps_rel,
+                                                margin=margin, per_slice=1)
+        svd, others, others_svd = _svd_route(phi, members, undecided, eps_rel)
+        # sigma_min is 0 exactly at a rank-deficient selection; tuples, not views that would
+        # keep every selection of the chunk alive
+        deficient = [tuple(s) for s in members[svd == 0.0].tolist()
+                     + others[others_svd == 0.0].tolist()] + ([] if found is None else [found])
+        found = min(deficient, default=None)
+        if (svd == 0.0).any():
+            return found
+    return found
 
 
 def _selection_sigma_min(phi: CodingMatrix, size: int, eps_rel: float) -> float:
     """Smallest ``sigma_min`` over the ``size``-selections: 0.0 when one is rank deficient.
 
-    The scan that reads values, for rho and rho_2q, a chunk at a time, keeping a running
-    minimum ``rho``.  Each chunk first drops the selections that ``_linalg.certified_above``
-    proves cannot lower it: a Cholesky of ``G_S - s I``, ``s = max(rho^2, gram_floor tr G_S) +
-    delta tr G_S``, ``_SLICE_FLOATS`` floats at a time, after a trace filter that passes over,
-    unfactored, the selections with ``tr G_S <= n s`` (all of them while ``rho`` is still
-    infinite, at a size's first chunk); the rest take ``eigvalsh`` in slices of the same size.
-    When each ``lambda_min`` read clears ``_linalg.gram_floor``, they give ``sigma_min^2 =
-    lambda_min``; otherwise the whole chunk, dropped selections included, takes the SVD, which
-    decides its ranks and gives its ``sigma_min``.  A minimum read from eigenvalues is
-    confirmed by its winner's SVD value.  A dropped selection would have cleared the floor, and
-    its eigenvalues would have read ``sigma_min >= rho``, so it is never the first minimum: the
-    scan returns the same value from the same winner as one that reads every selection.
+    The scan that reads values, for rho and rho_2q, a chunk of representatives at a time,
+    keeping a running minimum ``rho`` over them.  Each chunk first drops the representatives
+    that ``_linalg.certified_above`` proves cannot lower it: a Cholesky of ``G_S - s I``, ``s =
+    max(rho^2, gram_floor tr G_S) + delta tr G_S + 2 m`` with the margin ``m``,
+    ``_SLICE_FLOATS`` floats at a time, after a trace filter that passes over, unfactored, the
+    ones with ``tr G_S <= n s`` (all of them while ``rho`` is still infinite, at a size's first
+    chunk); the rest take ``eigvalsh`` in slices of the same size.  When each ``lambda_min``
+    read clears ``_linalg.gram_floor`` by the margin (``lambda_min - m > floor (lambda_max +
+    m)``), they give ``sigma_min^2 = lambda_min``; otherwise the chunk takes the SVD route
+    (:func:`_svd_route`), every representative, dropped ones included, and the members of each
+    one read below the floor.  A minimum read from eigenvalues is confirmed by its winner's
+    SVD value.  A dropped representative would have cleared the floor, and its eigenvalues
+    would have read ``sigma_min >= rho``, so it is never the first minimum: the scan returns
+    the same value from the same winner as one that reads every representative.
     """
     n = phi.block_len
     floor = gram_floor(size * n, n, eps_rel)
+    margin = _margin(phi, size)
     per_slice = max(1, _SLICE_FLOATS // (n * n))
-    rho, winner = math.inf, None  # winner: a certified selection to confirm by SVD
+    rho, winner = math.inf, None  # winner: a certified representative to confirm by SVD
     for members, grams in _selection_grams(phi, size, n * n):
-        # the selections whose eigenvalues are read; at rho = inf none is factored or dropped
-        rows = np.flatnonzero(~certified_above(grams, size * n, eps_rel, rho * rho, per_slice))
+        # the representatives whose eigenvalues are read; at rho = inf none is factored or dropped
+        rows = np.flatnonzero(~certified_above(grams, size * n, eps_rel, rho * rho, per_slice,
+                                               margin))
         read, lam = members[rows], np.empty((len(rows), n))
         for start in range(0, len(rows), per_slice):  # a slice at a time: no chunk-sized copy
             lam[start:start + per_slice] = eigvalsh(grams[rows[start:start + per_slice]])
         del grams  # the next chunk, or an SVD-route chunk's slices, stack without these alive
         if not len(read):
             continue
-        if (lam[:, 0] > floor * lam[:, -1]).all():  # False for NaN too
+        clear = lam[:, 0] - margin > floor * (lam[:, -1] + margin)  # False for NaN too
+        if clear.all():
             best = int(np.argmin(lam[:, 0]))
             if math.sqrt(lam[best, 0]) < rho:
                 rho, winner = math.sqrt(lam[best, 0]), read[best]
         else:
-            svd = _svd_sigma_min(phi, members, eps_rel)
-            first = int(np.argmin(svd))
-            if svd[first] == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
+            undecided = np.zeros(len(members), dtype=bool)
+            undecided[rows[~clear]] = True
+            svd, _, others_svd = _svd_route(phi, members, undecided, eps_rel)
+            smallest = float(np.concatenate([svd, others_svd]).min())
+            if smallest == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
                 return 0.0
-            if svd[first] < rho:
-                rho, winner = float(svd[first]), None
+            if smallest < rho:
+                rho, winner = smallest, None
     if winner is not None:
         rho = float(sigma_min(phi.selection_stack(winner[None]), eps_rel)[0])
     return rho
@@ -577,52 +722,96 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
 
     rho_2q, rho = rho_of(p - 2 * q), rho_of(p - q)  # the first scan decides correctability
 
-    def outside_gains(size: int) -> np.ndarray:
-        """``|block_i @ pinv(selection)|``: a row per selection, -inf at its members.
+    groups, (labels, rank) = phi.groups, _places(phi)
+    # each group's blocks, padded with -1: row j, column c is the block after its first c
+    padded = np.full((len(groups), p + 1), -1, dtype=np.intp)
+    for j, group in enumerate(groups):
+        padded[j, :len(group)] = group
+    starts = np.cumsum([0] + [len(group) for group in groups[:-1]])  # of each group's columns
 
-        A chunk the shifted Cholesky certifies reads ``sqrt(lambda_max(B_i G_S^-1 B_i'))``
-        from one batched Gram inverse; any other chunk takes the SVD route as a whole."""
-        tables = []
-        for members, grams in _selection_grams(phi, size, (3 * (p - size) + 4) * n * n):
-            others = np.nonzero((np.arange(p) != members[:, :, None]).all(axis=1))[1]
-            others = others.reshape(len(members), p - size)
-            if cholesky_certified(grams, size * n, eps_rel):
-                excluded = phi.blocks[others]
+    def outside_gains(size: int):
+        """Per count vector: its representative's members, the largest ``|block_i @
+        pinv(selection)|`` of each group over the group's blocks outside the selection (-inf
+        where none is), and whether that row comes from the SVD route.
+
+        A chunk the shifted Cholesky certifies with the margin reads, for each group, the
+        representative's gain on the group's first outside block, ``sqrt(lambda_max(B_i
+        G_S^-1 B_i'))``, from one batched Gram inverse: every member of the count vector reads
+        the same to within the margin, on every block of that group (``B_i G^-1 B_i'`` has the
+        eigenvalues of ``G^-1/2 G_i G^-1/2``).  Any other chunk takes the SVD route for every
+        member of its count vectors, and keeps each group's largest gain: a value of a real
+        selection and block, and no smaller than any member's."""
+        slots = min(len(groups), p - size)  # groups with a block outside, at most
+        reps, tables, svd_rows = [], [], []
+        margin = _margin(phi, size)
+        for members, grams in _selection_grams(phi, size, (3 * slots + 4) * n * n):
+            gains = np.full((len(members), len(groups)), -math.inf)
+            certified = cholesky_certified(grams, size * n, eps_rel, margin)
+            if certified:
+                first = padded[np.arange(len(groups)), _counts(phi, members)]
+                order = np.argsort(first < 0, axis=1, kind="stable")[:, :slots]
+                blocks = np.take_along_axis(first, order, axis=1)
+                excluded = phi.blocks[np.maximum(blocks, 0)]
                 squared = eigvalsh(excluded @ inv(grams)[:, None] @ excluded.swapaxes(2, 3))
-                outside = np.sqrt(squared[..., -1])
+                np.put_along_axis(gains, order, np.where(blocks >= 0, np.sqrt(squared[..., -1]),
+                                                         -math.inf), axis=1)
             else:
-                outside = _svd_gains(phi, members, others, eps_rel)
-            gains = np.full((len(members), p), -math.inf)
-            np.put_along_axis(gains, others, outside, axis=1)
+                others, owner = _members(phi, members)
+                every = np.concatenate([members, others])
+                outside = np.nonzero((np.arange(p) != every[:, :, None]).all(axis=1))[1]
+                outside = outside.reshape(len(every), p - size)
+                per_block = np.full((len(every), p), -math.inf)
+                np.put_along_axis(per_block, outside, _svd_gains(phi, every, outside, eps_rel),
+                                  axis=1)
+                per_group = np.maximum.reduceat(per_block[:, np.concatenate(groups)], starts,
+                                                axis=1)
+                np.maximum.at(gains, np.concatenate([np.arange(len(members)), owner]), per_group)
+            reps.append(members)
             tables.append(gains)
-        return np.concatenate(tables)
+            svd_rows.append(np.full(len(members), not certified))
+        return np.concatenate(reps), np.concatenate(tables), np.concatenate(svd_rows)
 
-    def confirmed(size: int, row: int, i: int) -> float:
-        """The SVD route's gain of block ``i`` on the ``row``-th ``size``-selection."""
-        members = sensor_selections(p, size)[row]
+    def confirmed(members: np.ndarray, i: int) -> float:
+        """The SVD route's gain of block ``i`` on the selection ``members``."""
         return float(_svd_gains(phi, members[None], np.array([[i]]), eps_rel)[0, 0])
 
-    # each distinct selection is inverted once, for eta and eta_prime alike
+    # each count vector is inverted once, for eta and eta_prime alike
     tables = {size: outside_gains(size) for size in {p - q, p - r}}
     eta = 0.0
     if q > 0:
-        eta = confirmed(p - q, *np.unravel_index(np.argmax(tables[p - q]), tables[p - q].shape))
+        reps, gains, svd_rows = tables[p - q]
+        row, j = np.unravel_index(np.argmax(gains), gains.shape)
+        # the group's first block outside the representative
+        block = groups[j][np.count_nonzero(labels[reps[row]] == j)]
+        eta = float(gains[row, j]) if svd_rows[row] else confirmed(reps[row], block)
 
     # eta_prime: max over lam of the min over its subselections bar of lam's largest gain,
     # read at the winning (bar, block) pair; at r == q lam is its own only subselection and
     # excludes none of lam's blocks
     eta_prime = 0.0
     if r > q:
+        reps, gains, svd_rows = tables[p - r]
+        # the per-selection table: each (p - r)-selection's count-vector gains, -inf at members
+        # (from the SVD route, each group's largest over the count vector: eta_prime, a max of
+        # mins of maxes, can then only read high)
+        selections = sensor_selections(p, p - r)
+        # a selection's representative holds the blocks placed before its count in their group
+        counts = _counts(phi, selections)
+        own = np.nonzero(rank < counts[:, labels])[1].reshape(selections.shape)
+        row_of = np.searchsorted(_lex_rank(reps, p), _lex_rank(own, p))
+        table = gains[row_of][:, labels]
+        np.put_along_axis(table, selections, -math.inf, axis=1)
         outer = sensor_selections(p, p - q)
         subs = outer[:, sensor_selections(p - q, p - r)]  # each lam's subselections
-        # every (p - r)-selection is one; unique() sorts them into the table's lexicographic rows
-        index = np.unique(subs.reshape(-1, p - r), axis=0, return_inverse=True)[1]
-        index = index.reshape(subs.shape[:2])
-        worst = np.take_along_axis(tables[p - r][index], outer[:, None], axis=2)
+        index = _lex_rank(subs, p)  # their rows of the table
+        worst = np.take_along_axis(table[index], outer[:, None], axis=2)
         largest = worst.max(axis=2)
         lam = int(np.argmax(largest.min(axis=1)))
         bar = int(np.argmin(largest[lam]))
-        eta_prime = confirmed(p - r, index[lam, bar], outer[lam, np.argmax(worst[lam, bar])])
+        block = outer[lam, np.argmax(worst[lam, bar])]
+        row = row_of[index[lam, bar]]
+        eta_prime = (float(gains[row, labels[block]]) if svd_rows[row]
+                     else confirmed(subs[lam, bar], block))
 
     sqrt_p = math.sqrt(p)
     kappa_d = (sqrt_p + 1.0) * math.sqrt(p - q) / rho

@@ -16,6 +16,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ._linalg import gram_rounding
+
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -93,6 +95,39 @@ class CodingMatrix:
         """Gram table ``B_i'B_i`` of the row slabs, ``(block_count, n, n)``, formed once."""
         blocks = self.blocks
         return blocks.transpose(0, 2, 1) @ blocks
+
+    @cached_property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """0-based blocks sharing a sensor subspace, ordered by their first block.
+
+        Block i joins the first group whose first Gram matrix ``G_f`` lies within ``tau = b
+        |G_f|_F`` of ``G_i`` in Frobenius norm, with ``b`` the Gram rounding band of all ``p n``
+        rows (``_linalg.gram_rounding``); otherwise it opens a group.  On orthonormal blocks
+        ``G_i`` is the projector onto sensor i's observable subspace, so a group is one
+        subspace seen by several sensors.
+        """
+        p, n = self.block_count, self.block_len
+        flat = self.grams.reshape(p, n * n)
+        tau = gram_rounding(p * n, n) * np.linalg.norm(flat, axis=1)
+        firsts: list[int] = []
+        groups: list[list[int]] = []
+        for i in range(p):
+            near = np.flatnonzero(np.linalg.norm(flat[firsts] - flat[i], axis=1) <= tau[firsts])
+            if len(near):
+                groups[near[0]].append(i)
+            else:
+                firsts.append(i)
+                groups.append([i])
+        return tuple(map(tuple, groups))
+
+    @cached_property
+    def group_spread(self) -> float:
+        """The largest Frobenius distance of a block's ``G_i`` from its group's first (0 when
+        every group is a singleton): no more than ``tau``."""
+        firsts = [group[0] for group in self.groups for _ in group]
+        order = [i for group in self.groups for i in group]
+        gaps = np.linalg.norm(self.grams[order] - self.grams[firsts], axis=(1, 2))
+        return float(gaps.max(initial=0.0))
 
     def selection_stack(self, members: np.ndarray) -> np.ndarray:
         """Row slabs of each row of 0-based ``members`` (c, size), compacted: ``(c, size*n, n)``."""

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from resilest import analysis
 from conftest import compacted, matrix_rank
-from resilest._linalg import DEFAULT_EPS_REL, cholesky_certified, gram_floor, pinv, sigma_min
+from resilest._linalg import (DEFAULT_EPS_REL, cholesky_certified, gram_floor, gram_rounding,
+                              pinv, sigma_min)
 from resilest.analysis import (
     CorrectabilityError,
     RobustnessConstants,
@@ -222,8 +223,8 @@ def decided_selections(monkeypatch):
     certified, failed, svd = [], [], []
     svd_sigma_min = analysis._svd_sigma_min
 
-    def spy_certified(grams, rows, eps_rel):
-        ok = cholesky_certified(grams, rows, eps_rel)
+    def spy_certified(grams, rows, eps_rel, margin=0.0):
+        ok = cholesky_certified(grams, rows, eps_rel, margin)
         (certified if ok else failed).append(len(grams))
         return ok
 
@@ -251,21 +252,28 @@ def test_index_scan_decides_few_selections(monkeypatch, inertia_chain):
     # all 2^20 selections, the upward one ends at the single sensors
     dense = coding_matrix(SystemModel(A=rng.normal(size=(4, 4)), B=np.zeros((4, 1)),
                                       C=rng.normal(size=(20, 4))))
+    # (its one group makes the full selection one count vector; the single sensors are 20)
     assert stacked_cospark(dense) == 20
-    assert count() <= 2 * 20 + 1
+    assert count() == 1 + 20
     # sensor 1 alone sees the fourth mode: the upward frontier alone would decide every subset
-    # of the other 13 sensors, the downward one ends at size 13
+    # of the other 13 sensors, the downward one ends at size 13.  The other 13 share one
+    # subspace, so size 14 is one count vector and size 13 two, {1} with 12 of the rest and
+    # the 13 alone, which is deficient
     C = np.zeros((14, 4))
     C[0, 3] = 1.0
     C[1:, :3] = rng.normal(size=(13, 3))
     lone = coding_matrix(SystemModel(A=np.diag([0.2, 0.4, 0.6, 0.8]), B=np.zeros((4, 1)), C=C))
+    assert lone.groups == ((0,), tuple(range(1, 14)))
     assert [is_q_error_detectable(lone, q) for q in (0, 1)] == [True, False]
     downward = count()
+    assert downward == 1 + 2
     assert stacked_cospark(lone) == 1
-    assert count() <= 2 * downward + 14
-    # the 1 ms eight-inertia chain (p = 15, index 8): 22,819 selections downward alone
+    assert count() == downward + 14
+    # the 1 ms eight-inertia chain (p = 15, index 8): 22,819 selections downward alone.  The
+    # downward frontier certifies the 1 + 4 count vectors of sizes 15 and 14, the upward one
+    # decides 135 selections by SVD
     assert stacked_cospark(coding_matrix(inertia_chain(8, 0.001))) == 8
-    assert count() <= 300
+    assert count() == 5 + 135
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -307,8 +315,8 @@ def test_a_chunk_holding_a_deficient_selection_falls_back_to_the_svd(monkeypatch
     assert stacked_cospark(phi) == reference_cospark(phi) == 5
     choleskys, spectra, stacks = [], [], []
 
-    def spy_certified(grams, rows, eps_rel):
-        choleskys.append((rows // 2, len(grams), cholesky_certified(grams, rows, eps_rel)))
+    def spy_certified(grams, rows, eps_rel, margin=0.0):
+        choleskys.append((rows // 2, len(grams), cholesky_certified(grams, rows, eps_rel, margin)))
         return choleskys[-1][2]
 
     def spy_eigvalsh(matrix):
@@ -344,9 +352,9 @@ def test_detectability_checks_ranks_per_chunk(monkeypatch, stack_floats, calls):
     assert stacked_cospark(phi) == reference_cospark(phi) == 9
     choleskys, grams, stacks = [], [], []
 
-    def spy_certified(matrix, rows, eps_rel):
+    def spy_certified(matrix, rows, eps_rel, margin=0.0):
         choleskys.append(np.shape(matrix))
-        return cholesky_certified(matrix, rows, eps_rel)
+        return cholesky_certified(matrix, rows, eps_rel, margin)
 
     def spy_eigvalsh(matrix):
         grams.append(np.shape(matrix))
@@ -385,8 +393,8 @@ CHAIN_1MS_REPORTS = {
             "0x1.6a09e667f3bccp-1", "0x1.4c8dc2e423981p+2"),
     }),
     4: (4, 1, {
-        1: ("0x1.bb67ae8584ca9p+0", "0x1.6a09e667f3bcap+0",
-            "0x1.279a74590331bp-1", "0x1.5d105675e3e44p+2"),
+        1: ("0x1.bb67ae8584cacp+0", "0x1.6a09e667f3bcdp+0",
+            "0x1.279a74590331bp-1", "0x1.5d105675e3e41p+2"),
     }),
     5: (5, 2, {
         1: ("0x1.ffffffffffffep+0", "0x1.bb67ae8584ca6p+0",
@@ -395,26 +403,26 @@ CHAIN_1MS_REPORTS = {
             "0x1.279a74590331dp-1", "0x1.04de64fafde42p+3"),
     }),
     6: (6, 2, {
-        1: ("0x1.1e3779b97f4a8p+1", "0x1.fffffffffffffp+0",
-            "0x1.c9f25c5bfeddbp-2", "0x1.8f9422c23c480p+2"),
-        2: ("0x1.fffffffffffffp+0", "0x1.6a09e667f3bcbp+0",
-            "0x1.0000000000002p-1", "0x1.deeea11683f4cp+2"),
+        1: ("0x1.1e3779b97f4a7p+1", "0x1.0000000000000p+1",
+            "0x1.c9f25c5bfedd6p-2", "0x1.8f9422c23c47fp+2"),
+        2: ("0x1.0000000000000p+1", "0x1.6a09e667f3bc9p+0",
+            "0x1.0000000000002p-1", "0x1.deeea11683f4ep+2"),
     }),
     7: (7, 3, {
         1: ("0x1.3988e1409212dp+1", "0x1.1e3779b97f4a8p+1",
-            "0x1.a20bd700c2c3cp-2", "0x1.a7c3ea599fc36p+2"),
-        2: ("0x1.1e3779b97f4a8p+1", "0x1.bb67ae8584ca9p+0",
-            "0x1.c9f25c5bfeddcp-2", "0x1.de80d5b78e41cp+2"),
-        3: ("0x1.0000000000000p+1", "0x1.ffffffffffffcp-1",
-            "0x1.0000000000000p-1", "0x1.60652f2216e1ap+3"),
+            "0x1.a20bd700c2c3ep-2", "0x1.a7c3ea599fc36p+2"),
+        2: ("0x1.1e3779b97f4a8p+1", "0x1.bb67ae8584ca6p+0",
+            "0x1.c9f25c5bfeddcp-2", "0x1.de80d5b78e41fp+2"),
+        3: ("0x1.fffffffffffffp+0", "0x1.0000000000000p+0",
+            "0x1.0000000000003p-1", "0x1.60652f2216e17p+3"),
     }),
     8: (8, 3, {
-        1: ("0x1.52a7fa9d2f8e9p+1", "0x1.3988e1409212ep+1",
-            "0x1.83091e6a7f7e8p-2", "0x1.beb0a17f8ac76p+2"),
-        2: ("0x1.3988e1409212ep+1", "0x1.fffffffffffffp+0",
-            "0x1.a20bd700c2c41p-2", "0x1.e8cbdcbf0ae52p+2"),
+        1: ("0x1.52a7fa9d2f8e7p+1", "0x1.3988e14092130p+1",
+            "0x1.83091e6a7f7e9p-2", "0x1.beb0a17f8ac73p+2"),
+        2: ("0x1.3988e14092130p+1", "0x1.0000000000001p+1",
+            "0x1.a20bd700c2c3fp-2", "0x1.e8cbdcbf0ae4fp+2"),
         3: ("0x1.1e3779b97f4a7p+1", "0x1.6a09e667f3bcbp+0",
-            "0x1.c9f25c5bfede1p-2", "0x1.2f088423eb41bp+3"),
+            "0x1.c9f25c5bfede4p-2", "0x1.2f088423eb41bp+3"),
     }),
 }
 
@@ -771,24 +779,27 @@ def test_constants_decide_correctability_from_the_rho_2q_pass(monkeypatch):
 
 
 def unpruned_selection_sigma_min(phi, size, eps_rel):
-    """The rho scan that reads every selection: one batched ``eigvalsh`` per chunk, and the
-    SVD for a chunk whose eigenvalues do not clear the Gram floor."""
+    """The rho scan that reads every count vector's representative: one batched ``eigvalsh``
+    per chunk, and the SVD route for a chunk whose eigenvalues do not clear the Gram floor by
+    the margin, the members of each representative below it included."""
     n = phi.block_len
     floor = gram_floor(size * n, n, eps_rel)
+    margin = analysis._margin(phi, size)
     rho, winner = math.inf, None
     for members, grams in analysis._selection_grams(phi, size, n * n):
         lam = np.linalg.eigvalsh(grams)
-        if (lam[:, 0] > floor * lam[:, -1]).all():
+        clear = lam[:, 0] - margin > floor * (lam[:, -1] + margin)
+        if clear.all():
             best = int(np.argmin(lam[:, 0]))
             if math.sqrt(lam[best, 0]) < rho:
                 rho, winner = math.sqrt(lam[best, 0]), members[best]
         else:
-            svd = analysis._svd_sigma_min(phi, members, eps_rel)
-            first = int(np.argmin(svd))
-            if svd[first] == 0.0:
+            svd, _, others = analysis._svd_route(phi, members, ~clear, eps_rel)
+            smallest = min(svd.min(), others.min(initial=math.inf))
+            if smallest == 0.0:
                 return 0.0
-            if svd[first] < rho:
-                rho, winner = float(svd[first]), None
+            if smallest < rho:
+                rho, winner = float(smallest), None
     if winner is not None:
         rho = float(analysis.sigma_min(phi.selection_stack(winner[None]), eps_rel)[0])
     return rho
@@ -847,6 +858,211 @@ def test_pruned_rho_scan_equals_the_unpruned_scan_on_ties(seed, n, p, style, chu
     assert_pruned_rho_scan_is_unpruned(phi, DEFAULT_EPS_REL, chunk, per_slice)
 
 
+def repeated_subspace_matrix(seed, n, p, style):
+    """A coding matrix whose blocks repeat sensor subspaces: the staircase bases of a model
+    whose output rows repeat earlier ones as they are ("duplicated") or scaled ("scaled"), the
+    tie-heavy entries, or rank-deficient entries near either floor whose later blocks repeat
+    earlier ones turned by a random orthogonal matrix ("near", equal Gram matrices to
+    round-off, many weakly full-rank selections)."""
+    rng = np.random.default_rng(seed)
+    if style in ("orthonormal", "repeated"):
+        return CodingMatrix(tie_heavy_entries(seed, n, p, style), n, p)
+    if style == "near":
+        blocks = random_coding_entries(seed, n, p, "near").reshape(p, n, n)
+        for i in range(1, p):
+            if rng.random() < 0.6:
+                turn = np.linalg.qr(rng.normal(size=(n, n)))[0]
+                blocks[i] = turn @ blocks[int(rng.integers(0, i))]
+        return CodingMatrix(blocks.reshape(p * n, n), n, p)
+    A = rng.normal(size=(n, n))
+    if rng.random() < 0.5:  # decoupled modes: each sensor sees a subset of them
+        A = np.diag(rng.uniform(0.1, 0.9, size=n))
+    C = rng.normal(size=(p, n))
+    C[rng.random(size=C.shape) < 0.3] = 0.0
+    for i in range(1, p):
+        if rng.random() < 0.6:
+            scale = rng.choice([-3.0, -1.0, 0.5, 7.0]) if style == "scaled" else 1.0
+            C[i] = scale * C[int(rng.integers(0, i))]
+    return coding_matrix(SystemModel(A=A, B=np.zeros((n, 1)), C=C))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 7),
+       style=st.sampled_from(["duplicated", "scaled", "orthonormal", "repeated", "near"]),
+       chunk=st.integers(1, 6))
+def test_count_vector_scans_equal_the_per_selection_references(seed, n, p, style, chunk):
+    phi = repeated_subspace_matrix(seed, n, p, style)
+    p = phi.block_count
+    labels = np.zeros(p, dtype=int)
+    for j, group in enumerate(phi.groups):
+        labels[list(group)] = j
+    band = math.sqrt(gram_rounding(p * n, n))
+    with pytest.MonkeyPatch.context() as patch:
+        # chunk representatives per chunk of the rank scan, which budgets 3 n^2 floats each
+        patch.setattr(analysis, "_STACK_FLOATS", 3 * chunk * n * n)
+        for size in range(p + 1):
+            selections = list(itertools.combinations(range(p), size))
+            # each count vector's representative is its lexicographically first member, and
+            # the representatives come in lexicographic order
+            firsts = {}
+            for sel in selections:
+                firsts.setdefault(tuple(np.bincount(labels[list(sel)], minlength=p)), sel)
+            reps = [tuple(row) for members, _ in analysis._selection_grams(phi, size, 3 * n * n)
+                    for row in members.tolist()]
+            assert reps == sorted(firsts.values())
+            # the rank scan names the first deficient selection of the per-selection loop, and
+            # the rho scan the smallest sigma_min, to within the Gram rounding band
+            ranks = [matrix_rank(compacted(phi, IndexSet(tuple(i + 1 for i in sel), p)))
+                     for sel in selections]
+            want = next((sel for sel, rank in zip(selections, ranks) if rank < n), None)
+            assert analysis._first_deficient(phi, size, DEFAULT_EPS_REL) == want
+            smallest = min(sigma_min(compacted(phi, IndexSet(tuple(i + 1 for i in sel), p)))
+                           for sel in selections)
+            got = analysis._selection_sigma_min(phi, size, DEFAULT_EPS_REL)
+            assert (got == 0.0) == (want is not None)
+            assert got == pytest.approx(smallest, rel=band, abs=0.0)
+    # the index and its witness
+    want = reference_first_deficient(phi)
+    cospark, deficient = analysis._index_scan(phi, DEFAULT_EPS_REL)
+    assert (cospark, IndexSet(tuple(i + 1 for i in deficient), p)) == (p - len(want), want)
+    # the constants the per-selection loop reads, to within the band
+    rng = np.random.default_rng(seed)
+    for q in range(1, (p - 1) // 2 + 1):
+        r = int(rng.integers(q, 2 * q + 1))
+        try:
+            exhaustive = reference_constants(phi, q, r)
+        except CorrectabilityError:
+            with pytest.raises(CorrectabilityError):
+                robustness_constants(phi, q, r)
+            continue
+        got = robustness_constants(phi, q, r)
+        for name in ("rho", "rho_2q", "eta"):
+            assert getattr(got, name) == pytest.approx(getattr(exhaustive, name), rel=band,
+                                                       abs=0.0), name
+
+
+def test_a_full_rank_representative_expands_to_its_deficient_member(monkeypatch):
+    # two subspaces, each seen by a pair of blocks whose Gram matrices agree to within tau:
+    # {1, 4} see diag(1, s^2) and {2, 3} diag(s^2, 1), with s = 2.0001e-8 for blocks 1 and 2
+    # and 1.9999e-8 for blocks 3 and 4.  Under eps_rel = 1e-8 the SVD floor of one block is
+    # 2e-8, so blocks 1 and 2 are full rank and blocks 3 and 4 deficient.  Size 1 holds two
+    # count vectors, represented by {1} and {2}; neither representative is deficient, and
+    # neither clears its certificate, so each expands to its count vector's other member.
+    # With one representative per chunk, {1} finds {4} deficient; the scan must still read
+    # {2}, which precedes {4}, and its member {3} is the first deficient selection
+    eps_rel = 1e-8
+    phi = CodingMatrix.from_blocks([np.diag([1.0, 2.0001e-8]), np.diag([2.0001e-8, 1.0]),
+                                    np.diag([1.9999e-8, 1.0]), np.diag([1.0, 1.9999e-8])])
+    assert phi.groups == ((0, 3), (1, 2))
+    monkeypatch.setattr(analysis, "_STACK_FLOATS", 3 * 4)  # one representative per chunk
+    expanded = []
+    members = analysis._members
+
+    def spy_members(phi, reps):
+        expanded.append(reps.tolist())
+        return members(phi, reps)
+
+    monkeypatch.setattr(analysis, "_members", spy_members)
+    assert reference_first_deficient(phi, eps_rel) == IndexSet((1, 4), 4)
+    assert analysis._first_deficient(phi, 1, eps_rel) == (2,)
+    assert expanded == [[[0]], [[1]]]
+    # size 2: {1, 2} certifies its count vector; {1, 4}, the next representative, is deficient
+    assert analysis._first_deficient(phi, 2, eps_rel) == (0, 3)
+    assert analysis._index_scan(phi, eps_rel) == (2, (0, 3))
+    expanded.clear()
+    # the rho scan budgets n^2 floats per representative, so one chunk holds both
+    assert analysis._selection_sigma_min(phi, 1, eps_rel) == 0.0
+    assert expanded == [[[0], [1]]]
+
+
+def test_distinct_subspaces_scan_every_subset_bit_for_bit(three_inertia):
+    # the three-inertia plant's monomial observability matrix: its five G_i are all distinct,
+    # so every group is a singleton, the margin is 0, and the scans read every subset in the
+    # chunks of the subset enumeration, with the results of that scan, bit for bit
+    phi = observability_matrix(three_inertia)
+    p, n = phi.block_count, phi.block_len
+    assert phi.groups == tuple((i,) for i in range(p))
+    assert phi.group_spread == 0.0 and analysis._margin(phi, p) == 0.0
+    table = phi.grams.reshape(p, n * n)
+    for size in range(p + 1):
+        for floats in (n * n, 3 * n * n, analysis._STACK_FLOATS // 4):
+            step = analysis._per_chunk(floats)
+            subsets = sensor_selections(p, size)
+            chunks = list(analysis._selection_grams(phi, size, floats))
+            assert len(chunks) == max(1, math.ceil(len(subsets) / step))
+            for k, (members, grams) in enumerate(chunks):
+                want = subsets[k * step:(k + 1) * step]
+                inside = np.zeros((len(want), p))
+                np.put_along_axis(inside, want, 1.0, axis=1)
+                assert np.array_equal(members, want)
+                assert np.array_equal(grams, (inside @ table).reshape(len(want), n, n))
+    assert [analysis._first_deficient(phi, size, DEFAULT_EPS_REL) for size in range(p + 1)] == [
+        (), (1,), (3, 4), None, None, None]
+    assert [float(analysis._selection_sigma_min(phi, size, DEFAULT_EPS_REL)).hex()
+            for size in range(p + 1)] == ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                                          "0x1.16c3b57deba03p-22", "0x1.766ece92f3820p-9",
+                                          "0x1.11ad3c19aafabp-8"]
+    got = {r: {k: float(v).hex() for k, v in vars(robustness_constants(phi, 1, r)).items()}
+           for r in (1, 2)}
+    assert got[1]["rho"] == got[2]["rho"] == "0x1.766ece92f3820p-9"
+    assert got[1]["rho_2q"] == got[2]["rho_2q"] == "0x1.16c3b57deba03p-22"
+    assert got[1]["eta"] == got[2]["eta"] == "0x1.4a7e9caf802fap+0"
+    assert (got[1]["eta_prime"], got[2]["eta_prime"]) == ("0x0.0p+0", "0x1.bb67ae58d1da8p+0")
+    assert (got[1]["kappa_c"], got[2]["kappa_c"]) == ("0x1.31658fabe77ecp+24",
+                                                      "0x1.fcfe99ffb8764p+24")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(1, 8),
+       power=st.integers(-3, 3))
+def test_blocks_farther_apart_than_tau_are_never_grouped(seed, n, p, power):
+    # blocks near copies of earlier ones, moved by 10^power times the grouping tolerance:
+    # every block lies within tau of its group's first, a block joins the first group that
+    # close, and each group's first lies farther than tau from every earlier group's first
+    rng = np.random.default_rng(seed)
+    blocks = rng.normal(size=(p, n, n))
+    b = gram_rounding(p * n, n)
+    for i in range(1, p):
+        if rng.random() < 0.7:
+            source = blocks[int(rng.integers(0, i))]
+            gram = source.T @ source
+            step = rng.normal(size=(n, n))
+            step = (step + step.T) / np.linalg.norm(step + step.T)
+            w, v = np.linalg.eigh(gram + 10.0 ** power * b * np.linalg.norm(gram) * step)
+            blocks[i] = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T  # a block of that Gram matrix
+    phi = CodingMatrix(blocks.reshape(p * n, n), n, p)
+    grams = phi.grams
+    tau = b * np.linalg.norm(grams, axis=(1, 2))
+    firsts = [group[0] for group in phi.groups]
+    assert sorted(itertools.chain.from_iterable(phi.groups)) == list(range(p))
+    for j, group in enumerate(phi.groups):
+        assert list(group) == sorted(group) and group[0] == min(group)
+        for i in group:
+            near = [k for k in firsts if k <= i and np.linalg.norm(grams[i] - grams[k]) <= tau[k]]
+            assert near[0] == group[0]
+        assert all(np.linalg.norm(grams[group[0]] - grams[k]) > tau[k] for k in firsts[:j])
+    assert phi.group_spread <= max(tau[firsts], default=0.0)
+
+
+def test_gram_gap_just_above_tau_opens_a_group():
+    # two identity blocks and one whose Gram matrix is (1 + d) I: grouped at d = tau / 2,
+    # apart at d = 2 tau (the Frobenius gap is d sqrt(2), against tau |I|_F = tau sqrt(2))
+    tau = gram_rounding(3 * 2, 2)
+    for d, groups in ((tau / 2, ((0, 1, 2),)), (2 * tau, ((0, 1), (2,)))):
+        phi = CodingMatrix.from_blocks([np.eye(2), np.eye(2), math.sqrt(1 + d) * np.eye(2)])
+        assert phi.groups == groups
+
+
+@pytest.mark.parametrize(("p", "q", "r"), [(9, 2, 4), (15, 3, 6), (20, 3, 6)])
+def test_lexicographic_ranks_equal_the_sorted_rows(p, q, r):
+    # eta_prime's table rows of each (p - r)-subselection of each (p - q)-selection: the
+    # combinatorial number system gives the rows a sort of them would
+    outer = sensor_selections(p, p - q)
+    subs = outer[:, sensor_selections(p - q, p - r)]
+    want = np.unique(subs.reshape(-1, p - r), axis=0, return_inverse=True)[1]
+    assert np.array_equal(analysis._lex_rank(subs, p), want.reshape(subs.shape[:2]))
+
+
 def test_rho_scan_keeps_a_selection_the_floor_sends_to_the_svd(monkeypatch):
     # {1} sets rho = 1e-7 from its eigenvalues.  {2} = diag(1, 1e-6) has lambda_min = 1e-12
     # above rho^2, yet below the Gram floor (7.3e-8 of lambda_max), and its SVD reads it rank
@@ -857,11 +1073,25 @@ def test_rho_scan_keeps_a_selection_the_floor_sends_to_the_svd(monkeypatch):
     assert unpruned_selection_sigma_min(phi, 1, 1e-6) == 0.0
 
 
-@pytest.mark.parametrize(("N", "read"), [(7, 1900), (8, 2500)])
+def count_vectors(phi, size):
+    """The number of distinct count vectors (members per group of ``phi.groups``) among the
+    ``size``-selections, counted over every selection."""
+    labels = np.zeros(phi.block_count, dtype=int)
+    for j, group in enumerate(phi.groups):
+        labels[list(group)] = j
+    return len({tuple(np.bincount(labels[list(s)], minlength=len(phi.groups)))
+                for s in itertools.combinations(range(phi.block_count), size)})
+
+
+@pytest.mark.parametrize(("N", "read"), [(7, 37), (8, 78)])
 def test_rho_scans_read_few_eigenvalues_on_1ms_chains(monkeypatch, inertia_chain, N, read):
     # analyze reads rho at five sizes: 2,808 selections on N = 7 (sizes 12, 11, 10, 9, 7) and
-    # 6,945 on N = 8 (14, 13, 12, 11, 9).  The certificate drops most selections past each
-    # size's first chunk
+    # 6,945 on N = 8 (14, 13, 12, 11, 9).  They hold 37 and 78 count vectors (on N = 8, 4 + 9 +
+    # 15 + 21 + 29), and each size's representatives fit one chunk, so the scans read the
+    # eigenvalues of each representative once
+    phi = coding_matrix(inertia_chain(N, 0.001))
+    p = phi.block_count
+    assert sum(count_vectors(phi, size) for size in (p - 1, p - 2, p - 3, p - 4, p - 6)) == read
     counts = []
 
     def spy_eigvalsh(matrix):
@@ -873,7 +1103,7 @@ def test_rho_scans_read_few_eigenvalues_on_1ms_chains(monkeypatch, inertia_chain
     rep = analyze(inertia_chain(N, 0.001))
     index, correctable, constants = CHAIN_1MS_REPORTS[N]
     assert (rep.security_index, rep.max_correctable_q) == (index, correctable)
-    assert 0 < sum(counts) <= read
+    assert sum(counts) == read
 
 
 @pytest.mark.parametrize(("N", "T_s", "q", "r"), [(3, 0.001, 1, 1), (5, 0.01, 2, 4)],
@@ -906,9 +1136,19 @@ def test_tied_selections_skip_the_certificate(monkeypatch):
     want = {size: unpruned_selection_sigma_min(z, size, DEFAULT_EPS_REL) for size in sizes}
     factored, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(len(m)) or cholesky(m))
+    spectra = []
+
+    def spy_eigvalsh(matrix):
+        spectra.append(len(matrix))
+        return np.linalg.eigvalsh(matrix)
+
+    monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
     assert {size: analysis._selection_sigma_min(z, size, DEFAULT_EPS_REL)
             for size in sizes} == want
     assert factored == []
+    # the sixteen blocks share one subspace: each size is one count vector, read once
+    assert z.groups == (tuple(range(16)),)
+    assert spectra == [1] * len(sizes)
     rep = analyze(model)
     assert (rep.security_index, sorted(rep.per_q_constants)) == (16, list(range(1, 8)))
     for q, c in rep.per_q_constants.items():
@@ -950,6 +1190,20 @@ def test_constants_take_one_stacked_pinv_per_selection_size(monkeypatch):
     assert sorted(inverses) == [(36, 2, 2), (126, 2, 2)]
     # and one SVD pinv for each winner: eta's 7-selection and eta_prime's 5-selection
     assert sorted(pinvs) == [(1, 10, 2), (1, 14, 2)]
+    # nine sensors of one subspace: one count vector per size, one Gram inverse each
+    rng = np.random.default_rng(9)
+    dense = coding_matrix(SystemModel(A=rng.normal(size=(2, 2)), B=np.zeros((2, 1)),
+                                      C=rng.normal(size=(9, 2))))
+    assert dense.groups == (tuple(range(9)),)
+    inverses.clear()
+    pinvs.clear()
+    got = robustness_constants(dense, 2, 4)
+    assert sorted(inverses) == [(1, 2, 2), (1, 2, 2)]
+    assert sorted(pinvs) == [(1, 10, 2), (1, 14, 2)]
+    # G_S = |S| I: rho = sqrt(7), rho_2q = sqrt(5), eta = 1/sqrt(7), eta_prime = 1/sqrt(5)
+    for value, exact in ((got.rho, 7 ** 0.5), (got.rho_2q, 5 ** 0.5), (got.eta, 7 ** -0.5),
+                         (got.eta_prime, 5 ** -0.5)):
+        assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1142,9 +1396,9 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
     routes, spectra = [], []
     svd_sigma_min = analysis._svd_sigma_min
 
-    def spy_certified(grams, rows, eps_rel):
+    def spy_certified(grams, rows, eps_rel, margin=0.0):
         routes.append(("cholesky", rows // grams.shape[-1], len(grams)))
-        return cholesky_certified(grams, rows, eps_rel)
+        return cholesky_certified(grams, rows, eps_rel, margin)
 
     def spy_svd(phi, members, eps_rel):
         routes.append(("svd", members.shape[1], len(members)))
@@ -1160,22 +1414,27 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
     rep = analyze(dense)
     assert (rep.security_index, sorted(rep.per_q_constants)) == (7, [1, 2, 3])
-    # (route, selection size, selections) per call.  The index scan decides ranks only: the
-    # downward frontier certifies the one 7-selection, then the upward frontier's SVD finds
-    # the seven single sensors strong, which prunes every larger selection; the gains of
-    # q = 1, 2, 3 take one Cholesky per chunk of sizes 6, 5, 4
+    # (route, selection size, selections) per call.  Every sensor of a dense model sees the
+    # whole state, so the seven blocks form one group and each size one count vector.  The
+    # index scan decides ranks only: the downward frontier certifies the one 7-selection, then
+    # the upward frontier's SVD finds the seven single sensors strong, which prunes every
+    # larger selection; the gains of q = 1, 2, 3 take one Cholesky of the one representative
+    # of sizes 6, 5, 4
+    assert analysis.coding_matrix(dense).groups == (tuple(range(7)),)
     assert routes == [("cholesky", 7, 1), ("svd", 1, 7),
-                      ("cholesky", 6, 7), ("cholesky", 5, 21), ("cholesky", 4, 35)]
+                      ("cholesky", 6, 1), ("cholesky", 5, 1), ("cholesky", 4, 1)]
     # eigenvalues only at the sizes whose rho the constants read (rho_2q, then rho of
-    # q = 1, 2, 3; q = 2's rho is q = 1's rho_2q), each once
+    # q = 1, 2, 3; q = 2's rho is q = 1's rho_2q), each once, of one representative
     assert sizes == [5, 6, 3, 1, 4]
-    assert spectra == [math.comb(7, size) for size in sizes]
+    assert spectra == [1] * len(sizes)
     sizes.clear()
     routes.clear()
     with pytest.raises(CorrectabilityError):  # q = 2 needs 1-block selections: one new scan
         analyze(three_inertia, constants_q=2)
     # the full selection downward, then upward the five single sensors and the three
     # candidate pairs, after which no 3-selection is a candidate; last, rho_2q's scan of the
-    # single sensors, whose eigenvalues do not certify the chunk
-    assert routes == [("cholesky", 5, 1), ("svd", 1, 5), ("svd", 2, 3), ("svd", 1, 5)]
+    # single sensors: one representative of each of the groups {1, 3}, {2} and {4, 5}, whose
+    # eigenvalues do not certify the chunk, and whose SVD reads each deficient
+    assert analysis.coding_matrix(three_inertia).groups == ((0, 2), (1,), (3, 4))
+    assert routes == [("cholesky", 5, 1), ("svd", 1, 5), ("svd", 2, 3), ("svd", 1, 3)]
     assert sizes == [1]
