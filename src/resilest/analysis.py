@@ -258,7 +258,8 @@ def coding_matrix(model: SystemModel) -> CodingMatrix:
     """The padded staircase bases ``Z'``: block i is ``quotient_basis(A, c_i)`` over
     ``n - nu_i`` zero rows (a zero block for a zero output row).
 
-    This is the estimator's coding matrix (``ObserverBank.phi``), bit for bit.
+    The only padding of the ``Z_i'``: the decoder's coding matrix, the one
+    ``Scenario.validate`` certifies and ``simulate`` decodes with.
     """
     n = model.n
     blocks = np.zeros((model.p, n, n))
@@ -845,8 +846,8 @@ def analyze(
     """Full resilience report for a model, taken on its coding matrix ``Z'``.
 
     The index, the witness and the constants are those of :func:`coding_matrix`,
-    the matrix the estimator decodes with, so the constants equal the
-    estimator's own ``robustness_constants(bank.phi, q, r)``.
+    the matrix the estimator decodes with, so the constants equal the ones
+    ``Scenario.validate`` certifies the decoder with.
 
     ``max_detectable_q`` is ``security_index - 1`` (a value of -1 marks an
     unobservable pair), ``max_correctable_q`` is its floor half, and the

@@ -37,14 +37,13 @@ class ObserverBank:
     zero-padded to n rows, so ``z`` is the decoder input as it stands.  A
     batched per-block product, unlike a block-diagonal matvec, keeps a
     non-finite reading in its own block instead of spreading it via ``0 * nan``.
-    ``phi`` pads each quotient basis ``Z_i'`` the same way: the decoder's coding
-    matrix, whose selections keep the ranks of the stacked observability matrix.
+    Block i of ``z`` tracks ``Z_i' x``; :func:`resilest.analysis.coding_matrix` pads each
+    ``Z_i'`` the same way into the decoder's coding matrix.
     """
 
     F: np.ndarray
     B: np.ndarray
     L: np.ndarray
-    phi: CodingMatrix
     z: np.ndarray
 
     @classmethod
@@ -55,15 +54,14 @@ class ObserverBank:
         n, m, p = observers[0].Z.shape[0], observers[0].Bz.shape[1], len(observers)
         if sum(obs.nu for obs in observers) > n * p:
             raise EstimatorAssumptionError("observer state exceeds the padded size n*p")
-        F, B, L, Z = np.zeros((p, n, n)), np.zeros((p, n, m)), np.zeros((p, n)), np.zeros((p, n, n))
+        F, B, L = np.zeros((p, n, n)), np.zeros((p, n, m)), np.zeros((p, n))
         for i, obs in enumerate(observers):
             if not obs.gain_designed:
                 raise ValueError(f"sensor {obs.sensor_index}: observer gain not designed")
             F[i, : obs.nu, : obs.nu] = obs.F
             B[i, : obs.nu] = obs.Bz
             L[i, : obs.nu] = obs.L.reshape(-1)
-            Z[i, : obs.nu] = obs.Z.T
-        return cls(F, B, L, CodingMatrix(Z.reshape(p * n, n), n, p), np.zeros((p, n)))
+        return cls(F, B, L, np.zeros((p, n)))
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite reading stays in its block
     def step(self, u: np.ndarray, y: np.ndarray) -> None:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .analysis import SystemModel, coding_matrix, is_q_error_correctable
+from .analysis import CorrectabilityError, SystemModel, coding_matrix
 from .estimator import DecoderState, ObserverBank, decoder_step, estimator_step
 from .observers import (
     PartialObserver,
@@ -299,12 +299,12 @@ class Scenario:
     def attacked_sensors(self) -> set[int]:
         return {a.sensor for a in self.attacks}
 
-    def validate(self) -> None:
-        """Enforce the standing model assumptions before any stepping.
+    def validate(self) -> DecoderState:
+        """Check the standing model assumptions before any stepping; return the decoder state.
 
-        Checks sensor indices, the sparsity budget (no more than q sensors
-        ever attacked), 2q-redundant observability, and that the declared
-        initial-state bound actually covers x0.
+        Sensor indices, the sparsity budget (at most q sensors ever attacked) and the x0
+        bound come first.  Then the robustness constants of the coding matrix, which exist
+        only under 2q-redundant observability, certify the fresh decoder state.
         """
         p = self.model.p
         for a in self.attacks:
@@ -318,16 +318,17 @@ class Scenario:
                 f"sparsity assumption violated: {len(attacked)} sensors attacked "
                 f"({sorted(attacked)}) exceeds the budget q={self.q}"
             )
-        if not is_q_error_correctable(coding_matrix(self.model), self.q):
-            raise ScenarioValidationError(
-                f"redundancy assumption violated: the pair (A, C) is not "
-                f"{2 * self.q}-redundant observable"
-            )
         if float(np.linalg.norm(self.x0)) > self.observer.x0_max + 1e-12:
             raise ScenarioValidationError(
                 f"norm(x0)={np.linalg.norm(self.x0):.6g} exceeds the declared "
                 f"x0_max={self.observer.x0_max}"
             )
+        try:
+            return DecoderState.fresh(coding_matrix(self.model), self.q, self.r,
+                                      recert_every=self.recert_every)
+        except CorrectabilityError as exc:
+            raise ScenarioValidationError("redundancy assumption violated: the pair (A, C) is "
+                                          f"not {2 * self.q}-redundant observable") from exc
 
 
 @dataclass
@@ -374,15 +375,15 @@ def simulate(sc: Scenario) -> Trace:
     Per step: the decoder reads the current observer states (estimates the
     current plant state), the controller acts on that estimate, noise and
     attack values are drawn, observers absorb the measurement, and the
-    plant advances.  Deterministic for a fixed scenario and seed.
+    plant advances.  Deterministic for a fixed scenario and seed.  The decoder
+    state is the one :meth:`Scenario.validate` certifies.
     """
-    sc.validate()
+    state = sc.validate()
     model = sc.model
     n, m, p = model.n, model.m, model.p
 
     observers = build_observer_bank(model, sc.observer)
     bank = ObserverBank.stack(observers)
-    state = DecoderState.fresh(bank.phi, sc.q, sc.r, recert_every=sc.recert_every)
     bounds = compute_error_bounds(observers, model.d_max, model.n_max, sc.observer.x0_max)
 
     controller = IntegralController(sc.controller, model.C) if sc.controller else None

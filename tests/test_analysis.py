@@ -468,24 +468,25 @@ def test_security_index_equals_eigenvector_oracle_on_1ms_chains(inertia_chain, N
 
 
 def test_coding_matrix_is_the_estimators_phi_bit_for_bit(three_inertia, inertia_chain):
-    from resilest.estimator import ObserverBank
+    # the coding relation the bank and the decoder share: block i of the coding matrix is
+    # observer i's Z_i', whose coordinates the bank's block i tracks, over zero padding rows
     from resilest.plant import ObserverConfig, build_observer_bank
 
     for model in (three_inertia, inertia_chain(5, 0.01)):
-        bank = build_observer_bank(model, ObserverConfig(mode="contract", factor=0.98))
-        phi = ObserverBank.stack(bank).phi
+        observers = build_observer_bank(model, ObserverConfig(mode="contract", factor=0.98))
         z = coding_matrix(model)
-        assert (z.block_len, z.block_count) == (phi.block_len, phi.block_count)
-        assert z.entries.tobytes() == phi.entries.tobytes()
+        assert (z.block_len, z.block_count) == (model.n, model.p) == (model.n, len(observers))
+        for i, obs in enumerate(observers):
+            assert z.blocks[i, :obs.nu].tobytes() == obs.Z.T.tobytes()
+            assert z.blocks[i, obs.nu:].tobytes() == bytes(8 * (model.n - obs.nu) * model.n)
 
 
 def test_analyze_constants_are_the_estimators(three_inertia):
-    from resilest.estimator import ObserverBank
-    from resilest.plant import ObserverConfig, build_observer_bank
+    from resilest.plant import Scenario
 
-    bank = build_observer_bank(three_inertia, ObserverConfig("contract", factor=0.98))
-    want = robustness_constants(ObserverBank.stack(bank).phi, 1, 1)
+    want = robustness_constants(coding_matrix(three_inertia), 1, 1)
     assert analyze(three_inertia).per_q_constants[1] == want
+    assert Scenario(model=three_inertia, horizon=1, q=1, r=1).validate().constants == want
     assert want.kappa_c == pytest.approx(5.196152422706633, rel=1e-12)
 
 
@@ -622,11 +623,7 @@ def test_sensor_selections_follow_itertools_order():
 
 def test_constants_three_inertia_phi_regression(three_inertia):
     # frozen values for the padded observer-bank coding matrix, q = r = 1
-    from resilest.estimator import ObserverBank
-    from resilest.plant import ObserverConfig, build_observer_bank
-
-    bank = build_observer_bank(three_inertia, ObserverConfig(mode="contract", factor=0.98))
-    phi = ObserverBank.stack(bank).phi
+    phi = coding_matrix(three_inertia)
     c = robustness_constants(phi, 1, 1)
     assert c.theta == pytest.approx(2.0, rel=1e-9)
     assert c.rho == pytest.approx(1.414213562373095, rel=1e-9)
@@ -939,6 +936,43 @@ def test_count_vector_scans_equal_the_per_selection_references(seed, n, p, style
         for name in ("rho", "rho_2q", "eta"):
             assert getattr(got, name) == pytest.approx(getattr(exhaustive, name), rel=band,
                                                        abs=0.0), name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(2, 7),
+       source=st.sampled_from([("entries", style) for style in ("dense", "zero", "repeat", "near")]
+                              + [("subspaces", style) for style in ("duplicated", "scaled",
+                                                                    "orthonormal", "repeated",
+                                                                    "near")]),
+       eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]))
+def test_constants_exist_only_on_correctable_matrices(seed, n, p, source, eps_rel):
+    # Scenario.validate decides 2q-redundant observability by computing the constants: they
+    # never accept a matrix the correctability scan rejects.  The converse fails only near
+    # the floor, where the SVD rank rule is not monotone, and only at the (p - q)-selections
+    kind, style = source
+    phi = (CodingMatrix(random_coding_entries(seed, n, p, style), n, p) if kind == "entries"
+           else repeated_subspace_matrix(seed, n, p, style))
+    p = phi.block_count
+    for q in range(1, p // 2 + 1):
+        correctable = is_q_error_correctable(phi, q, eps_rel)
+        try:
+            robustness_constants(phi, q, q, eps_rel)
+        except CorrectabilityError as exc:
+            if correctable:
+                assert f"(a {p - q}-block selection is rank deficient)" in str(exc)
+                assert not is_q_error_detectable(phi, q, eps_rel)
+        else:
+            assert correctable
+
+
+def test_constants_refuse_a_correctable_matrix_near_the_floor():
+    # every 2-selection is full rank, so the matrix is 2-error correctable, yet a 4-selection
+    # is deficient: its floor grows with its rows, and the constants need rho > 0
+    phi = repeated_subspace_matrix(1494, 2, 6, "near")
+    assert is_q_error_correctable(phi, 2)
+    assert not is_q_error_detectable(phi, 2)
+    with pytest.raises(CorrectabilityError, match=r"\(a 4-block selection is rank deficient\)"):
+        robustness_constants(phi, 2, 2)
 
 
 def test_a_full_rank_representative_expands_to_its_deficient_member(monkeypatch):

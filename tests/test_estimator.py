@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compacted
-from resilest.analysis import SystemModel, is_q_error_correctable, robustness_constants
+from resilest.analysis import (SystemModel, coding_matrix, is_q_error_correctable,
+                               robustness_constants)
 from resilest.decoding import CandidateStack, certify_estimate
 from resilest.estimator import (
     DecoderState,
@@ -36,8 +37,7 @@ def scalar_bank(model):
 
 
 def test_build_phi_scalar_signs(scalar_triple):
-    bank = scalar_bank(scalar_triple)
-    phi = ObserverBank.stack(bank).phi
+    phi = coding_matrix(scalar_triple)
     assert phi.entries.shape == (3, 1)
     assert np.abs(phi.entries) == pytest.approx(np.ones((3, 1)))
 
@@ -45,17 +45,14 @@ def test_build_phi_scalar_signs(scalar_triple):
 def test_build_phi_pads_unobservable_rows():
     m = SystemModel(A=np.diag([1.0, 2.0]), B=np.zeros((2, 1)),
                     C=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    bank = [design_gain(kalman_decompose(m, 1), [0.5]),
-            design_gain(kalman_decompose(m, 2), [0.5]),
-            design_gain(kalman_decompose(m, 3), default_poles(2, 0.5))]
-    phi = ObserverBank.stack(bank).phi
+    phi = coding_matrix(m)
     assert np.allclose(np.abs(phi.blocks[0]), [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
     assert np.all(phi.blocks[1][1] == 0.0)
 
 
 def test_build_phi_three_inertia_shape_and_correctability(three_inertia):
     bank = build_observer_bank(three_inertia, ObserverConfig(mode="contract", factor=0.98))
-    phi = ObserverBank.stack(bank).phi
+    phi = coding_matrix(three_inertia)
     assert phi.entries.shape == (30, 6)
     assert sum(o.nu for o in bank) <= 30
     assert is_q_error_correctable(phi, 1)
@@ -66,8 +63,7 @@ def test_phi_selections_span_observability_rows(three_inertia):
     # as the corresponding observability rows
     from resilest.analysis import observability_matrix
 
-    bank = build_observer_bank(three_inertia, ObserverConfig(mode="contract", factor=0.98))
-    phi = ObserverBank.stack(bank).phi
+    phi = coding_matrix(three_inertia)
     g = observability_matrix(three_inertia)
     rng = np.random.default_rng(4)
     for _ in range(8):
@@ -121,7 +117,7 @@ def test_stack_rejects_observer_state_beyond_padding(scalar_triple):
 
 
 def fresh_state_and_bounds(model, bank, q=1, r=1, x0_max=1.0):
-    phi = ObserverBank.stack(bank).phi
+    phi = coding_matrix(model)
     state = DecoderState.fresh(phi, q, r)
     bounds = compute_error_bounds(bank, model.d_max, model.n_max, x0_max)
     return state, bounds
@@ -215,7 +211,7 @@ def test_bank_step_rejects_input_or_measurement_of_wrong_shape(scalar_triple, u,
 
 def test_recertification_readmits_sensors(scalar_triple):
     bank = scalar_bank(scalar_triple)
-    phi = ObserverBank.stack(bank).phi
+    phi = coding_matrix(scalar_triple)
     state = DecoderState.fresh(phi, 1, 1, recert_every=10)
     bounds = compute_error_bounds(bank, 0.001, 0.001, 1.0)
     state.lam = IndexSet.of([1, 2], 3)
@@ -279,7 +275,9 @@ def test_two_attacked_sensors_raise_typed_error(monkeypatch):
                   observer=ObserverConfig(mode="radius", radius=0.5, x0_max=1.0),
                   attacks=(AttackSpec(2, 10, None, {"kind": "constant", "value": 5.0}),
                            AttackSpec(3, 10, None, {"kind": "constant", "value": -7.0})))
-    monkeypatch.setattr(Scenario, "validate", lambda self: None)
+    # the sparsity check reads no attack, so both attacks reach the estimator
+    monkeypatch.setattr(Scenario, "attacked_sensors", lambda self: set())
+    assert isinstance(sc.validate(), DecoderState)
     with pytest.raises(EstimatorAssumptionError, match="p - q"):
         simulate(sc)
 

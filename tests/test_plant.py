@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from resilest.analysis import SystemModel, robustness_constants
+from resilest import analysis
+from resilest.analysis import CorrectabilityError, SystemModel, coding_matrix, robustness_constants
 from resilest.cli import DEMO_SCENARIO
-from resilest.estimator import ObserverBank
+from resilest.estimator import DecoderState
 from resilest.files import scenario_from_dict
 from resilest.observers import compute_error_bounds, v_max_at
 from resilest.plant import (
@@ -280,6 +281,70 @@ def test_simulate_rejects_x0_beyond_declared_bound():
         simulate(scalar_scenario(x0=np.array([5.0])))
 
 
+def test_simulate_certifies_the_decoder_once(monkeypatch, inertia_chain):
+    # a chain_search set-up (p = 9, q = 2, r = 4): validate computes the constants once, and
+    # their rho scans at sizes p - 2q and p - q decide the redundancy assumption; no rank
+    # scan runs, and each sensor's staircase is built once for Z' and once for its observer
+    calls = {"fresh": 0, "first_deficient": [], "sigma_min": [], "quotient_basis": 0}
+    fresh, first_deficient = DecoderState.fresh.__func__, analysis._first_deficient
+    selection_sigma_min, quotient_basis = analysis._selection_sigma_min, analysis.quotient_basis
+
+    def spy_fresh(cls, *args, **kwargs):
+        calls["fresh"] += 1
+        return fresh(cls, *args, **kwargs)
+
+    def spy_first_deficient(phi, size, eps_rel):
+        calls["first_deficient"].append(size)
+        return first_deficient(phi, size, eps_rel)
+
+    def spy_sigma_min(phi, size, eps_rel):
+        calls["sigma_min"].append(size)
+        return selection_sigma_min(phi, size, eps_rel)
+
+    def spy_quotient_basis(A, c):
+        calls["quotient_basis"] += 1
+        return quotient_basis(A, c)
+
+    monkeypatch.setattr(DecoderState, "fresh", classmethod(spy_fresh))
+    monkeypatch.setattr(analysis, "_first_deficient", spy_first_deficient)
+    monkeypatch.setattr(analysis, "_selection_sigma_min", spy_sigma_min)
+    monkeypatch.setattr(analysis, "quotient_basis", spy_quotient_basis)
+    monkeypatch.setattr("resilest.observers.quotient_basis", spy_quotient_basis)
+    model = inertia_chain(5, 0.01)
+    x0 = np.zeros(model.n)
+    x0[0] = 0.5
+    simulate(Scenario(model=model, horizon=3, q=2, r=4, x0=x0, dt=0.01, recert_every=10,
+                      observer=ObserverConfig(mode="contract", factor=0.98, x0_max=1.0)))
+    assert calls == {"fresh": 1, "first_deficient": [], "sigma_min": [5, 7],
+                     "quotient_basis": 2 * model.p}
+
+
+def test_simulate_rejects_a_blind_sensor_as_insufficient_redundancy():
+    # the zero output row fails the redundancy assumption before any observer is designed,
+    # not in kalman_decompose as a sensor that observes nothing
+    model = SystemModel(A=[[0.95]], B=[[0.0]], C=[[1.0], [1.0], [0.0]],
+                        d_max=0.001, n_max=0.001)
+    sc = Scenario(model=model, horizon=10, q=1, r=1,
+                  observer=ObserverConfig(mode="radius", radius=0.5, x0_max=1.0))
+    with pytest.raises(ScenarioValidationError,
+                       match="^redundancy assumption violated: .* not 2-redundant observable$"
+                       ) as info:
+        simulate(sc)
+    assert isinstance(info.value.__cause__, CorrectabilityError)
+
+
+def test_x0_beyond_its_bound_is_rejected_before_the_constants(monkeypatch):
+    # on a model the constants would reject too: the cheap check comes first
+    calls = []
+    monkeypatch.setattr("resilest.estimator.robustness_constants",
+                        lambda *args: calls.append(args))
+    sc = scalar_scenario(model=SystemModel(A=[[0.95]], B=[[0.0]], C=[[1.0], [1.0], [0.0]]),
+                         x0=np.array([5.0]))
+    with pytest.raises(ScenarioValidationError, match="x0_max"):
+        sc.validate()
+    assert calls == []
+
+
 def dense_sensor_model(p):
     rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 4))
@@ -317,7 +382,7 @@ def test_simulate_records_certified_bound_per_step():
         AttackSpec(3, 10, None, {"kind": "constant", "value": 1.0}),))
     tr = simulate(sc)
     observers = build_observer_bank(sc.model, sc.observer)
-    kappa_c = robustness_constants(ObserverBank.stack(observers).phi, sc.q, sc.r).kappa_c
+    kappa_c = robustness_constants(coding_matrix(sc.model), sc.q, sc.r).kappa_c
     bounds = compute_error_bounds(observers, sc.model.d_max, sc.model.n_max, sc.observer.x0_max)
     assert tr.bound.tolist() == [kappa_c * v_max_at(bounds, k) for k in range(sc.horizon)]
 
