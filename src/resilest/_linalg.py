@@ -33,44 +33,30 @@ a floor of at most 1.4e-6, and whose deficient ones read round-off
 On a monomial observability matrix ``lambda`` itself falls to round-off
 (``rho_2q^2`` is 6.7e-14 on the demo plant), so there the SVD decides.
 
-Cholesky certificate.  Where only the rank is wanted, or only whether a Gram matrix
-clears a value, one Cholesky stands in for the eigenvalues.  A floating-point
-Cholesky of a symmetric ``H`` that completes gives ``H + E = R'R`` with ``|E|_2 <=
-gamma_{n+1} tr H / (1 - gamma_{n+1})`` (Rump, *Verification of positive
+Cholesky certificate.  Where only the rank is wanted, one Cholesky stands in for the
+eigenvalues.  A floating-point Cholesky of a symmetric ``H`` that completes gives ``H + E =
+R'R`` with ``|E|_2 <= gamma_{n+1} tr H / (1 - gamma_{n+1})`` (Rump, *Verification of positive
 definiteness*, BIT 46, 2006), so ``lambda_min(H) >= -(n + 1) u tr H`` to first order.
-:func:`certified_above` factors ``H = fl(G - s I)`` with the shift ``s = max(least,
-gram_floor * tr G) + delta * tr G``, ``delta = (8 n^2 + 2 n + 2) eps = (16 n^2 + 4 n +
-4) u``: :func:`cholesky_certified` takes ``least = 0``, and the rho scan of
-``analysis`` takes ``fl(rho * rho)`` for its running minimum ``rho``.  A factorization
-can complete only when ``s <= tr G / n`` to first order, so ``least`` and the floor
-term are at most ``tr G``, and ``delta`` covers five error sources, each a multiple of
-``u tr G``:
+:func:`certified_above` factors ``H = fl(G - s I)`` with the shift ``s = gram_floor * tr G +
+delta * tr G``, ``delta = (8 n^2 + 2 n + 2) eps = (16 n^2 + 4 n + 4) u``.  A factorization
+can complete only when ``s <= tr G / n`` to first order, so the floor term is at most ``tr
+G``, and ``delta`` covers four error sources, each a multiple of ``u tr G``:
 
 * Rump's term and the diagonal subtraction, ``(n + 2) u tr G``: a completed
   factorization proves ``lambda_min(G) >= s - (n + 2) u tr G``;
-* rounding the shift (``tr G`` sums ``n`` entries, then a product, a maximum and a
-  sum), ``(n + 2) u tr G``;
+* rounding the shift (``tr G`` sums ``n`` entries, then a product and a sum),
+  ``(n + 2) u tr G``;
 * the errors of the eigenvalues: ``eigvalsh`` reads ``lambda_min`` at most ``8 n^2 u
   tr G`` low and ``lambda_max`` at most ``(1 + 8 n^2 u) tr G`` (the bound above);
-* the SVD needs no term of its own: a chunk the floor sends to the SVD goes to it whole,
-  selections certified in it included, as it would without them;
-* rounding ``rho^2`` to ``least``, ``u rho^2 <= u tr G``, and the comparisons: the
-  floor's product ``floor * lambda_max`` rounds by ``u tr G``, and ``sqrt`` is
-  correctly rounded, hence monotone, so a computed ``lambda_min >= rho^2`` reads
-  ``fl(sqrt(lambda_min)) >= rho`` at no cost.
+* the comparison: the floor's product ``floor * lambda_max`` rounds by ``u tr G``.
 
 A certified ``G`` then clears ``gram_floor * lambda_max`` by its eigenvalues, which
-takes ``(16 n^2 + 2 n + 5) u``, and its computed ``lambda_min`` is at least ``rho^2``,
-which takes ``(8 n^2 + 2 n + 5) u``; ``delta`` covers either for every ``n >= 1`` and any
-floor below 1.  (A floor of 1 or more gives ``s >= tr G``, and the first pivot fails.)
-So the certificate decides nothing the eigenvalues would have left to the SVD, and a
-selection certified above ``rho^2`` would read ``sigma_min >= rho``: it never lowers
-the running minimum, nor is the first of a lower one.  It is stricter than the
-eigenvalues by up to ``tr G / lambda_max <= n``, nothing against the gap on ``Z'``.  A
-``G`` with ``tr G <= n s`` has ``lambda_min <= tr G / n <= s`` and is not factored: on
-tied selections, such as orthonormal blocks where every ``G_S`` is ``|S| I`` to
-round-off, ``s`` lies above every ``lambda_min``.  The rest factor in slices, and one
-failed matrix fails its whole slice.
+takes ``(16 n^2 + 2 n + 5) u``; ``delta`` covers it for every ``n >= 1`` and any floor
+below 1.  (A floor of 1 or more gives ``s >= tr G``, and the first pivot fails.)  So the
+certificate decides nothing the eigenvalues would have left to the SVD.  It is stricter
+than the eigenvalues by up to ``tr G / lambda_max <= n``, nothing against the gap on
+``Z'``.  A ``G`` with ``tr G <= n s`` has ``lambda_min <= tr G / n <= s`` and is not
+factored.  The rest factor in slices, and one failed matrix fails its whole slice.
 
 Margin.  A certificate can speak for Gram matrices it never forms: a ``margin`` ``m``
 adds ``2 m`` to the shift, and then every ``H`` with ``|H - G|_2 <= m`` clears the floor as
@@ -129,15 +115,12 @@ def gram_floor(rows: int, cols: int, eps_rel: float = DEFAULT_EPS_REL) -> float:
 
 
 def certified_above(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_REL,
-                    least: float = 0.0, per_slice: int | None = None,
-                    margin: float = 0.0) -> np.ndarray:
-    """Which matrices of the Gram stack ``(c, n, n)`` a Cholesky of ``G - s I`` certifies,
-    ``s = max(least, gram_floor * tr G) + delta * tr G + 2 margin``: each certified ``G`` clears
-    :func:`gram_floor` by its eigenvalues, and with ``least = fl(rho * rho)`` ``eigvalsh``
-    reads its ``lambda_min`` at least ``rho^2`` (see the module docstring).  So does every
-    Gram matrix within ``margin`` of ``G`` in the 2-norm: its ``lambda_min`` is at least
-    ``lambda_min(G) - margin`` and its ``lambda_max`` at most ``lambda_max(G) + margin``, and
-    the floor is below 1.
+                    per_slice: int | None = None, margin: float = 0.0) -> np.ndarray:
+    """Which matrices of the Gram stack ``(c, n, n)`` a Cholesky of ``G - s I`` certifies full
+    column rank, ``s = gram_floor * tr G + delta * tr G + 2 margin``: each certified ``G`` clears
+    :func:`gram_floor` by its eigenvalues (see the module docstring).  So does every Gram matrix
+    within ``margin`` of ``G`` in the 2-norm: its ``lambda_min`` is at least ``lambda_min(G) -
+    margin`` and its ``lambda_max`` at most ``lambda_max(G) + margin``, and the floor is below 1.
 
     A ``G`` with ``tr G <= n s`` has ``lambda_min <= s`` and is not factored.  The others
     factor ``per_slice`` at a time (all together by default), and a slice whose factorization
@@ -150,7 +133,7 @@ def certified_above(grams: np.ndarray, rows: int, eps_rel: float = DEFAULT_EPS_R
         return certified
     trace = np.trace(grams, axis1=1, axis2=2)
     delta = (8 * n * n + 2 * n + 2) * np.finfo(float).eps
-    shift = np.maximum(least, gram_floor(rows, n, eps_rel) * trace) + delta * trace + 2 * margin
+    shift = gram_floor(rows, n, eps_rel) * trace + delta * trace + 2 * margin
     tried = np.flatnonzero(trace > n * shift)
     step = per_slice or max(1, len(tried))
     for start in range(0, len(tried), step):

@@ -27,11 +27,8 @@ always hold a deficient selection, takes the SVD alone.  The scan for rho and
 rho_2q reads ``sigma_min^2 = lambda_min`` from one batched ``eigvalsh`` per chunk,
 and certifies the chunk when every ``lambda_min`` clears ``_linalg.gram_floor``
 times ``lambda_max``: the squared SVD floor plus the rounding bound ``sqrt(b)``.
-Past a size's first chunk it first drops the selections a shifted Cholesky proves
-cannot lower its running minimum (``_linalg.certified_above``; the shift is wide
-enough that it drops nothing the eigenvalues would have read lower, or sent to the
-SVD).  The outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1
-B_i')`` of a certified chunk come from one batched Gram inverse.  Any other
+The outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1 B_i')`` of a
+certified chunk come from one batched Gram inverse.  Any other
 chunk goes to the SVD route, and so does the one winning selection that
 sets each reported ``rho``, ``rho_2q``, ``eta`` and ``eta_prime``.  So the rank
 decisions are the SVD route's on any coding matrix, and every constant is an
@@ -63,7 +60,9 @@ rank decision, the security index and the witness stay the SVD's.  rho and rho_2
 are the minimum over the representatives, and the gains one per count vector and
 group: ``B_i G_S^-1 B_i'`` has the eigenvalues of ``G_S^-1/2 G_i G_S^-1/2``, which
 depend on i only through its group.  A member's value can thus differ from its
-representative's by the margin alone.  On ``Z'`` the grouped ``G_i`` agree to
+representative's by the margin alone.  eta_prime, a maximum over the (p - q)-selections
+of a minimum over their (p - r)-subselections, reads the (p - q)-representatives and,
+of their subselections, the (p - r)-representatives.  On ``Z'`` the grouped ``G_i`` agree to
 1.7e-12 or better (the inertia chains N = 3..12 at 1 ms and 10 ms; 7e-16 on dense
 models), against at least 1.41 between groups.  On the 1 ms chain N = 8 (7.4e-13)
 the margin is 2.1e-11 beside ``lambda_min = rho^2 >= 2``: about 1e-11 relative,
@@ -270,7 +269,6 @@ def coding_matrix(model: SystemModel) -> CodingMatrix:
 
 
 _STACK_FLOATS = 1 << 15  # per chunk of selections: 256 kB of intermediates
-_SLICE_FLOATS = 1 << 12  # per slice of the rho scan's certificate: 16 Gram sums at n = 16
 
 
 def _per_chunk(floats_per_selection: int) -> int:
@@ -433,45 +431,26 @@ def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int,
 def _selection_sigma_min(phi: CodingMatrix, size: int, eps_rel: float) -> float:
     """Smallest ``sigma_min`` over the ``size``-selections: 0.0 when one is rank deficient.
 
-    The scan that reads values, for rho and rho_2q, a chunk of representatives at a time,
-    keeping a running minimum ``rho`` over them.  Each chunk first drops the representatives
-    that ``_linalg.certified_above`` proves cannot lower it: a Cholesky of ``G_S - s I``, ``s =
-    max(rho^2, gram_floor tr G_S) + delta tr G_S + 2 m`` with the margin ``m``,
-    ``_SLICE_FLOATS`` floats at a time, after a trace filter that passes over, unfactored, the
-    ones with ``tr G_S <= n s`` (all of them while ``rho`` is still infinite, at a size's first
-    chunk); the rest take ``eigvalsh`` in slices of the same size.  When each ``lambda_min``
-    read clears ``_linalg.gram_floor`` by the margin (``lambda_min - m > floor (lambda_max +
-    m)``), they give ``sigma_min^2 = lambda_min``; otherwise the chunk takes the SVD route
-    (:func:`_svd_route`), every representative, dropped ones included, and the members of each
-    one read below the floor.  A minimum read from eigenvalues is confirmed by its winner's
-    SVD value.  A dropped representative would have cleared the floor, and its eigenvalues
-    would have read ``sigma_min >= rho``, so it is never the first minimum: the scan returns
-    the same value from the same winner as one that reads every representative.
+    The scan that reads values, for rho and rho_2q: one batched ``eigvalsh`` per chunk of
+    representatives.  When each ``lambda_min`` clears ``_linalg.gram_floor`` by the margin
+    (``lambda_min - m > floor (lambda_max + m)``), they give ``sigma_min^2 = lambda_min``;
+    otherwise the chunk takes the SVD route (:func:`_svd_route`), every representative and the
+    members of each one read below the floor.  A minimum read from eigenvalues is confirmed by
+    its winner's SVD value.
     """
     n = phi.block_len
     floor = gram_floor(size * n, n, eps_rel)
     margin = _margin(phi, size)
-    per_slice = max(1, _SLICE_FLOATS // (n * n))
     rho, winner = math.inf, None  # winner: a certified representative to confirm by SVD
     for members, grams in _selection_grams(phi, size, n * n):
-        # the representatives whose eigenvalues are read; at rho = inf none is factored or dropped
-        rows = np.flatnonzero(~certified_above(grams, size * n, eps_rel, rho * rho, per_slice,
-                                               margin))
-        read, lam = members[rows], np.empty((len(rows), n))
-        for start in range(0, len(rows), per_slice):  # a slice at a time: no chunk-sized copy
-            lam[start:start + per_slice] = eigvalsh(grams[rows[start:start + per_slice]])
-        del grams  # the next chunk, or an SVD-route chunk's slices, stack without these alive
-        if not len(read):
-            continue
+        lam = eigvalsh(grams)
         clear = lam[:, 0] - margin > floor * (lam[:, -1] + margin)  # False for NaN too
         if clear.all():
             best = int(np.argmin(lam[:, 0]))
             if math.sqrt(lam[best, 0]) < rho:
-                rho, winner = math.sqrt(lam[best, 0]), read[best]
+                rho, winner = math.sqrt(lam[best, 0]), members[best]
         else:
-            undecided = np.zeros(len(members), dtype=bool)
-            undecided[rows[~clear]] = True
-            svd, _, others_svd = _svd_route(phi, members, undecided, eps_rel)
+            svd, _, others_svd = _svd_route(phi, members, ~clear, eps_rel)
             smallest = float(np.concatenate([svd, others_svd]).min())
             if smallest == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
                 return 0.0
@@ -723,7 +702,7 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
 
     rho_2q, rho = rho_of(p - 2 * q), rho_of(p - q)  # the first scan decides correctability
 
-    groups, (labels, rank) = phi.groups, _places(phi)
+    groups, labels = phi.groups, _places(phi)[0]
     # each group's blocks, padded with -1: row j, column c is the block after its first c
     padded = np.full((len(groups), p + 1), -1, dtype=np.intp)
     for j, group in enumerate(groups):
@@ -786,31 +765,30 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
         block = groups[j][np.count_nonzero(labels[reps[row]] == j)]
         eta = float(gains[row, j]) if svd_rows[row] else confirmed(reps[row], block)
 
-    # eta_prime: max over lam of the min over its subselections bar of lam's largest gain,
-    # read at the winning (bar, block) pair; at r == q lam is its own only subselection and
-    # excludes none of lam's blocks
+    # eta_prime: max over lam of the min over its subselections bar of lam's largest gain
+    # outside bar, read at the winning (bar, block) pair; at r == q lam is its own only
+    # subselection and excludes none of lam's blocks.  Both values depend on count vectors
+    # alone, so lam runs over the (p - q)-representatives, and bar over the subselections
+    # that are (p - r)-representatives: a representative's other subselections have their
+    # count vector's representative among its subselections, earlier.  So the first maximizer
+    # and minimizer are those over every selection
     eta_prime = 0.0
     if r > q:
         reps, gains, svd_rows = tables[p - r]
-        # the per-selection table: each (p - r)-selection's count-vector gains, -inf at members
-        # (from the SVD route, each group's largest over the count vector: eta_prime, a max of
-        # mins of maxes, can then only read high)
-        selections = sensor_selections(p, p - r)
-        # a selection's representative holds the blocks placed before its count in their group
-        counts = _counts(phi, selections)
-        own = np.nonzero(rank < counts[:, labels])[1].reshape(selections.shape)
-        row_of = np.searchsorted(_lex_rank(reps, p), _lex_rank(own, p))
-        table = gains[row_of][:, labels]
-        np.put_along_axis(table, selections, -math.inf, axis=1)
-        outer = sensor_selections(p, p - q)
-        subs = outer[:, sensor_selections(p - q, p - r)]  # each lam's subselections
-        index = _lex_rank(subs, p)  # their rows of the table
-        worst = np.take_along_axis(table[index], outer[:, None], axis=2)
-        largest = worst.max(axis=2)
+        outer = np.array(list(_representatives(phi, p - q)), dtype=np.intp).reshape(-1, p - q)
+        picks = sensor_selections(p - q, p - r)
+        subs = outer[:, picks]  # each lam's subselections
+        ranks, sub_ranks = _lex_rank(reps, p), _lex_rank(subs, p)
+        index = np.minimum(np.searchsorted(ranks, sub_ranks), len(reps) - 1)  # gains rows
+        # each group's gain on each block of lam (from the SVD route, the group's largest
+        # over the count vector: eta_prime, a max of mins of maxes, can then only read high)
+        worst = gains[index[:, :, None], labels[outer][:, None]]
+        worst[:, (picks[:, :, None] == np.arange(p - q)).any(axis=1)] = -math.inf  # bar's own
+        largest = np.where(ranks[index] == sub_ranks, worst.max(axis=2), math.inf)
         lam = int(np.argmax(largest.min(axis=1)))
         bar = int(np.argmin(largest[lam]))
         block = outer[lam, np.argmax(worst[lam, bar])]
-        row = row_of[index[lam, bar]]
+        row = index[lam, bar]
         eta_prime = (float(gains[row, labels[block]]) if svd_rows[row]
                      else confirmed(subs[lam, bar], block))
 

@@ -94,13 +94,11 @@ class DecoderState:
         phi: CodingMatrix,
         q: int,
         r: int | None = None,
-        constants: RobustnessConstants | None = None,
         recert_every: int | None = None,
     ) -> "DecoderState":
-        """Start trusting every sensor; constants are computed once here unless supplied."""
-        r = decoder_budget(q, r, constants)
-        if constants is None:
-            constants = robustness_constants(phi, q, r)
+        """Start trusting every sensor; the constants of the budget ``(q, r)`` are computed
+        once here."""
+        constants = robustness_constants(phi, q, decoder_budget(q, r))
         return cls(lam=IndexSet.full(phi.block_count), phi=phi, constants=constants,
                    recert_every=recert_every)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -775,33 +776,6 @@ def test_constants_decide_correctability_from_the_rho_2q_pass(monkeypatch):
     assert sizes == [1]
 
 
-def unpruned_selection_sigma_min(phi, size, eps_rel):
-    """The rho scan that reads every count vector's representative: one batched ``eigvalsh``
-    per chunk, and the SVD route for a chunk whose eigenvalues do not clear the Gram floor by
-    the margin, the members of each representative below it included."""
-    n = phi.block_len
-    floor = gram_floor(size * n, n, eps_rel)
-    margin = analysis._margin(phi, size)
-    rho, winner = math.inf, None
-    for members, grams in analysis._selection_grams(phi, size, n * n):
-        lam = np.linalg.eigvalsh(grams)
-        clear = lam[:, 0] - margin > floor * (lam[:, -1] + margin)
-        if clear.all():
-            best = int(np.argmin(lam[:, 0]))
-            if math.sqrt(lam[best, 0]) < rho:
-                rho, winner = math.sqrt(lam[best, 0]), members[best]
-        else:
-            svd, _, others = analysis._svd_route(phi, members, ~clear, eps_rel)
-            smallest = min(svd.min(), others.min(initial=math.inf))
-            if smallest == 0.0:
-                return 0.0
-            if smallest < rho:
-                rho, winner = float(smallest), None
-    if winner is not None:
-        rho = float(analysis.sigma_min(phi.selection_stack(winner[None]), eps_rel)[0])
-    return rho
-
-
 def tie_heavy_entries(seed, n, p, style):
     """``(n p, n)`` entries whose selections of one size tie: random square orthonormal
     blocks (each ``G_S`` is ``|S| I`` to round-off), or one Gaussian block repeated."""
@@ -809,50 +783,6 @@ def tie_heavy_entries(seed, n, p, style):
     if style == "orthonormal":
         return np.concatenate([np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(p)])
     return np.tile(rng.normal(size=(n, n)), (p, 1))
-
-
-def assert_pruned_rho_scan_is_unpruned(phi, eps_rel, chunk, per_slice):
-    """Every size's pruned scan, ``chunk`` selections per chunk and ``per_slice`` per
-    certificate slice, against :func:`unpruned_selection_sigma_min`: the same value, from the
-    same SVDs (the chunks that take the SVD route, whole, then the same winner)."""
-    stacks = []
-
-    def spy_sigma_min(matrix, eps_rel=DEFAULT_EPS_REL):
-        stacks.append(matrix)
-        return sigma_min(matrix, eps_rel)
-
-    n = phi.block_len
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "_STACK_FLOATS", chunk * n * n)
-        patch.setattr(analysis, "_SLICE_FLOATS", per_slice * n * n)
-        patch.setattr(analysis, "sigma_min", spy_sigma_min)
-        for size in range(phi.block_count + 1):
-            got = analysis._selection_sigma_min(phi, size, eps_rel)
-            pruned = stacks.copy()
-            stacks.clear()
-            assert got == unpruned_selection_sigma_min(phi, size, eps_rel)
-            assert len(stacks) == len(pruned)
-            assert all(np.array_equal(a, b) for a, b in zip(stacks, pruned))
-            stacks.clear()
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(1, 7),
-       style=CODING_STYLES, eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]),
-       chunk=st.integers(1, 12), per_slice=st.integers(1, 4))
-def test_pruned_rho_scan_equals_the_unpruned_scan(seed, n, p, style, eps_rel, chunk, per_slice):
-    phi = CodingMatrix(random_coding_entries(seed, n, p, style), n, p)
-    assert_pruned_rho_scan_is_unpruned(phi, eps_rel, chunk, per_slice)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), p=st.integers(4, 8),
-       style=st.sampled_from(["orthonormal", "repeated"]), chunk=st.integers(1, 12),
-       per_slice=st.integers(1, 4))
-def test_pruned_rho_scan_equals_the_unpruned_scan_on_ties(seed, n, p, style, chunk, per_slice):
-    # selections that tie to round-off: a certificate without its delta drops some of them
-    phi = CodingMatrix(tie_heavy_entries(seed, n, p, style), n, p)
-    assert_pruned_rho_scan_is_unpruned(phi, DEFAULT_EPS_REL, chunk, per_slice)
 
 
 def repeated_subspace_matrix(seed, n, p, style):
@@ -883,20 +813,43 @@ def repeated_subspace_matrix(seed, n, p, style):
     return coding_matrix(SystemModel(A=A, B=np.zeros((n, 1)), C=C))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 7),
-       style=st.sampled_from(["duplicated", "scaled", "orthonormal", "repeated", "near"]),
-       chunk=st.integers(1, 6))
-def test_count_vector_scans_equal_the_per_selection_references(seed, n, p, style, chunk):
-    phi = repeated_subspace_matrix(seed, n, p, style)
+MATRIX_SOURCES = st.sampled_from(
+    [("entries", style) for style in ("dense", "zero", "repeat", "near")]
+    + [("subspaces", style) for style in ("duplicated", "scaled", "orthonormal", "repeated",
+                                          "near")])
+
+
+def source_matrix(seed, n, p, source):
+    """A coding matrix of a ``MATRIX_SOURCES`` entry: :func:`random_coding_entries` or
+    :func:`repeated_subspace_matrix` of that style."""
+    kind, style = source
+    if kind == "entries":
+        return CodingMatrix(random_coding_entries(seed, n, p, style), n, p)
+    return repeated_subspace_matrix(seed, n, p, style)
+
+
+def svd_minimum(phi, size, eps_rel=DEFAULT_EPS_REL):
+    """The smallest per-selection SVD ``sigma_min`` over the ``size``-selections."""
+    return float(sigma_min(phi.selection_stack(sensor_selections(phi.block_count, size)),
+                           eps_rel).min())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(1, 7),
+       source=MATRIX_SOURCES, eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]),
+       chunk=st.integers(1, 18))
+def test_count_vector_scans_equal_the_per_selection_references(seed, n, p, source, eps_rel,
+                                                               chunk):
+    phi = source_matrix(seed, n, p, source)
     p = phi.block_count
     labels = np.zeros(p, dtype=int)
     for j, group in enumerate(phi.groups):
         labels[list(group)] = j
     band = math.sqrt(gram_rounding(p * n, n))
     with pytest.MonkeyPatch.context() as patch:
-        # chunk representatives per chunk of the rank scan, which budgets 3 n^2 floats each
-        patch.setattr(analysis, "_STACK_FLOATS", 3 * chunk * n * n)
+        # chunk representatives per chunk of the rho scan, which budgets n^2 floats each, and
+        # a third of that, at least one, per chunk of the rank scan, which budgets 3 n^2
+        patch.setattr(analysis, "_STACK_FLOATS", chunk * n * n)
         for size in range(p + 1):
             selections = list(itertools.combinations(range(p), size))
             # each count vector's representative is its lexicographically first member, and
@@ -909,20 +862,18 @@ def test_count_vector_scans_equal_the_per_selection_references(seed, n, p, style
             assert reps == sorted(firsts.values())
             # the rank scan names the first deficient selection of the per-selection loop, and
             # the rho scan the smallest sigma_min, to within the Gram rounding band
-            ranks = [matrix_rank(compacted(phi, IndexSet(tuple(i + 1 for i in sel), p)))
+            ranks = [matrix_rank(compacted(phi, IndexSet(tuple(i + 1 for i in sel), p)), eps_rel)
                      for sel in selections]
             want = next((sel for sel, rank in zip(selections, ranks) if rank < n), None)
-            assert analysis._first_deficient(phi, size, DEFAULT_EPS_REL) == want
-            smallest = min(sigma_min(compacted(phi, IndexSet(tuple(i + 1 for i in sel), p)))
-                           for sel in selections)
-            got = analysis._selection_sigma_min(phi, size, DEFAULT_EPS_REL)
+            assert analysis._first_deficient(phi, size, eps_rel) == want
+            got = analysis._selection_sigma_min(phi, size, eps_rel)
             assert (got == 0.0) == (want is not None)
-            assert got == pytest.approx(smallest, rel=band, abs=0.0)
+            assert got == pytest.approx(svd_minimum(phi, size, eps_rel), rel=band, abs=0.0)
     # the index and its witness
-    want = reference_first_deficient(phi)
-    cospark, deficient = analysis._index_scan(phi, DEFAULT_EPS_REL)
+    want = reference_first_deficient(phi, eps_rel)
+    cospark, deficient = analysis._index_scan(phi, eps_rel)
     assert (cospark, IndexSet(tuple(i + 1 for i in deficient), p)) == (p - len(want), want)
-    # the constants the per-selection loop reads, to within the band
+    # the constants the per-selection loop reads at the default tolerance, to within the band
     rng = np.random.default_rng(seed)
     for q in range(1, (p - 1) // 2 + 1):
         r = int(rng.integers(q, 2 * q + 1))
@@ -936,22 +887,19 @@ def test_count_vector_scans_equal_the_per_selection_references(seed, n, p, style
         for name in ("rho", "rho_2q", "eta"):
             assert getattr(got, name) == pytest.approx(getattr(exhaustive, name), rel=band,
                                                        abs=0.0), name
+        # a gain from the SVD route is its group's largest over the count vector, so
+        # eta_prime, a max of mins of maxes, can only read high
+        assert got.eta_prime >= exhaustive.eta_prime * (1.0 - band)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(2, 7),
-       source=st.sampled_from([("entries", style) for style in ("dense", "zero", "repeat", "near")]
-                              + [("subspaces", style) for style in ("duplicated", "scaled",
-                                                                    "orthonormal", "repeated",
-                                                                    "near")]),
-       eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]))
+       source=MATRIX_SOURCES, eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]))
 def test_constants_exist_only_on_correctable_matrices(seed, n, p, source, eps_rel):
     # Scenario.validate decides 2q-redundant observability by computing the constants: they
     # never accept a matrix the correctability scan rejects.  The converse fails only near
     # the floor, where the SVD rank rule is not monotone, and only at the (p - q)-selections
-    kind, style = source
-    phi = (CodingMatrix(random_coding_entries(seed, n, p, style), n, p) if kind == "entries"
-           else repeated_subspace_matrix(seed, n, p, style))
+    phi = source_matrix(seed, n, p, source)
     p = phi.block_count
     for q in range(1, p // 2 + 1):
         correctable = is_q_error_correctable(phi, q, eps_rel)
@@ -1089,7 +1037,7 @@ def test_gram_gap_just_above_tau_opens_a_group():
 
 @pytest.mark.parametrize(("p", "q", "r"), [(9, 2, 4), (15, 3, 6), (20, 3, 6)])
 def test_lexicographic_ranks_equal_the_sorted_rows(p, q, r):
-    # eta_prime's table rows of each (p - r)-subselection of each (p - q)-selection: the
+    # the ranks by which eta_prime finds each (p - r)-subselection's gains row: the
     # combinatorial number system gives the rows a sort of them would
     outer = sensor_selections(p, p - q)
     subs = outer[:, sensor_selections(p - q, p - r)]
@@ -1100,11 +1048,10 @@ def test_lexicographic_ranks_equal_the_sorted_rows(p, q, r):
 def test_rho_scan_keeps_a_selection_the_floor_sends_to_the_svd(monkeypatch):
     # {1} sets rho = 1e-7 from its eigenvalues.  {2} = diag(1, 1e-6) has lambda_min = 1e-12
     # above rho^2, yet below the Gram floor (7.3e-8 of lambda_max), and its SVD reads it rank
-    # deficient under eps_rel = 1e-6: a shift at rho^2 + delta tr G alone would drop it
+    # deficient under eps_rel = 1e-6: the scan must send it to the SVD, not read it as rho^2
     monkeypatch.setattr(analysis, "_STACK_FLOATS", 4)  # one selection per chunk
     phi = CodingMatrix.from_blocks([1e-7 * np.eye(2), np.diag([1.0, 1e-6])])
-    assert analysis._selection_sigma_min(phi, 1, 1e-6) == 0.0
-    assert unpruned_selection_sigma_min(phi, 1, 1e-6) == 0.0
+    assert analysis._selection_sigma_min(phi, 1, 1e-6) == svd_minimum(phi, 1, 1e-6) == 0.0
 
 
 def count_vectors(phi, size):
@@ -1144,30 +1091,35 @@ def test_rho_scans_read_few_eigenvalues_on_1ms_chains(monkeypatch, inertia_chain
                          ids=["demo", "chain_search"])
 def test_rho_scans_of_one_chunk_run_no_certificate(monkeypatch, inertia_chain, N, T_s, q, r):
     # the demo's three-inertia plant (p = 5) and the simulated five-inertia chain (p = 9):
-    # each size's selections fit one chunk, so the certificate only runs at rho = inf and
-    # factors nothing
+    # the rho scan reads eigenvalues and factors nothing, and reads the per-selection SVD
+    # minimum to within the Gram rounding band
     phi = coding_matrix(inertia_chain(N, T_s))
-    sizes = {phi.block_count - q, phi.block_count - 2 * q}
-    want = {size: unpruned_selection_sigma_min(phi, size, DEFAULT_EPS_REL) for size in sizes}
+    p, n = phi.block_count, phi.block_len
     factored, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(len(m)) or cholesky(m))
-    assert {size: analysis._selection_sigma_min(phi, size, DEFAULT_EPS_REL)
-            for size in sizes} == want
+    for size in (p - q, p - 2 * q):
+        assert analysis._selection_sigma_min(phi, size, DEFAULT_EPS_REL) == pytest.approx(
+            svd_minimum(phi, size), rel=math.sqrt(gram_rounding(p * n, n)), abs=0.0)
     assert factored == []
 
 
-def test_tied_selections_skip_the_certificate(monkeypatch):
-    # a dense n = 4, p = 16 model: every sensor sees every mode, so each block is a square
-    # orthonormal basis and every G_S is |S| I to round-off.  Its constants read rho at eleven
-    # sizes, each over several chunks, and no selection can clear rho^2 + delta tr G_S: the
-    # trace filter passes them all over without a factorization
-    rng = np.random.default_rng(16)
+def dense_model(seed, p):
+    """A dense n = 4 model with ``p`` sensors: every sensor sees every mode, so each block of
+    its coding matrix is a square orthonormal basis and every ``G_S`` is ``|S| I`` to
+    round-off."""
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((4, 4))
     A *= 0.9 / max(abs(np.linalg.eigvals(A)))
-    model = SystemModel(A=A, B=rng.standard_normal((4, 1)), C=rng.standard_normal((16, 4)))
+    return SystemModel(A=A, B=rng.standard_normal((4, 1)), C=rng.standard_normal((p, 4)))
+
+
+def test_tied_selections_skip_the_certificate(monkeypatch):
+    # a dense p = 16 model: its constants read rho at eleven sizes, and the sixteen blocks
+    # share one subspace, so each size is one count vector, read by one eigvalsh and no
+    # factorization
+    model = dense_model(16, 16)
     z = coding_matrix(model)
     sizes = [15, 14, 13, 12, 11, 10, 9, 8, 6, 4, 2]
-    want = {size: unpruned_selection_sigma_min(z, size, DEFAULT_EPS_REL) for size in sizes}
     factored, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(len(m)) or cholesky(m))
     spectra = []
@@ -1177,16 +1129,38 @@ def test_tied_selections_skip_the_certificate(monkeypatch):
         return np.linalg.eigvalsh(matrix)
 
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
-    assert {size: analysis._selection_sigma_min(z, size, DEFAULT_EPS_REL)
-            for size in sizes} == want
+    got = {size: analysis._selection_sigma_min(z, size, DEFAULT_EPS_REL) for size in sizes}
     assert factored == []
-    # the sixteen blocks share one subspace: each size is one count vector, read once
     assert z.groups == (tuple(range(16)),)
     assert spectra == [1] * len(sizes)
+    band = math.sqrt(gram_rounding(16 * 4, 4))
+    for size in sizes:
+        assert got[size] == pytest.approx(svd_minimum(z, size), rel=band, abs=0.0)
     rep = analyze(model)
     assert (rep.security_index, sorted(rep.per_q_constants)) == (16, list(range(1, 8)))
     for q, c in rep.per_q_constants.items():
-        assert (c.rho, c.rho_2q) == (want[16 - q], want[16 - 2 * q])
+        assert (c.rho, c.rho_2q) == (got[16 - q], got[16 - 2 * q])
+
+
+@pytest.mark.parametrize(("p", "q", "r", "peak_mb"),
+                         [(26, 3, 6, 8), (26, 3, 4, 8), (26, 1, 2, 8), (40, 3, 6, 32)])
+def test_dense_constants_read_one_count_vector_per_size(p, q, r, peak_mb):
+    # a dense model at r > q: eta_prime's maximum over the (p - q)-selections of a minimum
+    # over their (p - r)-subselections reads one (p - q)-representative and one of its
+    # subselections.  G_S = (p - r) I on every (p - r)-selection, so eta_prime = 1/sqrt(p - r)
+    # and theta = sqrt(p - r); a per-selection table would hold C(p, q) C(p - q, r - q)
+    # subselections: 4.6 million at p = 26, q = 3, r = 6, and 77 million at p = 40
+    z = coding_matrix(dense_model(p, p))
+    assert z.groups == (tuple(range(p)),)
+    tracemalloc.start()
+    try:
+        got = robustness_constants(z, q, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.eta_prime == pytest.approx((p - r) ** -0.5, rel=1e-12, abs=0.0)
+    assert got.theta == pytest.approx((p - r) ** 0.5, rel=1e-12, abs=0.0)
+    assert peak < peak_mb * 2 ** 20
 
 
 def test_sigma_min_reads_zero_below_full_column_rank():

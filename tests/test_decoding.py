@@ -512,10 +512,9 @@ BUDGET_ENTRY_POINTS = {
         BUDGET_PHI, BUDGET_Z, q, r, v_max=1e-6, constants=constants),
     "certify_estimate": lambda q, r, constants=None: certify_estimate(
         BUDGET_PHI, BUDGET_Z, np.zeros(2), q, r, v_max=1e-6, constants=constants),
-    "DecoderState.fresh": lambda q, r, constants=None: DecoderState.fresh(
-        BUDGET_PHI, q, r, constants=constants),
+    "DecoderState.fresh": lambda q, r: DecoderState.fresh(BUDGET_PHI, q, r),
 }
-TAKES_CONSTANTS = ("decode_noisy", "certify_estimate", "DecoderState.fresh")
+TAKES_CONSTANTS = ("decode_noisy", "certify_estimate")
 # (q, r, the budget the supplied constants were made for): q < 0, r < q, r > 2q, and
 # constants of another budget, both ways round
 BUDGET_CASES = [(-1, -1, None), (1, 0, None), (1, 3, None), (2, 2, (1, 1)), (1, 1, (2, 2))]

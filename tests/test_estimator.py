@@ -159,10 +159,19 @@ def test_decoder_boundary_misfit_counts_as_trusted(scalar_triple):
     assert tuple(state.lam) == (1, 2, 3)
     # and with the threshold exactly zero (v_max = 0), misfit 0 still counts
     # as trusted because the violation comparison is strict
-    state2 = DecoderState.fresh(state.phi, 1, 1, constants=state.constants)
+    state2 = DecoderState.fresh(state.phi, 1, 1)
     _, f2 = decoder_step(state2, z, 0, 0.0)
     assert f2 == 0
     assert tuple(state2.lam) == (1, 2, 3)
+
+
+@pytest.mark.parametrize(("q", "r"), [(1, None), (1, 1), (1, 2)])
+def test_fresh_computes_the_constants_of_its_budget(scalar_triple, q, r):
+    # fresh takes no constants: it computes those of (q, r), r = q when None, and no others
+    phi = coding_matrix(scalar_triple)
+    state = DecoderState.fresh(phi, q, r)
+    assert state.constants == robustness_constants(phi, q, q if r is None else r)
+    assert tuple(state.lam) == (1, 2, 3)
 
 
 def test_estimator_step_equals_manual_composition(scalar_triple):
@@ -295,7 +304,7 @@ def test_first_fit_estimate_is_certified(seed, bad):
     n, p = int(rng.integers(1, 4)), int(rng.integers(2 * q + 1, 2 * q + 5))
     r = int(rng.integers(q, 2 * q + 1))
     phi = CodingMatrix(rng.normal(size=(n * p, n)), n, p)  # correctable almost surely
-    state = DecoderState.fresh(phi, q, r, constants=robustness_constants(phi, q, r))
+    state = DecoderState.fresh(phi, q, r)
     x, v_max = rng.normal(size=n), 1e-3
     v = rng.normal(size=(p, n))
     v *= v_max * rng.uniform(0, 1, size=(p, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
