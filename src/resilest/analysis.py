@@ -108,8 +108,12 @@ __all__ = [
 
 
 class CorrectabilityError(ValueError):
-    """Raised when a computation requires more error correctability than the
-    coding matrix provides."""
+    """Raised when a computation requires more error correctability than the coding matrix
+    provides; when known, the pair is not ``redundancy``-redundant observable."""
+
+    def __init__(self, message: str, redundancy: int | None = None):
+        super().__init__(message)
+        self.redundancy = redundancy
 
 
 class UnsupportedInputError(ValueError):
@@ -690,14 +694,15 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
     decoder_budget(q, r)
     if p < 2 * q + 1:
         raise CorrectabilityError(f"constants undefined: q={q} needs p >= 2q+1 sensors, "
-                                  f"got p={p}")
+                                  f"got p={p}", redundancy=2 * q)
 
     def rho_of(size: int) -> float:
         if size not in rhos:
             rhos[size] = _selection_sigma_min(phi, size, eps_rel)
         if rhos[size] == 0.0:
             raise CorrectabilityError("constants undefined: correctability violated "
-                                      f"(a {size}-block selection is rank deficient)")
+                                      f"(a {size}-block selection is rank deficient)",
+                                      redundancy=p - size)
         return rhos[size]
 
     rho_2q, rho = rho_of(p - 2 * q), rho_of(p - q)  # the first scan decides correctability

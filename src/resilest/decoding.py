@@ -135,8 +135,9 @@ def block_misfits(phi: CodingMatrix, z: np.ndarray, estimates: np.ndarray) -> np
     if z.shape != (phi.block_count, phi.block_len):
         raise ValueError(f"measurement (p, n) shape {z.shape} != "
                          f"{(phi.block_count, phi.block_len)}")
-    resid = z.reshape(-1, 1) - phi.entries @ estimates.T
-    return np.linalg.norm(resid.reshape(phi.block_count, phi.block_len, -1), axis=1).T
+    resid = (z.reshape(-1, 1) - phi.entries @ estimates.T).reshape(*z.shape, -1)
+    # np.linalg.norm(resid, axis=1) computes exactly this, after its per-call argument handling
+    return np.sqrt(np.add.reduce(resid * resid, axis=1)).T
 
 
 def violations(misfits: np.ndarray, threshold: float) -> np.ndarray:

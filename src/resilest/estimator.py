@@ -110,10 +110,10 @@ class DecoderState:
 
     def operator(self, lam: IndexSet) -> tuple[np.ndarray, np.ndarray]:
         """(0-based members, pinv of their row slabs) of ``lam``, solved once and cached."""
-        if lam not in self.operators:
+        if (cached := self.operators.get(lam)) is None:
             members = np.array(lam.indices, dtype=np.intp) - 1
-            self.operators[lam] = (members, pinv(self.phi.selection_stack(members[None])[0]))
-        return self.operators[lam]
+            cached = self.operators[lam] = members, pinv(self.phi.selection_stack(members[None])[0])
+        return cached
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite misfits violate by design

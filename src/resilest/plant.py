@@ -207,7 +207,7 @@ class IntegralController:
         u = self.config.K @ x_hat + self.config.K_I * self.xi
         tracked = float(self._c_row @ x_hat)
         self.xi += self.config.reference_at(k) - tracked
-        return np.asarray(u, dtype=float).reshape(-1)
+        return u
 
 
 @dataclass(frozen=True)
@@ -303,8 +303,8 @@ class Scenario:
         """Check the standing model assumptions before any stepping; return the decoder state.
 
         Sensor indices, the sparsity budget (at most q sensors ever attacked) and the x0
-        bound come first.  Then the robustness constants of the coding matrix, which exist
-        only under 2q-redundant observability, certify the fresh decoder state.
+        bound come first.  Then the robustness constants of the coding matrix certify the
+        fresh decoder state; a failure names the redundancy order whose selection is deficient.
         """
         p = self.model.p
         for a in self.attacks:
@@ -328,7 +328,7 @@ class Scenario:
                                       recert_every=self.recert_every)
         except CorrectabilityError as exc:
             raise ScenarioValidationError("redundancy assumption violated: the pair (A, C) is "
-                                          f"not {2 * self.q}-redundant observable") from exc
+                                          f"not {exc.redundancy}-redundant observable") from exc
 
 
 @dataclass
@@ -372,10 +372,11 @@ def build_observer_bank(model: SystemModel, observer: ObserverConfig) -> list[Pa
 def simulate(sc: Scenario) -> Trace:
     """Run the closed loop and log one row per step.
 
-    Per step: the decoder reads the current observer states (estimates the
-    current plant state), the controller acts on that estimate, noise and
-    attack values are drawn, observers absorb the measurement, and the
-    plant advances.  Deterministic for a fixed scenario and seed.  The decoder
+    Attack values are exogenous: each spec draws from its own stream, and only on its
+    active steps, so they are all drawn into ``Trace.a`` before the loop.  Per step: the
+    decoder reads the current observer states (estimates the current plant state), the
+    controller acts on that estimate, noise is drawn, observers absorb the measurement,
+    and the plant advances.  Deterministic for a fixed scenario and seed.  The decoder
     state is the one :meth:`Scenario.validate` certifies.
     """
     state = sc.validate()
@@ -406,8 +407,13 @@ def simulate(sc: Scenario) -> Trace:
         bound=np.zeros(H),
     )
 
+    for spec, spec_rng in zip(sc.attacks, attack_rngs):
+        for k in range(H):
+            tr.a[k, spec.sensor - 1] += spec.value(k, sc.dt, spec_rng)
+
     x = sc.x0.copy()
     v_max = v_max_at(bounds, 0)
+    lam = None
     x_hat, f = decoder_step(state, bank.z, 0, v_max)
 
     for k in range(H):
@@ -415,23 +421,19 @@ def simulate(sc: Scenario) -> Trace:
 
         noise = sc.noise_scale * rng.uniform(-model.n_max, model.n_max, size=p)
         direction = rng.standard_normal(n)
-        norm = float(np.linalg.norm(direction))
+        norm = math.sqrt(direction.dot(direction))
         radius = sc.noise_scale * model.d_max * rng.uniform() ** (1.0 / n)
         d = direction * (radius / norm) if norm > 0 else np.zeros(n)
-
-        a = np.zeros(p)
-        for spec, spec_rng in zip(sc.attacks, attack_rngs):
-            a[spec.sensor - 1] += spec.value(k, sc.dt, spec_rng)
-
-        ybar = model.C @ x + noise + a
+        ybar = model.C @ x + noise + tr.a[k]
 
         tr.x[k] = x
         tr.x_hat[k] = x_hat
         tr.u[k] = u
         tr.ybar[k] = ybar
-        tr.a[k] = a
         tr.f[k] = f
-        tr.lam_mask[k] = sum(1 << (i - 1) for i in state.lam)
+        if state.lam is not lam:
+            lam, mask = state.lam, sum(1 << (i - 1) for i in state.lam)
+        tr.lam_mask[k] = mask
         tr.branch[k] = f > sc.q
         tr.bound[k] = state.constants.kappa_c * v_max
 

@@ -1038,11 +1038,16 @@ def test_gram_gap_just_above_tau_opens_a_group():
 @pytest.mark.parametrize(("p", "q", "r"), [(9, 2, 4), (15, 3, 6), (20, 3, 6)])
 def test_lexicographic_ranks_equal_the_sorted_rows(p, q, r):
     # the ranks by which eta_prime finds each (p - r)-subselection's gains row: the
-    # combinatorial number system gives the rows a sort of them would
+    # combinatorial number system gives the rows a sort of them would.  Every (p - r)-subset
+    # is some row's subselection, so that sort is sensor_selections(p, p - r) itself: each
+    # row's rank is its position there, found by its bit mask
     outer = sensor_selections(p, p - q)
     subs = outer[:, sensor_selections(p - q, p - r)]
-    want = np.unique(subs.reshape(-1, p - r), axis=0, return_inverse=True)[1]
-    assert np.array_equal(analysis._lex_rank(subs, p), want.reshape(subs.shape[:2]))
+    masks, table = (1 << subs).sum(-1), (1 << sensor_selections(p, p - r)).sum(-1)
+    order = np.argsort(table)
+    want = order[np.searchsorted(table, masks, sorter=order)]
+    assert np.array_equal(table[want], masks)
+    assert np.array_equal(analysis._lex_rank(subs, p), want)
 
 
 def test_rho_scan_keeps_a_selection_the_floor_sends_to_the_svd(monkeypatch):

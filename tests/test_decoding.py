@@ -245,6 +245,28 @@ def test_stacked_search_matches_per_candidate_loop(seed, integer):
     np.testing.assert_allclose(x, x_ref, rtol=1e-10, atol=1e-12)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       specials=st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 1e200, -1e200]),
+                         max_size=6))
+def test_block_misfits_equal_the_block_norms_byte_for_byte(seed, specials):
+    # block_misfits reduces the squared residual itself: the arithmetic np.linalg.norm runs
+    # for an int axis, so every float matches, non-finite and overflowing blocks included
+    rng = np.random.default_rng(seed)
+    n, p, rows = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    phi = CodingMatrix(rng.normal(size=(n * p, n)), n, p)
+    z, estimates = rng.normal(size=(p, n)), rng.normal(size=(rows, n))
+    for value in specials:
+        target = z if rng.random() < 0.75 else estimates
+        target.flat[rng.integers(target.size)] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = (z.reshape(-1, 1) - phi.entries @ estimates.T).reshape(p, n, rows)
+        want = np.linalg.norm(resid, axis=1).T
+        got = block_misfits(phi, z, estimates)
+    assert got.shape == want.shape == (rows, p) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_search_tie_breaks_on_smallest_selection():
     # selections (1,2) and (3,4) both leave two blocks violating
     phi = CodingMatrix(np.ones((4, 1)), 1, 4)

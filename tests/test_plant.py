@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from resilest import analysis
+from test_analysis import repeated_subspace_matrix
+from resilest import analysis, plant
 from resilest.analysis import CorrectabilityError, SystemModel, coding_matrix, robustness_constants
 from resilest.cli import DEMO_SCENARIO
 from resilest.estimator import DecoderState
@@ -212,6 +213,29 @@ def scalar_scenario(**overrides):
     return Scenario(**base)
 
 
+def test_simulate_records_the_per_step_sum_of_the_attack_values():
+    # each spec draws from its own stream, on its active steps only; values on one sensor add
+    # in spec order.  The random spec runs past the horizon and the last starts after it
+    specs = (AttackSpec(2, 10, 500, {"kind": "random", "lo": -1.0, "hi": 1.0}),
+             AttackSpec(2, 30, 90, {"kind": "constant", "value": 0.1}),
+             AttackSpec(2, 50, 70, {"kind": "constant", "value": 0.2}),
+             AttackSpec(2, 200, None, {"kind": "constant", "value": 5.0}))
+    sc = scalar_scenario(attacks=specs)
+    rngs = [np.random.default_rng((sc.seed, 986243, idx)) for idx in range(len(specs))]
+    want = np.zeros((sc.horizon, sc.model.p))
+    for k in range(sc.horizon):
+        a = np.zeros(sc.model.p)
+        for spec, rng in zip(specs, rngs):
+            a[spec.sensor - 1] += spec.value(k, sc.dt, rng)
+        want[k] = a
+    draws = np.random.default_rng((sc.seed, 986243, 0))
+    rand = [specs[0].value(k, sc.dt, draws) for k in range(sc.horizon)]
+    assert np.any(want[50:70, 1] != np.add(rand[50:70], 0.1 + 0.2))  # the order shows
+    tr = simulate(sc)
+    assert tr.a.tobytes() == want.tobytes()
+    assert np.count_nonzero(tr.a[:, [0, 2]]) == 0 and np.count_nonzero(tr.a[:, 1]) == 110
+
+
 def test_simulate_zero_scenario_all_zero():
     model = SystemModel(A=[[0.9]], B=[[1.0]], C=[[1.0], [1.0], [1.0]],
                         d_max=0.0, n_max=0.0)
@@ -317,6 +341,22 @@ def test_simulate_certifies_the_decoder_once(monkeypatch, inertia_chain):
                       observer=ObserverConfig(mode="contract", factor=0.98, x0_max=1.0)))
     assert calls == {"fresh": 1, "first_deficient": [], "sigma_min": [5, 7],
                      "quotient_basis": 2 * model.p}
+
+
+def test_validate_names_the_redundancy_order_that_fails(monkeypatch):
+    # every 2-selection of this coding matrix is full rank, so the pair is 4-redundant
+    # observable, yet a 4-selection is deficient: the constants fail at size p - q, so the
+    # pair is not 2-redundant observable
+    phi = repeated_subspace_matrix(1494, 2, 6, "near")
+    monkeypatch.setattr(plant, "coding_matrix", lambda model: phi)
+    model = SystemModel(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=np.ones((6, 2)),
+                        d_max=0.001, n_max=0.001)
+    sc = Scenario(model=model, horizon=1, q=2, r=2)
+    with pytest.raises(ScenarioValidationError,
+                       match="^redundancy assumption violated: .* not 2-redundant observable$"
+                       ) as info:
+        sc.validate()
+    assert info.value.__cause__.redundancy == 2
 
 
 def test_simulate_rejects_a_blind_sensor_as_insufficient_redundancy():
