@@ -8,40 +8,39 @@ decodes with.  A coding matrix tolerates q corrupted sensor blocks exactly
 when every selection of ``p - q`` blocks retains full column rank; the
 security index is the smallest number of blocks an undetectable input can be
 confined to, i.e. the smallest q for which the plant is not q-redundant
-observable.  Detectability of one q takes one rank scan of the size ``p - q``.
+observable.  Detectability of one q takes one selection scan of the size ``p - q``.
 The security index moves two frontiers, whichever's next level holds fewer
 selections: that scan on the sizes p, p - 1, ... downward, and an Apriori
 frontier upward from the empty selection that tests only the selections whose
 subsets all failed to certify their supersets full rank (:func:`_index_scan`).
 The robustness constants' rho and rho_2q, the smallest ``sigma_min`` over the
-sizes ``p - q`` and ``p - 2q``, take a second scan of those sizes only.
+sizes ``p - q`` and ``p - 2q``, take the same scan of those sizes only.
 
 The scans work on one Gram table ``G_i = B_i'B_i`` per coding matrix: a 0/1
 membership product gives each selection's ``G_S = sum_{i in S} G_i``, a chunk
-at a time, and each chunk takes one route as a whole.  A scan that only
-decides rank (the security index and its witness, detectability, redundant
-observability, and which chunks the constants' gains may read from the Gram
-inverse) certifies a chunk full rank by one batched shifted Cholesky
-(``_linalg.cholesky_certified``); the upward frontier, whose levels nearly
-always hold a deficient selection, takes the SVD alone.  The scan for rho and
-rho_2q reads ``sigma_min^2 = lambda_min`` from one batched ``eigvalsh`` per chunk,
-and certifies the chunk when every ``lambda_min`` clears ``_linalg.gram_floor``
-times ``lambda_max``: the squared SVD floor plus the rounding bound ``sqrt(b)``.
-The outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1 B_i')`` of a
-certified chunk come from one batched Gram inverse.  Any other
-chunk goes to the SVD route, and so does the one winning selection that
-sets each reported ``rho``, ``rho_2q``, ``eta`` and ``eta_prime``.  So the rank
-decisions are the SVD route's on any coding matrix, and every constant is an
-SVD value of a real selection; where two selections tie to within the Gram
-rounding band (``sqrt(b)`` relative), the reported one may be the other's.
+at a time, and each chunk takes one route as a whole.  One selection scan
+(:func:`_selection_scan`) serves detectability, redundant observability, the
+security index's downward frontier and the constants' rho and rho_2q.  It reads
+``sigma_min^2 = lambda_min`` from one batched ``eigvalsh`` per chunk, and certifies
+the chunk when every ``lambda_min`` clears ``_linalg.gram_floor`` times
+``lambda_max`` (:func:`_floor_test`): the squared SVD floor plus the rounding bound
+``sqrt(b)``.  The outside gains ``|B_i pinv(Phi_S)|^2 = lambda_max(B_i G_S^-1 B_i')``
+of a chunk that passes the same floor test come from one batched Gram inverse.
+The upward frontier, whose levels nearly always hold a deficient selection,
+takes the SVD alone.  Any other chunk goes to the SVD route, and so does the
+one winning selection that sets each reported ``rho``, ``rho_2q``, ``eta`` and
+``eta_prime``.  So the rank decisions are the SVD route's on any coding matrix,
+and every constant is an SVD value of a real selection; where two selections
+tie to within the Gram rounding band (``sqrt(b)`` relative), the reported one
+may be the other's.
 
-The three scans (:func:`_first_deficient`, :func:`_selection_sigma_min` and the
-constants' outside gains) enumerate sensor subspaces, not sensor subsets.  Blocks
-whose ``G_i`` lie within ``tau`` of their group's first form a group
-(``CodingMatrix.groups``).  On ``Z'`` each ``G_i`` is the projector onto sensor
-i's observable subspace, so a group is one subspace seen by several sensors: the
-parallel elements of the polymatroid rank of a sum of subspaces (Edmonds,
-"Submodular functions, matroids and certain polyhedra", 1970).  A selection's
+The selection scan and the constants' outside gains enumerate sensor subspaces,
+not sensor subsets.  Blocks whose ``G_i`` lie within ``tau`` of their group's
+first form a group (``CodingMatrix.groups``).  On ``Z'`` each ``G_i`` is the
+projector onto sensor i's observable subspace, so a group is one subspace seen
+by several sensors: the parallel elements of the polymatroid rank of a sum of
+subspaces (Edmonds, "Submodular functions, matroids and certain polyhedra", 1970).
+A selection's
 count vector holds its members per group, and the scans read one representative
 per count vector, the first ``c_j`` blocks of each group j (:func:`_representatives`).
 It is the lexicographically first selection with its count vector: a smaller one
@@ -52,11 +51,10 @@ representative in at most ``|S|`` blocks, each by at most ``2 tau`` in Frobenius
 norm, so by Weyl's inequality its ``G_S`` and every eigenvalue lie within the
 margin ``m = 2 |S| tau`` of the representative's (``tau`` is
 ``CodingMatrix.group_spread``, the largest distance actually grouped).  The
-certificates add ``2 m`` to their shift and the floor comparisons read
-``lambda_min - m > floor (lambda_max + m)``, so a certified representative
-speaks for every member of its count vector.  A representative no certificate
-decides expands to its members on the SVD route (:func:`_svd_route`), so every
-rank decision, the security index and the witness stay the SVD's.  rho and rho_2q
+floor test reads ``lambda_min - m > floor (lambda_max + m)``, so a representative
+that clears it speaks for every member of its count vector.  A representative
+below the floor expands to its members on the SVD route (:func:`_svd_route`), so
+every rank decision, the security index and the witness stay the SVD's.  rho and rho_2q
 are the minimum over the representatives, and the gains one per count vector and
 group: ``B_i G_S^-1 B_i'`` has the eigenvalues of ``G_S^-1/2 G_i G_S^-1/2``, which
 depend on i only through its group.  A member's value can thus differ from its
@@ -80,8 +78,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import eigvalsh, inv
 
-from ._linalg import (DEFAULT_EPS_REL, certified_above, cholesky_certified, gram_floor, pinv,
-                      sigma_min, spectral_norm)
+from ._linalg import DEFAULT_EPS_REL, gram_floor, pinv, sigma_min, spectral_norm
 from .stacked import CodingMatrix, IndexSet
 
 __all__ = [
@@ -385,84 +382,71 @@ def _members(phi: CodingMatrix, reps: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _svd_route(phi: CodingMatrix, members: np.ndarray, undecided: np.ndarray, eps_rel: float):
-    """The SVD route of a chunk of representatives no certificate decided as a whole: the
+    """The SVD route of a chunk of representatives that failed the floor test as a whole: the
     ``sigma_min`` of every representative, from one values-only SVD stack, then the members
     and ``sigma_min`` of every other member of each count vector whose representative is full
-    rank and flagged ``undecided`` (no certificate spoke for its members).  A deficient
-    representative is its count vector's first deficient selection, and needs no other."""
+    rank and flagged ``undecided`` (it read below the floor, so it spoke for no member).  A
+    deficient representative is its count vector's first deficient selection, and needs no
+    other."""
     svd = _svd_sigma_min(phi, members, eps_rel)
     others = _members(phi, members[undecided & (svd > 0.0)])[0]
     return svd, others, _svd_sigma_min(phi, others, eps_rel) if len(others) else np.zeros(0)
 
 
-def _first_deficient(phi: CodingMatrix, size: int, eps_rel: float) -> tuple[int, ...] | None:
-    """0-based members of the lexicographically first rank-deficient ``size``-selection,
-    or None when every one has full column rank.
+def _floor_test(grams: np.ndarray, floor: float, margin: float):
+    """The one Gram certificate: the eigenvalues ``(c, n)`` of each ``G_S`` of the stack
+    ``(c, n, n)``, from one batched ``eigvalsh``, and whether each clears the floor by the
+    margin, ``lambda_min - m > floor (lambda_max + m)``.  A Gram sum with a non-finite entry
+    (one that overflowed) never clears it, and its eigenvalues are NaN, not computed."""
+    finite = np.isfinite(grams).all(axis=(1, 2))
+    lam = np.full(grams.shape[:2], math.nan)
+    lam[finite] = eigvalsh(grams[finite])
+    return lam, lam[:, 0] - margin > floor * (lam[:, -1] + margin)  # False for NaN
 
-    The rank-only scan: detectability and the security index's downward frontier share it.
-    A chunk of representatives whose shifted Cholesky completes with the margin is full rank,
-    every member of its count vectors with it; any other chunk takes the SVD route
-    (:func:`_svd_route`), each representative not certified on its own expanded to its
-    members.  Representatives come in lexicographic order and each is its count vector's
-    first member, so the scan stops at a chunk holding a deficient representative, or at one
-    whose first representative follows the first deficient member already found.
+
+def _selection_scan(phi: CodingMatrix, size: int,
+                    eps_rel: float) -> tuple[float, tuple[int, ...] | None]:
+    """The smallest ``sigma_min`` over the ``size``-selections and the 0-based members of the
+    lexicographically first rank-deficient one: ``(0.0, members)`` when one is deficient,
+    ``(sigma_min, None)`` otherwise.
+
+    Detectability, the security index's downward frontier and rho and rho_2q share it.  A chunk
+    of representatives whose every ``G_S`` passes the floor test (:func:`_floor_test`) is full
+    rank, every member of its count vectors with it, and gives ``sigma_min^2 = lambda_min``;
+    any other chunk takes the SVD route (:func:`_svd_route`), each representative below the
+    floor expanded to its members.  Representatives come in lexicographic order and each is its
+    count vector's first member, so the scan stops at a chunk holding a deficient
+    representative, or at one whose first representative follows the first deficient member
+    already found.  A minimum read from eigenvalues is confirmed by its winner's SVD value.
     """
     n = phi.block_len
-    margin = _margin(phi, size)
-    found = None
-    # three n x n per selection: G_S, the certificate's shifted copy and its factor
-    for members, grams in _selection_grams(phi, size, 3 * n * n):
+    floor, margin = gram_floor(size * n, n, eps_rel), _margin(phi, size)
+    rho, winner, found = math.inf, None, None  # winner: a certified representative to confirm
+    for members, grams in _selection_grams(phi, size, n * n):
         if found is not None and tuple(members[0].tolist()) > found:
             break
-        if cholesky_certified(grams, size * n, eps_rel, margin):
+        lam, clear = _floor_test(grams, floor, margin)
+        if clear.all():
+            best = int(np.argmin(lam[:, 0]))
+            if math.sqrt(lam[best, 0]) < rho:
+                rho, winner = math.sqrt(lam[best, 0]), members[best]
             continue
-        # the representatives of count vectors with other members, less those certified alone
-        counts = _counts(phi, members)
-        undecided = ((counts > 0) & (counts < [len(group) for group in phi.groups])).any(axis=1)
-        undecided[undecided] = ~certified_above(grams[undecided], size * n, eps_rel,
-                                                margin=margin, per_slice=1)
-        svd, others, others_svd = _svd_route(phi, members, undecided, eps_rel)
+        svd, others, others_svd = _svd_route(phi, members, ~clear, eps_rel)
+        smallest = float(np.concatenate([svd, others_svd]).min())
+        if smallest < rho:
+            rho, winner = smallest, None
         # sigma_min is 0 exactly at a rank-deficient selection; tuples, not views that would
         # keep every selection of the chunk alive
         deficient = [tuple(s) for s in members[svd == 0.0].tolist()
                      + others[others_svd == 0.0].tolist()] + ([] if found is None else [found])
         found = min(deficient, default=None)
         if (svd == 0.0).any():
-            return found
-    return found
-
-
-def _selection_sigma_min(phi: CodingMatrix, size: int, eps_rel: float) -> float:
-    """Smallest ``sigma_min`` over the ``size``-selections: 0.0 when one is rank deficient.
-
-    The scan that reads values, for rho and rho_2q: one batched ``eigvalsh`` per chunk of
-    representatives.  When each ``lambda_min`` clears ``_linalg.gram_floor`` by the margin
-    (``lambda_min - m > floor (lambda_max + m)``), they give ``sigma_min^2 = lambda_min``;
-    otherwise the chunk takes the SVD route (:func:`_svd_route`), every representative and the
-    members of each one read below the floor.  A minimum read from eigenvalues is confirmed by
-    its winner's SVD value.
-    """
-    n = phi.block_len
-    floor = gram_floor(size * n, n, eps_rel)
-    margin = _margin(phi, size)
-    rho, winner = math.inf, None  # winner: a certified representative to confirm by SVD
-    for members, grams in _selection_grams(phi, size, n * n):
-        lam = eigvalsh(grams)
-        clear = lam[:, 0] - margin > floor * (lam[:, -1] + margin)  # False for NaN too
-        if clear.all():
-            best = int(np.argmin(lam[:, 0]))
-            if math.sqrt(lam[best, 0]) < rho:
-                rho, winner = math.sqrt(lam[best, 0]), members[best]
-        else:
-            svd, _, others_svd = _svd_route(phi, members, ~clear, eps_rel)
-            smallest = float(np.concatenate([svd, others_svd]).min())
-            if smallest == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
-                return 0.0
-            if smallest < rho:
-                rho, winner = smallest, None
+            break
+    if found is not None:
+        return 0.0, found
     if winner is not None:
         rho = float(sigma_min(phi.selection_stack(winner[None]), eps_rel)[0])
-    return rho
+    return rho, None
 
 
 def _svd_sigma_min(phi: CodingMatrix, members: np.ndarray, eps_rel: float) -> np.ndarray:
@@ -495,7 +479,7 @@ def is_q_error_detectable(phi: CodingMatrix, q: int, eps_rel: float = DEFAULT_EP
     p = phi.block_count
     if not 0 <= q <= p:
         raise ValueError(f"q must lie in 0..{p}, got {q}")
-    return _first_deficient(phi, p - q, eps_rel) is None
+    return _selection_scan(phi, p - q, eps_rel)[1] is None
 
 
 def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float = DEFAULT_EPS_REL) -> bool:
@@ -525,7 +509,7 @@ def _upward_levels(phi: CodingMatrix, eps_rel: float):
     the joins, and the candidates are built only when the level runs.  Level 0 is the empty
     selection, of rank 0, and level 1 tests the p single sensors.  Each level takes the SVD
     alone: the frontier only reaches selections whose subsets are deficient or weak, so on
-    ``Z'`` nearly every level holds a deficient one, which would fail a Cholesky certificate.
+    ``Z'`` nearly every level holds a deficient one, which would fail the floor test.
 
     Why weak selections stay.  The SVD rule is not down-closed: a selection's floor
     ``max(rows, n) * eps_rel * sigma_max`` grows with its rows and its ``sigma_max``, so a
@@ -577,7 +561,7 @@ def _index_scan(phi: CodingMatrix, eps_rel: float):
     selection of the largest size that holds one (the empty selection, of rank 0 < n, at
     the least).
 
-    Two frontiers close in on that size.  The downward one runs :func:`_first_deficient` on
+    Two frontiers close in on that size.  The downward one runs :func:`_selection_scan` on
     the sizes p, p - 1, ... and ends at the first size holding a deficient selection; the
     upward one is :func:`_upward_levels`.  Each round advances the frontier whose next level
     holds fewer selections (the upward one's counted by its joins; the upward on a tie), and
@@ -592,7 +576,7 @@ def _index_scan(phi: CodingMatrix, eps_rel: float):
     found, top = (level, first), p  # the sizes above top hold no deficient selection
     while ahead and level < top:
         if math.comb(p, top) < ahead:
-            deficient = _first_deficient(phi, top, eps_rel)
+            deficient = _selection_scan(phi, top, eps_rel)[1]
             if deficient is not None:
                 return p - top, deficient
             top -= 1
@@ -673,10 +657,11 @@ def robustness_constants(
     r: int,
     eps_rel: float = DEFAULT_EPS_REL,
 ) -> RobustnessConstants:
-    """Evaluate every worst-case constant by exhaustive subset enumeration.
+    """Evaluate every worst-case constant over the selections, one count-vector
+    representative at a time (see the module docstring).
 
-    Requires ``q <= r <= 2q`` and ``p >= 2q + 1``.  A chunk of selections no Gram
-    certificate decides takes the SVD whole; a maximum over an empty collection is 0.
+    Requires ``q <= r <= 2q`` and ``p >= 2q + 1``.  A chunk of selections that fails the
+    floor test takes the SVD whole; a maximum over an empty collection is 0.
 
     Raises :class:`CorrectabilityError` when ``p < 2q + 1`` or the
     (p-2q)-selections are not all full rank (the constants are undefined
@@ -698,7 +683,7 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
 
     def rho_of(size: int) -> float:
         if size not in rhos:
-            rhos[size] = _selection_sigma_min(phi, size, eps_rel)
+            rhos[size] = _selection_scan(phi, size, eps_rel)[0]
         if rhos[size] == 0.0:
             raise CorrectabilityError("constants undefined: correctability violated "
                                       f"(a {size}-block selection is rank deficient)",
@@ -719,7 +704,7 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
         pinv(selection)|`` of each group over the group's blocks outside the selection (-inf
         where none is), and whether that row comes from the SVD route.
 
-        A chunk the shifted Cholesky certifies with the margin reads, for each group, the
+        A chunk that passes the floor test with the margin reads, for each group, the
         representative's gain on the group's first outside block, ``sqrt(lambda_max(B_i
         G_S^-1 B_i'))``, from one batched Gram inverse: every member of the count vector reads
         the same to within the margin, on every block of that group (``B_i G^-1 B_i'`` has the
@@ -728,10 +713,10 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
         selection and block, and no smaller than any member's."""
         slots = min(len(groups), p - size)  # groups with a block outside, at most
         reps, tables, svd_rows = [], [], []
-        margin = _margin(phi, size)
+        floor, margin = gram_floor(size * n, n, eps_rel), _margin(phi, size)
         for members, grams in _selection_grams(phi, size, (3 * slots + 4) * n * n):
             gains = np.full((len(members), len(groups)), -math.inf)
-            certified = cholesky_certified(grams, size * n, eps_rel, margin)
+            certified = _floor_test(grams, floor, margin)[1].all()
             if certified:
                 first = padded[np.arange(len(groups)), _counts(phi, members)]
                 order = np.argsort(first < 0, axis=1, kind="stable")[:, :slots]

@@ -102,13 +102,15 @@ class CodingMatrix:
 
         Block i joins the first group whose first Gram matrix ``G_f`` lies within ``tau = b
         |G_f|_F`` of ``G_i`` in Frobenius norm, with ``b`` the Gram rounding band of all ``p n``
-        rows (``_linalg.gram_rounding``); otherwise it opens a group.  On orthonormal blocks
+        rows (``_linalg.gram_rounding``); otherwise it opens a group.  A ``G_f`` whose norm
+        overflows has no finite ``tau`` and is joined by no block.  On orthonormal blocks
         ``G_i`` is the projector onto sensor i's observable subspace, so a group is one
         subspace seen by several sensors.
         """
         p, n = self.block_count, self.block_len
         flat = self.grams.reshape(p, n * n)
         tau = gram_rounding(p * n, n) * np.linalg.norm(flat, axis=1)
+        tau[~np.isfinite(tau)] = -1.0  # inf <= inf would group every block with it
         firsts: list[int] = []
         groups: list[list[int]] = []
         for i in range(p):

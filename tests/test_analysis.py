@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from resilest import analysis
 from conftest import compacted, matrix_rank
-from resilest._linalg import (DEFAULT_EPS_REL, cholesky_certified, gram_floor, gram_rounding,
-                              pinv, sigma_min)
+from resilest._linalg import DEFAULT_EPS_REL, gram_floor, gram_rounding, pinv, sigma_min
 from resilest.analysis import (
     CorrectabilityError,
     RobustnessConstants,
@@ -218,22 +217,23 @@ def test_upward_frontier_keeps_weakly_full_rank_selections(monkeypatch, blocks, 
 
 def decided_selections(monkeypatch):
     """Returns a callable giving the number of selections the rank scans decided since its
-    last call, each counted once: the downward scan's chunks go to ``cholesky_certified`` and
-    those it fails on to ``_svd_sigma_min``, the upward frontier's to ``_svd_sigma_min``
-    alone.  So each is decided by a Cholesky that passes or by one SVD."""
+    last call, each counted once: the downward scan's chunks go to ``_floor_test`` and those
+    it fails on to ``_svd_sigma_min``, the upward frontier's to ``_svd_sigma_min`` alone.  So
+    each is decided by a floor test that passes or by one SVD (a scan's SVD confirmation of
+    its winner decides nothing, and is not counted)."""
     certified, failed, svd = [], [], []
-    svd_sigma_min = analysis._svd_sigma_min
+    floor_test, svd_sigma_min = analysis._floor_test, analysis._svd_sigma_min
 
-    def spy_certified(grams, rows, eps_rel, margin=0.0):
-        ok = cholesky_certified(grams, rows, eps_rel, margin)
-        (certified if ok else failed).append(len(grams))
-        return ok
+    def spy_floor(grams, floor, margin):
+        lam, clear = floor_test(grams, floor, margin)
+        (certified if clear.all() else failed).append(len(grams))
+        return lam, clear
 
     def spy_svd(phi, members, eps_rel):
         svd.append(len(members))
         return svd_sigma_min(phi, members, eps_rel)
 
-    monkeypatch.setattr(analysis, "cholesky_certified", spy_certified)
+    monkeypatch.setattr(analysis, "_floor_test", spy_floor)
     monkeypatch.setattr(analysis, "_svd_sigma_min", spy_svd)
 
     def count():
@@ -277,30 +277,27 @@ def test_index_scan_decides_few_selections(monkeypatch, inertia_chain):
     assert count() == 5 + 135
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(1, 7),
-       style=CODING_STYLES, eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]))
-def test_cholesky_certifies_only_what_the_gram_eigenvalues_certify(seed, n, p, style, eps_rel):
-    phi = CodingMatrix(random_coding_entries(seed, n, p, style), n, p)
-    for size in range(p + 1):
-        floor = gram_floor(size * n, n, eps_rel)
-        for _, grams in analysis._selection_grams(phi, size, n * n):
-            lam = np.linalg.eigvalsh(grams)
-            by_eigenvalues = lam[:, 0] > floor * lam[:, -1]
-            # each Gram sum alone, then the chunk: a chunk certifies only if all of it would
-            alone = np.array([cholesky_certified(g[None], size * n, eps_rel) for g in grams])
-            assert not (alone & ~by_eigenvalues).any()
-            assert cholesky_certified(grams, size * n, eps_rel) == alone.all()
+def test_floor_test_refuses_nonfinite_grams(monkeypatch):
+    # a Gram sum with a non-finite entry (one that overflowed) never clears the floor, and
+    # eigvalsh never sees it: only the finite sums of the stack are passed on
+    spectra = []
 
+    def spy_eigvalsh(matrix):
+        spectra.append(np.shape(matrix))
+        return np.linalg.eigvalsh(matrix)
 
-def test_cholesky_certificate_refuses_nonfinite_grams():
+    monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
+    floor = gram_floor(3, 3)
     for bad in (np.nan, np.inf):
         grams = np.stack([np.eye(3), np.eye(3)])
         grams[1, 2, 0] = grams[1, 0, 2] = bad
-        assert cholesky_certified(grams[:1], 3)
-        assert not cholesky_certified(grams, 3)
+        assert analysis._floor_test(grams[:1], floor, 0.0)[1].tolist() == [True]
+        lam, clear = analysis._floor_test(grams, floor, 0.0)
+        assert clear.tolist() == [True, False]
+        assert np.isnan(lam[1]).all()
         grams[1] = np.diag([1.0, bad, 1.0])
-        assert not cholesky_certified(grams, 3)
+        assert analysis._floor_test(grams, floor, 0.0)[1].tolist() == [True, False]
+    assert spectra == [(1, 3, 3)] * 6
 
 
 def test_a_chunk_holding_a_deficient_selection_falls_back_to_the_svd(monkeypatch):
@@ -314,11 +311,13 @@ def test_a_chunk_holding_a_deficient_selection_falls_back_to_the_svd(monkeypatch
     want = reference_first_deficient(phi)
     assert want == IndexSet((4, 6), 7)
     assert stacked_cospark(phi) == reference_cospark(phi) == 5
-    choleskys, spectra, stacks = [], [], []
+    floors, spectra, stacks = [], [], []
+    floor_test = analysis._floor_test
 
-    def spy_certified(grams, rows, eps_rel, margin=0.0):
-        choleskys.append((rows // 2, len(grams), cholesky_certified(grams, rows, eps_rel, margin)))
-        return choleskys[-1][2]
+    def spy_floor(grams, floor, margin):
+        lam, clear = floor_test(grams, floor, margin)
+        floors.append((len(grams), bool(clear.all())))
+        return lam, clear
 
     def spy_eigvalsh(matrix):
         spectra.append(np.shape(matrix))
@@ -328,34 +327,37 @@ def test_a_chunk_holding_a_deficient_selection_falls_back_to_the_svd(monkeypatch
         stacks.append(np.shape(matrix))
         return sigma_min(matrix, eps_rel)
 
-    monkeypatch.setattr(analysis, "cholesky_certified", spy_certified)
+    monkeypatch.setattr(analysis, "_floor_test", spy_floor)
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
     monkeypatch.setattr(analysis, "sigma_min", spy_sigma_min)
-    # 8 selections per chunk: the rank scan budgets three 2 x 2 arrays per selection
-    monkeypatch.setattr(analysis, "_STACK_FLOATS", 96)
+    # 8 selections per chunk: the selection scan budgets one 2 x 2 array per selection
+    monkeypatch.setattr(analysis, "_STACK_FLOATS", 32)
     assert [is_q_error_detectable(phi, q) for q in range(6)] == [True] * 5 + [False]
-    # sizes 7..3 certify chunk by chunk; at size 2 the first two chunks certify, and the
-    # last, which holds {4, 6}, fails, takes the SVD of all five of its selections as a
-    # whole and stops the scan
-    expected = [(size, min(8, math.comb(7, size) - start), True)
-                for size in range(7, 1, -1) for start in range(0, math.comb(7, size), 8)]
-    expected[-1] = (2, 5, False)
-    assert choleskys == expected
-    assert stacks == [(5, 4, 2)]
-    assert spectra == []
-    deficient = analysis._first_deficient(phi, 2, DEFAULT_EPS_REL)
+    # sizes 7..3 pass the floor test chunk by chunk, each chunk on one eigvalsh, and each
+    # size's smallest eigenvalue is confirmed by one SVD of its selection; at size 2 the first
+    # two chunks pass, and the last, which holds {4, 6}, fails, takes the SVD of all five of
+    # its selections as a whole (four 4 x 2 matrices per SVD stack) and stops the scan
+    chunks = [(size, min(8, math.comb(7, size) - start))
+              for size in range(7, 1, -1) for start in range(0, math.comb(7, size), 8)]
+    assert floors == [(count, (size, count) != (2, 5)) for size, count in chunks]
+    assert spectra == [(count, 2, 2) for _, count in chunks]
+    assert stacks == [(1, 2 * size, 2) for size in range(7, 2, -1)] + [(4, 4, 2), (1, 4, 2)]
+    sigma, deficient = analysis._selection_scan(phi, 2, DEFAULT_EPS_REL)
+    assert sigma == 0.0
     assert IndexSet(tuple(i + 1 for i in deficient), 7) == want
 
 
-@pytest.mark.parametrize(("stack_floats", "calls"), [(analysis._STACK_FLOATS, 10), (192, 38)])
+@pytest.mark.parametrize(("stack_floats", "calls"), [(analysis._STACK_FLOATS, 10), (64, 38)])
 def test_detectability_checks_ranks_per_chunk(monkeypatch, stack_floats, calls):
     phi = CodingMatrix(np.random.default_rng(3).normal(size=(18, 2)), 2, 9)
     assert stacked_cospark(phi) == reference_cospark(phi) == 9
-    choleskys, grams, stacks = [], [], []
+    floors, grams, stacks = [], [], []
+    floor_test = analysis._floor_test
 
-    def spy_certified(matrix, rows, eps_rel, margin=0.0):
-        choleskys.append(np.shape(matrix))
-        return cholesky_certified(matrix, rows, eps_rel, margin)
+    def spy_floor(matrix, floor, margin):
+        lam, clear = floor_test(matrix, floor, margin)
+        floors.append(bool(clear.all()))
+        return lam, clear
 
     def spy_eigvalsh(matrix):
         grams.append(np.shape(matrix))
@@ -365,25 +367,25 @@ def test_detectability_checks_ranks_per_chunk(monkeypatch, stack_floats, calls):
         stacks.append(np.shape(matrix))
         return sigma_min(matrix, eps_rel)
 
-    monkeypatch.setattr(analysis, "cholesky_certified", spy_certified)
+    monkeypatch.setattr(analysis, "_floor_test", spy_floor)
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
     monkeypatch.setattr(analysis, "sigma_min", spy_sigma_min)
     monkeypatch.setattr(analysis, "_STACK_FLOATS", stack_floats)
     assert [is_q_error_detectable(phi, q) for q in range(10)] == [True] * 9 + [False]
-    # one batched shifted Cholesky of the Gram sums per chunk of each size 9, 8, ..., 0: not
-    # one per selection (2^9), and no eigenvalues, since the scan only decides ranks.  A
-    # chunk holds G_S, its shifted copy and the factor: three 2 x 2 arrays per selection
+    # one batched eigvalsh of the Gram sums per chunk of each size 9, 8, ..., 0, not one per
+    # selection (2^9); a chunk budgets one 2 x 2 array per selection
     chunks = []
     for size in range(9, -1, -1):
-        step = max(1, stack_floats // 12)
+        step = max(1, stack_floats // 4)
         count = math.comb(9, size)
         chunks += [(min(step, count - start), 2, 2) for start in range(0, count, step)]
-    assert choleskys == chunks
-    assert len(choleskys) == calls
-    # only the empty selection's zero Gram matrix fails its Cholesky: its chunk goes straight
-    # to the SVD, which decides it
-    assert grams == []
-    assert stacks == [(1, 0, 2)]
+    assert grams == chunks
+    assert len(grams) == calls
+    # only the empty selection's zero Gram matrix fails the floor test: its chunk goes
+    # straight to the SVD, which decides it.  Every other size confirms its smallest
+    # eigenvalue by one SVD of the selection that holds it
+    assert floors == [True] * (calls - 1) + [False]
+    assert stacks == [(1, 2 * size, 2) for size in range(9, 0, -1)] + [(1, 0, 2)]
 
 
 # bit-for-bit reports of the 1 ms inertia chains: (security index, max correctable q,
@@ -718,12 +720,23 @@ def test_batched_constants_equal_selection_loop(seed, q):
     assert robustness_constants(phi, q, r) == want
 
 
-@pytest.mark.parametrize(("N", "q", "r"), [(N, 1, r) for N in range(4, 9) for r in (1, 2)]
-                         + [(5, 2, 3), (6, 2, 3)])
-def test_monomial_chain_constants_take_the_svd_route(monkeypatch, inertia_chain, N, q, r):
-    # at 1 ms the monomial selections fall to round-off, so every chunk fails its
-    # certificate and goes to the SVD as a whole: no Gram inverse at all
+# the selections whose gains read a Gram inverse, per chunk, on the 1 ms monomial chains
+MONOMIAL_INVERTED = {(4, 1, 1): [7], (4, 1, 2): [7], (5, 1, 1): [9], (5, 1, 2): [9],
+                     (6, 1, 1): [11], (6, 1, 2): [22, 11], (7, 1, 1): [13],
+                     (7, 1, 2): [16, 16, 13], (8, 1, 1): [15], (8, 1, 2): [12] * 6 + [15],
+                     (5, 2, 3): [], (6, 2, 3): [22]}
+
+
+@pytest.mark.parametrize(("N", "q", "r"), list(MONOMIAL_INVERTED))
+def test_monomial_chain_constants_equal_the_per_selection_references(monkeypatch, inertia_chain,
+                                                                     N, q, r):
+    # at 1 ms the monomial (p - 2q)-selections fall to round-off: the rho_2q scan's chunks
+    # fail the floor test and go to the SVD as a whole.  At q = 1 the p (p - 1)-selections,
+    # one chunk, clear it, and their gains read one Gram inverse; of the smaller sizes whose
+    # gains the constants read, only some chunks clear it.  Every constant is the
+    # per-selection loop's to 1e-12
     phi = observability_matrix(inertia_chain(N, 0.001))
+    n = phi.block_len
     want = reference_constants(phi, q, r)
     inverses = []
 
@@ -733,7 +746,7 @@ def test_monomial_chain_constants_take_the_svd_route(monkeypatch, inertia_chain,
 
     monkeypatch.setattr(analysis, "inv", spy_inv)
     got = robustness_constants(phi, q, r)
-    assert inverses == []
+    assert inverses == [(count, n, n) for count in MONOMIAL_INVERTED[N, q, r]]
     for name, value in vars(want).items():
         assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
 
@@ -748,16 +761,42 @@ def test_batched_constants_still_raise_when_not_correctable():
         robustness_constants(phi, 2, 3)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(3, 7))
+def test_constants_of_overflowing_gram_sums_equal_the_per_selection_references(seed, n, p):
+    # finite entries, half of them scaled by 10^150..10^300: many G_i and G_S overflow to inf
+    # or NaN.  Such a Gram sum never clears the floor and never reaches eigvalsh, so its chunk
+    # takes the SVD route, and the constants are the per-selection loop's, or refused exactly
+    # when that loop finds a deficient (p - 2q)- or (p - q)-selection
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((n * p, n))
+    big = rng.random(entries.shape) < 0.5
+    entries[big] *= 10.0 ** rng.uniform(150, 300, size=np.count_nonzero(big))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = CodingMatrix(entries, n, p)
+        for q in range(1, (p - 1) // 2 + 1):
+            for r in range(q, 2 * q + 1):
+                try:
+                    want = reference_constants(phi, q, r)
+                except CorrectabilityError:
+                    want = None
+                if want is None or want.rho == 0.0:
+                    with pytest.raises(CorrectabilityError):
+                        robustness_constants(phi, q, r)
+                else:
+                    assert robustness_constants(phi, q, r) == want
+
+
 def scanned_sizes(monkeypatch):
     """Selection sizes passed to the selection scan, in call order."""
     sizes = []
-    scan = analysis._selection_sigma_min
+    scan = analysis._selection_scan
 
     def spy(phi, size, eps_rel):
         sizes.append(size)
         return scan(phi, size, eps_rel)
 
-    monkeypatch.setattr(analysis, "_selection_sigma_min", spy)
+    monkeypatch.setattr(analysis, "_selection_scan", spy)
     return sizes
 
 
@@ -847,8 +886,7 @@ def test_count_vector_scans_equal_the_per_selection_references(seed, n, p, sourc
         labels[list(group)] = j
     band = math.sqrt(gram_rounding(p * n, n))
     with pytest.MonkeyPatch.context() as patch:
-        # chunk representatives per chunk of the rho scan, which budgets n^2 floats each, and
-        # a third of that, at least one, per chunk of the rank scan, which budgets 3 n^2
+        # chunk representatives per chunk of the selection scan, which budgets n^2 floats each
         patch.setattr(analysis, "_STACK_FLOATS", chunk * n * n)
         for size in range(p + 1):
             selections = list(itertools.combinations(range(p), size))
@@ -860,14 +898,15 @@ def test_count_vector_scans_equal_the_per_selection_references(seed, n, p, sourc
             reps = [tuple(row) for members, _ in analysis._selection_grams(phi, size, 3 * n * n)
                     for row in members.tolist()]
             assert reps == sorted(firsts.values())
-            # the rank scan names the first deficient selection of the per-selection loop, and
-            # the rho scan the smallest sigma_min, to within the Gram rounding band
+            # the selection scan names the first deficient selection of the per-selection loop,
+            # and the smallest sigma_min, to within the Gram rounding band: 0.0 exactly when
+            # it names a deficient selection
             ranks = [matrix_rank(compacted(phi, IndexSet(tuple(i + 1 for i in sel), p)), eps_rel)
                      for sel in selections]
             want = next((sel for sel, rank in zip(selections, ranks) if rank < n), None)
-            assert analysis._first_deficient(phi, size, eps_rel) == want
-            got = analysis._selection_sigma_min(phi, size, eps_rel)
-            assert (got == 0.0) == (want is not None)
+            got, first = analysis._selection_scan(phi, size, eps_rel)
+            assert first == want
+            assert (got == 0.0) == (first is not None)
             assert got == pytest.approx(svd_minimum(phi, size, eps_rel), rel=band, abs=0.0)
     # the index and its witness
     want = reference_first_deficient(phi, eps_rel)
@@ -929,14 +968,14 @@ def test_a_full_rank_representative_expands_to_its_deficient_member(monkeypatch)
     # and 1.9999e-8 for blocks 3 and 4.  Under eps_rel = 1e-8 the SVD floor of one block is
     # 2e-8, so blocks 1 and 2 are full rank and blocks 3 and 4 deficient.  Size 1 holds two
     # count vectors, represented by {1} and {2}; neither representative is deficient, and
-    # neither clears its certificate, so each expands to its count vector's other member.
-    # With one representative per chunk, {1} finds {4} deficient; the scan must still read
-    # {2}, which precedes {4}, and its member {3} is the first deficient selection
+    # neither clears the floor, so each expands to its count vector's other member.  With one
+    # representative per chunk, {1} finds {4} deficient; the scan must still read {2}, which
+    # precedes {4}, and its member {3} is the first deficient selection
     eps_rel = 1e-8
     phi = CodingMatrix.from_blocks([np.diag([1.0, 2.0001e-8]), np.diag([2.0001e-8, 1.0]),
                                     np.diag([1.9999e-8, 1.0]), np.diag([1.0, 1.9999e-8])])
     assert phi.groups == ((0, 3), (1, 2))
-    monkeypatch.setattr(analysis, "_STACK_FLOATS", 3 * 4)  # one representative per chunk
+    monkeypatch.setattr(analysis, "_STACK_FLOATS", 4)  # one representative per chunk
     expanded = []
     members = analysis._members
 
@@ -946,14 +985,16 @@ def test_a_full_rank_representative_expands_to_its_deficient_member(monkeypatch)
 
     monkeypatch.setattr(analysis, "_members", spy_members)
     assert reference_first_deficient(phi, eps_rel) == IndexSet((1, 4), 4)
-    assert analysis._first_deficient(phi, 1, eps_rel) == (2,)
+    assert analysis._selection_scan(phi, 1, eps_rel) == (0.0, (2,))
     assert expanded == [[[0]], [[1]]]
-    # size 2: {1, 2} certifies its count vector; {1, 4}, the next representative, is deficient
-    assert analysis._first_deficient(phi, 2, eps_rel) == (0, 3)
+    # size 2: {1, 2} clears the floor for its count vector; {1, 4}, the next representative,
+    # is deficient
+    assert analysis._selection_scan(phi, 2, eps_rel) == (0.0, (0, 3))
     assert analysis._index_scan(phi, eps_rel) == (2, (0, 3))
     expanded.clear()
-    # the rho scan budgets n^2 floats per representative, so one chunk holds both
-    assert analysis._selection_sigma_min(phi, 1, eps_rel) == 0.0
+    # with both representatives in one chunk, the chunk expands them together
+    monkeypatch.setattr(analysis, "_STACK_FLOATS", 2 * 4)
+    assert analysis._selection_scan(phi, 1, eps_rel) == (0.0, (2,))
     assert expanded == [[[0], [1]]]
 
 
@@ -978,12 +1019,11 @@ def test_distinct_subspaces_scan_every_subset_bit_for_bit(three_inertia):
                 np.put_along_axis(inside, want, 1.0, axis=1)
                 assert np.array_equal(members, want)
                 assert np.array_equal(grams, (inside @ table).reshape(len(want), n, n))
-    assert [analysis._first_deficient(phi, size, DEFAULT_EPS_REL) for size in range(p + 1)] == [
-        (), (1,), (3, 4), None, None, None]
-    assert [float(analysis._selection_sigma_min(phi, size, DEFAULT_EPS_REL)).hex()
-            for size in range(p + 1)] == ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-                                          "0x1.16c3b57deba03p-22", "0x1.766ece92f3820p-9",
-                                          "0x1.11ad3c19aafabp-8"]
+    scans = [analysis._selection_scan(phi, size, DEFAULT_EPS_REL) for size in range(p + 1)]
+    assert [first for _, first in scans] == [(), (1,), (3, 4), None, None, None]
+    assert [float(sigma).hex() for sigma, _ in scans] == [
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.16c3b57deba03p-22", "0x1.766ece92f3820p-9",
+        "0x1.11ad3c19aafabp-8"]
     got = {r: {k: float(v).hex() for k, v in vars(robustness_constants(phi, 1, r)).items()}
            for r in (1, 2)}
     assert got[1]["rho"] == got[2]["rho"] == "0x1.766ece92f3820p-9"
@@ -1056,7 +1096,8 @@ def test_rho_scan_keeps_a_selection_the_floor_sends_to_the_svd(monkeypatch):
     # deficient under eps_rel = 1e-6: the scan must send it to the SVD, not read it as rho^2
     monkeypatch.setattr(analysis, "_STACK_FLOATS", 4)  # one selection per chunk
     phi = CodingMatrix.from_blocks([1e-7 * np.eye(2), np.diag([1.0, 1e-6])])
-    assert analysis._selection_sigma_min(phi, 1, 1e-6) == svd_minimum(phi, 1, 1e-6) == 0.0
+    assert analysis._selection_scan(phi, 1, 1e-6) == (0.0, (1,))
+    assert svd_minimum(phi, 1, 1e-6) == 0.0
 
 
 def count_vectors(phi, size):
@@ -1074,7 +1115,8 @@ def test_rho_scans_read_few_eigenvalues_on_1ms_chains(monkeypatch, inertia_chain
     # analyze reads rho at five sizes: 2,808 selections on N = 7 (sizes 12, 11, 10, 9, 7) and
     # 6,945 on N = 8 (14, 13, 12, 11, 9).  They hold 37 and 78 count vectors (on N = 8, 4 + 9 +
     # 15 + 21 + 29), and each size's representatives fit one chunk, so the scans read the
-    # eigenvalues of each representative once
+    # eigenvalues of each representative once.  Besides them, the index scan's downward
+    # frontier reads the sizes p and p - 1, and the gains' floor test the sizes p - q
     phi = coding_matrix(inertia_chain(N, 0.001))
     p = phi.block_count
     assert sum(count_vectors(phi, size) for size in (p - 1, p - 2, p - 3, p - 4, p - 6)) == read
@@ -1089,23 +1131,48 @@ def test_rho_scans_read_few_eigenvalues_on_1ms_chains(monkeypatch, inertia_chain
     rep = analyze(inertia_chain(N, 0.001))
     index, correctable, constants = CHAIN_1MS_REPORTS[N]
     assert (rep.security_index, rep.max_correctable_q) == (index, correctable)
-    assert sum(counts) == read
+    downward = count_vectors(phi, p) + count_vectors(phi, p - 1)
+    gains = sum(count_vectors(phi, p - q) for q in range(1, correctable + 1))
+    assert (downward, gains) == {7: (1 + 3, 3 + 5 + 7), 8: (1 + 4, 4 + 9 + 15)}[N]
+    assert sum(counts) == read + downward + gains
 
 
 @pytest.mark.parametrize(("N", "T_s", "q", "r"), [(3, 0.001, 1, 1), (5, 0.01, 2, 4)],
                          ids=["demo", "chain_search"])
-def test_rho_scans_of_one_chunk_run_no_certificate(monkeypatch, inertia_chain, N, T_s, q, r):
+def test_rho_scans_of_one_chunk_take_no_svd_route(monkeypatch, inertia_chain, N, T_s, q, r):
     # the demo's three-inertia plant (p = 5) and the simulated five-inertia chain (p = 9):
-    # the rho scan reads eigenvalues and factors nothing, and reads the per-selection SVD
-    # minimum to within the Gram rounding band
+    # each rho scan reads its representatives in one eigvalsh, every one clears the floor, and
+    # the only SVD is its winner's confirmation, which is the per-selection SVD minimum to
+    # within the Gram rounding band
     phi = coding_matrix(inertia_chain(N, T_s))
     p, n = phi.block_count, phi.block_len
-    factored, cholesky = [], np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(len(m)) or cholesky(m))
-    for size in (p - q, p - 2 * q):
-        assert analysis._selection_sigma_min(phi, size, DEFAULT_EPS_REL) == pytest.approx(
-            svd_minimum(phi, size), rel=math.sqrt(gram_rounding(p * n, n)), abs=0.0)
-    assert factored == []
+    spectra, routes, stacks = [], [], []
+    svd_sigma_min = analysis._svd_sigma_min
+
+    def spy_eigvalsh(matrix):
+        spectra.append(len(matrix))
+        return np.linalg.eigvalsh(matrix)
+
+    def spy_svd(phi, members, eps_rel):
+        routes.append(len(members))
+        return svd_sigma_min(phi, members, eps_rel)
+
+    def spy_sigma_min(matrix, eps_rel=DEFAULT_EPS_REL):
+        stacks.append(np.shape(matrix))
+        return sigma_min(matrix, eps_rel)
+
+    monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
+    monkeypatch.setattr(analysis, "_svd_sigma_min", spy_svd)
+    monkeypatch.setattr(analysis, "sigma_min", spy_sigma_min)
+    sizes = (p - q, p - 2 * q)
+    for size in sizes:
+        got, first = analysis._selection_scan(phi, size, DEFAULT_EPS_REL)
+        assert first is None
+        assert got == pytest.approx(svd_minimum(phi, size), rel=math.sqrt(gram_rounding(p * n, n)),
+                                    abs=0.0)
+    assert spectra == [count_vectors(phi, size) for size in sizes]
+    assert routes == []
+    assert stacks == [(1, size * n, n) for size in sizes]
 
 
 def dense_model(seed, p):
@@ -1118,24 +1185,30 @@ def dense_model(seed, p):
     return SystemModel(A=A, B=rng.standard_normal((4, 1)), C=rng.standard_normal((p, 4)))
 
 
-def test_tied_selections_skip_the_certificate(monkeypatch):
+def test_tied_selections_read_one_representative_per_size(monkeypatch):
     # a dense p = 16 model: its constants read rho at eleven sizes, and the sixteen blocks
-    # share one subspace, so each size is one count vector, read by one eigvalsh and no
-    # factorization
+    # share one subspace, so each size is one count vector, read by one eigvalsh that clears
+    # the floor, and no SVD route
     model = dense_model(16, 16)
     z = coding_matrix(model)
     sizes = [15, 14, 13, 12, 11, 10, 9, 8, 6, 4, 2]
-    factored, cholesky = [], np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(len(m)) or cholesky(m))
-    spectra = []
+    spectra, routes = [], []
+    svd_sigma_min = analysis._svd_sigma_min
 
     def spy_eigvalsh(matrix):
         spectra.append(len(matrix))
         return np.linalg.eigvalsh(matrix)
 
+    def spy_svd(phi, members, eps_rel):
+        routes.append(len(members))
+        return svd_sigma_min(phi, members, eps_rel)
+
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
-    got = {size: analysis._selection_sigma_min(z, size, DEFAULT_EPS_REL) for size in sizes}
-    assert factored == []
+    monkeypatch.setattr(analysis, "_svd_sigma_min", spy_svd)
+    scans = {size: analysis._selection_scan(z, size, DEFAULT_EPS_REL) for size in sizes}
+    assert all(first is None for _, first in scans.values())
+    got = {size: sigma for size, (sigma, _) in scans.items()}
+    assert routes == []
     assert z.groups == (tuple(range(16)),)
     assert spectra == [1] * len(sizes)
     band = math.sqrt(gram_rounding(16 * 4, 4))
@@ -1407,11 +1480,18 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
                         C=np.random.default_rng(5).normal(size=(7, 2)))
     sizes = scanned_sizes(monkeypatch)
     routes, spectra = [], []
+    selection_grams, floor_test = analysis._selection_grams, analysis._floor_test
     svd_sigma_min = analysis._svd_sigma_min
 
-    def spy_certified(grams, rows, eps_rel, margin=0.0):
-        routes.append(("cholesky", rows // grams.shape[-1], len(grams)))
-        return cholesky_certified(grams, rows, eps_rel, margin)
+    def spy_grams(phi, size, floats):
+        for members, grams in selection_grams(phi, size, floats):
+            routes.append(("gram", size, len(members)))
+            yield members, grams
+
+    def spy_floor(grams, floor, margin):
+        lam, clear = floor_test(grams, floor, margin)
+        routes.append(("clear" if clear.all() else "below", len(grams)))
+        return lam, clear
 
     def spy_svd(phi, members, eps_rel):
         routes.append(("svd", members.shape[1], len(members)))
@@ -1422,24 +1502,24 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
             spectra.append(len(matrix))
         return np.linalg.eigvalsh(matrix)
 
-    monkeypatch.setattr(analysis, "cholesky_certified", spy_certified)
+    monkeypatch.setattr(analysis, "_selection_grams", spy_grams)
+    monkeypatch.setattr(analysis, "_floor_test", spy_floor)
     monkeypatch.setattr(analysis, "_svd_sigma_min", spy_svd)
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
     rep = analyze(dense)
     assert (rep.security_index, sorted(rep.per_q_constants)) == (7, [1, 2, 3])
     # (route, selection size, selections) per call.  Every sensor of a dense model sees the
     # whole state, so the seven blocks form one group and each size one count vector.  The
-    # index scan decides ranks only: the downward frontier certifies the one 7-selection, then
-    # the upward frontier's SVD finds the seven single sensors strong, which prunes every
-    # larger selection; the gains of q = 1, 2, 3 take one Cholesky of the one representative
-    # of sizes 6, 5, 4
+    # index scan's downward frontier clears the one 7-selection, then the upward frontier's
+    # SVD finds the seven single sensors strong, which prunes every larger selection.  The
+    # constants scan the sizes whose rho they read (rho_2q, then rho of q = 1, 2, 3; q = 2's
+    # rho is q = 1's rho_2q), each once, and the gains of q = 1, 2, 3 read the one
+    # representative of sizes 6, 5, 4; every chunk clears the floor
     assert analysis.coding_matrix(dense).groups == (tuple(range(7)),)
-    assert routes == [("cholesky", 7, 1), ("svd", 1, 7),
-                      ("cholesky", 6, 1), ("cholesky", 5, 1), ("cholesky", 4, 1)]
-    # eigenvalues only at the sizes whose rho the constants read (rho_2q, then rho of
-    # q = 1, 2, 3; q = 2's rho is q = 1's rho_2q), each once, of one representative
-    assert sizes == [5, 6, 3, 1, 4]
-    assert spectra == [1] * len(sizes)
+    assert routes == [("gram", 7, 1), ("clear", 1), ("svd", 1, 7)] + [
+        step for size in (5, 6, 6, 3, 5, 1, 4, 4) for step in (("gram", size, 1), ("clear", 1))]
+    assert sizes == [7, 5, 6, 3, 1, 4]
+    assert spectra == [1] * 9
     sizes.clear()
     routes.clear()
     with pytest.raises(CorrectabilityError):  # q = 2 needs 1-block selections: one new scan
@@ -1447,7 +1527,8 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
     # the full selection downward, then upward the five single sensors and the three
     # candidate pairs, after which no 3-selection is a candidate; last, rho_2q's scan of the
     # single sensors: one representative of each of the groups {1, 3}, {2} and {4, 5}, whose
-    # eigenvalues do not certify the chunk, and whose SVD reads each deficient
+    # eigenvalues do not clear the floor, and whose SVD reads each deficient
     assert analysis.coding_matrix(three_inertia).groups == ((0, 2), (1,), (3, 4))
-    assert routes == [("cholesky", 5, 1), ("svd", 1, 5), ("svd", 2, 3), ("svd", 1, 3)]
-    assert sizes == [1]
+    assert routes == [("gram", 5, 1), ("clear", 1), ("svd", 1, 5), ("svd", 2, 3),
+                      ("gram", 1, 3), ("below", 3), ("svd", 1, 3)]
+    assert sizes == [5, 1]

@@ -349,6 +349,21 @@ def test_cli_decode_refuses_impossible_q(tmp_path, capsys):
     assert "needs p >= 2q+1 sensors" in capsys.readouterr().err
 
 
+def test_cli_decode_certifies_a_coding_matrix_whose_gram_sums_overflow(tmp_path, capsys):
+    # entries near 1e200 are finite, but their Gram sums overflow: the constants' scans must
+    # send those sums to the SVD, not to eigvalsh, which fails to converge on them
+    entries = 1e200 * np.random.default_rng(1).standard_normal((15, 3))
+    phi, z = tmp_path / "phi.csv", tmp_path / "z.csv"
+    np.savetxt(phi, entries, delimiter=",", fmt="%.17g")
+    np.savetxt(z, entries @ np.ones(3), fmt="%.17g")
+    argv = ["decode", "--phi", str(phi), "--z", str(z), "--q", "1", "--vmax", "0.1"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "error_bound: " in captured.out
+
+
 @pytest.mark.parametrize("vmax", ["nan", "inf", "-1"])
 def test_cli_decode_rejects_a_nonfinite_or_negative_vmax(tmp_path, capsys, vmax):
     phi = tmp_path / "phi.csv"

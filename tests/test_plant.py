@@ -307,31 +307,26 @@ def test_simulate_rejects_x0_beyond_declared_bound():
 
 def test_simulate_certifies_the_decoder_once(monkeypatch, inertia_chain):
     # a chain_search set-up (p = 9, q = 2, r = 4): validate computes the constants once, and
-    # their rho scans at sizes p - 2q and p - q decide the redundancy assumption; no rank
+    # their rho scans at sizes p - 2q and p - q decide the redundancy assumption; no index
     # scan runs, and each sensor's staircase is built once for Z' and once for its observer
-    calls = {"fresh": 0, "first_deficient": [], "sigma_min": [], "quotient_basis": 0}
-    fresh, first_deficient = DecoderState.fresh.__func__, analysis._first_deficient
-    selection_sigma_min, quotient_basis = analysis._selection_sigma_min, analysis.quotient_basis
+    calls = {"fresh": 0, "scan": [], "quotient_basis": 0}
+    fresh, scan = DecoderState.fresh.__func__, analysis._selection_scan
+    quotient_basis = analysis.quotient_basis
 
     def spy_fresh(cls, *args, **kwargs):
         calls["fresh"] += 1
         return fresh(cls, *args, **kwargs)
 
-    def spy_first_deficient(phi, size, eps_rel):
-        calls["first_deficient"].append(size)
-        return first_deficient(phi, size, eps_rel)
-
-    def spy_sigma_min(phi, size, eps_rel):
-        calls["sigma_min"].append(size)
-        return selection_sigma_min(phi, size, eps_rel)
+    def spy_scan(phi, size, eps_rel):
+        calls["scan"].append(size)
+        return scan(phi, size, eps_rel)
 
     def spy_quotient_basis(A, c):
         calls["quotient_basis"] += 1
         return quotient_basis(A, c)
 
     monkeypatch.setattr(DecoderState, "fresh", classmethod(spy_fresh))
-    monkeypatch.setattr(analysis, "_first_deficient", spy_first_deficient)
-    monkeypatch.setattr(analysis, "_selection_sigma_min", spy_sigma_min)
+    monkeypatch.setattr(analysis, "_selection_scan", spy_scan)
     monkeypatch.setattr(analysis, "quotient_basis", spy_quotient_basis)
     monkeypatch.setattr("resilest.observers.quotient_basis", spy_quotient_basis)
     model = inertia_chain(5, 0.01)
@@ -339,8 +334,7 @@ def test_simulate_certifies_the_decoder_once(monkeypatch, inertia_chain):
     x0[0] = 0.5
     simulate(Scenario(model=model, horizon=3, q=2, r=4, x0=x0, dt=0.01, recert_every=10,
                       observer=ObserverConfig(mode="contract", factor=0.98, x0_max=1.0)))
-    assert calls == {"fresh": 1, "first_deficient": [], "sigma_min": [5, 7],
-                     "quotient_basis": 2 * model.p}
+    assert calls == {"fresh": 1, "scan": [5, 7], "quotient_basis": 2 * model.p}
 
 
 def test_validate_names_the_redundancy_order_that_fails(monkeypatch):
