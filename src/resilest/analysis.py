@@ -10,9 +10,8 @@ security index is the smallest number of blocks an undetectable input can be
 confined to, i.e. the smallest q for which the plant is not q-redundant
 observable.  Detectability of one q takes one selection scan of the size ``p - q``.
 The security index moves two frontiers, whichever's next level holds fewer
-selections: that scan on the sizes p, p - 1, ... downward, and an Apriori
-frontier upward from the empty selection that tests only the selections whose
-subsets all failed to certify their supersets full rank (:func:`_index_scan`).
+selections (:func:`_index_scan`): that scan on the sizes p, p - 1, ... downward,
+and an Apriori frontier upward over the sets of sensor subspaces (groups).
 The robustness constants' rho and rho_2q, the smallest ``sigma_min`` over the
 sizes ``p - q`` and ``p - 2q``, take the same scan of those sizes only.
 
@@ -364,7 +363,9 @@ def _selection_grams(phi: CodingMatrix, size: int, floats_per_selection: int):
         chunk = np.fromiter(flat, dtype=np.intp, count=count * size).reshape(count, size)
         inside = np.zeros((count, p))
         np.put_along_axis(inside, chunk, 1.0, axis=1)
-        yield chunk, (inside @ table).reshape(count, n, n)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed G_i sums to inf or NaN
+            grams = (inside @ table).reshape(count, n, n)
+        yield chunk, grams
 
 
 def _members(phi: CodingMatrix, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -495,103 +496,93 @@ def is_q_error_correctable(phi: CodingMatrix, q: int, eps_rel: float = DEFAULT_E
     return is_q_error_detectable(phi, 2 * q, eps_rel)
 
 
-def _upward_levels(phi: CodingMatrix, eps_rel: float):
-    """The upward frontier: yields ``(k, first, ahead)`` for the sizes k = 0, 1, ..., with
-    ``first`` the 0-based members of the lexicographically first rank-deficient k-selection
-    (None when no k-selection is) and ``ahead`` a bound on the number of selections level
-    k + 1 tests.  It ends after a level with ``ahead == 0``: then no larger selection is
-    deficient.
-
-    The frontier holds the k-selections found deficient or only weakly full rank, and level
-    k + 1 tests the selections whose k-subsets all lie in it (the Apriori candidates; Agrawal
-    & Srikant, VLDB 1994): the joins of two frontier selections that differ in their last
-    member only, less those with another k-subset outside the frontier.  ``ahead`` counts
-    the joins, and the candidates are built only when the level runs.  Level 0 is the empty
-    selection, of rank 0, and level 1 tests the p single sensors.  Each level takes the SVD
-    alone: the frontier only reaches selections whose subsets are deficient or weak, so on
-    ``Z'`` nearly every level holds a deficient one, which would fail the floor test.
-
-    Why weak selections stay.  The SVD rule is not down-closed: a selection's floor
-    ``max(rows, n) * eps_rel * sigma_max`` grows with its rows and its ``sigma_max``, so a
-    full-rank selection can have a deficient superset (on ``[1e-10 I; diag(1e4, 0)]``,
-    ``{1}`` is full rank and ``{1, 2}`` deficient).  In exact arithmetic adding blocks never
-    lowers ``sigma_min``, and no selection's floor exceeds ``f |Phi|_2`` with
-    ``f = max(pn, n) * eps_rel``.  So a selection is strong, and prunes its supersets, only
-    when its SVD ``sigma_min^2`` clears ``gram_floor(pn, n)`` times ``tr(Phi'Phi) =
-    |Phi|_F^2 >= |Phi|_2^2``.  Then its exact ``sigma_min``, and every superset's, exceeds
-    ``2 f |Phi|_2`` by a margin (the ``sqrt(b)`` of ``_linalg.gram_floor``) far above the
-    SVD's rounding, and the SVD decides every superset full rank.  A full-rank selection
-    below that is weak.  Every subset of a deficient selection is thus deficient or weak, so
-    by induction on its size it is a candidate and stays in the frontier: each level tests
-    every deficient selection of its size, and a level without candidates has no deficient
-    superset left.  A level of weak selections alone can still lead to a deficient one (two
-    blocks ``diag(1, 3e-14)``: each is full rank, the pair deficient), so the frontier runs
-    until its candidates run out.
-    """
-    p, n = phi.block_count, phi.block_len
-    floor = gram_floor(p * n, n, eps_rel) * float(np.trace(phi.grams, axis1=1, axis2=2).sum())
-    level, first, frontier, groups, ahead = 0, (), [()], [], p
-    while True:
-        yield level, first, ahead
-        if not ahead:
-            return
-        if level == 0:
-            candidates = [(e,) for e in range(p)]
-        else:
-            kept = set(frontier)
-            candidates = [prefix + (a, b) for prefix, lasts in groups
-                          for i, a in enumerate(lasts) for b in lasts[i + 1:]
-                          if all(prefix[:j] + prefix[j + 1:] + (a, b) in kept
-                                 for j in range(level - 1))]
-        level, first, frontier = level + 1, None, []
-        if candidates:
-            svd = _svd_sigma_min(phi, np.array(candidates, dtype=np.intp), eps_rel)
-            if svd.min() == 0.0:  # sigma_min is 0 exactly at a rank-deficient selection
-                first = candidates[int(np.argmin(svd))]
-            frontier = [candidates[i] for i in np.flatnonzero(~(svd * svd > floor))]
-        # the frontier is lexicographic, so selections sharing all but their last member
-        # are adjacent
-        groups = [(prefix, [s[-1] for s in group])
-                  for prefix, group in itertools.groupby(frontier, key=lambda s: s[:-1])]
-        ahead = sum(math.comb(len(lasts), 2) for _, lasts in groups)
-
-
 def _index_scan(phi: CodingMatrix, eps_rel: float):
     """The cospark and the 0-based members of the lexicographically first rank-deficient
     selection of the largest size that holds one (the empty selection, of rank 0 < n, at
     the least).
 
-    Two frontiers close in on that size.  The downward one runs :func:`_selection_scan` on
-    the sizes p, p - 1, ... and ends at the first size holding a deficient selection; the
-    upward one is :func:`_upward_levels`.  Each round advances the frontier whose next level
-    holds fewer selections (the upward one's counted by its joins; the upward on a tie), and
-    the scan ends when either one ends or they meet, every size then decided.  Alone, the
-    downward frontier decides every selection above the index (all ``2^p`` at index p) and
-    the upward one every subset of a deficient selection (``2^(p - 1)`` when one sensor
-    alone sees a mode); together each round spends only the smaller of the two next levels.
+    Two frontiers close in on that size, each round advancing the one whose next level holds
+    fewer selections (the upward one's counted by its joins; the upward on a tie).  Alone, the
+    downward one decides every selection above the index, the upward one every set of deficient
+    groups.  The downward one runs :func:`_selection_scan` on the sizes p, p - 1, ... and ends at
+    the first size holding a deficient selection.  The upward one is an Apriori frontier
+    (Agrawal & Srikant, VLDB 1994) over sets T of ``phi.groups``: level k tests the k-sets whose
+    (k - 1)-subsets all stayed in it, by the SVD of ``full(T)``, every block of its groups, and
+    of ``first(T)``, the first block of each (one SVD when they agree).  A group sees one
+    subspace, so in exact arithmetic a selection has the rank of its closure ``full(T)``: the
+    answer is the heaviest deficient ``full(T)`` (``w(T)`` blocks), lexicographically first on
+    ties.  Sets untested after level k have more than k groups, so the scan also ends once the
+    downward frontier has cleared the sizes above k.
+
+    By Weyl, a selection touching all of T's groups has ``sigma_min^2`` at least ``first(T)``'s
+    less ``m = 2 |T| tau``.  No SVD floor exceeds ``f |Phi|_2``, ``f = max(pn, n) eps_rel``, so T
+    is strong, and prunes its supersets, when that bound clears ``gram_floor(pn, n)
+    tr(Phi'Phi)`` (``tr >= |Phi|_2^2``); any other T stays, so every group set of a deficient
+    selection is tested.  The SVD rule is not down-closed (on ``[1e-10 I; diag(1e4, 0)]``,
+    ``{1}`` is full rank and ``{1, 2}`` deficient), so a full-rank ``full(T)`` certifies its
+    smaller members only when the bound clears ``gram_floor(w(T) n, n) |full(T)|_F^2`` too.
+    Otherwise T is weak, and may hide a deficient member of fewer than ``w(T)`` blocks: when
+    the heaviest weak ``w(T)`` exceeds the answer's, the downward frontier resumes at
+    ``w(T) - 1`` blocks (or its own next size, if smaller).  Every decision is the SVD's.
     """
-    p = phi.block_count
-    upward = _upward_levels(phi, eps_rel)
-    level, first, ahead = next(upward)
-    found, top = (level, first), p  # the sizes above top hold no deficient selection
-    while ahead and level < top:
-        if math.comb(p, top) < ahead:
-            deficient = _selection_scan(phi, top, eps_rel)[1]
-            if deficient is not None:
-                return p - top, deficient
-            top -= 1
-        else:
-            level, first, ahead = next(upward)
-            if first is not None:
-                found = (level, first)
-    return p - found[0], found[1]
+    p, n, groups = phi.block_count, phi.block_len, phi.groups
+    labels, firsts = _places(phi)[0], np.array([group[0] for group in groups], dtype=np.intp)
+    best, hidden = (0, ()), 0  # (-w, full(T)) of the heaviest deficient T; heaviest weak w
+    top, level, ahead = p, 0, len(groups)  # no deficient selection has more than top blocks
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed Gram decides nothing
+        traces = np.trace(phi.grams, axis1=1, axis2=2)
+        strong_floor = gram_floor(p * n, n, eps_rel) * float(traces.sum())
+        while True:
+            if not ahead or level >= top:  # the upward frontier is done
+                if hidden <= -best[0]:
+                    return p + best[0], best[1]
+                top, ahead = min(top, hidden - 1), 0  # a weak T may hide a smaller member
+            if not ahead or math.comb(p, top) < ahead:
+                deficient = _selection_scan(phi, top, eps_rel)[1]
+                if deficient is not None:
+                    return p - top, deficient
+                top -= 1
+                continue
+            if level:
+                candidates = [prefix + (a, b) for prefix, lasts in pairs
+                              for i, a in enumerate(lasts) for b in lasts[i + 1:]
+                              if all(prefix[:j] + prefix[j + 1:] + (a, b) in kept
+                                     for j in range(level - 1))]
+            else:
+                candidates = [(j,) for j in range(len(groups))]
+            level += 1
+            sets = np.array(candidates, dtype=np.intp).reshape(len(candidates), level)
+            inside = (labels[:, None] == sets[:, None, :]).any(axis=2)  # the blocks of full(T)
+            weight = np.count_nonzero(inside, axis=1)
+            svd, own = np.empty((2, len(sets)))
+            for w in np.unique(weight).tolist():
+                rows = np.flatnonzero(weight == w)
+                full = np.nonzero(inside[rows])[1].reshape(len(rows), w)
+                svd[rows] = _svd_sigma_min(phi, full, eps_rel)
+                own[rows] = gram_floor(w * n, n, eps_rel) * traces[full].sum(axis=1)
+            first, split = svd.copy(), np.flatnonzero(weight > level)  # else first(T) = full(T)
+            if len(split):
+                first[split] = _svd_sigma_min(phi, firsts[sets[split]], eps_rel)
+            bound = first * first - _margin(phi, level)
+            if (svd == 0.0).any():  # candidate order is full(T)'s order at equal weight
+                i = int(np.argmax(np.where(svd == 0.0, weight, -1)))
+                best = min(best, (-int(weight[i]), tuple(np.flatnonzero(inside[i]).tolist())))
+            weak = (svd > 0.0) & ~(bound > own) & (weight > level)  # with a member of its own
+            hidden = max(hidden, int(weight[weak].max(initial=0)))
+            frontier = [candidates[i] for i in np.flatnonzero(~(bound > strong_floor))]
+            kept = set(frontier)
+            # the frontier is lexicographic, so sets sharing all but their last group are adjacent
+            pairs = [(prefix, [t[-1] for t in same])
+                     for prefix, same in itertools.groupby(frontier, key=lambda t: t[:-1])]
+            ahead = sum(math.comb(len(lasts), 2) for _, lasts in pairs)
 
 
 def stacked_cospark(phi: CodingMatrix, eps_rel: float = DEFAULT_EPS_REL) -> int:
     """Minimum number of nonzero blocks of ``phi @ x`` over nonzero ``x``.
 
-    Equals the smallest ``q`` for which ``phi`` is not q-error detectable, found by
-    two frontiers of selection sizes, one from p down and one from 0 up.
+    Equals the smallest ``q`` for which ``phi`` is not q-error detectable: ``p`` less the
+    size of the largest deficient selection, found by two frontiers, one of selection sizes
+    from p down and one of group sets (sensor subspaces) from the single groups up.
     """
     return _index_scan(phi, eps_rel)[0]
 

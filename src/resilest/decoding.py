@@ -140,6 +140,17 @@ def block_misfits(phi: CodingMatrix, z: np.ndarray, estimates: np.ndarray) -> np
     return np.sqrt(np.add.reduce(resid * resid, axis=1)).T
 
 
+def _scaled_misfits(phi: CodingMatrix, z: np.ndarray, estimates: np.ndarray) -> np.ndarray:
+    """:func:`block_misfits`, but a finite block whose squares overflow (near 1e200) reads its
+    ``math.hypot``: the offline search and certificate read it, the online step does not."""
+    misfits = block_misfits(phi, z, estimates)
+    for row, block in zip(*np.nonzero(np.isinf(misfits))):
+        part = z[block] - phi.blocks[block] @ estimates[row]
+        if np.isfinite(part).all():
+            misfits[row, block] = math.hypot(*part)
+    return misfits
+
+
 def violations(misfits: np.ndarray, threshold: float) -> np.ndarray:
     """Blocks whose misfit is not both finite and within ``threshold``."""
     return ~(misfits <= min(threshold, sys.float_info.max))
@@ -180,7 +191,7 @@ class CandidateStack:
         z = _shaped(z, self.phi.blocks.shape[:2], "measurement (p, n)")
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite misfits violate by design
             estimates = self.estimates(z)
-            violating = violations(block_misfits(self.phi, z, estimates), threshold)
+            violating = violations(_scaled_misfits(self.phi, z, estimates), threshold)
         counts = np.count_nonzero(violating, axis=1)
         best = int(np.argmin(counts))
         support = tuple(int(i) + 1 for i in np.flatnonzero(violating[best]))
@@ -188,10 +199,9 @@ class CandidateStack:
 
 
 def default_support_tol(z: np.ndarray) -> float:
-    """Round-off tolerance for residual blocks, scaled by the finite entries of ``z`` only."""
-    finite = z[np.isfinite(z)]
-    with np.errstate(over="ignore"):  # an overflowing norm gives an infinite tolerance
-        return math.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(finite)))
+    """Round-off tolerance for residual blocks, scaled by the norm of the finite entries of
+    ``z`` only (``math.hypot``, which scales before it squares, so it is finite)."""
+    return math.sqrt(np.finfo(float).eps) * (1.0 + math.hypot(*z[np.isfinite(z)].tolist()))
 
 
 def _decoded(phi: CodingMatrix, z: np.ndarray, q: int, r: int, threshold: float,
@@ -275,7 +285,8 @@ def certify_estimate(
     r = decoder_budget(q, r, constants)
     if constants is None:
         constants = robustness_constants(phi, q, r)
-    misfits = block_misfits(phi, z, x_hat[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite misfits violate by design
+        misfits = _scaled_misfits(phi, z, x_hat[None, :])
     count = int(np.count_nonzero(violations(misfits, constants.theta * v_max)))
     return count <= q, count
 

@@ -91,12 +91,14 @@ class CodingMatrix:
         return self.entries.reshape(self.block_count, self.block_len, self.block_len)
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # finite entries near 1e200 overflow
     def grams(self) -> np.ndarray:
         """Gram table ``B_i'B_i`` of the row slabs, ``(block_count, n, n)``, formed once."""
         blocks = self.blocks
         return blocks.transpose(0, 2, 1) @ blocks
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowed G_i groups with no block
     def groups(self) -> tuple[tuple[int, ...], ...]:
         """0-based blocks sharing a sensor subspace, ordered by their first block.
 
@@ -123,6 +125,7 @@ class CodingMatrix:
         return tuple(map(tuple, groups))
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # NaN gaps for an overflowed G_i
     def group_spread(self) -> float:
         """The largest Frobenius distance of a block's ``G_i`` from its group's first (0 when
         every group is a singleton): no more than ``tau``."""

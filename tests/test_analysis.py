@@ -172,29 +172,21 @@ def test_stacked_cospark_equals_selection_loop(seed, n, p, style, eps_rel):
     assert stacked_cospark(phi, eps_rel) == reference_cospark(phi, eps_rel)
 
 
-def upward_alone(phi, eps_rel=DEFAULT_EPS_REL):
-    """The cospark and the deficient selection (1-based) of the upward frontier alone: its
-    last level with a deficient selection, up to the first with no next level."""
-    for level, first, ahead in analysis._upward_levels(phi, eps_rel):
-        if first is not None:
-            found = (level, first)
-        if not ahead:
-            break
-    size, first = found
-    return phi.block_count - size, IndexSet(tuple(i + 1 for i in first), phi.block_count)
+def index_scan(phi, eps_rel=DEFAULT_EPS_REL):
+    """The cospark and the deficient selection (1-based) of the group-set index scan."""
+    cospark, deficient = analysis._index_scan(phi, eps_rel)
+    return cospark, IndexSet(tuple(i + 1 for i in deficient), phi.block_count)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(0, 7),
        style=CODING_STYLES, eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]))
-def test_each_frontier_finds_the_reference_selection(seed, n, p, style, eps_rel):
-    # the upward frontier alone and the two-frontier scan both give the cospark and the first
-    # deficient selection of the per-selection loop ("near" gives many weakly full-rank ones)
+def test_index_scan_finds_the_reference_selection(seed, n, p, style, eps_rel):
+    # the group-set scan gives the cospark and the first deficient selection of the
+    # per-selection loop ("near" gives many weakly full-rank ones)
     phi = CodingMatrix(random_coding_entries(seed, n, p, style), n, p)
     want = reference_first_deficient(phi, eps_rel)
-    assert upward_alone(phi, eps_rel) == (p - len(want), want)
-    cospark, deficient = analysis._index_scan(phi, eps_rel)
-    assert (cospark, IndexSet(tuple(i + 1 for i in deficient), p)) == (p - len(want), want)
+    assert index_scan(phi, eps_rel) == (p - len(want), want)
 
 
 @pytest.mark.parametrize("blocks", [
@@ -204,22 +196,56 @@ def test_each_frontier_finds_the_reference_selection(seed, n, p, style, eps_rel)
 @pytest.mark.parametrize("stack_floats", [analysis._STACK_FLOATS, 1])
 def test_upward_frontier_keeps_weakly_full_rank_selections(monkeypatch, blocks, stack_floats):
     # the SVD rule is not down-closed: {1, 2} is deficient under its floor 4 eps_rel sigma_max
-    # while {1} is full rank under 2 eps_rel sigma_max (in the second case {2} as well, so
-    # level 1 holds no deficient selection at all).  A frontier of deficient selections alone
-    # would never test {1, 2}, and read index 1, or 2.  With one selection per SVD slice,
-    # the level's first deficient selection is read across the slices
+    # while {1} is full rank under 2 eps_rel sigma_max (in the second case {2} as well, and
+    # the two blocks form one group, whose first block alone is full rank).  A frontier of
+    # deficient group sets alone would never test {1, 2}, and read index 1; a scan of first
+    # blocks alone would read 2.  With one selection per SVD slice, the level's first
+    # deficient selection is read across the slices
     monkeypatch.setattr(analysis, "_STACK_FLOATS", stack_floats)
     phi = CodingMatrix.from_blocks(blocks)
     want = reference_first_deficient(phi)
     assert want == IndexSet((1, 2), 2)
-    assert upward_alone(phi) == (0, want)
+    assert index_scan(phi) == (0, want)
+
+
+def test_a_weak_group_set_heavier_than_the_answer_sends_the_index_to_the_selection_scan(
+        monkeypatch):
+    # eight blocks within about 1e-12 of rank 3, so every SVD reads near its floor.  The
+    # heaviest deficient selection of whole groups is {1, 2, 3, 4, 7} (the groups {1, 3},
+    # {2, 4} and {7}), but the 6-selection {1, 2, 3, 4, 5, 7} is deficient too: a member of
+    # the full-rank {1, 2, 3, 4, 5, 7, 8}, whose first blocks do not clear its floor.  The
+    # downward frontier clears the sizes 8 and 7 between the upward levels; when the upward
+    # one ends, it resumes below that weak set, at 6 blocks, and finds the per-selection
+    # loop's
+    phi = source_matrix(2752653453, 4, 8, ("subspaces", "near"))
+    assert phi.groups == ((0, 2), (1, 3), (4, 7), (5,), (6,))
+    assert analysis._selection_scan(phi, 5, DEFAULT_EPS_REL)[1] == (0, 1, 2, 3, 6)
+    sizes = scanned_sizes(monkeypatch)
+    want = reference_first_deficient(phi)
+    assert want == IndexSet((1, 2, 3, 4, 5, 7), 8)
+    assert index_scan(phi) == (2, want)
+    assert sizes == [8, 7, 6]
+
+
+def test_the_downward_frontier_resumes_below_the_heaviest_weak_group_set(monkeypatch):
+    # three blocks with singular values 3.8 and 1.2e-10, one subspace to within 6e-15, form
+    # one group: the upward frontier reads its one set first (a tie with the one 3-selection),
+    # full rank but too close to its floor to certify its members.  A member has fewer than
+    # the three blocks, so the downward frontier starts at size 2; only the empty selection
+    # is deficient
+    phi = source_matrix(3780837793, 2, 3, ("subspaces", "near"))
+    assert phi.groups == ((0, 1, 2),)
+    sizes = scanned_sizes(monkeypatch)
+    assert reference_first_deficient(phi) == IndexSet((), 3)
+    assert index_scan(phi) == (3, IndexSet((), 3))
+    assert sizes == [2, 1, 0]
 
 
 def decided_selections(monkeypatch):
     """Returns a callable giving the number of selections the rank scans decided since its
-    last call, each counted once: the downward scan's chunks go to ``_floor_test`` and those
-    it fails on to ``_svd_sigma_min``, the upward frontier's to ``_svd_sigma_min`` alone.  So
-    each is decided by a floor test that passes or by one SVD (a scan's SVD confirmation of
+    last call, each counted once: the selection scan's chunks go to ``_floor_test`` and those
+    it fails on to ``_svd_sigma_min``, the index scan's group sets to ``_svd_sigma_min`` alone.
+    So each is decided by a floor test that passes or by one SVD (a scan's SVD confirmation of
     its winner decides nothing, and is not counted)."""
     certified, failed, svd = [], [], []
     floor_test, svd_sigma_min = analysis._floor_test, analysis._svd_sigma_min
@@ -250,16 +276,18 @@ def test_index_scan_decides_few_selections(monkeypatch, inertia_chain):
     count = decided_selections(monkeypatch)
     rng = np.random.default_rng(20)
     # every sensor of a dense model sees every mode: the downward frontier alone would decide
-    # all 2^20 selections, the upward one ends at the single sensors
+    # all 2^20 selections.  Its 20 blocks form one group, so the upward frontier's one group
+    # set comes first (a tie with the one 20-selection), read through the full selection and
+    # the first block, which is strong
     dense = coding_matrix(SystemModel(A=rng.normal(size=(4, 4)), B=np.zeros((4, 1)),
                                       C=rng.normal(size=(20, 4))))
-    # (its one group makes the full selection one count vector; the single sensors are 20)
     assert stacked_cospark(dense) == 20
-    assert count() == 1 + 20
-    # sensor 1 alone sees the fourth mode: the upward frontier alone would decide every subset
-    # of the other 13 sensors, the downward one ends at size 13.  The other 13 share one
-    # subspace, so size 14 is one count vector and size 13 two, {1} with 12 of the rest and
-    # the 13 alone, which is deficient
+    assert count() == 1 + 1
+    # sensor 1 alone sees the fourth mode, and the other 13 share one subspace.  The
+    # selection scan reads size 14 as one count vector and size 13 as two, {1} with 12 of
+    # the rest and the 13 alone, which is deficient.  The index scan certifies size 14
+    # downward, then reads upward the group {1} (one selection), the group of the other 13
+    # (the 13 and its first block) and both groups (the 14 and the two first blocks)
     C = np.zeros((14, 4))
     C[0, 3] = 1.0
     C[1:, :3] = rng.normal(size=(13, 3))
@@ -269,12 +297,33 @@ def test_index_scan_decides_few_selections(monkeypatch, inertia_chain):
     downward = count()
     assert downward == 1 + 2
     assert stacked_cospark(lone) == 1
-    assert count() == downward + 14
-    # the 1 ms eight-inertia chain (p = 15, index 8): 22,819 selections downward alone.  The
-    # downward frontier certifies the 1 + 4 count vectors of sizes 15 and 14, the upward one
-    # decides 135 selections by SVD
-    assert stacked_cospark(coding_matrix(inertia_chain(8, 0.001))) == 8
-    assert count() == 5 + 135
+    assert count() == 1 + 3 + 2
+    # the 1 ms eight-inertia chain (p = 15, index 8; 22,819 selections by size alone): groups
+    # of 8, 4, 2 and 1 blocks.  The downward frontier certifies the full selection; upward,
+    # the eight angles' group is strong, and each of the 7 sets of the other three groups
+    # takes the SVD of its full selection, and of its first blocks when those differ (all
+    # but {12})
+    chain = coding_matrix(inertia_chain(8, 0.001))
+    assert [len(group) for group in chain.groups] == [8, 4, 2, 1]
+    assert stacked_cospark(chain) == 8
+    assert count() == 1 + 2 + 7 + 6
+
+
+def test_index_scan_stops_downward_on_distinct_subspaces(monkeypatch):
+    # block 1 sees e3 alone, and blocks 2..20 each a distinct direction in span(e1, e2): 20
+    # singleton groups, every one deficient, and index 1.  The upward frontier alone would
+    # take the SVD of every set of blocks 2..20 (2^19 - 1), each deficient.  The downward one
+    # certifies the 20-selection, the upward one reads the 20 single groups, and then the
+    # 190 pairs outnumber the 20 selections of size 19, which the downward frontier reads by
+    # the SVD and finds {2, ..., 20} deficient
+    count = decided_selections(monkeypatch)
+    angles = np.linspace(0.0, np.pi, 19, endpoint=False)
+    blocks = [np.diag([0.0, 0.0, 1.0])] + [
+        np.array([[np.cos(a), np.sin(a), 0.0], [0.0] * 3, [0.0] * 3]) for a in angles]
+    phi = CodingMatrix.from_blocks(blocks)
+    assert len(phi.groups) == 20
+    assert index_scan(phi) == (1, IndexSet(tuple(range(2, 21)), 20))
+    assert count() == 1 + 20 + 20
 
 
 def test_floor_test_refuses_nonfinite_grams(monkeypatch):
@@ -468,6 +517,31 @@ def test_security_index_equals_eigenvector_oracle_on_1ms_chains(inertia_chain, N
     # round-off; the staircase bases keep every rank
     model = inertia_chain(N, 0.001)
     assert security_index(model) == security_index_eigenvector(model) == N
+
+
+@pytest.mark.parametrize(("N", "groups"), [(12, 7), (16, 5), (20, 7)])
+def test_security_index_reads_few_group_sets_on_10ms_chains(monkeypatch, inertia_chain, N,
+                                                             groups):
+    # p = 23, 31 and 39 sensors in 7, 5 and 7 subspaces.  Each group set the frontier reaches
+    # takes at most two SVD'd selections, its full selection and its first blocks, so the
+    # index reads at most 2 2^g selections.  The witness is the N absolute angles, the
+    # complement of the N - 1 angle differences
+    model = inertia_chain(N, 0.01)
+    z = coding_matrix(model)
+    assert len(z.groups) == groups
+    decided = []
+    svd_sigma_min = analysis._svd_sigma_min
+
+    def spy_svd(phi, members, eps_rel):
+        decided.append(len(members))
+        return svd_sigma_min(phi, members, eps_rel)
+
+    monkeypatch.setattr(analysis, "_svd_sigma_min", spy_svd)
+    assert security_index(model) == security_index_eigenvector(model) == N
+    assert sum(decided) <= 2 * 2 ** groups
+    index, deficient = analysis._index_scan(z, DEFAULT_EPS_REL)
+    witness = IndexSet(tuple(i + 1 for i in deficient), z.block_count).complement()
+    assert (index, witness) == (N, IndexSet(tuple(range(1, N + 1)), z.block_count))
 
 
 def test_coding_matrix_is_the_estimators_phi_bit_for_bit(three_inertia, inertia_chain):
@@ -785,6 +859,21 @@ def test_constants_of_overflowing_gram_sums_equal_the_per_selection_references(s
                         robustness_constants(phi, q, r)
                 else:
                     assert robustness_constants(phi, q, r) == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(1, 7))
+def test_index_of_overflowing_gram_sums_equals_the_per_selection_reference(seed, n, p):
+    # the same entries: the index scan's Gram traces and squared sigma_min overflow, so no
+    # group set is strong or certifies its members, and the index is still the per-selection
+    # loop's; no overflow warning escapes (warnings fail the suite)
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((n * p, n))
+    big = rng.random(entries.shape) < 0.5
+    entries[big] *= 10.0 ** rng.uniform(150, 300, size=np.count_nonzero(big))
+    phi = CodingMatrix(entries, n, p)
+    want = reference_first_deficient(phi)
+    assert index_scan(phi) == (p - len(want), want)
 
 
 def scanned_sizes(monkeypatch):
@@ -1116,7 +1205,8 @@ def test_rho_scans_read_few_eigenvalues_on_1ms_chains(monkeypatch, inertia_chain
     # 6,945 on N = 8 (14, 13, 12, 11, 9).  They hold 37 and 78 count vectors (on N = 8, 4 + 9 +
     # 15 + 21 + 29), and each size's representatives fit one chunk, so the scans read the
     # eigenvalues of each representative once.  Besides them, the index scan's downward
-    # frontier reads the sizes p and p - 1, and the gains' floor test the sizes p - q
+    # frontier reads the size p (its groups' sets take the SVD), and the gains' floor test
+    # the sizes p - q
     phi = coding_matrix(inertia_chain(N, 0.001))
     p = phi.block_count
     assert sum(count_vectors(phi, size) for size in (p - 1, p - 2, p - 3, p - 4, p - 6)) == read
@@ -1131,9 +1221,9 @@ def test_rho_scans_read_few_eigenvalues_on_1ms_chains(monkeypatch, inertia_chain
     rep = analyze(inertia_chain(N, 0.001))
     index, correctable, constants = CHAIN_1MS_REPORTS[N]
     assert (rep.security_index, rep.max_correctable_q) == (index, correctable)
-    downward = count_vectors(phi, p) + count_vectors(phi, p - 1)
+    downward = count_vectors(phi, p)
     gains = sum(count_vectors(phi, p - q) for q in range(1, correctable + 1))
-    assert (downward, gains) == {7: (1 + 3, 3 + 5 + 7), 8: (1 + 4, 4 + 9 + 15)}[N]
+    assert (downward, gains) == {7: (1, 3 + 5 + 7), 8: (1, 4 + 9 + 15)}[N]
     assert sum(counts) == read + downward + gains
 
 
@@ -1510,25 +1600,27 @@ def test_analyze_scans_each_selection_size_once(monkeypatch, three_inertia):
     assert (rep.security_index, sorted(rep.per_q_constants)) == (7, [1, 2, 3])
     # (route, selection size, selections) per call.  Every sensor of a dense model sees the
     # whole state, so the seven blocks form one group and each size one count vector.  The
-    # index scan's downward frontier clears the one 7-selection, then the upward frontier's
-    # SVD finds the seven single sensors strong, which prunes every larger selection.  The
-    # constants scan the sizes whose rho they read (rho_2q, then rho of q = 1, 2, 3; q = 2's
-    # rho is q = 1's rho_2q), each once, and the gains of q = 1, 2, 3 read the one
-    # representative of sizes 6, 5, 4; every chunk clears the floor
+    # index scan's upward frontier comes first (its one group set ties with the one
+    # 7-selection) and takes the SVD of the group's full selection and of its first block,
+    # which is strong.  The constants scan the sizes whose rho they read (rho_2q, then rho of
+    # q = 1, 2, 3; q = 2's rho is q = 1's rho_2q), each once, and the gains of q = 1, 2, 3
+    # read the one representative of sizes 6, 5, 4; every chunk clears the floor
     assert analysis.coding_matrix(dense).groups == (tuple(range(7)),)
-    assert routes == [("gram", 7, 1), ("clear", 1), ("svd", 1, 7)] + [
+    assert routes == [("svd", 7, 1), ("svd", 1, 1)] + [
         step for size in (5, 6, 6, 3, 5, 1, 4, 4) for step in (("gram", size, 1), ("clear", 1))]
-    assert sizes == [7, 5, 6, 3, 1, 4]
-    assert spectra == [1] * 9
+    assert sizes == [5, 6, 3, 1, 4]
+    assert spectra == [1] * 8
     sizes.clear()
     routes.clear()
     with pytest.raises(CorrectabilityError):  # q = 2 needs 1-block selections: one new scan
         analyze(three_inertia, constants_q=2)
-    # the full selection downward, then upward the five single sensors and the three
-    # candidate pairs, after which no 3-selection is a candidate; last, rho_2q's scan of the
-    # single sensors: one representative of each of the groups {1, 3}, {2} and {4, 5}, whose
-    # eigenvalues do not clear the floor, and whose SVD reads each deficient
+    # the index scan's downward frontier clears the one 5-selection; then upward the single
+    # groups: {2} by one SVD, {1, 3} and {4, 5} by their pairs and then their first blocks,
+    # of which {1} is strong; then {2} with {4, 5}, by the three and then {2, 4}, after which
+    # no set of three groups is a candidate.  Last, rho_2q's scan of the single sensors: one
+    # representative of each group, whose eigenvalues do not clear the floor, and whose SVD
+    # reads each deficient
     assert analysis.coding_matrix(three_inertia).groups == ((0, 2), (1,), (3, 4))
-    assert routes == [("gram", 5, 1), ("clear", 1), ("svd", 1, 5), ("svd", 2, 3),
-                      ("gram", 1, 3), ("below", 3), ("svd", 1, 3)]
+    assert routes == [("gram", 5, 1), ("clear", 1), ("svd", 1, 1), ("svd", 2, 2), ("svd", 1, 2),
+                      ("svd", 3, 1), ("svd", 2, 1), ("gram", 1, 3), ("below", 3), ("svd", 1, 3)]
     assert sizes == [5, 1]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compacted
+from resilest import decoding
 from resilest._linalg import pinv
 from resilest.analysis import (
     CorrectabilityError,
@@ -264,6 +265,31 @@ def test_block_misfits_equal_the_block_norms_byte_for_byte(seed, specials):
         want = np.linalg.norm(resid, axis=1).T
         got = block_misfits(phi, z, estimates)
     assert got.shape == want.shape == (rows, p) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       specials=st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 1e200, -1e200]),
+                         max_size=6))
+def test_scaled_misfits_read_overflowing_finite_blocks_finite(seed, specials):
+    # the offline search and certificate read block_misfits byte for byte, except a finite
+    # block whose squares overflow: its math.hypot, where block_misfits reads inf
+    rng = np.random.default_rng(seed)
+    n, p, rows = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    phi = CodingMatrix(rng.normal(size=(n * p, n)), n, p)
+    z, estimates = rng.normal(size=(p, n)), rng.normal(size=(rows, n))
+    for value in specials:
+        target = z if rng.random() < 0.75 else estimates
+        target.flat[rng.integers(target.size)] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = (z.reshape(-1, 1) - phi.entries @ estimates.T).reshape(p, n, rows)
+        want = block_misfits(phi, z, estimates)
+        got = decoding._scaled_misfits(phi, z, estimates)
+    overflowed = np.isinf(want) & np.isfinite(resid).all(axis=1).T
+    norms = [math.hypot(*resid[i, :, row]) for row, i in zip(*np.nonzero(overflowed))]
+    np.testing.assert_allclose(got[overflowed], norms, rtol=4 * np.finfo(float).eps, atol=0.0)
+    want[overflowed] = got[overflowed]
     assert got.tobytes() == want.tobytes()
 
 
@@ -562,6 +588,15 @@ def test_certify_true_state_clean():
     z = sv(phi.entries @ x, 2, 5)
     ok, count = certify_estimate(phi, z, x, q=1, v_max=1e-6)
     assert ok and count == 0
+
+
+def test_certify_estimate_near_1e200_without_warnings():
+    # the misfits of an estimate one rounding off the truth (about 1e185) square to inf: each
+    # is read finite, within theta v_max at that scale, and no overflow warning escapes
+    entries = 1e200 * np.random.default_rng(1).standard_normal((15, 3))
+    phi = CodingMatrix(entries, 3, 5)
+    z = sv(entries @ np.ones(3), 3, 5)
+    assert certify_estimate(phi, z, np.full(3, 1.0 + 1e-15), q=1, v_max=1e190) == (True, 0)
 
 
 # ---------------------------------------------------------------------------

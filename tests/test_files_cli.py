@@ -351,17 +351,24 @@ def test_cli_decode_refuses_impossible_q(tmp_path, capsys):
 
 def test_cli_decode_certifies_a_coding_matrix_whose_gram_sums_overflow(tmp_path, capsys):
     # entries near 1e200 are finite, but their Gram sums overflow: the constants' scans must
-    # send those sums to the SVD, not to eigvalsh, which fails to converge on them
+    # send those sums to the SVD, not to eigvalsh, which fails to converge on them.  The clean
+    # measurement's round-off misfits (about 1e185) square to inf, yet no block violates:
+    # without a noise bound, nor under one at that scale.  Under v_max = 0.1 every block
+    # violates theta v_max, and the estimate is not certified.  No warning reaches stderr
     entries = 1e200 * np.random.default_rng(1).standard_normal((15, 3))
     phi, z = tmp_path / "phi.csv", tmp_path / "z.csv"
     np.savetxt(phi, entries, delimiter=",", fmt="%.17g")
     np.savetxt(z, entries @ np.ones(3), fmt="%.17g")
-    argv = ["decode", "--phi", str(phi), "--z", str(z), "--q", "1", "--vmax", "0.1"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert "error_bound: " in captured.out
+    argv = ["decode", "--phi", str(phi), "--z", str(z), "--q", "1"]
+    runs = {(): ("{}", "true"), ("--vmax", "1e190"): ("{}", "true"),
+            ("--vmax", "0.1"): ("{1,2,3,4,5}", "false")}
+    for vmax, want in runs.items():
+        assert main(argv + list(vmax)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = dict(line.split(": ", 1) for line in captured.out.splitlines())
+        assert (out["support"], out["certified"]) == want
+        assert ("error_bound" in out) == bool(vmax)
 
 
 @pytest.mark.parametrize("vmax", ["nan", "inf", "-1"])
