@@ -24,7 +24,6 @@ from .analysis import (
     stacked_cospark,
 )
 from .decoding import (
-    CandidateStack,
     DecodeResult,
     DetectionResult,
     certify_estimate,

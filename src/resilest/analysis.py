@@ -405,11 +405,12 @@ def _floor_test(grams: np.ndarray, floor: float, margin: float):
     return lam, lam[:, 0] - margin > floor * (lam[:, -1] + margin)  # False for NaN
 
 
-def _selection_scan(phi: CodingMatrix, size: int,
-                    eps_rel: float) -> tuple[float, tuple[int, ...] | None]:
-    """The smallest ``sigma_min`` over the ``size``-selections and the 0-based members of the
-    lexicographically first rank-deficient one: ``(0.0, members)`` when one is deficient,
-    ``(sigma_min, None)`` otherwise.
+def _selection_scan(phi: CodingMatrix, size: int, eps_rel: float
+                    ) -> tuple[float, tuple[int, ...] | None, np.ndarray | None]:
+    """The smallest ``sigma_min`` over the ``size``-selections, the 0-based members of the
+    lexicographically first rank-deficient one, and the certified representative whose
+    eigenvalue gave that minimum: ``(0.0, members, None)`` when one is deficient,
+    ``(sigma_min, None, winner)`` otherwise, with ``winner`` None when an SVD gave it.
 
     Detectability, the security index's downward frontier and rho and rho_2q share it.  A chunk
     of representatives whose every ``G_S`` passes the floor test (:func:`_floor_test`) is full
@@ -418,7 +419,8 @@ def _selection_scan(phi: CodingMatrix, size: int,
     floor expanded to its members.  Representatives come in lexicographic order and each is its
     count vector's first member, so the scan stops at a chunk holding a deficient
     representative, or at one whose first representative follows the first deficient member
-    already found.  A minimum read from eigenvalues is confirmed by its winner's SVD value.
+    already found.  Only rho reads the value, and confirms an eigenvalue minimum by its
+    winner's SVD (:func:`_constants`).
     """
     n = phi.block_len
     floor, margin = gram_floor(size * n, n, eps_rel), _margin(phi, size)
@@ -443,11 +445,7 @@ def _selection_scan(phi: CodingMatrix, size: int,
         found = min(deficient, default=None)
         if (svd == 0.0).any():
             break
-    if found is not None:
-        return 0.0, found
-    if winner is not None:
-        rho = float(sigma_min(phi.selection_stack(winner[None]), eps_rel)[0])
-    return rho, None
+    return (0.0, found, None) if found is not None else (rho, None, winner)
 
 
 def _svd_sigma_min(phi: CodingMatrix, members: np.ndarray, eps_rel: float) -> np.ndarray:
@@ -674,7 +672,10 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
 
     def rho_of(size: int) -> float:
         if size not in rhos:
-            rhos[size] = _selection_scan(phi, size, eps_rel)[0]
+            rho, _, winner = _selection_scan(phi, size, eps_rel)
+            if winner is not None:  # an eigenvalue minimum: its winner's SVD value
+                rho = float(sigma_min(phi.selection_stack(winner[None]), eps_rel)[0])
+            rhos[size] = rho
         if rhos[size] == 0.0:
             raise CorrectabilityError("constants undefined: correctability violated "
                                       f"(a {size}-block selection is rank deficient)",

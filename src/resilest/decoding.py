@@ -7,7 +7,8 @@ Detection projects ``z`` onto the range of ``Phi`` and inspects the residual
 per block.  Decoding searches the finite candidate set obtained by least-squares
 solves on all (p - r)-block selections and picks the candidate violating the
 fewest per-block thresholds; ties break on the lexicographically smallest
-selection for reproducibility.
+selection for reproducibility.  The selections are solved a chunk at a time, in
+the one candidate walk the online minimizer also takes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .analysis import (
     CorrectabilityError,
     RobustnessConstants,
     SystemModel,
+    _per_chunk,
     decoder_budget,
     is_q_error_correctable,
     observability_matrix,
@@ -88,11 +90,12 @@ def residual_detect_noiseless(
     if tol is None:
         tol = default_support_tol(z)
     x_hat, residual = _projection_residual(phi, z)
+    norms = _scaled_misfits(phi, z, x_hat[None, :])[0]
     return DetectionResult(
         residual=residual,
-        attacked=bool(violations(np.linalg.norm(residual), tol)),
+        attacked=bool(violations(np.float64(math.hypot(*norms)), tol)),
         estimate=x_hat,
-        per_block_residual_norms=np.linalg.norm(residual, axis=1),
+        per_block_residual_norms=norms,
         threshold=tol,
     )
 
@@ -111,7 +114,7 @@ def residual_detect_noisy(
     z = _shaped(z, phi.blocks.shape[:2], "measurement (p, n)")
     _check_v_max(v_max)
     x_hat, residual = _projection_residual(phi, z)
-    norms = np.linalg.norm(residual, axis=1)
+    norms = _scaled_misfits(phi, z, x_hat[None, :])[0]
     threshold = math.sqrt(phi.block_count) * v_max
     return DetectionResult(
         residual=residual,
@@ -140,9 +143,11 @@ def block_misfits(phi: CodingMatrix, z: np.ndarray, estimates: np.ndarray) -> np
     return np.sqrt(np.add.reduce(resid * resid, axis=1)).T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the squares it rereads overflow
 def _scaled_misfits(phi: CodingMatrix, z: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """:func:`block_misfits`, but a finite block whose squares overflow (near 1e200) reads its
-    ``math.hypot``: the offline search and certificate read it, the online step does not."""
+    ``math.hypot``: the detectors, both minimizers and the certificate read it, the
+    calculator's per-step test does not."""
     misfits = block_misfits(phi, z, estimates)
     for row, block in zip(*np.nonzero(np.isinf(misfits))):
         part = z[block] - phi.blocks[block] @ estimates[row]
@@ -156,46 +161,28 @@ def violations(misfits: np.ndarray, threshold: float) -> np.ndarray:
     return ~(misfits <= min(threshold, sys.float_info.max))
 
 
-@dataclass(frozen=True)
-class CandidateStack:
-    """Least-squares operators of every selection of ``p - r`` blocks of one ``phi``.
+@np.errstate(over="ignore", invalid="ignore")  # non-finite misfits violate by design
+def _first_minimum(phi: CodingMatrix, z: np.ndarray, chunks, solve, threshold: float,
+                   stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one candidate walk of both minimizers: (estimate, violating blocks) of the first
+    candidate with at most ``stop`` blocks violating ``threshold``, or else of the first with
+    the fewest.
 
-    Selection ``c`` has the 0-based sensors ``members[c]`` and the pseudoinverse ``pinvs[c]``
-    of their row slabs, of full rank under the correctability every caller requires first.
-    Selections follow the lexicographic order of ``sensor_selections``, so the first minimum
-    of a per-candidate score is the smallest selection.  It holds ``C(p, p-r) (p-r) n**2`` floats.
+    ``chunks`` yields ``(c, p - r)`` arrays of 0-based selections in the search's order, and
+    ``solve(members)`` their ``(c, n, (p - r) n)`` least-squares operators; a chunk is solved
+    only when the walk reaches it.  Misfits are read by :func:`_scaled_misfits`.
     """
-
-    phi: CodingMatrix
-    r: int
-    members: np.ndarray
-    pinvs: np.ndarray
-
-    @classmethod
-    def build(cls, phi: CodingMatrix, r: int, eps_rel: float = DEFAULT_EPS_REL) -> "CandidateStack":
-        p = phi.block_count
-        if not 0 <= r <= p:
-            raise ValueError(f"r must lie in 0..{p}, got {r}")
-        members = sensor_selections(p, p - r)
-        return cls(phi, r, members, pinv(phi.selection_stack(members), eps_rel))
-
-    def estimates(self, z: np.ndarray) -> np.ndarray:
-        """Every candidate's least-squares estimate from the ``(p, n)`` blocks ``z``, one row
-        per selection."""
-        z = _shaped(z, self.phi.blocks.shape[:2], "measurement (p, n)")
-        data = z[self.members].reshape(len(self.members), -1, 1)
-        return (self.pinvs @ data)[:, :, 0]
-
-    def search(self, z: np.ndarray, threshold: float) -> tuple[np.ndarray, int, IndexSet]:
-        """Candidate with the fewest violating blocks: (estimate, count, violating set)."""
-        z = _shaped(z, self.phi.blocks.shape[:2], "measurement (p, n)")
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite misfits violate by design
-            estimates = self.estimates(z)
-            violating = violations(_scaled_misfits(self.phi, z, estimates), threshold)
-        counts = np.count_nonzero(violating, axis=1)
-        best = int(np.argmin(counts))
-        support = tuple(int(i) + 1 for i in np.flatnonzero(violating[best]))
-        return estimates[best], int(counts[best]), IndexSet(support, self.phi.block_count)
+    best, fewest = None, math.inf
+    for members in chunks:
+        estimates = (solve(members) @ z[members].reshape(len(members), -1, 1))[:, :, 0]
+        violating = violations(_scaled_misfits(phi, z, estimates), threshold)
+        counts = np.add.reduce(violating, axis=1)
+        c = int(np.maximum(counts, stop).argmin())  # the first within stop, else the first least
+        if counts[c] < fewest:
+            best, fewest = (estimates[c], violating[c]), counts[c]
+        if fewest <= stop:
+            break
+    return best
 
 
 def default_support_tol(z: np.ndarray) -> float:
@@ -206,10 +193,17 @@ def default_support_tol(z: np.ndarray) -> float:
 
 def _decoded(phi: CodingMatrix, z: np.ndarray, q: int, r: int, threshold: float,
              error_bound: float, eps_rel: float) -> DecodeResult:
-    """The search over every ``(p - r)``-selection, certified when at most q blocks violate
-    ``threshold``."""
-    estimate, objective, support = CandidateStack.build(phi, r, eps_rel).search(z, threshold)
-    return DecodeResult(estimate, support, objective, objective <= q, error_bound)
+    """The first minimum of the violations of ``threshold`` over every ``(p - r)``-selection,
+    lexicographic, certified when at most q blocks violate.  The walk solves a chunk of
+    selections at a time (a batched ``pinv``), and a candidate without violations ends it."""
+    p, n = phi.block_count, phi.block_len
+    selections = sensor_selections(p, p - r)
+    step = _per_chunk((p - r) * n * n)
+    chunks = (selections[start:start + step] for start in range(0, len(selections), step))
+    estimate, violating = _first_minimum(
+        phi, z, chunks, lambda members: pinv(phi.selection_stack(members), eps_rel), threshold, 0)
+    support = IndexSet(tuple(int(i) + 1 for i in np.flatnonzero(violating)), p)
+    return DecodeResult(estimate, support, len(support), len(support) <= q, error_bound)
 
 
 def decode_noiseless(
@@ -285,8 +279,7 @@ def certify_estimate(
     r = decoder_budget(q, r, constants)
     if constants is None:
         constants = robustness_constants(phi, q, r)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite misfits violate by design
-        misfits = _scaled_misfits(phi, z, x_hat[None, :])
+    misfits = _scaled_misfits(phi, z, x_hat[None, :])
     count = int(np.count_nonzero(violations(misfits, constants.theta * v_max)))
     return count <= q, count
 

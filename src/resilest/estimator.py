@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import pinv
 from .analysis import RobustnessConstants, decoder_budget, robustness_constants, sensor_selections
-from .decoding import block_misfits, violations
+from .decoding import _first_minimum, block_misfits, violations
 from .observers import PartialObserver
 from .stacked import CodingMatrix, IndexSet
 
@@ -157,23 +157,24 @@ def _first_fit(
     not find the fewest violations; it tries the ``(p - r)``-selections in ascending order
     of the largest calculator ``misfits`` among their members (a non-finite misfit ranks
     last; ties keep the lexicographic order) and solves each one's operator only when it
-    is tried.  When none qualifies, the exhaustive minimum would violate more than q
+    is tried: the candidate walk of the offline decoders (``decoding._first_minimum``),
+    stopping at q.  When none qualifies, the exhaustive minimum would violate more than q
     blocks too and leave fewer than ``p - q`` sensors trusted, so the step raises.
     """
-    selections = state.selections
+    selections, p, q = state.selections, state.phi.block_count, state.constants.q
     score = np.where(np.isfinite(misfits), misfits, np.inf)[selections].max(axis=1)
-    for c in np.argsort(score, kind="stable"):
-        members, lsq = state.operator(IndexSet(tuple(int(i) + 1 for i in selections[c]),
-                                               state.phi.block_count))
-        x_hat = lsq @ z[members].reshape(-1)
-        bad = violations(block_misfits(state.phi, z, x_hat[None, :]), threshold)[0]
-        if np.count_nonzero(bad) <= state.constants.q:
-            trusted = tuple(int(i) + 1 for i in np.flatnonzero(~bad))
-            return x_hat, IndexSet(trusted, state.phi.block_count)
-    raise EstimatorAssumptionError(
-        "no candidate violates at most q blocks, so the trusted set would shrink below "
-        "p - q; more than q sensors attacked"
-    )
+    tried = (selections[c][None] for c in np.argsort(score, kind="stable"))
+
+    def solve(members: np.ndarray) -> np.ndarray:
+        return state.operator(IndexSet(tuple(int(i) + 1 for i in members[0]), p))[1][None]
+
+    x_hat, bad = _first_minimum(state.phi, z, tried, solve, threshold, q)
+    if np.count_nonzero(bad) > q:
+        raise EstimatorAssumptionError(
+            "no candidate violates at most q blocks, so the trusted set would shrink below "
+            "p - q; more than q sensors attacked"
+        )
+    return x_hat, IndexSet(tuple(int(i) + 1 for i in np.flatnonzero(~bad)), p)
 
 
 def estimator_step(

@@ -382,16 +382,16 @@ def test_a_chunk_holding_a_deficient_selection_falls_back_to_the_svd(monkeypatch
     # 8 selections per chunk: the selection scan budgets one 2 x 2 array per selection
     monkeypatch.setattr(analysis, "_STACK_FLOATS", 32)
     assert [is_q_error_detectable(phi, q) for q in range(6)] == [True] * 5 + [False]
-    # sizes 7..3 pass the floor test chunk by chunk, each chunk on one eigvalsh, and each
-    # size's smallest eigenvalue is confirmed by one SVD of its selection; at size 2 the first
-    # two chunks pass, and the last, which holds {4, 6}, fails, takes the SVD of all five of
-    # its selections as a whole (four 4 x 2 matrices per SVD stack) and stops the scan
+    # sizes 7..3 pass the floor test chunk by chunk, each chunk on one eigvalsh, and take no
+    # SVD (detectability reads no sigma_min); at size 2 the first two chunks pass, and the
+    # last, which holds {4, 6}, fails, takes the SVD of all five of its selections as a whole
+    # (four 4 x 2 matrices per SVD stack) and stops the scan
     chunks = [(size, min(8, math.comb(7, size) - start))
               for size in range(7, 1, -1) for start in range(0, math.comb(7, size), 8)]
     assert floors == [(count, (size, count) != (2, 5)) for size, count in chunks]
     assert spectra == [(count, 2, 2) for _, count in chunks]
-    assert stacks == [(1, 2 * size, 2) for size in range(7, 2, -1)] + [(4, 4, 2), (1, 4, 2)]
-    sigma, deficient = analysis._selection_scan(phi, 2, DEFAULT_EPS_REL)
+    assert stacks == [(4, 4, 2), (1, 4, 2)]
+    sigma, deficient, _ = analysis._selection_scan(phi, 2, DEFAULT_EPS_REL)
     assert sigma == 0.0
     assert IndexSet(tuple(i + 1 for i in deficient), 7) == want
 
@@ -431,10 +431,10 @@ def test_detectability_checks_ranks_per_chunk(monkeypatch, stack_floats, calls):
     assert grams == chunks
     assert len(grams) == calls
     # only the empty selection's zero Gram matrix fails the floor test: its chunk goes
-    # straight to the SVD, which decides it.  Every other size confirms its smallest
-    # eigenvalue by one SVD of the selection that holds it
+    # straight to the SVD, which decides it.  No other size takes an SVD: detectability reads
+    # no sigma_min, so no eigenvalue minimum is confirmed
     assert floors == [True] * (calls - 1) + [False]
-    assert stacks == [(1, 2 * size, 2) for size in range(9, 0, -1)] + [(1, 0, 2)]
+    assert stacks == [(1, 0, 2)]
 
 
 # bit-for-bit reports of the 1 ms inertia chains: (security index, max correctable q,
@@ -962,6 +962,15 @@ def svd_minimum(phi, size, eps_rel=DEFAULT_EPS_REL):
                            eps_rel).min())
 
 
+def confirmed_scan(phi, size, eps_rel=DEFAULT_EPS_REL):
+    """The selection scan's ``(sigma_min, first deficient)``, an eigenvalue minimum confirmed
+    by its winner's SVD as rho reads it."""
+    rho, first, winner = analysis._selection_scan(phi, size, eps_rel)
+    if winner is not None:
+        rho = sigma_min(phi.selection_stack(winner[None]), eps_rel)[0]
+    return rho, first
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), p=st.integers(1, 7),
        source=MATRIX_SOURCES, eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-8]),
@@ -993,7 +1002,7 @@ def test_count_vector_scans_equal_the_per_selection_references(seed, n, p, sourc
             ranks = [matrix_rank(compacted(phi, IndexSet(tuple(i + 1 for i in sel), p)), eps_rel)
                      for sel in selections]
             want = next((sel for sel, rank in zip(selections, ranks) if rank < n), None)
-            got, first = analysis._selection_scan(phi, size, eps_rel)
+            got, first, _ = analysis._selection_scan(phi, size, eps_rel)
             assert first == want
             assert (got == 0.0) == (first is not None)
             assert got == pytest.approx(svd_minimum(phi, size, eps_rel), rel=band, abs=0.0)
@@ -1074,16 +1083,16 @@ def test_a_full_rank_representative_expands_to_its_deficient_member(monkeypatch)
 
     monkeypatch.setattr(analysis, "_members", spy_members)
     assert reference_first_deficient(phi, eps_rel) == IndexSet((1, 4), 4)
-    assert analysis._selection_scan(phi, 1, eps_rel) == (0.0, (2,))
+    assert analysis._selection_scan(phi, 1, eps_rel) == (0.0, (2,), None)
     assert expanded == [[[0]], [[1]]]
     # size 2: {1, 2} clears the floor for its count vector; {1, 4}, the next representative,
     # is deficient
-    assert analysis._selection_scan(phi, 2, eps_rel) == (0.0, (0, 3))
+    assert analysis._selection_scan(phi, 2, eps_rel) == (0.0, (0, 3), None)
     assert analysis._index_scan(phi, eps_rel) == (2, (0, 3))
     expanded.clear()
     # with both representatives in one chunk, the chunk expands them together
     monkeypatch.setattr(analysis, "_STACK_FLOATS", 2 * 4)
-    assert analysis._selection_scan(phi, 1, eps_rel) == (0.0, (2,))
+    assert analysis._selection_scan(phi, 1, eps_rel) == (0.0, (2,), None)
     assert expanded == [[[0], [1]]]
 
 
@@ -1108,7 +1117,7 @@ def test_distinct_subspaces_scan_every_subset_bit_for_bit(three_inertia):
                 np.put_along_axis(inside, want, 1.0, axis=1)
                 assert np.array_equal(members, want)
                 assert np.array_equal(grams, (inside @ table).reshape(len(want), n, n))
-    scans = [analysis._selection_scan(phi, size, DEFAULT_EPS_REL) for size in range(p + 1)]
+    scans = [confirmed_scan(phi, size) for size in range(p + 1)]
     assert [first for _, first in scans] == [(), (1,), (3, 4), None, None, None]
     assert [float(sigma).hex() for sigma, _ in scans] == [
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.16c3b57deba03p-22", "0x1.766ece92f3820p-9",
@@ -1185,7 +1194,7 @@ def test_rho_scan_keeps_a_selection_the_floor_sends_to_the_svd(monkeypatch):
     # deficient under eps_rel = 1e-6: the scan must send it to the SVD, not read it as rho^2
     monkeypatch.setattr(analysis, "_STACK_FLOATS", 4)  # one selection per chunk
     phi = CodingMatrix.from_blocks([1e-7 * np.eye(2), np.diag([1.0, 1e-6])])
-    assert analysis._selection_scan(phi, 1, 1e-6) == (0.0, (1,))
+    assert analysis._selection_scan(phi, 1, 1e-6) == (0.0, (1,), None)
     assert svd_minimum(phi, 1, 1e-6) == 0.0
 
 
@@ -1232,8 +1241,8 @@ def test_rho_scans_read_few_eigenvalues_on_1ms_chains(monkeypatch, inertia_chain
 def test_rho_scans_of_one_chunk_take_no_svd_route(monkeypatch, inertia_chain, N, T_s, q, r):
     # the demo's three-inertia plant (p = 5) and the simulated five-inertia chain (p = 9):
     # each rho scan reads its representatives in one eigvalsh, every one clears the floor, and
-    # the only SVD is its winner's confirmation, which is the per-selection SVD minimum to
-    # within the Gram rounding band
+    # it takes no SVD.  Its minimum, and its winner's SVD (which rho reads), are the
+    # per-selection SVD minimum to within the Gram rounding band
     phi = coding_matrix(inertia_chain(N, T_s))
     p, n = phi.block_count, phi.block_len
     spectra, routes, stacks = [], [], []
@@ -1256,13 +1265,14 @@ def test_rho_scans_of_one_chunk_take_no_svd_route(monkeypatch, inertia_chain, N,
     monkeypatch.setattr(analysis, "sigma_min", spy_sigma_min)
     sizes = (p - q, p - 2 * q)
     for size in sizes:
-        got, first = analysis._selection_scan(phi, size, DEFAULT_EPS_REL)
+        got, first, winner = analysis._selection_scan(phi, size, DEFAULT_EPS_REL)
         assert first is None
-        assert got == pytest.approx(svd_minimum(phi, size), rel=math.sqrt(gram_rounding(p * n, n)),
-                                    abs=0.0)
+        for value in (got, sigma_min(phi.selection_stack(winner[None]))[0]):
+            assert value == pytest.approx(svd_minimum(phi, size),
+                                          rel=math.sqrt(gram_rounding(p * n, n)), abs=0.0)
     assert spectra == [count_vectors(phi, size) for size in sizes]
     assert routes == []
-    assert stacks == [(1, size * n, n) for size in sizes]
+    assert stacks == []
 
 
 def dense_model(seed, p):
@@ -1295,7 +1305,7 @@ def test_tied_selections_read_one_representative_per_size(monkeypatch):
 
     monkeypatch.setattr(analysis, "eigvalsh", spy_eigvalsh)
     monkeypatch.setattr(analysis, "_svd_sigma_min", spy_svd)
-    scans = {size: analysis._selection_scan(z, size, DEFAULT_EPS_REL) for size in sizes}
+    scans = {size: confirmed_scan(z, size) for size in sizes}
     assert all(first is None for _, first in scans.values())
     got = {size: sigma for size, (sigma, _) in scans.items()}
     assert routes == []

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compacted
-from resilest import decoding
-from resilest._linalg import pinv
+from resilest import analysis, decoding
+from resilest._linalg import DEFAULT_EPS_REL, pinv
 from resilest.analysis import (
     CorrectabilityError,
     SystemModel,
     observability_matrix,
     robustness_constants,
+    sensor_selections,
 )
 from resilest.decoding import (
-    CandidateStack,
     block_misfits,
     certify_estimate,
     decode_noiseless,
@@ -176,37 +177,57 @@ def test_residual_detection_takes_one_svd_per_call(monkeypatch):
 # candidate enumeration
 
 
-def test_candidate_set_scalar_example():
-    stack = CandidateStack.build(ONES3, 1)
-    assert stack.members.tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert stack.estimates(sv([5, 5, 12], 1, 3))[:, 0] == pytest.approx([5.0, 8.5, 8.5])
+def decoded(phi, z, r, threshold):
+    """The offline search of both decoders: (estimate, count, violating set)."""
+    res = decoding._decoded(phi, z, 0, r, threshold, 0.0, DEFAULT_EPS_REL)
+    return res.estimate, res.objective, tuple(res.support_estimate)
+
+
+def test_candidate_set_scalar_example(monkeypatch):
+    # the three 2-selections (1,2), (1,3), (2,3) are solved in one lexicographic chunk and
+    # read 5, 8.5 and 8.5; against 4.0 the first violates block 3 and the second none, so the
+    # walk returns the second
+    z = sv([5, 5, 12], 1, 3)
+    operators = []
+    monkeypatch.setattr(decoding, "pinv", lambda stack, eps_rel: operators.append(
+        pinv(stack, eps_rel)) or operators[-1])
+    x, count, support = decoded(ONES3, z, 1, 4.0)
+    assert (x[0], count, support) == (pytest.approx(8.5), 0, ())
+    members = sensor_selections(3, 2)
+    assert members.tolist() == [[0, 1], [0, 2], [1, 2]] and len(operators) == 1
+    estimates = (operators[0] @ z[members].reshape(3, -1, 1))[:, :, 0]
+    assert estimates[:, 0] == pytest.approx([5.0, 8.5, 8.5])
 
 
 def test_candidate_set_r0_single():
-    stack = CandidateStack.build(ONES3, 0)
-    assert stack.members.tolist() == [[0, 1, 2]]
-    assert stack.estimates(sv([5, 5, 12], 1, 3))[:, 0] == pytest.approx([22.0 / 3.0])
+    # one candidate, every sensor: the least-squares estimate of all three
+    x, count, support = decoded(ONES3, sv([5, 5, 12], 1, 3), 0, 1.0)
+    assert (x[0], count, support) == (pytest.approx(22.0 / 3.0), 3, (1, 2, 3))
 
 
 def test_candidate_set_degenerate_r_equals_p():
     # a single candidate from the empty selection: the minimum-norm solve of
     # an empty system, i.e. the zero vector
-    stack = CandidateStack.build(ONES3, 3)
-    assert stack.members.shape == (1, 0)
-    assert stack.estimates(sv([5, 5, 12], 1, 3))[:, 0] == pytest.approx([0.0])
+    x, count, support = decoded(ONES3, sv([5, 5, 12], 1, 3), 3, 1.0)
+    assert (x.tolist(), count, support) == ([0.0], 3, (1, 2, 3))
 
 
-def test_candidate_set_cardinality():
+def test_candidate_set_cardinality(monkeypatch):
+    # with no candidate free of violations (a negative threshold) the walk solves every one
+    # of the C(p, p - r) selections once, in lexicographic chunks
+    solved = []
+    monkeypatch.setattr(decoding, "pinv", lambda stack, eps_rel: solved.append(stack) or
+                        pinv(stack, eps_rel))
     rng = np.random.default_rng(6)
     for _ in range(20):
         n = int(rng.integers(1, 3))
         p = int(rng.integers(2, 7))
         r = int(rng.integers(0, p + 1))
         phi = CodingMatrix(rng.normal(size=(n * p, n)), n, p)
-        z = sv(rng.normal(size=n * p), n, p)
-        stack = CandidateStack.build(phi, r)
-        assert stack.members.shape == (math.comb(p, p - r), p - r)
-        assert stack.estimates(z).shape == (math.comb(p, p - r), n)
+        solved.clear()
+        x, count, support = decoded(phi, sv(rng.normal(size=n * p), n, p), r, -1.0)
+        assert (x.shape, count) == ((n,), p)
+        assert np.array_equal(np.concatenate(solved), phi.selection_stack(sensor_selections(p, p - r)))
 
 
 def reference_search(phi, z, r, threshold):
@@ -229,7 +250,6 @@ def reference_search(phi, z, r, threshold):
 def test_stacked_search_matches_per_candidate_loop(seed, integer):
     rng = np.random.default_rng(seed)
     n, p = int(rng.integers(1, 4)), int(rng.integers(2, 7))
-    r = int(rng.integers(0, p + 1))
     if integer:  # small integer data: many tied counts
         entries = rng.integers(-1, 2, size=(n * p, n)).astype(float)
         data = rng.integers(-3, 4, size=n * p).astype(float)
@@ -240,10 +260,11 @@ def test_stacked_search_matches_per_candidate_loop(seed, integer):
         data = entries @ rng.normal(size=n) + rng.normal(size=n * p) * (rng.random(n * p) < 0.3)
     phi, z = CodingMatrix(entries, n, p), sv(data, n, p)
     threshold = float(rng.uniform(0.05, 1.5))
-    x_ref, count_ref, support_ref = reference_search(phi, z, r, threshold)
-    x, count, support = CandidateStack.build(phi, r).search(z, threshold)
-    assert (count, tuple(support)) == (count_ref, support_ref)
-    np.testing.assert_allclose(x, x_ref, rtol=1e-10, atol=1e-12)
+    for r in range(p + 1):
+        x_ref, count_ref, support_ref = reference_search(phi, z, r, threshold)
+        x, count, support = decoded(phi, z, r, threshold)
+        assert (count, support) == (count_ref, support_ref)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-10, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -293,18 +314,78 @@ def test_scaled_misfits_read_overflowing_finite_blocks_finite(seed, specials):
     assert got.tobytes() == want.tobytes()
 
 
-def test_search_tie_breaks_on_smallest_selection():
-    # selections (1,2) and (3,4) both leave two blocks violating
+def walk(phi, z, chunks, threshold, stop):
+    """The candidate walk on ``chunks`` of 0-based selections: (estimate, violating set)."""
+    x, bad = decoding._first_minimum(phi, z, chunks, lambda members: pinv(
+        phi.selection_stack(members)), threshold, stop)
+    return x, tuple(int(i) + 1 for i in np.flatnonzero(bad))
+
+
+@pytest.mark.parametrize("step", [1, 2, 6])
+def test_search_tie_breaks_on_smallest_selection(step):
+    # selections (1,2) and (3,4) both leave two blocks violating, in one chunk or in two
     phi = CodingMatrix(np.ones((4, 1)), 1, 4)
-    x, count, support = CandidateStack.build(phi, 2).search(sv([0, 0, 10, 10], 1, 4), 1.0)
-    assert (float(x[0]), count, tuple(support)) == (0.0, 2, (3, 4))
+    selections = sensor_selections(4, 2)
+    chunks = [selections[start:start + step] for start in range(0, 6, step)]
+    x, support = walk(phi, sv([0, 0, 10, 10], 1, 4), chunks, 1.0, 0)
+    assert (float(x[0]), support) == (0.0, (3, 4))
 
 
 def test_search_counts_nonfinite_blocks_as_violating():
     z = sv([5.0, 5.0, np.nan], 1, 3)
-    x, count, support = CandidateStack.build(ONES3, 1).search(z, 0.1)
-    assert (x[0], count, tuple(support)) == (pytest.approx(5.0), 1, (3,))
+    x, support = walk(ONES3, z, [sensor_selections(3, 2)], 0.1, 0)
+    assert (x[0], support) == (pytest.approx(5.0), (3,))
     assert certify_estimate(ONES3, z, [5.0], q=1, v_max=1.0) == (True, 1)
+
+
+def test_walk_stops_at_the_first_candidate_within_stop():
+    # against 4.0, (1,2) reads 5 and violates block 3 alone, and (2,3) reads 8.5 and
+    # violates none.  With stop = 1 the walk takes the first within it, not a later one with
+    # fewer, in its chunk or in a later one, and solves no chunk past it
+    z = sv([5, 5, 12], 1, 3)
+    solved = []
+
+    def solve(members):
+        solved.append(members.tolist())
+        return pinv(ONES3.selection_stack(members))
+
+    for chunks in ([[[0, 1]], [[1, 2]], [[0, 2]]], [[[0, 1], [1, 2]], [[0, 2]]]):
+        solved.clear()
+        x, bad = decoding._first_minimum(ONES3, z, map(np.array, chunks), solve, 4.0, 1)
+        assert (x[0], np.flatnonzero(bad).tolist()) == (pytest.approx(5.0), [2])
+        assert solved == chunks[:1]
+
+
+# the attacked blocks (+10) and the first minimum's (count, violating set), for the ten
+# 2-selections (1,2), (1,3), ..., (4,5) of p = 5
+CHUNK_CASES = {
+    "later chunk": ([0, 1, 3], (3, (1, 2, 4))),  # only (3,5), number 9, is clean
+    # (2,3), number 5, ties with every later selection, each estimate distinct in its bytes
+    "tie across chunks": ([0], (1, (1,))),
+    "zero in the first chunk": ([], (0, ())),  # (1,2) violates nothing: the walk stops there
+}
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_decoded_chunks_give_the_one_chunk_result(monkeypatch, case):
+    # _decoded's lexicographic chunks hold _STACK_FLOATS // ((p - r) n^2) selections: with a
+    # budget of three 2-selections of n = 2, the ten come in chunks of 3, 3, 3 and 1, and
+    # read what one chunk reads
+    p, n, r = 5, 2, 3
+    rng = np.random.default_rng(27)
+    phi = CodingMatrix(rng.normal(size=(n * p, n)), n, p)
+    z = phi.blocks @ rng.normal(size=n)
+    attacked, want = CHUNK_CASES[case]
+    z[attacked] += 10.0
+    x_one, *one = decoded(phi, z, r, 1e-9)
+    assert tuple(one) == want
+    solved = []
+    monkeypatch.setattr(analysis, "_STACK_FLOATS", 3 * (p - r) * n * n)
+    monkeypatch.setattr(decoding, "pinv", lambda stack, eps_rel: solved.append(len(stack)) or
+                        pinv(stack, eps_rel))
+    x_hat, *got = decoded(phi, z, r, 1e-9)
+    assert (x_hat.tobytes(), tuple(got)) == (x_one.tobytes(), want)
+    assert solved == ([3, 3, 3, 1] if attacked else [3])
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +573,15 @@ def test_decoders_take_the_rank_tolerance(three_inertia):
         decode_noiseless(g, z, 1, eps_rel=1e-6)
     with pytest.raises(CorrectabilityError):
         decode_noisy(g, z, 1, v_max=1e-3, eps_rel=1e-6)
-    # the candidates' pinv cuts a 1e-9 direction at 1e-6, not at the default
+    # the candidates' pinv cuts a 1e-9 direction at 1e-6, not at the default: with the
+    # constants given, the tolerance reaches decode only through the candidates
     phi = CodingMatrix(np.vstack([np.diag([1.0, 1e-9])] * 3), 2, 3)
-    assert np.abs(CandidateStack.build(phi, 1).pinvs[:, 1]).max() == pytest.approx(5e8)
-    assert not CandidateStack.build(phi, 1, eps_rel=1e-6).pinvs[:, 1].any()
+    consts = robustness_constants(phi, 1, 1)
+    z = phi.blocks @ np.array([0.0, 1.0])
+    kept = decode_noisy(phi, z, 1, v_max=1.0, constants=consts)
+    assert kept.estimate == pytest.approx([0.0, 1.0], abs=1e-12)
+    cut = decode_noisy(phi, z, 1, v_max=1.0, constants=consts, eps_rel=1e-6)
+    assert cut.estimate.tolist() == [0.0, 0.0]
 
 
 def test_decode_noisy_constants_mismatch_rejected():
@@ -599,6 +685,38 @@ def test_certify_estimate_near_1e200_without_warnings():
     assert certify_estimate(phi, z, np.full(3, 1.0 + 1e-15), q=1, v_max=1e190) == (True, 0)
 
 
+def test_detectors_near_1e200_read_finite_norms_without_warnings():
+    # the projection's round-off residual (about 1e184) squares to inf: each block norm is
+    # read by math.hypot, finite and far within the default tolerance (about 1.09e193), and
+    # no overflow warning escapes
+    entries = 1e200 * np.random.default_rng(1).standard_normal((15, 3))
+    phi = CodingMatrix(entries, 3, 5)
+    z = sv(entries @ np.ones(3), 3, 5)
+    assert 1e193 < default_support_tol(z) < 1.1e193
+    for res in (residual_detect_noiseless(phi, z), residual_detect_noisy(phi, z, 1e190)):
+        assert not res.attacked
+        assert np.isfinite(res.per_block_residual_norms).all()
+        assert res.per_block_residual_norms.max() < 1e190
+
+
+def test_offline_decode_holds_one_chunk_of_candidates():
+    # dense n = 3, p = 15 at q = 3, r = 6: C(15, 9) = 5005 candidates, and three attacked
+    # blocks, so no candidate is violation-free and the walk reads every chunk.  Stacking every
+    # candidate's operator at once peaked at 14.1 MB
+    rng = np.random.default_rng(15)
+    phi = CodingMatrix(rng.standard_normal((45, 3)), 3, 15)
+    z = phi.blocks @ rng.standard_normal(3)
+    z[[1, 5, 9]] += 50.0
+    tracemalloc.start()
+    try:
+        res = decode_noiseless(phi, z, 3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tuple(res.support_estimate), res.objective, res.certified) == ((2, 6, 10), 3, True)
+    assert peak < 4e6
+
+
 # ---------------------------------------------------------------------------
 # initial-state recovery
 
@@ -673,9 +791,9 @@ ENTRY_POINTS = {
     "decode-noiseless": lambda z: decode_noiseless(EYE3, z, q=1),
     "decode-noisy": lambda z: decode_noisy(EYE3, z, q=1, v_max=0.1),
     "certify": lambda z: certify_estimate(EYE3, z, np.ones(2), q=1, v_max=0.1),
-    "estimates": lambda z: CandidateStack.build(EYE3, 1).estimates(z),
-    "search": lambda z: CandidateStack.build(EYE3, 1).search(z, 0.1),
     "block-misfits": lambda z: block_misfits(EYE3, z, np.ones((1, 2))),
+    # the misfit reader of both candidate walks, the detectors and the certificate
+    "scaled-misfits": lambda z: decoding._scaled_misfits(EYE3, z, np.ones((1, 2))),
 }
 
 

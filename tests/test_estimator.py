@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import compacted
 from resilest.analysis import (SystemModel, coding_matrix, is_q_error_correctable,
                                robustness_constants)
-from resilest.decoding import CandidateStack, certify_estimate
+from resilest.decoding import certify_estimate
 from resilest.estimator import (
     DecoderState,
     EstimatorAssumptionError,
@@ -325,8 +325,7 @@ def test_first_fit_estimate_is_certified(seed, bad):
 def test_fifteen_sensor_chain_searches_without_the_candidate_stack(monkeypatch, inertia_chain):
     # the 10 ms eight-inertia chain: C(15, 11) = 1365 candidates, whose stacked operators
     # alone take 30.75 MB; the first-fit search solves only the few it tries
-    builds, states = [], []
-    monkeypatch.setattr(CandidateStack, "build", classmethod(lambda cls, *a: builds.append(a)))
+    states = []
     fresh = DecoderState.fresh
     monkeypatch.setattr(DecoderState, "fresh", lambda *a, **kw: states.append(fresh(*a, **kw))
                         or states[-1])
@@ -348,4 +347,3 @@ def test_fifteen_sensor_chain_searches_without_the_candidate_stack(monkeypatch, 
     assert peak < 8e6  # 121 MB with every candidate solved at the first search
     (state,) = states
     assert sum(members.nbytes + lsq.nbytes for members, lsq in state.operators.values()) < 3e6
-    assert builds == []
