@@ -278,7 +278,8 @@ def _per_chunk(floats_per_selection: int) -> int:
 
 def sensor_selections(p: int, size: int) -> np.ndarray:
     """Every ``size``-subset of ``range(p)``, lexicographic: the order of every enumeration of
-    selections (the scans read one representative of each count vector in this order)."""
+    selections (the scans read one representative of each count vector in this order).  The
+    minimizers hold no such table: ``decoding._candidates`` streams their candidates."""
     count = math.comb(p, size)
     members = itertools.chain.from_iterable(itertools.combinations(range(p), size))
     return np.fromiter(members, dtype=np.intp, count=count * size).reshape(count, size)
@@ -765,7 +766,9 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
         # each group's gain on each block of lam (from the SVD route, the group's largest
         # over the count vector: eta_prime, a max of mins of maxes, can then only read high)
         worst = gains[index[:, :, None], labels[outer][:, None]]
-        worst[:, (picks[:, :, None] == np.arange(p - q)).any(axis=1)] = -math.inf  # bar's own
+        own = np.zeros((len(picks), p - q), dtype=bool)
+        np.put_along_axis(own, picks, True, axis=1)
+        worst[:, own] = -math.inf  # bar's own
         largest = np.where(ranks[index] == sub_ranks, worst.max(axis=2), math.inf)
         lam = int(np.argmax(largest.min(axis=1)))
         bar = int(np.argmin(largest[lam]))

@@ -7,12 +7,13 @@ Detection projects ``z`` onto the range of ``Phi`` and inspects the residual
 per block.  Decoding searches the finite candidate set obtained by least-squares
 solves on all (p - r)-block selections and picks the candidate violating the
 fewest per-block thresholds; ties break on the lexicographically smallest
-selection for reproducibility.  The selections are solved a chunk at a time, in
-the one candidate walk the online minimizer also takes.
+selection for reproducibility.  The selections are streamed and solved a chunk at
+a time, in the candidate order and walk the online minimizer also takes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -29,7 +30,6 @@ from .analysis import (
     is_q_error_correctable,
     observability_matrix,
     robustness_constants,
-    sensor_selections,
 )
 from .stacked import CodingMatrix, IndexSet
 
@@ -185,6 +185,22 @@ def _first_minimum(phi: CodingMatrix, z: np.ndarray, chunks, solve, threshold: f
     return best
 
 
+def _candidates(score: np.ndarray, size: int, step: int):
+    """Both minimizers' candidate order: chunks of at most ``step`` 0-based ``size``-selections
+    in ascending order of their largest member ``score`` (NaN above every value), lexicographic
+    on ties, streamed with no table held.  It is the stable ``argsort`` of that score over
+    ``analysis.sensor_selections(len(score), size)``: the selections whose largest score is a
+    value ``t`` are those of the blocks scoring at most ``t`` that hold one scoring ``t``, in
+    ``combinations`` order, and the empty selection (the largest of nothing) comes first."""
+    rank = np.searchsorted(np.sort(score), score).tolist()  # equal scores, equal ranks
+    least = sorted([-1, *rank])[size]  # no lower level holds ``size`` blocks
+    ordered = (c for t in [-1, *sorted(set(rank))] if t >= least
+               for c in itertools.combinations([i for i, s in enumerate(rank) if s <= t], size)
+               if max(map(rank.__getitem__, c), default=-1) == t)
+    while part := list(itertools.islice(ordered, step)):
+        yield np.array(part, dtype=np.intp).reshape(len(part), size)
+
+
 def default_support_tol(z: np.ndarray) -> float:
     """Round-off tolerance for residual blocks, scaled by the norm of the finite entries of
     ``z`` only (``math.hypot``, which scales before it squares, so it is finite)."""
@@ -197,9 +213,7 @@ def _decoded(phi: CodingMatrix, z: np.ndarray, q: int, r: int, threshold: float,
     lexicographic, certified when at most q blocks violate.  The walk solves a chunk of
     selections at a time (a batched ``pinv``), and a candidate without violations ends it."""
     p, n = phi.block_count, phi.block_len
-    selections = sensor_selections(p, p - r)
-    step = _per_chunk((p - r) * n * n)
-    chunks = (selections[start:start + step] for start in range(0, len(selections), step))
+    chunks = _candidates(np.zeros(p), p - r, _per_chunk((p - r) * n * n))
     estimate, violating = _first_minimum(
         phi, z, chunks, lambda members: pinv(phi.selection_stack(members), eps_rel), threshold, 0)
     support = IndexSet(tuple(int(i) + 1 for i in np.flatnonzero(violating)), p)

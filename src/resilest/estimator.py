@@ -14,13 +14,12 @@ the exhaustive minimum stays in the offline decoders of ``decoding``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from ._linalg import pinv
-from .analysis import RobustnessConstants, decoder_budget, robustness_constants, sensor_selections
-from .decoding import _first_minimum, block_misfits, violations
+from .analysis import RobustnessConstants, decoder_budget, robustness_constants
+from .decoding import _candidates, _first_minimum, block_misfits, violations
 from .observers import PartialObserver
 from .stacked import CodingMatrix, IndexSet
 
@@ -102,12 +101,6 @@ class DecoderState:
         return cls(lam=IndexSet.full(phi.block_count), phi=phi, constants=constants,
                    recert_every=recert_every)
 
-    @cached_property
-    def selections(self) -> np.ndarray:
-        """The minimizer's candidates: 0-based ``(p - r)``-selections, lexicographic."""
-        p = self.phi.block_count
-        return sensor_selections(p, p - self.constants.r)
-
     def operator(self, lam: IndexSet) -> tuple[np.ndarray, np.ndarray]:
         """(0-based members, pinv of their row slabs) of ``lam``, solved once and cached."""
         if (cached := self.operators.get(lam)) is None:
@@ -161,9 +154,8 @@ def _first_fit(
     stopping at q.  When none qualifies, the exhaustive minimum would violate more than q
     blocks too and leave fewer than ``p - q`` sensors trusted, so the step raises.
     """
-    selections, p, q = state.selections, state.phi.block_count, state.constants.q
-    score = np.where(np.isfinite(misfits), misfits, np.inf)[selections].max(axis=1)
-    tried = (selections[c][None] for c in np.argsort(score, kind="stable"))
+    p, q = state.phi.block_count, state.constants.q
+    tried = _candidates(np.where(np.isfinite(misfits), misfits, np.inf), p - state.constants.r, 1)
 
     def solve(members: np.ndarray) -> np.ndarray:
         return state.operator(IndexSet(tuple(int(i) + 1 for i in members[0]), p))[1][None]

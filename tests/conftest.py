@@ -25,6 +25,16 @@ def matrix_rank(matrix, eps_rel=DEFAULT_EPS_REL):
     return int(np.count_nonzero(s > max(matrix.shape) * eps_rel * s[:1]))
 
 
+def dense_model(seed, p):
+    """A dense n = 4 model with ``p`` sensors: every sensor sees every mode, so each block of
+    its coding matrix is a square orthonormal basis and every ``G_S`` is ``|S| I`` to
+    round-off."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((4, 4))
+    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+    return SystemModel(A=A, B=rng.standard_normal((4, 1)), C=rng.standard_normal((p, 4)))
+
+
 @pytest.fixture(scope="session")
 def three_inertia():
     """Discretized benchmark plant at the canonical 1 ms sampling period."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilest import analysis
-from conftest import compacted, matrix_rank
+from conftest import compacted, dense_model, matrix_rank
 from resilest._linalg import DEFAULT_EPS_REL, gram_floor, gram_rounding, pinv, sigma_min
 from resilest.analysis import (
     CorrectabilityError,
@@ -1275,16 +1275,6 @@ def test_rho_scans_of_one_chunk_take_no_svd_route(monkeypatch, inertia_chain, N,
     assert stacks == []
 
 
-def dense_model(seed, p):
-    """A dense n = 4 model with ``p`` sensors: every sensor sees every mode, so each block of
-    its coding matrix is a square orthonormal basis and every ``G_S`` is ``|S| I`` to
-    round-off."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((4, 4))
-    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
-    return SystemModel(A=A, B=rng.standard_normal((4, 1)), C=rng.standard_normal((p, 4)))
-
-
 def test_tied_selections_read_one_representative_per_size(monkeypatch):
     # a dense p = 16 model: its constants read rho at eleven sizes, and the sixteen blocks
     # share one subspace, so each size is one count vector, read by one eigvalsh that clears
@@ -1321,13 +1311,16 @@ def test_tied_selections_read_one_representative_per_size(monkeypatch):
 
 
 @pytest.mark.parametrize(("p", "q", "r", "peak_mb"),
-                         [(26, 3, 6, 8), (26, 3, 4, 8), (26, 1, 2, 8), (40, 3, 6, 32)])
+                         [(26, 3, 6, 8), (26, 3, 4, 8), (26, 1, 2, 8), (40, 3, 6, 32),
+                          (63, 3, 6, 120)])
 def test_dense_constants_read_one_count_vector_per_size(p, q, r, peak_mb):
     # a dense model at r > q: eta_prime's maximum over the (p - q)-selections of a minimum
     # over their (p - r)-subselections reads one (p - q)-representative and one of its
     # subselections.  G_S = (p - r) I on every (p - r)-selection, so eta_prime = 1/sqrt(p - r)
     # and theta = sqrt(p - r); a per-selection table would hold C(p, q) C(p - q, r - q)
-    # subselections: 4.6 million at p = 26, q = 3, r = 6, and 77 million at p = 40
+    # subselections: 4.6 million at p = 26, q = 3, r = 6, and 77 million at p = 40.  At
+    # p = 63 the mask of each subselection's own blocks is (C(60, 57), 60); compared against
+    # every block it was a (C(60, 57), 57, 60) array, 117 MB, and the peak 167 MB
     z = coding_matrix(dense_model(p, p))
     assert z.groups == (tuple(range(p)),)
     tracemalloc.start()

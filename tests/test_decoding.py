@@ -356,6 +356,28 @@ def test_walk_stops_at_the_first_candidate_within_stop():
         assert solved == chunks[:1]
 
 
+@pytest.mark.parametrize("step", [1, 2, 3, 7])
+def test_candidates_stream_the_stable_argsort_of_the_largest_member_score(step):
+    # the one candidate order of both minimizers, against the table it replaces: every
+    # size-selection, stably sorted by its largest member score (NaN above +inf, the empty
+    # selection's largest -inf), in chunks of step but the last
+    rng = np.random.default_rng(step)
+    specials = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1.0]
+    for _ in range(60):
+        p = int(rng.integers(1, 8))
+        score = [rng.normal(size=p), rng.integers(0, 3, size=p).astype(float),
+                 rng.choice(specials, size=p)][int(rng.integers(3))]
+        for size in range(p + 1):
+            table = sensor_selections(p, size)
+            want = table[np.argsort(np.max(score[table], axis=1, initial=-math.inf),
+                                    kind="stable")]
+            chunks = list(decoding._candidates(score, size, step))
+            assert [len(c) for c in chunks[:-1]] == [step] * (len(chunks) - 1)
+            assert 0 < len(chunks[-1]) <= step
+            got = np.concatenate(chunks)
+            assert got.dtype == np.intp and got.tolist() == want.tolist()
+
+
 # the attacked blocks (+10) and the first minimum's (count, violating set), for the ten
 # 2-selections (1,2), (1,3), ..., (4,5) of p = 5
 CHUNK_CASES = {

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compacted
+from conftest import compacted, dense_model
 from resilest.analysis import (SystemModel, coding_matrix, is_q_error_correctable,
                                robustness_constants)
-from resilest.decoding import certify_estimate
+from resilest.decoding import block_misfits, certify_estimate
 from resilest.estimator import (
     DecoderState,
     EstimatorAssumptionError,
@@ -347,3 +347,36 @@ def test_fifteen_sensor_chain_searches_without_the_candidate_stack(monkeypatch, 
     assert peak < 8e6  # 121 MB with every candidate solved at the first search
     (state,) = states
     assert sum(members.nbytes + lsq.nbytes for members, lsq in state.operators.values()) < 3e6
+
+
+def test_first_search_at_p26_streams_its_candidates():
+    # dense n = 4, p = 26 at q = 3, r = 6: C(26, 20) = 230,230 candidate selections.  With
+    # three blocks offset by 50, the first candidate in the order violates only those three,
+    # so the search solves it alone; a table of every selection, scored and sorted, peaked
+    # at 75.5 MB
+    phi = coding_matrix(dense_model(26, 26))
+    state = DecoderState.fresh(phi, 3, 6)
+    x = np.random.default_rng(26).standard_normal(4)
+    z = phi.blocks @ x
+    z[[1, 5, 9]] += 50.0
+    tracemalloc.start()
+    try:
+        x_hat, f = decoder_step(state, z, 1, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert f > 3
+    assert state.lam == IndexSet(tuple(i for i in range(1, 27) if i not in (2, 6, 10)), 26)
+    # every clean block is a square orthonormal basis, so their calculator misfits agree to
+    # round-off.  The first candidate has the least largest misfit, the 20th smallest, and of
+    # the selections with it the lexicographically first: the first 20 blocks within it
+    members, lsq = state.operators[IndexSet.full(26)]
+    misfits = block_misfits(phi, z, (lsq @ z[members].reshape(-1))[None])[0]
+    within = np.flatnonzero(misfits <= np.sort(misfits)[19])
+    first = IndexSet(tuple((within[:20] + 1).tolist()), 26)
+    assert list(state.operators) == [IndexSet.full(26), first]
+    members, lsq = state.operators[first]
+    assert x_hat.tobytes() == (lsq[None] @ z[members].reshape(1, -1, 1))[0, :, 0].tobytes()
+    assert np.allclose(x_hat, x, rtol=0.0, atol=1e-9)
+    assert not hasattr(state, "selections")
