@@ -551,7 +551,9 @@ def _index_scan(phi: CodingMatrix, eps_rel: float):
                 candidates = [(j,) for j in range(len(groups))]
             level += 1
             sets = np.array(candidates, dtype=np.intp).reshape(len(candidates), level)
-            inside = (labels[:, None] == sets[:, None, :]).any(axis=2)  # the blocks of full(T)
+            member = np.zeros((len(sets), len(groups)), dtype=bool)
+            np.put_along_axis(member, sets, True, axis=1)
+            inside = member[:, labels]  # the blocks of full(T)
             weight = np.count_nonzero(inside, axis=1)
             svd, own = np.empty((2, len(sets)))
             for w in np.unique(weight).tolist():

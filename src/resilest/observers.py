@@ -11,6 +11,7 @@ norm bounds first; only the powers the bounds cannot decide take the SVD.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -22,7 +23,7 @@ from .analysis import SystemModel, quotient_basis
 POLE_MATCH_TOL = 1e-6
 
 _POWER_CAP = 2_000_000
-_POWER_CHUNK = 256  # powers generated, then normed together
+_POWER_CHUNK = 256  # powers per chunk; each of g sensors of one order gets _POWER_CHUNK // g
 
 
 @dataclass
@@ -183,52 +184,82 @@ class EnvelopeError(RuntimeError):
     """The powering of an observer reached ``_POWER_CAP`` without its norm ratio settling."""
 
 
-def _ratio_bounds(mats: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds ``lo <= norm(mats[k]) / scales[k] <= hi`` on the SVD 2-norm of each matrix of a
-    ``(c, nu, m)`` stack, from the Frobenius norms and, for ``m > 1``, the top right singular
-    vector of the matrix with the largest Frobenius ratio (see :func:`compute_error_bounds`).
-    A non-finite norm anywhere gives every matrix the bounds ``-inf`` and ``inf``."""
+def _ratio_bounds(mats: np.ndarray, scales: np.ndarray,
+                  running: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``lo <= norm(mats[k, s]) / scales[k] <= hi`` on the SVD 2-norm of each matrix of a
+    ``(c, g, nu, m)`` grid, from the Frobenius norms and, for ``m > 1``, the top right singular
+    vector of a column's matrix with the largest Frobenius ratio, from one batched SVD over the
+    columns whose Frobenius bounds leave a ratio undecided about 1 or able to reach
+    ``max(running, every lo)`` (see :func:`compute_error_bounds`).  A non-finite norm in a column
+    gives every matrix of that column the bounds ``-inf`` and ``inf``."""
     nu, cols = mats.shape[-2:]
-    fro = np.sqrt(np.einsum("kij,kij->k", mats, mats))
-    if not np.isfinite(fro).all():
-        return np.full_like(fro, -np.inf), np.full_like(fro, np.inf)
-    lower = fro / math.sqrt(cols)
-    if cols > 1:
-        v = np.linalg.svd(mats[np.argmax(fro / scales)])[2][0]
-        lower = np.maximum(lower, np.linalg.norm(mats @ v, axis=-1))
+    fro = np.sqrt(np.einsum("...ij,...ij->...", mats, mats))
+    finite = np.isfinite(fro).all(axis=0)
+    if not finite.all():
+        lo, hi = np.full_like(fro, -np.inf), np.full_like(fro, np.inf)
+        if finite.any():
+            lo[:, finite], hi[:, finite] = _ratio_bounds(mats[:, finite], scales, running)
+        return lo, hi
     slack, margin = 16 * nu * nu * np.finfo(float).eps, nu * 2.0**-536
-    return (lower - margin) * (1.0 - slack) / scales, (fro + margin) * (1.0 + slack) / scales
+    lo = (fro / math.sqrt(cols) - margin) * (1.0 - slack) / scales[:, None]
+    hi = (fro + margin) * (1.0 + slack) / scales[:, None]
+    if cols > 1:
+        need = (((lo < 1.0) & (hi >= 1.0)) | (hi >= max(running, lo.max()))).any(axis=0)
+        if need.any():
+            top = mats[np.argmax(fro / scales[:, None], axis=0), np.arange(mats.shape[1])]
+            v = np.zeros(top.shape[:2] + (1,))  # (g, m, 1); M 0 = 0 leaves lo as it is
+            v[need] = np.linalg.svd(top[need])[2][:, 0, :, None]
+            lower = np.linalg.norm((mats @ v)[..., 0], axis=-1)
+            lo = np.maximum(lo, (lower - margin) * (1.0 - slack) / scales[:, None])
+    return lo, hi
 
 
 def _svd_ratios(mats: np.ndarray, scales: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                idx: np.ndarray) -> None:
-    """Replace both bounds at ``idx`` by the SVD ratio itself."""
-    if idx.size:
-        lo[idx] = hi[idx] = spectral_norm(mats[idx]) / scales[idx]
+                cells: np.ndarray) -> None:
+    """Replace both bounds on the ``cells`` mask by the SVD ratio itself."""
+    k, s = np.nonzero(cells)
+    if k.size:
+        lo[k, s] = hi[k, s] = spectral_norm(mats[k, s]) / scales[k]
 
 
 def _max_ratio(mats: np.ndarray, scales: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               running: float) -> float:
-    """``max(running, norm(mats[k]) / scales[k] over all k)``: only the ratios whose ``hi`` reaches
-    the larger of ``running`` and every ``lo`` take the SVD (``lo == hi`` marks one taken)."""
-    _svd_ratios(mats, scales, lo, hi, np.flatnonzero((hi >= max(running, lo.max())) & (lo < hi)))
-    return max(running, float(hi.max()))
+               cells: np.ndarray, running: float) -> float:
+    """``max(running, norm(mats[k, s]) / scales[k] over the cells)``: only the cells whose ``hi``
+    reaches the larger of ``running`` and every cell's ``lo`` take the SVD (``lo == hi`` marks one
+    taken)."""
+    floor = max(running, float(lo.max(where=cells, initial=-np.inf)))
+    _svd_ratios(mats, scales, lo, hi, cells & (hi >= floor) & (lo < hi))
+    return max(running, float(hi.max(where=cells, initial=-np.inf)))
 
 
-def _norm_chunk(powers: np.ndarray, scales: np.ndarray, L: np.ndarray,
-                mu_f: float, mu_l: float) -> tuple[bool, float, float]:
-    """Whether a chunk of powers ``F^k`` (``scales`` holds ``beta**k``) holds one whose ratio
-    settles below 1, and ``mu_f`` and ``mu_l`` raised over the powers up to the first that does."""
-    lo, hi = _ratio_bounds(powers, scales)
-    ahead = np.flatnonzero(hi < 1.0)  # powers that surely settle
-    end = int(ahead[0]) if ahead.size else len(powers)
-    _svd_ratios(powers, scales, lo, hi, np.flatnonzero(lo[:end] < 1.0))
-    below = np.flatnonzero(hi < 1.0)  # never k = 0, where the ratio is norm(I) = 1
-    last = int(below[0]) + 1 if below.size else len(powers)
-    mu_f = _max_ratio(powers[:last], scales[:last], lo[:last], hi[:last], mu_f)
-    vectors = powers[:last] @ L
-    mu_l = _max_ratio(vectors, scales[:last], *_ratio_bounds(vectors, scales[:last]), mu_l)
-    return below.size > 0, mu_f, mu_l
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Per column, the index of the first true row, or the row count if there is none."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), len(mask))
+
+
+def _bracket_chunk(powers: np.ndarray, scales: np.ndarray, L: np.ndarray,
+                   mu_f: float, mu_l: float) -> tuple[np.ndarray, float, float]:
+    """For a ``(c, g, nu, nu)`` chunk of powers ``F_s^k`` (``scales`` holds ``beta**k``): per
+    sensor, whether the chunk holds a power whose ratio settles below 1, and ``mu_f`` and
+    ``mu_l`` raised over each sensor's powers up to its first that does."""
+    lo, hi = _ratio_bounds(powers, scales, mu_f)
+    ks = np.arange(len(powers))[:, None]
+    undecided = (lo < 1.0) & (ks < _first(hi < 1.0))  # before the first that surely settles
+    rank, searching, taken, size = np.cumsum(undecided, axis=0), True, 0, 1
+    while True:  # the undecided powers in order, in doubling batches, up to one that settles
+        batch = undecided & (rank > taken) & (rank <= taken + size) & searching
+        if not batch.any():
+            break
+        _svd_ratios(powers, scales, lo, hi, batch)
+        searching &= ~(batch & (hi < 1.0)).any(axis=0)
+        taken, size = taken + size, 2 * size
+    first = _first(hi < 1.0)  # never k = 0, where the ratio is norm(I) = 1
+    stops = np.minimum(first + 1, len(powers))
+    mu_f = _max_ratio(powers, scales, lo, hi, ks < stops, mu_f)
+    vectors, scales = powers[:stops.max()] @ L, scales[:stops.max()]
+    mu_l = _max_ratio(vectors, scales, *_ratio_bounds(vectors, scales), ks[:len(scales)] < stops,
+                      mu_l)
+    return first < len(powers), mu_f, mu_l
 
 
 def compute_error_bounds(
@@ -245,15 +276,25 @@ def compute_error_bounds(
     and ``l_(K+j) <= r_K l_j < l_j``, so by induction the maxima over ``0..K`` cover
     every k.  The disturbance term uses ``norm(F^k Z') = norm(F^k)``, so ``Z'Z``
     farther than 1e-10 from ``I`` raises ``ValueError`` (the staircase gives 1e-15).
-    Powering that reaches ``_POWER_CAP`` raises :class:`EnvelopeError`.
+    Powering that reaches ``_POWER_CAP`` raises :class:`EnvelopeError`, naming the first
+    sensor of its order that has not settled.
+
+    Lockstep.  The sensors of one order ``nu`` are powered together, ``_POWER_CHUNK // g``
+    powers of all ``g`` of them per chunk (so a chunk holds no more than ``_POWER_CHUNK``
+    powers), by one stacked matmul per power; a stacked matmul runs one product per matrix,
+    so every power is the per-sensor ``F^k @ F`` bit for bit, and ``np.cumprod`` is the
+    running product ``beta**k``.  A sensor that settles drops out of the later chunks.
 
     Norm bounds.  Every ratio is first bracketed without an SVD.  For ``M`` with ``m``
     columns and a unit ``v``, ``|M v| <= |M|_2 <= |M|_F`` and ``|M|_2 >= |M|_F / sqrt(m)``
     (Golub & Van Loan, *Matrix Computations*, 4th ed., section 2.3).  Here ``v`` is the top
-    right singular vector of the chunk's power with the largest Frobenius ratio; for the
-    vectors ``F^k L`` (``m = 1``) the Frobenius norm is the 2-norm.  With ``s = 16 nu^2 eps``
-    and ``d = nu 2^-536``, ``hi = (|M|_F + d)(1 + s)`` and ``lo = (max(|M v|, |M|_F /
-    sqrt(m)) - d)(1 - s)`` bracket the SVD's own ``norm(M)`` in floating point.  The argument
+    right singular vector of the sensor's power with the largest Frobenius ratio in the chunk,
+    taken only when the sensor's Frobenius bounds (``v = 0``) leave a power undecided about 1
+    or able to reach the running maximum: ``v`` only raises ``lo``, and every decision below
+    holds for any valid ``lo``, so ``v`` only saves SVDs.  For the vectors ``F^k L`` (``m = 1``)
+    the Frobenius norm is the 2-norm.  With ``s = 16 nu^2 eps`` and ``d = nu 2^-536``, ``hi =
+    (|M|_F + d)(1 + s)`` and ``lo = (max(|M v|, |M|_F / sqrt(m)) - d)(1 - s)`` bracket the
+    SVD's own ``norm(M)`` in floating point.  The argument
     takes the SVD's error model from the Gram floor of :mod:`resilest._linalg`: backward
     stable, its ``sigma_max`` is within ``8 nu^2 u |M|_2`` of the exact value (``u = eps/2``),
     and its ``V`` is orthonormal to the same order.  Against that, the sum of squares behind
@@ -264,40 +305,49 @@ def compute_error_bounds(
     ``2^-1075`` to an operation, so it moves each norm by less than ``nu 2^-537``, which ``d``
     covers.  Division by ``beta**k`` rounds monotonically, so ``lo / beta**k <= r_k <=
     hi / beta**k`` holds for the computed ratio ``r_k``.  A power with ``hi`` below one
-    settles, one with ``lo`` at least one does not, and only the undecided powers before the
-    first that surely settles take the SVD.  A ratio whose ``hi`` falls below the running
-    maximum or below some ``lo`` cannot raise the maximum; the rest take the SVD, so every
-    maximum is the maximum of SVD values, the same floats a full SVD of the chunk would give.
-    A chunk with a non-finite norm takes the SVD whole.
+    settles, one with ``lo`` at least one does not; the undecided powers before the first
+    that surely settles take the SVD in order, in doubling batches, up to the first batch
+    that holds one that settles.  A ratio whose ``hi`` falls below the running maximum or
+    below some ``lo`` cannot raise the maximum; the rest take the SVD, so every maximum is
+    the maximum of SVD values, the same floats a full SVD of the chunk would give.  A sensor
+    with a non-finite norm in a chunk takes the SVD of that chunk whole.
     """
     if not bank:
         raise ValueError("observer bank is empty")
-    radii = []
+    radii, orders = [], {}
     for obs in bank:
         if not obs.gain_designed:
             raise ValueError(f"sensor {obs.sensor_index}: gain not designed")
         if spectral_norm(obs.Z.T @ obs.Z - np.eye(obs.nu)) > 1e-10:
             raise ValueError(f"sensor {obs.sensor_index}: quotient basis Z is not orthonormal")
         radii.append(float(np.max(np.abs(np.linalg.eigvals(obs.F)))))
+        orders.setdefault(obs.nu, []).append(obs)
     sr = max(radii)
     beta = (sr + 1.0) / 2.0
     if not beta < 1.0:  # also catches a radius so close to 1 that the midpoint rounds to it
         raise ValueError(f"bank contains an unstable observer (spectral radius {sr:.6f})")
 
     mu_f = mu_l = 0.0
-    for obs in bank:
-        powers, scales = np.empty((_POWER_CHUNK, obs.nu, obs.nu)), np.empty(_POWER_CHUNK)
-        Fk, bk = np.eye(obs.nu), 1.0
-        for k in range(0, _POWER_CAP + 1, _POWER_CHUNK):
-            count = min(_POWER_CHUNK, _POWER_CAP + 1 - k)
-            for j in range(count):
-                powers[j], scales[j] = Fk, bk
-                Fk, bk = Fk @ obs.F, bk * beta
-            settled, mu_f, mu_l = _norm_chunk(powers[:count], scales[:count], obs.L, mu_f, mu_l)
-            if settled:
+    for nu, group in orders.items():
+        F, L = np.stack([obs.F for obs in group]), np.stack([obs.L for obs in group])
+        sensors = np.array([obs.sensor_index for obs in group])
+        chunk = max(1, _POWER_CHUNK // len(group))
+        powers, steps = np.empty((chunk, len(group), nu, nu)), np.full(chunk, beta)
+        powers[0], steps[0] = np.eye(nu), 1.0
+        for k in range(0, _POWER_CAP + 1, chunk):
+            count = min(chunk, _POWER_CAP + 1 - k)
+            block = powers[:count, :len(sensors)]
+            for power, following in itertools.pairwise(block):
+                np.matmul(power, F, out=following)
+            scales = np.cumprod(steps[:count])
+            settled, mu_f, mu_l = _bracket_chunk(block, scales, L, mu_f, mu_l)
+            if settled.all():
                 break
+            F, L, sensors, last = F[~settled], L[~settled], sensors[~settled], block[-1, ~settled]
+            np.matmul(last, F, out=powers[0, :len(sensors)])
+            steps[0] = scales[-1] * beta
         else:
-            raise EnvelopeError(f"sensor {obs.sensor_index}: observer powering did not settle "
+            raise EnvelopeError(f"sensor {sensors[0]}: observer powering did not settle "
                                 f"within {_POWER_CAP} powers; beta too close to 1")
 
     w_max = (mu_l * n_max + mu_f * d_max) / (1.0 - beta)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -360,12 +361,14 @@ def jordan_observer(a, stop):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), sensors=st.integers(1, 3))
+@given(seed=st.integers(0, 2**32 - 1), sensors=st.integers(1, 6))
 def test_batched_envelope_equals_power_loop(seed, sensors):
+    # up to six sensors drawn from at most three orders, so most banks power a group in lockstep
     rng = np.random.default_rng(seed)
-    bank = [stable_observer(rng, int(rng.integers(1, 9)), float(rng.uniform(0.0, 0.99)),
-                            n=int(rng.integers(8, 11)))
-            for _ in range(sensors)]
+    orders = rng.integers(1, 9, size=3)
+    bank = [replace(stable_observer(rng, int(rng.choice(orders)), float(rng.uniform(0.0, 0.99)),
+                                    n=int(rng.integers(8, 11))), sensor_index=i)
+            for i in range(1, sensors + 1)]
     want, _, mu_z = reference_error_bounds(bank, 0.003, 0.002, 1.5)
     assert compute_error_bounds(bank, 0.003, 0.002, 1.5) == want
     assert mu_z == pytest.approx(want.mu_f, rel=1e-12)
@@ -397,13 +400,16 @@ def hard_bank(case, rng, inertia_chain):
     if case == "tied_maxima":  # the same observer twice, and once rotated
         obs = jordan_observer(0.99, 300)
         return [obs, replace(obs, sensor_index=2), rotated(obs, rng)]
+    if case == "staggered_stops":  # one order, stops five lockstep chunks apart, distinct gains
+        late = jordan_observer(0.99, 700)
+        return [jordan_observer(0.99, 100), replace(late, sensor_index=2, L=4.0 * late.L)]
     from resilest.plant import ObserverConfig, build_observer_bank
 
     return build_observer_bank(inertia_chain(5, 0.01), ObserverConfig(mode="contract", factor=0.98))
 
 
 @pytest.mark.parametrize("case", ["scaled_orthogonal", "nilpotent", "nu_1", "frobenius_overflow",
-                                  "tied_maxima", "chain_search"])
+                                  "tied_maxima", "staggered_stops", "chain_search"])
 def test_norm_bounds_equal_power_loop_on_hard_inputs(case, inertia_chain):
     bank = hard_bank(case, np.random.default_rng(7), inertia_chain)
     want, _, _ = reference_error_bounds(bank, 0.003, 0.002, 1.5)
@@ -453,6 +459,38 @@ def test_batched_envelope_power_cap_raises_at_same_stop(monkeypatch, stop):
         reference_error_bounds([obs], 0.0, 0.0, 1.0)
     with pytest.raises(RuntimeError):
         compute_error_bounds([obs], 0.0, 0.0, 1.0)
+
+
+def test_envelope_power_cap_names_the_unsettled_member_of_a_group(monkeypatch):
+    # one order group of two: sensor 1 settles at k = 10, sensor 2 needs k = 300
+    bank = [jordan_observer(0.99, 10), replace(jordan_observer(0.99, 300), sensor_index=2)]
+    monkeypatch.setattr(observers, "_POWER_CAP", 300)  # the last power sensor 2 checks
+    want, visited, _ = reference_error_bounds(bank, 0.0, 0.0, 1.0)
+    assert visited == [11, 301]
+    assert compute_error_bounds(bank, 0.0, 0.0, 1.0) == want
+    monkeypatch.setattr(observers, "_POWER_CAP", 299)
+    with pytest.raises(RuntimeError):
+        reference_error_bounds(bank, 0.0, 0.0, 1.0)
+    with pytest.raises(observers.EnvelopeError, match="^sensor 2: .* within 299 powers"):
+        compute_error_bounds(bank, 0.0, 0.0, 1.0)
+
+
+def test_twelve_inertia_chain_envelope_equals_power_loop_in_little_memory(inertia_chain):
+    from resilest.plant import ObserverConfig, build_observer_bank
+
+    # the 10 ms twelve-inertia chain: 23 sensors in six order groups, nu = 12 to 24
+    model = inertia_chain(12, 0.01)
+    bank = build_observer_bank(model, ObserverConfig(mode="contract", factor=0.98))
+    assert sorted({obs.nu for obs in bank}) == [12, 16, 18, 20, 22, 24]
+    want, _, _ = reference_error_bounds(bank, 0.001, 0.001, 1.0)
+    tracemalloc.start()
+    try:
+        got = compute_error_bounds(bank, 0.001, 0.001, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 3e6  # 256 powers of each of the eight nu = 24 sensors per chunk: 17.5 MB
 
 
 def test_error_bounds_reject_non_orthonormal_basis():
