@@ -593,23 +593,20 @@ def security_index(model: SystemModel, eps_rel: float = DEFAULT_EPS_REL) -> int:
     return stacked_cospark(coding_matrix(model), eps_rel)
 
 
-def security_index_eigenvector(
-    model: SystemModel,
-    tol: float | None = None,
-    gap_tol: float = 1e-8,
-) -> int:
+def security_index_eigenvector(model: SystemModel, tol: float | None = None) -> int:
     """Security index via the eigenvector route: min over normalized
     eigenvectors v of the number of nonzero entries of ``C v``.
 
     Only supports state matrices with n distinct eigenvalues; repeated
     spectra make the minimization over an eigenspace itself combinatorial,
-    and callers should use :func:`security_index` instead.  Entry moduli at
+    and callers should use :func:`security_index` instead; eigenvalues within
+    ``1e-8 * max(1, max |lambda|)`` of each other count as repeated.  Entry moduli at
     or below ``tol`` count as zero (default: scaled by ``norm(C v)``).
     """
     eigvals, eigvecs = np.linalg.eig(model.A)
     scale = max(1.0, float(np.max(np.abs(eigvals))))
     for a, b in itertools.combinations(eigvals, 2):
-        if abs(a - b) <= gap_tol * scale:
+        if abs(a - b) <= 1e-8 * scale:
             raise UnsupportedInputError(
                 "repeated eigenvalues: the eigenvector security-index route "
                 "requires a distinct spectrum; use security_index() instead"

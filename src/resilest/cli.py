@@ -31,7 +31,7 @@ from .files import (
     write_trace_csv,
 )
 from .observers import EnvelopeError
-from .plant import ScenarioValidationError, simulate
+from .plant import ScenarioValidationError, Trace, simulate
 from .plots import write_svg_plot
 from .stacked import CodingMatrix
 
@@ -113,6 +113,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_summary(trace: Trace) -> str:
+    """The run's step count, largest estimation error and bound, and minimizer steps."""
+    return (f"steps={trace.horizon} max_error={trace.estimation_errors().max():.6g} "
+            f"max_bound={trace.bound.max():.6g} "
+            f"minimizer_invocations={np.count_nonzero(trace.branch == 1)}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if out.is_dir() or not out.parent.is_dir():  # checked before the run, not after it
@@ -133,13 +140,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write trace: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    errors = trace.estimation_errors()
-    minimizer_steps = int(np.count_nonzero(trace.branch == 1))
-    print(
-        f"steps={trace.horizon} max_error={errors.max():.6g} "
-        f"max_bound={trace.bound.max():.6g} minimizer_invocations={minimizer_steps} "
-        f"trace={args.out}"
-    )
+    print(f"{_run_summary(trace)} trace={args.out}")
     return EXIT_OK
 
 
@@ -231,15 +232,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print(f"error: cannot write demo output: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
-    errors = trace.estimation_errors()
-    minimizer_steps = int(np.count_nonzero(trace.branch == 1))
     print(f"scenario={scenario_path}")
     print(f"trace={trace_path}")
     print(f"plots={', '.join(str(outdir / f) for f in DEMO_PLOT_FILES)}")
-    print(
-        f"steps={trace.horizon} max_error={errors.max():.6g} "
-        f"max_bound={trace.bound.max():.6g} minimizer_invocations={minimizer_steps}"
-    )
+    print(_run_summary(trace))
     return EXIT_OK
 
 

@@ -78,7 +78,7 @@ class DecoderState:
 
     The budget ``(q, r)`` is the one ``constants`` certify.  ``operators`` caches (0-based
     members, pinv) per block selection, solved when first needed: the calculator's trusted
-    sets and the candidates the minimizer has tried.
+    sets and the candidates that won a minimizer search.
     """
 
     lam: IndexSet
@@ -102,10 +102,11 @@ class DecoderState:
                    recert_every=recert_every)
 
     def operator(self, lam: IndexSet) -> tuple[np.ndarray, np.ndarray]:
-        """(0-based members, pinv of their row slabs) of ``lam``, solved once and cached."""
+        """(0-based members, pinv of their row slabs) of ``lam``: cached, or solved and not
+        stored (the caller stores what it reuses)."""
         if (cached := self.operators.get(lam)) is None:
             members = np.array(lam.indices, dtype=np.intp) - 1
-            cached = self.operators[lam] = members, pinv(self.phi.selection_stack(members[None])[0])
+            cached = members, pinv(self.phi.selection_stack(members[None])[0])
         return cached
 
 
@@ -122,7 +123,7 @@ def decoder_step(
     (:func:`_first_fit`) re-selects the trusted set.
     """
     p = state.phi.block_count
-    members, lsq = state.operator(state.lam)
+    members, lsq = state.operators.setdefault(state.lam, state.operator(state.lam))
     x_hat = lsq @ z[members].reshape(-1)
     threshold = state.constants.theta * v_max
     misfits = block_misfits(state.phi, z, x_hat[None, :])[0]
@@ -151,14 +152,19 @@ def _first_fit(
     of the largest calculator ``misfits`` among their members (a non-finite misfit ranks
     last; ties keep the lexicographic order) and solves each one's operator only when it
     is tried: the candidate walk of the offline decoders (``decoding._first_minimum``),
-    stopping at q.  When none qualifies, the exhaustive minimum would violate more than q
-    blocks too and leave fewer than ``p - q`` sensors trusted, so the step raises.
+    stopping at q.  Of the operators it solves, only the winner's is cached.  When none
+    qualifies, the exhaustive minimum would violate more than q blocks too and leave fewer
+    than ``p - q`` sensors trusted, so the step raises.
     """
     p, q = state.phi.block_count, state.constants.q
     tried = _candidates(np.where(np.isfinite(misfits), misfits, np.inf), p - state.constants.r, 1)
+    last = None
 
     def solve(members: np.ndarray) -> np.ndarray:
-        return state.operator(IndexSet(tuple(int(i) + 1 for i in members[0]), p))[1][None]
+        nonlocal last
+        lam = IndexSet(tuple(int(i) + 1 for i in members[0]), p)
+        last = lam, state.operator(lam)
+        return last[1][1][None]
 
     x_hat, bad = _first_minimum(state.phi, z, tried, solve, threshold, q)
     if np.count_nonzero(bad) > q:
@@ -166,6 +172,7 @@ def _first_fit(
             "no candidate violates at most q blocks, so the trusted set would shrink below "
             "p - q; more than q sensors attacked"
         )
+    state.operators.setdefault(*last)  # the walk stopped at its last candidate, the winner
     return x_hat, IndexSet(tuple(int(i) + 1 for i in np.flatnonzero(~bad)), p)
 
 

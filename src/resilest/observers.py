@@ -95,8 +95,8 @@ def contracted_poles(obs: PartialObserver, factor: float) -> np.ndarray:
     return factor * np.linalg.eigvals(obs.S)
 
 
-def _check_conjugate_closed(poles: np.ndarray, tol: float = 1e-9) -> None:
-    remaining = list(poles)
+def _check_conjugate_closed(poles: np.ndarray) -> None:
+    tol, remaining = 1e-9, list(poles)
     while remaining:
         z = remaining.pop()
         if abs(z.imag) <= tol:
@@ -245,14 +245,7 @@ def _bracket_chunk(powers: np.ndarray, scales: np.ndarray, L: np.ndarray,
     lo, hi = _ratio_bounds(powers, scales, mu_f)
     ks = np.arange(len(powers))[:, None]
     undecided = (lo < 1.0) & (ks < _first(hi < 1.0))  # before the first that surely settles
-    rank, searching, taken, size = np.cumsum(undecided, axis=0), True, 0, 1
-    while True:  # the undecided powers in order, in doubling batches, up to one that settles
-        batch = undecided & (rank > taken) & (rank <= taken + size) & searching
-        if not batch.any():
-            break
-        _svd_ratios(powers, scales, lo, hi, batch)
-        searching &= ~(batch & (hi < 1.0)).any(axis=0)
-        taken, size = taken + size, 2 * size
+    _svd_ratios(powers, scales, lo, hi, undecided)
     first = _first(hi < 1.0)  # never k = 0, where the ratio is norm(I) = 1
     stops = np.minimum(first + 1, len(powers))
     mu_f = _max_ratio(powers, scales, lo, hi, ks < stops, mu_f)
@@ -306,11 +299,10 @@ def compute_error_bounds(
     covers.  Division by ``beta**k`` rounds monotonically, so ``lo / beta**k <= r_k <=
     hi / beta**k`` holds for the computed ratio ``r_k``.  A power with ``hi`` below one
     settles, one with ``lo`` at least one does not; the undecided powers before the first
-    that surely settles take the SVD in order, in doubling batches, up to the first batch
-    that holds one that settles.  A ratio whose ``hi`` falls below the running maximum or
-    below some ``lo`` cannot raise the maximum; the rest take the SVD, so every maximum is
-    the maximum of SVD values, the same floats a full SVD of the chunk would give.  A sensor
-    with a non-finite norm in a chunk takes the SVD of that chunk whole.
+    that surely settles take the SVD in one batch.  A ratio whose ``hi`` falls below the
+    running maximum or below some ``lo`` cannot raise the maximum; the rest take the SVD, so
+    every maximum is the maximum of SVD values, the same floats a full SVD of the chunk would
+    give.  A sensor with a non-finite norm in a chunk takes the SVD of that chunk whole.
     """
     if not bank:
         raise ValueError("observer bank is empty")

@@ -34,12 +34,10 @@ def write_svg_plot(
     path: Union[str, Path],
     series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     title: str,
-    x_label: str = "t [s]",
-    y_label: str = "",
 ) -> None:
     """Write labelled polylines to an SVG file.
 
-    ``series`` holds (name, x-array, y-array) triples sharing one x axis.
+    ``series`` holds (name, x-array, y-array) triples sharing one time axis.
     """
     if not series:
         raise ValueError("at least one series required")
@@ -70,14 +68,8 @@ def write_svg_plot(
         f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
         f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>',
+        f'font-family="sans-serif" font-size="12">t [s]</text>',
     ]
-    if y_label:
-        cx, cy = 16, _HEIGHT / 2
-        lines.append(
-            f'<text x="{cx}" y="{cy:.0f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 {cx} {cy:.0f})">{y_label}</text>'
-        )
     for gx in np.linspace(x_lo, x_hi, 6):
         lines.append(
             f'<text x="{sx(gx):.1f}" y="{_MARGIN_T + plot_h + 16}" text-anchor="middle" '

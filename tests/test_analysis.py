@@ -1096,6 +1096,42 @@ def test_a_full_rank_representative_expands_to_its_deficient_member(monkeypatch)
     assert expanded == [[[0], [1]]]
 
 
+def test_the_selection_scan_stops_at_a_representative_after_a_deficient_member(monkeypatch):
+    # the matrix above with a fifth block, the identity, in a group of its own.  Size 1 then
+    # holds three count vectors, represented by {1}, {2} and {5}; with one representative per
+    # chunk, {2} expands to the deficient {3}, and the chunk of {5}, which follows it, ends
+    # the scan before its floor test
+    eps_rel = 1e-8
+    phi = CodingMatrix.from_blocks([np.diag([1.0, 2.0001e-8]), np.diag([2.0001e-8, 1.0]),
+                                    np.diag([1.9999e-8, 1.0]), np.diag([1.0, 1.9999e-8]),
+                                    np.eye(2)])
+    assert phi.groups == ((0, 3), (1, 2), (4,))
+    monkeypatch.setattr(analysis, "_STACK_FLOATS", 4)  # one representative per chunk
+    chunks, tested = [], []
+    grams, floor_test = analysis._selection_grams, analysis._floor_test
+
+    def spy_grams(*args):
+        for chunk in grams(*args):
+            chunks.append(chunk[0].tolist())
+            yield chunk
+
+    def spy_floor_test(*args):
+        tested.append(chunks[-1])
+        return floor_test(*args)
+
+    monkeypatch.setattr(analysis, "_selection_grams", spy_grams)
+    monkeypatch.setattr(analysis, "_floor_test", spy_floor_test)
+    first = next(sel for sel in itertools.combinations(range(5), 1)
+                 if matrix_rank(compacted(phi, IndexSet(tuple(i + 1 for i in sel), 5)),
+                                eps_rel) < 2)
+    assert analysis._selection_scan(phi, 1, eps_rel) == (0.0, first, None) == (0.0, (2,), None)
+    assert chunks == [[[0]], [[1]], [[4]]]
+    assert tested == [[[0]], [[1]]]
+    want = reference_first_deficient(phi, eps_rel)
+    assert want == IndexSet((1, 4), 5)
+    assert index_scan(phi, eps_rel) == (3, want)
+
+
 def test_distinct_subspaces_scan_every_subset_bit_for_bit(three_inertia):
     # the three-inertia plant's monomial observability matrix: its five G_i are all distinct,
     # so every group is a singleton, the margin is 0, and the scans read every subset in the

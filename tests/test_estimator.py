@@ -380,3 +380,23 @@ def test_first_search_at_p26_streams_its_candidates():
     assert x_hat.tobytes() == (lsq[None] @ z[members].reshape(1, -1, 1))[0, :, 0].tobytes()
     assert np.allclose(x_hat, x, rtol=0.0, atol=1e-9)
     assert not hasattr(state, "selections")
+
+
+def test_exhausted_search_caches_no_candidate():
+    # dense n = 4, p = 16 at q = 3, r = 6 with four blocks offset by 50: every one of the
+    # C(16, 10) = 8,008 candidates violates more than q blocks, so the search solves them all
+    # and raises.  Only the calculator's trusted set stays cached (8,009 operators, a 15.3 MB
+    # tracemalloc peak, when every candidate tried was cached)
+    phi = coding_matrix(dense_model(16, 16))
+    state = DecoderState.fresh(phi, 3, 6)
+    z = phi.blocks @ np.ones(4)
+    z[:4] += 50.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(EstimatorAssumptionError, match="p - q"):
+            decoder_step(state, z, 1, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(state.operators) == [IndexSet.full(16)]
+    assert peak < 2 ** 20

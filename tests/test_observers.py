@@ -218,6 +218,15 @@ def test_design_gain_validates_pole_set():
         design_gain(obs, [0.1 + 0.2j, 0.3])  # not conjugate-closed
 
 
+def test_design_gain_turns_a_singular_solve_into_the_placement_error():
+    # S = I / 2 with t = e_1' is unobservable: the shifted pair's observability rows are
+    # parallel, so the Ackermann solve raises LinAlgError
+    obs = PartialObserver(sensor_index=3, nu=2, Z=np.eye(2), S=0.5 * np.eye(2),
+                          t=np.array([[1.0, 0.0]]), Bz=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="pole placement failed for sensor 3: .* inf"):
+        design_gain(obs, default_poles(2))
+
+
 def test_default_poles_structure():
     poles = default_poles(5, 0.5)
     assert poles.size == 5
@@ -397,6 +406,10 @@ def hard_bank(case, rng, inertia_chain):
         obs = jordan_observer(0.5, 10)
         F = np.array([[0.5, 1e200], [0.0, 0.5]])
         return [replace(obs, S=F.copy(), F=F)]
+    if case == "overflow_beside_finite":  # one order group: one sensor's squares overflow
+        F = np.array([[0.5, 1e200], [0.0, 0.5]])
+        obs = jordan_observer(0.99, 300)
+        return [replace(obs, S=F.copy(), F=F), replace(obs, sensor_index=2)]
     if case == "tied_maxima":  # the same observer twice, and once rotated
         obs = jordan_observer(0.99, 300)
         return [obs, replace(obs, sensor_index=2), rotated(obs, rng)]
@@ -409,7 +422,8 @@ def hard_bank(case, rng, inertia_chain):
 
 
 @pytest.mark.parametrize("case", ["scaled_orthogonal", "nilpotent", "nu_1", "frobenius_overflow",
-                                  "tied_maxima", "staggered_stops", "chain_search"])
+                                  "overflow_beside_finite", "tied_maxima", "staggered_stops",
+                                  "chain_search"])
 def test_norm_bounds_equal_power_loop_on_hard_inputs(case, inertia_chain):
     bank = hard_bank(case, np.random.default_rng(7), inertia_chain)
     want, _, _ = reference_error_bounds(bank, 0.003, 0.002, 1.5)
