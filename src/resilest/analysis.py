@@ -93,7 +93,6 @@ __all__ = [
     "is_q_error_detectable",
     "is_q_redundant_observable",
     "observability_matrix",
-    "quotient_basis",
     "robustness_constants",
     "security_index",
     "security_index_eigenvector",
@@ -228,43 +227,34 @@ def observability_matrix(model: SystemModel) -> CodingMatrix:
 _STAIRCASE_TOL = 1e-10
 
 
-def quotient_basis(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Orthonormal rows ``Z'`` (nu x n) spanning the observable quotient of ``(A, c)``.
-
-    The orthogonal staircase (Paige, IEEE TAC 1981; Van Dooren, IEEE TAC
-    1981) is Arnoldi with full reorthogonalization on the rows ``c, cA, ...``:
-    ``q_1 = c/|c|`` and ``q_{j+1}`` is the normalized part of ``q_j A``
-    orthogonal to ``q_1..q_j``, until that part falls below
-    ``_STAIRCASE_TOL * |A|_2``.  A zero row ``c`` observes nothing: no rows.
-    """
-    norm_c = float(np.linalg.norm(c))
-    if norm_c == 0.0:
-        return np.zeros((0, len(c)))
-    floor = _STAIRCASE_TOL * float(np.linalg.norm(A, 2))
-    Q = c[None] / norm_c  # the rows q_1, q_2, ... of Z'
-    while len(Q) < len(c):
-        v = Q[-1] @ A
-        for _ in range(2):  # a second Gram-Schmidt pass restores orthogonality to round-off
-            v = v - (Q @ v) @ Q
-        h = float(np.linalg.norm(v))
-        if h <= floor:
-            break
-        Q = np.vstack([Q, v / h])
-    return Q
-
-
 def coding_matrix(model: SystemModel) -> CodingMatrix:
-    """The padded staircase bases ``Z'``: block i is ``quotient_basis(A, c_i)`` over
-    ``n - nu_i`` zero rows (a zero block for a zero output row).
+    """The padded staircase bases ``Z'``: block i holds the ``nu_i`` orthonormal rows spanning
+    the observable quotient of ``(A, c_i)`` over ``n - nu_i`` zero rows (a zero block for a
+    zero output row).
 
-    The only padding of the ``Z_i'``: the decoder's coding matrix, the one
-    ``Scenario.validate`` certifies and ``simulate`` decodes with.
+    The orthogonal staircase (Paige, IEEE TAC 1981; Van Dooren, IEEE TAC 1981) is Arnoldi
+    with full reorthogonalization on the rows ``c, cA, ...``: ``q_1 = c/|c|`` and ``q_{j+1}``
+    is the normalized part of ``q_j A`` orthogonal to ``q_1..q_j``, until that part falls
+    below ``_STAIRCASE_TOL * |A|_2``.  The only staircase and the only padding of the
+    ``Z_i'``: the decoder's coding matrix, the one ``Scenario.validate`` certifies and
+    ``simulate`` decodes with, and the observers' quotient bases.
     """
-    n = model.n
+    n, A = model.n, model.A
     blocks = np.zeros((model.p, n, n))
-    for i, c in enumerate(model.C):
-        Q = quotient_basis(model.A, c)
-        blocks[i, : len(Q)] = Q
+    floor = _STAIRCASE_TOL * float(np.linalg.norm(A, 2))
+    for Q, c in zip(blocks, model.C):  # Q: the rows q_1, q_2, ... of block i
+        norm_c = float(np.linalg.norm(c))
+        if norm_c == 0.0:
+            continue
+        Q[0] = c / norm_c
+        for j in range(1, n):
+            v = Q[j - 1] @ A
+            for _ in range(2):  # a second Gram-Schmidt pass restores orthogonality to round-off
+                v = v - (Q[:j] @ v) @ Q[:j]
+            h = float(np.linalg.norm(v))
+            if h <= floor:
+                break
+            Q[j] = v / h
     return CodingMatrix(blocks.reshape(model.p * n, n), n, model.p)
 
 
@@ -293,6 +283,13 @@ def _lex_rank(members: np.ndarray, p: int) -> np.ndarray:
     binomial = np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(p)],
                         dtype=np.int64).reshape(p, k + 1)
     return math.comb(p, k) - 1 - binomial[p - 1 - members, np.arange(k, 0, -1)].sum(axis=-1)
+
+
+def _complement(members: np.ndarray, p: int) -> np.ndarray:
+    """The sorted complement in ``range(p)`` of each 0-based selection (last axis)."""
+    inside = np.zeros(members.shape[:-1] + (p,), dtype=bool)
+    np.put_along_axis(inside, members, True, axis=-1)
+    return np.nonzero(~inside)[-1].reshape(members.shape[:-1] + (p - members.shape[-1],))
 
 
 def _places(phi: CodingMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -720,8 +717,7 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
             else:
                 others, owner = _members(phi, members)
                 every = np.concatenate([members, others])
-                outside = np.nonzero((np.arange(p) != every[:, :, None]).all(axis=1))[1]
-                outside = outside.reshape(len(every), p - size)
+                outside = _complement(every, p)
                 per_block = np.full((len(every), p), -math.inf)
                 np.put_along_axis(per_block, outside, _svd_gains(phi, every, outside, eps_rel),
                                   axis=1)
@@ -758,23 +754,25 @@ def _constants(phi: CodingMatrix, q: int, r: int, eps_rel: float,
     if r > q:
         reps, gains, svd_rows = tables[p - r]
         outer = np.array(list(_representatives(phi, p - q)), dtype=np.intp).reshape(-1, p - q)
-        picks = sensor_selections(p - q, p - r)
-        subs = outer[:, picks]  # each lam's subselections
-        ranks, sub_ranks = _lex_rank(reps, p), _lex_rank(subs, p)
+        # the r - q blocks of lam each subselection bar drops; complementing reverses the
+        # lexicographic order, so the reversed table lists the bars in order
+        dropped = outer[:, sensor_selections(p - q, r - q)[::-1]]
+        # bar's complement is lam's q outside blocks and the dropped ones: its rank among the
+        # r-selections, negated, orders the bars as the (p - r)-table orders its rows
+        outside = np.broadcast_to(_complement(outer, p)[:, None], dropped.shape[:2] + (q,))
+        ranks = -_lex_rank(_complement(reps, p), p)
+        sub_ranks = -_lex_rank(np.sort(np.concatenate([outside, dropped], axis=2), axis=2), p)
         index = np.minimum(np.searchsorted(ranks, sub_ranks), len(reps) - 1)  # gains rows
-        # each group's gain on each block of lam (from the SVD route, the group's largest
+        # each group's gain on each block bar drops (from the SVD route, the group's largest
         # over the count vector: eta_prime, a max of mins of maxes, can then only read high)
-        worst = gains[index[:, :, None], labels[outer][:, None]]
-        own = np.zeros((len(picks), p - q), dtype=bool)
-        np.put_along_axis(own, picks, True, axis=1)
-        worst[:, own] = -math.inf  # bar's own
+        worst = gains[index[:, :, None], labels[dropped]]
         largest = np.where(ranks[index] == sub_ranks, worst.max(axis=2), math.inf)
         lam = int(np.argmax(largest.min(axis=1)))
         bar = int(np.argmin(largest[lam]))
-        block = outer[lam, np.argmax(worst[lam, bar])]
+        block = dropped[lam, bar, np.argmax(worst[lam, bar])]
         row = index[lam, bar]
         eta_prime = (float(gains[row, labels[block]]) if svd_rows[row]
-                     else confirmed(subs[lam, bar], block))
+                     else confirmed(reps[row], block))
 
     sqrt_p = math.sqrt(p)
     kappa_d = (sqrt_p + 1.0) * math.sqrt(p - q) / rho

@@ -182,18 +182,6 @@ def save_scenario_dict(doc: dict, path: PathLike) -> None:
         fh.write("\n")
 
 
-def _numeric_line(line: str) -> bool:
-    for tok in line.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            float(tok)
-        except ValueError:
-            return False
-    return True
-
-
 def read_matrix_csv(path: PathLike) -> np.ndarray:
     """Row-major CSV matrix; a leading non-numeric header line is skipped."""
     rows = []
@@ -204,11 +192,12 @@ def read_matrix_csv(path: PathLike) -> np.ndarray:
                 continue
             if not line.replace(",", "").strip():
                 raise ValueError(f"{path}: no value at line {lineno + 1}")
-            if not _numeric_line(line):
+            try:
+                rows.append([float(tok) for tok in line.split(",") if tok.strip()])
+            except ValueError:
                 if lineno == 0:
                     continue
-                raise ValueError(f"{path}: non-numeric data at line {lineno + 1}")
-            rows.append([float(tok) for tok in line.split(",") if tok.strip()])
+                raise ValueError(f"{path}: non-numeric data at line {lineno + 1}") from None
     if not rows:
         raise ValueError(f"{path}: no numeric rows")
     width = len(rows[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._linalg import spectral_norm
-from .analysis import SystemModel, quotient_basis
+from .analysis import SystemModel, coding_matrix
 
 POLE_MATCH_TOL = 1e-6
 
@@ -53,18 +53,25 @@ class PartialObserver:
 def kalman_decompose(model: SystemModel, i: int) -> PartialObserver:
     """Observability decomposition for sensor ``i`` (1-based), gain unset.
 
-    The quotient basis is :func:`resilest.analysis.quotient_basis`, the orthogonal
-    staircase on the rows ``c, cA, ...``, so ``Z' A = S Z'`` with ``S`` lower
-    Hessenberg and ``t = |c| e_1'``.  A zero output row raises ``ValueError``.
+    The quotient basis is sensor i's block of :func:`resilest.analysis.coding_matrix`, the
+    orthogonal staircase on the rows ``c, cA, ...``, so ``Z' A = S Z'`` with ``S`` lower
+    Hessenberg and ``t = |c| e_1'``.  The staircase treats each row alone, so the block is
+    taken on the model of sensor i's row alone.  A zero output row raises ``ValueError``.
     """
     if not 1 <= i <= model.p:
         raise ValueError(f"sensor index {i} outside 1..{model.p}")
-    c = model.C[i - 1]
-    Q = quotient_basis(model.A, c)
+    return _quotient_observer(model, i, coding_matrix(replace(model, C=model.C[i - 1:i])).blocks[0])
+
+
+def _quotient_observer(model: SystemModel, i: int, block: np.ndarray) -> PartialObserver:
+    """Sensor ``i``'s decomposition from its block of ``Z'``: the staircase fills the block's
+    first ``nu`` rows with unit rows and leaves the rest zero."""
+    Q = block[:np.count_nonzero(block.any(axis=1))]
     if not len(Q):
         raise ValueError(f"sensor {i} observes nothing (zero output row)")
     return PartialObserver(sensor_index=i, nu=len(Q), Z=Q.T, S=Q @ model.A @ Q.T,
-                           t=float(np.linalg.norm(c)) * np.eye(1, len(Q)), Bz=Q @ model.B)
+                           t=float(np.linalg.norm(model.C[i - 1])) * np.eye(1, len(Q)),
+                           Bz=Q @ model.B)
 
 
 def default_poles(nu: int, radius: float = 0.5) -> np.ndarray:
@@ -187,11 +194,11 @@ class EnvelopeError(RuntimeError):
 def _ratio_bounds(mats: np.ndarray, scales: np.ndarray,
                   running: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
     """Bounds ``lo <= norm(mats[k, s]) / scales[k] <= hi`` on the SVD 2-norm of each matrix of a
-    ``(c, g, nu, m)`` grid, from the Frobenius norms and, for ``m > 1``, the top right singular
-    vector of a column's matrix with the largest Frobenius ratio, from one batched SVD over the
-    columns whose Frobenius bounds leave a ratio undecided about 1 or able to reach
-    ``max(running, every lo)`` (see :func:`compute_error_bounds`).  A non-finite norm in a column
-    gives every matrix of that column the bounds ``-inf`` and ``inf``."""
+    ``(c, g, nu, m)`` grid, from the Frobenius norms and, for ``m > 1``, the top eigenvector of
+    ``M'M`` for a column's matrix ``M`` with the largest Frobenius ratio, from one batched
+    ``eigh`` over the columns whose Frobenius bounds leave a ratio undecided about 1 or able to
+    reach ``max(running, every lo)`` (see :func:`compute_error_bounds`).  A non-finite norm in a
+    column gives every matrix of that column the bounds ``-inf`` and ``inf``."""
     nu, cols = mats.shape[-2:]
     fro = np.sqrt(np.einsum("...ij,...ij->...", mats, mats))
     finite = np.isfinite(fro).all(axis=0)
@@ -208,7 +215,7 @@ def _ratio_bounds(mats: np.ndarray, scales: np.ndarray,
         if need.any():
             top = mats[np.argmax(fro / scales[:, None], axis=0), np.arange(mats.shape[1])]
             v = np.zeros(top.shape[:2] + (1,))  # (g, m, 1); M 0 = 0 leaves lo as it is
-            v[need] = np.linalg.svd(top[need])[2][:, 0, :, None]
+            v[need] = np.linalg.eigh(top[need].swapaxes(1, 2) @ top[need])[1][:, :, -1:]
             lower = np.linalg.norm((mats @ v)[..., 0], axis=-1)
             lo = np.maximum(lo, (lower - margin) * (1.0 - slack) / scales[:, None])
     return lo, hi
@@ -281,23 +288,28 @@ def compute_error_bounds(
     Norm bounds.  Every ratio is first bracketed without an SVD.  For ``M`` with ``m``
     columns and a unit ``v``, ``|M v| <= |M|_2 <= |M|_F`` and ``|M|_2 >= |M|_F / sqrt(m)``
     (Golub & Van Loan, *Matrix Computations*, 4th ed., section 2.3).  Here ``v`` is the top
-    right singular vector of the sensor's power with the largest Frobenius ratio in the chunk,
-    taken only when the sensor's Frobenius bounds (``v = 0``) leave a power undecided about 1
-    or able to reach the running maximum: ``v`` only raises ``lo``, and every decision below
-    holds for any valid ``lo``, so ``v`` only saves SVDs.  For the vectors ``F^k L`` (``m = 1``)
-    the Frobenius norm is the 2-norm.  With ``s = 16 nu^2 eps`` and ``d = nu 2^-536``, ``hi =
-    (|M|_F + d)(1 + s)`` and ``lo = (max(|M v|, |M|_F / sqrt(m)) - d)(1 - s)`` bracket the
-    SVD's own ``norm(M)`` in floating point.  The argument
-    takes the SVD's error model from the Gram floor of :mod:`resilest._linalg`: backward
-    stable, its ``sigma_max`` is within ``8 nu^2 u |M|_2`` of the exact value (``u = eps/2``),
-    and its ``V`` is orthonormal to the same order.  Against that, the sum of squares behind
-    ``|M|_F`` errs by ``(nu^2 + 3) u`` relative, ``M v`` and its norm by ``(nu^(3/2) + nu/2 + 1)
-    u``, and the division by ``sqrt(m)`` and the margins by ``4 u``.  The bound ``hi`` then needs
-    ``s >= (9 nu^2 + 5) u``, ``lo`` at most ``(16 nu^2 + nu^(3/2) + nu/2 + 3) u <= 20.5 nu^2 u``;
-    ``s = 32 nu^2 u`` leaves the rest for second-order terms.  Gradual underflow adds at most
-    ``2^-1075`` to an operation, so it moves each norm by less than ``nu 2^-537``, which ``d``
-    covers.  Division by ``beta**k`` rounds monotonically, so ``lo / beta**k <= r_k <=
-    hi / beta**k`` holds for the computed ratio ``r_k``.  A power with ``hi`` below one
+    eigenvector of ``M'M``, for the sensor's power ``M`` with the largest Frobenius ratio in the
+    chunk: ``M``'s top right singular vector up to rounding (the entries of ``M'M`` are at most
+    ``|M|_F^2``, finite here).  It is taken only when the sensor's Frobenius bounds
+    (``v = 0``) leave a power undecided about 1 or able to reach the running maximum: ``v``
+    only raises ``lo``, and every decision below holds for any valid ``lo``, so ``v`` only
+    saves SVDs.  For the vectors ``F^k L`` (``m = 1``) the Frobenius norm is the 2-norm.  With
+    ``s = 16 nu^2 eps`` and ``d = nu 2^-536``, ``hi = (|M|_F + d)(1 + s)`` and ``lo =
+    (max(|M v|, |M|_F / sqrt(m)) - d)(1 - s)`` bracket the SVD's own ``norm(M)`` in floating
+    point.  The argument takes the SVD's error model from the Gram floor of
+    :mod:`resilest._linalg`: backward stable, its ``sigma_max`` is within ``8 nu^2 u |M|_2`` of
+    the exact value (``u = eps/2``).  Only ``|v|`` enters ``lo`` (``|M v| <= |M|_2 |v|`` for any
+    ``v``; how near ``v`` comes to the singular vector decides how tight ``lo`` is, not whether
+    it holds), and ``eigh``'s eigenvectors are orthonormal to a small multiple of ``nu u``
+    (Demmel, *Applied Numerical Linear Algebra*, 1997, section 5.3), within ``8 nu^2 u``.
+    Against that, the sum of squares behind ``|M|_F`` errs by ``(nu^2 + 3) u`` relative,
+    ``M v`` and its norm by ``(nu^(3/2) + nu/2 + 1) u``, and the division by ``sqrt(m)`` and the
+    margins by ``4 u``.  The bound ``hi`` then needs ``s >= (9 nu^2 + 5) u``, ``lo`` at most
+    ``(16 nu^2 + nu^(3/2) + nu/2 + 3) u <= 20.5 nu^2 u``; ``s = 32 nu^2 u`` leaves the rest for
+    second-order terms.  Gradual underflow adds at most ``2^-1075`` to an operation, so it
+    moves each norm by less than ``nu 2^-537``, which ``d`` covers.  Division by ``beta**k``
+    rounds monotonically, so ``lo / beta**k <= r_k <= hi / beta**k`` holds for the computed
+    ratio ``r_k``.  A power with ``hi`` below one
     settles, one with ``lo`` at least one does not; the undecided powers before the first
     that surely settles take the SVD in one batch.  A ratio whose ``hi`` falls below the
     running maximum or below some ``lo`` cannot raise the maximum; the rest take the SVD, so

@@ -22,11 +22,11 @@ from .analysis import CorrectabilityError, SystemModel, coding_matrix
 from .estimator import DecoderState, ObserverBank, decoder_step, estimator_step
 from .observers import (
     PartialObserver,
+    _quotient_observer,
     compute_error_bounds,
     contracted_poles,
     default_poles,
     design_gain,
-    kalman_decompose,
     v_max_at,
 )
 
@@ -361,10 +361,10 @@ class Trace:
 
 
 def build_observer_bank(model: SystemModel, observer: ObserverConfig) -> list[PartialObserver]:
-    """Decompose every sensor and design gains per the pole policy."""
+    """Decompose every sensor from its block of ``Z'`` and design gains per the pole policy."""
     bank = []
-    for i in range(1, model.p + 1):
-        obs = kalman_decompose(model, i)
+    for i, block in enumerate(coding_matrix(model).blocks, start=1):
+        obs = _quotient_observer(model, i, block)
         bank.append(design_gain(obs, observer.poles_for(obs)))
     return bank
 

@@ -558,6 +558,20 @@ def test_coding_matrix_is_the_estimators_phi_bit_for_bit(three_inertia, inertia_
             assert z.blocks[i, obs.nu:].tobytes() == bytes(8 * (model.n - obs.nu) * model.n)
 
 
+def test_coding_matrix_takes_one_two_norm_of_a(monkeypatch, inertia_chain):
+    # the staircase floor _STAIRCASE_TOL |A|_2 is one SVD of A per model, not one per sensor
+    orders, norm = [], np.linalg.norm
+
+    def spy_norm(x, ord=None, *args, **kwargs):
+        orders.append(ord)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    model = inertia_chain(5, 0.01)
+    coding_matrix(model)
+    assert orders.count(2) == 1 and len(orders) > model.p
+
+
 def test_analyze_constants_are_the_estimators(three_inertia):
     from resilest.plant import Scenario
 
@@ -1348,15 +1362,16 @@ def test_tied_selections_read_one_representative_per_size(monkeypatch):
 
 @pytest.mark.parametrize(("p", "q", "r", "peak_mb"),
                          [(26, 3, 6, 8), (26, 3, 4, 8), (26, 1, 2, 8), (40, 3, 6, 32),
-                          (63, 3, 6, 120)])
+                          (63, 3, 6, 20), (68, 3, 6, 20), (100, 3, 6, 40)])
 def test_dense_constants_read_one_count_vector_per_size(p, q, r, peak_mb):
     # a dense model at r > q: eta_prime's maximum over the (p - q)-selections of a minimum
     # over their (p - r)-subselections reads one (p - q)-representative and one of its
     # subselections.  G_S = (p - r) I on every (p - r)-selection, so eta_prime = 1/sqrt(p - r)
     # and theta = sqrt(p - r); a per-selection table would hold C(p, q) C(p - q, r - q)
-    # subselections: 4.6 million at p = 26, q = 3, r = 6, and 77 million at p = 40.  At
-    # p = 63 the mask of each subselection's own blocks is (C(60, 57), 60); compared against
-    # every block it was a (C(60, 57), 57, 60) array, 117 MB, and the peak 167 MB
+    # subselections: 4.6 million at p = 26, q = 3, r = 6, and 77 million at p = 40.  Each
+    # subselection is held by the r - q blocks it drops, C(p - q, r - q) (r - q) of them, and
+    # ranked by its r-block complement, so the binomials stay below C(p, r) past p = 67, where
+    # ranking the (p - r)-subselections themselves overflowed int64
     z = coding_matrix(dense_model(p, p))
     assert z.groups == (tuple(range(p)),)
     tracemalloc.start()

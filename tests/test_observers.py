@@ -520,20 +520,35 @@ def test_envelope_takes_the_svd_of_few_powers(three_inertia, monkeypatch):
     bank = build_observer_bank(three_inertia, ObserverConfig(mode="contract", factor=0.98))
     want, visited, _ = reference_error_bounds(bank, 0.001, 0.001, 1.0)
     matrices = []
-    svd = np.linalg.svd
 
-    def spy(*args, **kwargs):
-        matrices.append(math.prod(args[0].shape[:-2]))
-        return svd(*args, **kwargs)
+    def spy(decomposition):
+        def counted(*args, **kwargs):
+            matrices.append(math.prod(args[0].shape[:-2]))
+            return decomposition(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(observers.np.linalg, "svd", spy)
+    monkeypatch.setattr(observers.np.linalg, "svd", spy(np.linalg.svd))
+    monkeypatch.setattr(observers.np.linalg, "eigh", spy(np.linalg.eigh))
     assert compute_error_bounds(bank, 0.001, 0.001, 1.0) == want
     # a batched SVD of every power of every chunk, of every F^k L up to the stop, and of
-    # each basis check would norm 8,824 matrices on this bank
+    # each basis check would norm 8,824 matrices on this bank; the SVDs and the eigh calls
+    # for the bounds' singular vectors count alike
     chunks = sum(math.ceil(v / observers._POWER_CHUNK) for v in visited)
     every = chunks * observers._POWER_CHUNK + sum(visited) + len(bank)
     assert every == 8824
     assert sum(matrices) <= 0.05 * every
+
+
+@pytest.mark.parametrize("size", [1.0, 1e150])
+def test_ratio_bounds_read_the_top_singular_vector(size):
+    # the top eigenvector of M'M gives the top matrix of each column a lower bound as tight as
+    # the SVD's own vector, also at 1e150, where M'M holds entries near 1e300
+    mats = size * np.random.default_rng(3).standard_normal((2, 3, 4, 4))
+    lo, hi = observers._ratio_bounds(mats, np.ones(2))
+    exact = np.linalg.norm(mats, 2, axis=(2, 3))
+    assert np.isfinite(lo).all() and (lo <= exact).all() and (exact <= hi).all()
+    top = np.argmax(np.linalg.norm(mats, axis=(2, 3)), axis=0)
+    assert lo[top, range(3)] == pytest.approx(exact[top, range(3)], rel=1e-12, abs=0.0)
 
 
 def test_three_inertia_bounds_regression(three_inertia):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -308,10 +309,10 @@ def test_simulate_rejects_x0_beyond_declared_bound():
 def test_simulate_certifies_the_decoder_once(monkeypatch, inertia_chain):
     # a chain_search set-up (p = 9, q = 2, r = 4): validate computes the constants once, and
     # their rho scans at sizes p - 2q and p - q decide the redundancy assumption; no index
-    # scan runs, and each sensor's staircase is built once for Z' and once for its observer
-    calls = {"fresh": 0, "scan": [], "quotient_basis": 0}
-    fresh, scan = DecoderState.fresh.__func__, analysis._selection_scan
-    quotient_basis = analysis.quotient_basis
+    # scan runs, and the staircase Z' is built twice, once for the decoder and once for the
+    # whole observer bank
+    calls = {"fresh": 0, "scan": [], "coding_matrix": []}
+    fresh, scan, coding = DecoderState.fresh.__func__, analysis._selection_scan, plant.coding_matrix
 
     def spy_fresh(cls, *args, **kwargs):
         calls["fresh"] += 1
@@ -321,20 +322,22 @@ def test_simulate_certifies_the_decoder_once(monkeypatch, inertia_chain):
         calls["scan"].append(size)
         return scan(phi, size, eps_rel)
 
-    def spy_quotient_basis(A, c):
-        calls["quotient_basis"] += 1
-        return quotient_basis(A, c)
+    def spy_coding(model):
+        calls["coding_matrix"].append(sys._getframe(1).f_code.co_name)
+        return coding(model)
 
     monkeypatch.setattr(DecoderState, "fresh", classmethod(spy_fresh))
     monkeypatch.setattr(analysis, "_selection_scan", spy_scan)
-    monkeypatch.setattr(analysis, "quotient_basis", spy_quotient_basis)
-    monkeypatch.setattr("resilest.observers.quotient_basis", spy_quotient_basis)
+    monkeypatch.setattr(analysis, "coding_matrix", spy_coding)
+    monkeypatch.setattr(plant, "coding_matrix", spy_coding)
+    monkeypatch.setattr("resilest.observers.coding_matrix", spy_coding)
     model = inertia_chain(5, 0.01)
     x0 = np.zeros(model.n)
     x0[0] = 0.5
     simulate(Scenario(model=model, horizon=3, q=2, r=4, x0=x0, dt=0.01, recert_every=10,
                       observer=ObserverConfig(mode="contract", factor=0.98, x0_max=1.0)))
-    assert calls == {"fresh": 1, "scan": [5, 7], "quotient_basis": 2 * model.p}
+    assert calls == {"fresh": 1, "scan": [5, 7],
+                     "coding_matrix": ["validate", "build_observer_bank"]}
 
 
 def test_validate_names_the_redundancy_order_that_fails(monkeypatch):
