@@ -30,10 +30,10 @@ _POWER_CHUNK = 256  # powers per chunk; each of g sensors of one order gets _POW
 class PartialObserver:
     """Decomposition data and observer gain of one sensor.
 
-    ``Z`` (n x nu) is an orthonormal basis of the observable quotient;
-    ``S = Z' A Z`` and ``t = c Z`` form the observable pair; after gain
-    design, ``F = S - L t`` is Schur stable.  The running states of a whole
-    bank live in :class:`resilest.estimator.ObserverBank`.
+    ``Z`` (n x nu) is an orthonormal basis of the observable quotient.  ``(S, t)`` is the
+    staircase pair: ``S`` is ``Z' A Z`` made exactly lower Hessenberg and ``t = c Z = |c| e_1'``.
+    After gain design, ``F = S - L t`` is Schur stable.  The running states of a whole bank
+    live in :class:`resilest.estimator.ObserverBank`.
     """
 
     sensor_index: int
@@ -54,9 +54,9 @@ def kalman_decompose(model: SystemModel, i: int) -> PartialObserver:
     """Observability decomposition for sensor ``i`` (1-based), gain unset.
 
     The quotient basis is sensor i's block of :func:`resilest.analysis.coding_matrix`, the
-    orthogonal staircase on the rows ``c, cA, ...``, so ``Z' A = S Z'`` with ``S`` lower
-    Hessenberg and ``t = |c| e_1'``.  The staircase treats each row alone, so the block is
-    taken on the model of sensor i's row alone.  A zero output row raises ``ValueError``.
+    orthogonal staircase on the rows ``c, cA, ...`` of sensor i's row alone.  ``S`` is ``Z' A Z``
+    made exactly lower Hessenberg and ``t = |c| e_1'``: the staircase pair :func:`design_gain`
+    requires.  A zero output row raises ``ValueError``.
     """
     if not 1 <= i <= model.p:
         raise ValueError(f"sensor index {i} outside 1..{model.p}")
@@ -69,7 +69,7 @@ def _quotient_observer(model: SystemModel, i: int, block: np.ndarray) -> Partial
     Q = block[:np.count_nonzero(block.any(axis=1))]
     if not len(Q):
         raise ValueError(f"sensor {i} observes nothing (zero output row)")
-    return PartialObserver(sensor_index=i, nu=len(Q), Z=Q.T, S=Q @ model.A @ Q.T,
+    return PartialObserver(sensor_index=i, nu=len(Q), Z=Q.T, S=np.tril(Q @ model.A @ Q.T, 1),
                            t=float(np.linalg.norm(model.C[i - 1])) * np.eye(1, len(Q)),
                            Bz=Q @ model.B)
 
@@ -116,21 +116,18 @@ def _check_conjugate_closed(poles: np.ndarray) -> None:
 
 
 def _acker_gain(S: np.ndarray, t: np.ndarray, poles: np.ndarray) -> np.ndarray:
-    """Ackermann observer gain, computed on the shifted pair ((S - I)/tau, t).
-
-    The shift is exact algebra (one affine map of the pair and the poles)
-    that spreads the observability rows of the near-identity pairs of
-    fast-sampled plants.  Raises ``LinAlgError`` for an unobservable pair.
-    """
-    nu = S.shape[0]
-    tau = float(np.linalg.norm(S - np.eye(nu), 2)) or 1.0
-    base = (S - np.eye(nu)) / tau
-    obs_mat = np.vstack([t @ np.linalg.matrix_power(base, k) for k in range(nu)])
-    poly_of_base = np.zeros_like(S)
-    for c in np.poly((poles - 1.0) / tau):
-        poly_of_base = poly_of_base @ base + np.real(c) * np.eye(nu)
-    last_col = np.linalg.solve(obs_mat, np.eye(nu)[:, -1:])
-    return tau * (poly_of_base @ last_col)
+    """Ackermann's gain on a staircase pair (Datta, IEEE TAC 1987): the observability matrix is
+    lower triangular, so ``L = Re(prod_i (S - poles_i I) e_nu) / (t_1 prod_j S[j, j+1])``.
+    Raises ``LinAlgError`` for an unobservable pair or a product outside the float range."""
+    with np.errstate(all="ignore"):  # a non-finite gain is refused below, not warned about
+        scale = t[0, 0] * np.prod(np.diag(S, 1))
+        v = np.eye(len(S), 1, 1 - len(S), dtype=complex)
+        for z in poles:
+            v = S @ v - z * v
+        L = v.real / scale
+    if not (0.0 < abs(scale) < math.inf and np.isfinite(L).all()):
+        raise np.linalg.LinAlgError("unobservable pair or gain outside the float range")
+    return L
 
 
 def _pole_error(F: np.ndarray, desired: np.ndarray) -> float:
@@ -146,11 +143,13 @@ def _pole_error(F: np.ndarray, desired: np.ndarray) -> float:
 def design_gain(obs: PartialObserver, desired_poles) -> PartialObserver:
     """Place the observer poles of the observable pair (S, t).
 
-    The desired pole multiset must be conjugate-closed with moduli < 1 and
-    length nu.  One shifted Ackermann solve gives the gain (with one output
-    it is unique).  A singular solve, a non-finite gain or eigenvalues
-    farther than ``POLE_MATCH_TOL`` from the request raise.
+    The pair must be a staircase pair (``S`` exactly lower Hessenberg, ``t`` a multiple of
+    ``e_1'``) and the nu poles conjugate-closed with moduli < 1, or ``ValueError`` is raised.
+    Ackermann's formula gives the gain (with one output it is unique).  An unobservable pair,
+    a non-finite gain or eigenvalues farther than ``POLE_MATCH_TOL`` from the request raise.
     """
+    if np.triu(obs.S, 2).any() or obs.t[:, 1:].any():
+        raise ValueError(f"sensor {obs.sensor_index}: pair (S, t) is not in staircase form")
     poles = np.asarray(desired_poles, dtype=complex).reshape(-1)
     if poles.size != obs.nu:
         raise ValueError(f"need {obs.nu} poles, got {poles.size}")
@@ -161,7 +160,7 @@ def design_gain(obs: PartialObserver, desired_poles) -> PartialObserver:
         L = _acker_gain(obs.S, obs.t, poles)
         F = obs.S - L @ obs.t
         err = _pole_error(F, poles)
-    except np.linalg.LinAlgError:  # a singular solve, or a non-finite F that eigvals rejects
+    except np.linalg.LinAlgError:  # an unobservable pair or a gain outside the float range
         err = math.inf
     if err > POLE_MATCH_TOL:
         raise ValueError(

@@ -167,7 +167,7 @@ class AttackSpec:
             return float(w["amplitude"]) * math.sin(
                 2.0 * math.pi * float(w["freq_hz"]) * rel * dt + float(w.get("phase", 0.0))
             )
-        return float(rng.uniform(w["lo"], w["hi"]))
+        return float(rng.uniform(float(w["lo"]), float(w["hi"])))
 
 
 @dataclass(frozen=True)

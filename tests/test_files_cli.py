@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import json
 import math
@@ -471,6 +472,21 @@ def test_cli_simulate_rejects_waveform_without_parameters(tmp_path, capsys):
     sfile = write_json(tmp_path / "s.json", doc)
     assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
     assert "value" in capsys.readouterr().err
+
+
+def test_cli_simulate_random_waveform_reads_string_bounds(tmp_path, capsys):
+    columns = []
+    for lo, hi in ((-1.0, 1.0), ("-1", "1")):
+        doc = scalar_scenario_doc(horizon=40)
+        doc["attacks"][0] = {"sensor": 1, "start_step": 10, "end_step": None,
+                             "waveform": {"kind": "random", "lo": lo, "hi": hi}}
+        out = tmp_path / f"t{len(columns)}.csv"
+        assert main(["simulate", "--scenario", write_json(tmp_path / "s.json", doc),
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as handle:
+            columns.append([row["a_1"] for row in csv.DictReader(handle)])
+    assert "Traceback" not in capsys.readouterr().err
+    assert columns[0] == columns[1] and len(set(columns[0])) > 2
 
 
 @pytest.mark.parametrize(("field", "doc_path", "value"), [

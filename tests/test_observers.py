@@ -192,6 +192,37 @@ def test_design_gain_every_sensor_of_the_10ms_eight_inertia_chain(inertia_chain)
             assert np.abs(obs.Z.T @ m.A @ W).max() <= 1e-10
 
 
+@pytest.mark.parametrize("plant", ["demo", "chain5", "chain8"])
+def test_design_gain_matches_place_poles_on_distinct_poles(plant, three_inertia, inertia_chain):
+    from scipy.signal import place_poles
+
+    from resilest.plant import ObserverConfig, build_observer_bank
+
+    m = three_inertia if plant == "demo" else inertia_chain(int(plant[5:]), 0.01)
+    config = ObserverConfig(mode="contract", factor=0.98)
+    for obs in build_observer_bank(m, config):
+        reference = place_poles(obs.S.T, obs.t.T, config.poles_for(obs)).gain_matrix.T
+        assert np.linalg.norm(obs.L - reference) <= 1e-9 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("N", [14, 16])
+def test_design_gain_every_sensor_of_the_10ms_long_chains(N, inertia_chain):
+    from resilest.plant import ObserverConfig, build_observer_bank
+
+    # design_gain refuses any sensor whose eigenvalues miss POLE_MATCH_TOL
+    bank = build_observer_bank(inertia_chain(N, 0.01), ObserverConfig(mode="contract", factor=0.98))
+    assert len(bank) == 2 * N - 1
+
+
+def test_design_gain_rejects_a_pair_outside_staircase_form():
+    staircase = PartialObserver(sensor_index=1, nu=3, Z=np.eye(3), S=np.tril(np.ones((3, 3)), 1),
+                                t=np.eye(1, 3), Bz=np.zeros((3, 1)))
+    assert design_gain(staircase, [0.1, 0.2, 0.3]).gain_designed
+    for pair in (replace(staircase, S=np.ones((3, 3))), replace(staircase, t=np.ones((1, 3)))):
+        with pytest.raises(ValueError, match="sensor 1: pair .* not in staircase form"):
+            design_gain(pair, [0.1, 0.2, 0.3])
+
+
 def test_design_gain_random_third_order():
     rng = np.random.default_rng(15)
     poles = np.array([0.2, 0.3 + 0.1j, 0.3 - 0.1j])
@@ -219,11 +250,20 @@ def test_design_gain_validates_pole_set():
 
 
 def test_design_gain_turns_a_singular_solve_into_the_placement_error():
-    # S = I / 2 with t = e_1' is unobservable: the shifted pair's observability rows are
-    # parallel, so the Ackermann solve raises LinAlgError
+    # S = I / 2 with t = e_1' is unobservable: the superdiagonal of S is zero, so the
+    # Hessenberg gain has no finite value
     obs = PartialObserver(sensor_index=3, nu=2, Z=np.eye(2), S=0.5 * np.eye(2),
                           t=np.array([[1.0, 0.0]]), Bz=np.zeros((2, 1)))
     with pytest.raises(ValueError, match="pole placement failed for sensor 3: .* inf"):
+        design_gain(obs, default_poles(2))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_design_gain_turns_a_product_outside_the_float_range_into_the_placement_error(scale):
+    # t_1 S[0, 1] over- or underflows, with no numpy warning on the way
+    obs = PartialObserver(sensor_index=2, nu=2, Z=np.eye(2), S=np.array([[0.5, scale], [0.1, 0.5]]),
+                          t=np.array([[scale, 0.0]]), Bz=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="pole placement failed for sensor 2: .* inf"):
         design_gain(obs, default_poles(2))
 
 
