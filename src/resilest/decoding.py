@@ -134,13 +134,14 @@ def block_misfits(phi: CodingMatrix, z: np.ndarray, estimates: np.ndarray) -> np
     """Block norms of ``z - Phi x`` for each row ``x`` of ``estimates``: shape (rows, p).
 
     ``z`` must already be a ``(p, n)`` array: this runs every online step, so its shape is
-    compared, not converted."""
+    compared, not converted.  Each row takes its own product and its own block sums, so a row
+    reads the same bits however many rows come with it."""
     if z.shape != (phi.block_count, phi.block_len):
         raise ValueError(f"measurement (p, n) shape {z.shape} != "
                          f"{(phi.block_count, phi.block_len)}")
-    resid = (z.reshape(-1, 1) - phi.entries @ estimates.T).reshape(*z.shape, -1)
-    # np.linalg.norm(resid, axis=1) computes exactly this, after its per-call argument handling
-    return np.sqrt(np.add.reduce(resid * resid, axis=1)).T
+    resid = z - np.matmul(phi.entries, estimates[:, :, None]).reshape(len(estimates), *z.shape)
+    # np.linalg.norm(resid, axis=2) computes exactly this, after its per-call argument handling
+    return np.sqrt(np.add.reduce(resid * resid, axis=2))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the squares it rereads overflow

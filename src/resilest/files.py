@@ -93,9 +93,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     attacks = tuple(
         AttackSpec(
-            sensor=int(a["sensor"]),
-            start_step=int(a["start_step"]),
-            end_step=None if a.get("end_step") is None else int(a["end_step"]),
+            sensor=a["sensor"],
+            start_step=a["start_step"],
+            end_step=a.get("end_step"),
             waveform=dict(a["waveform"]),
         )
         for a in doc.get("attacks", [])
@@ -108,8 +108,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             K=np.array(c["K"], dtype=float),
             K_I=np.array(c["K_I"], dtype=float),
             reference=float(c.get("reference", 0.0)),
-            reference_onset=int(c.get("reference_onset", 0)),
-            output_index=int(c.get("output_index", 1)),
+            reference_onset=c.get("reference_onset", 0),
+            output_index=c.get("output_index", 1),
         )
 
     obs_doc = doc.get("observer", {})
@@ -127,14 +127,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         x0_max=float(obs_doc.get("x0_max", 10.0)),
     )
 
-    q = int(doc["q"])
     return Scenario(
         model=model,
-        horizon=int(doc["horizon"]),
-        q=q,
-        r=int(doc.get("r", q)),
+        horizon=doc["horizon"],
+        q=doc["q"],
+        r=doc.get("r", doc["q"]),
         attacks=attacks,
-        seed=int(noise.get("seed", 0)),
+        seed=noise.get("seed", 0),
         controller=controller,
         observer=observer,
         x0=np.array(doc["x0"], dtype=float) if doc.get("x0") is not None else None,

@@ -35,6 +35,14 @@ class ScenarioValidationError(ValueError):
     """Scenario rejected before any simulation stepping."""
 
 
+def _check_integer(name: str, value, least: Optional[int] = None) -> None:
+    """Reject ``value`` unless it is an integral number, not a bool, and at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ScenarioValidationError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ContinuousModel:
     """Continuous-time LTI triple, optionally with named physical parameters."""
@@ -132,12 +140,10 @@ class AttackSpec:
               "sinusoid": ("amplitude", "freq_hz"), "random": ("lo", "hi")}
 
     def __post_init__(self) -> None:
-        if self.sensor < 1:
-            raise ValueError("attack sensor index must be >= 1 (1-based)")
-        if self.start_step < 0:
-            raise ValueError("attack start_step must be nonnegative")
-        if self.end_step is not None and self.end_step <= self.start_step:
-            raise ValueError("attack end_step must exceed start_step")
+        _check_integer("attack sensor", self.sensor, 1)
+        _check_integer("attack start_step", self.start_step, 0)
+        if self.end_step is not None:
+            _check_integer("attack end_step", self.end_step, self.start_step + 1)
         kind = self.waveform.get("kind")
         if kind not in self._KINDS:
             raise ValueError(f"unknown waveform kind {kind!r}; expected one of {list(self._KINDS)}")
@@ -187,8 +193,8 @@ class ControllerConfig:
         object.__setattr__(self, "K_I", np.asarray(self.K_I, dtype=float).reshape(-1))
         if self.K.shape[0] != self.K_I.size:
             raise ValueError("K and K_I disagree on the number of inputs")
-        if self.output_index < 1:
-            raise ValueError("output_index is 1-based")
+        _check_integer("controller reference_onset", self.reference_onset)
+        _check_integer("controller output_index", self.output_index, 1)
 
     def reference_at(self, k: int) -> float:
         return self.reference if k >= self.reference_onset else 0.0
@@ -259,8 +265,10 @@ class Scenario:
     noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ScenarioValidationError("horizon must be >= 1")
+        for name, least in (("horizon", 1), ("q", None), ("r", None), ("seed", 0)):
+            _check_integer(name, getattr(self, name), least)
+        if self.recert_every is not None:
+            _check_integer("recert_every", self.recert_every, 1)
         if not 0.0 < self.dt < math.inf:  # False for NaN too
             raise ScenarioValidationError(
                 f"sampling period dt must be positive and finite, got {self.dt}")
@@ -268,19 +276,7 @@ class Scenario:
             raise ScenarioValidationError("noise_scale must lie in [0, 1]")
         if not self.q <= self.r <= 2 * self.q:
             raise ScenarioValidationError(f"need q <= r <= 2q, got q={self.q}, r={self.r}")
-        if self.recert_every is not None and (
-            isinstance(self.recert_every, bool)
-            or not isinstance(self.recert_every, numbers.Integral)
-            or self.recert_every < 1
-        ):
-            raise ScenarioValidationError(
-                f"recert_every must be a positive integer or None, got {self.recert_every!r}"
-            )
         c, (n, m, p) = self.controller, (self.model.n, self.model.m, self.model.p)
-        if p > 63:  # sensor i is bit i - 1 of an int64
-            raise ScenarioValidationError(
-                f"a scenario takes at most 63 sensors, got p={p}: Trace.lam_mask records the "
-                "trusted set as one int64 bit mask")
         if c is not None and c.K.shape != (m, n):
             raise ScenarioValidationError(f"controller K must be m x n = {(m, n)}, got {c.K.shape}")
         if c is not None and c.output_index > p:
@@ -336,8 +332,10 @@ class Trace:
     """Per-step log of a simulation run.
 
     Arrays are indexed by step; ``ybar`` holds the measurements, the attack
-    ``a`` included.  ``branch`` is 1 where the minimizer searched (``f > q``),
-    else 0; ``bound`` is the certified error bound ``kappa_c * v_max(k)``.
+    ``a`` included.  ``lam_mask`` is the trusted set, sensor ``i`` as bit ``i - 1``:
+    int64 through 63 sensors, Python ints (an object array) past that.  ``branch`` is 1
+    where the minimizer searched (``f > q``), else 0; ``bound`` is the certified error
+    bound ``kappa_c * v_max(k)``.
     """
 
     k: np.ndarray
@@ -402,7 +400,7 @@ def simulate(sc: Scenario) -> Trace:
         ybar=np.zeros((H, p)),
         a=np.zeros((H, p)),
         f=np.zeros(H, dtype=int),
-        lam_mask=np.zeros(H, dtype=int),
+        lam_mask=np.zeros(H, dtype=int if p < 64 else object),
         branch=np.zeros(H, dtype=int),
         bound=np.zeros(H),
     )

@@ -7,6 +7,7 @@ Run with::
 """
 
 import dataclasses
+import hashlib
 import math
 import time
 
@@ -301,6 +302,35 @@ def test_demo_decisions_match_pinned_sequence(demo_run):
     changes = np.flatnonzero(np.diff(tr.lam_mask)) + 1
     assert [(int(k), int(tr.lam_mask[k])) for k in changes] == [(2001, 0b11110)]
     assert tr.lam_mask[0] == 0b11111
+
+
+def decision_digest(trace):
+    """sha256 over the int64 f, lam_mask and branch columns, in that order: 16 hex digits."""
+    h = hashlib.sha256()
+    for column in (trace.f, trace.lam_mask, trace.branch):
+        h.update(np.ascontiguousarray(column, dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_demo_decision_digest_is_pinned(demo_run):
+    assert decision_digest(demo_run["trace"]) == "9c1a13a22b3c615a"
+
+
+@pytest.mark.parametrize(("seed", "digest"), [
+    (1, "c7747a57960f6744"), (4242, "d54e17af03439b59"), (2027, "cb8a53c6b6126e57")])
+def test_chain_search_decision_digests_are_pinned(inertia_chain, seed, digest):
+    # the 5-inertia chain at 10 ms, q = 2, r = 4, re-certified every 10 steps, with a random
+    # attack on sensor 1 from step 200 and a constant one on sensor 6 from step 500
+    model = inertia_chain(5, 0.01)
+    x0 = np.random.default_rng((seed, 5)).standard_normal(model.n)
+    sc = Scenario(
+        model=model, horizon=2000, q=2, r=4, seed=seed,
+        attacks=(AttackSpec(1, 200, None, {"kind": "random", "lo": -50.0, "hi": 50.0}),
+                 AttackSpec(6, 500, None, {"kind": "constant", "value": 50.0})),
+        observer=ObserverConfig(mode="contract", factor=0.98, x0_max=1.0),
+        x0=x0 * (0.5 / np.linalg.norm(x0)), dt=0.01, recert_every=10,
+    )
+    assert decision_digest(simulate(sc)) == digest
 
 
 def test_repeated_search_decisions_match_pinned_sequence(demo_run):

@@ -273,7 +273,8 @@ def test_stacked_search_matches_per_candidate_loop(seed, integer):
                          max_size=6))
 def test_block_misfits_equal_the_block_norms_byte_for_byte(seed, specials):
     # block_misfits reduces the squared residual itself: the arithmetic np.linalg.norm runs
-    # for an int axis, so every float matches, non-finite and overflowing blocks included
+    # for an int axis on one estimate's residual, so every float matches, non-finite and
+    # overflowing blocks included
     rng = np.random.default_rng(seed)
     n, p, rows = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(1, 6))
     phi = CodingMatrix(rng.normal(size=(n * p, n)), n, p)
@@ -282,8 +283,8 @@ def test_block_misfits_equal_the_block_norms_byte_for_byte(seed, specials):
         target = z if rng.random() < 0.75 else estimates
         target.flat[rng.integers(target.size)] = value
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = (z.reshape(-1, 1) - phi.entries @ estimates.T).reshape(p, n, rows)
-        want = np.linalg.norm(resid, axis=1).T
+        want = np.array([np.linalg.norm(z - (phi.entries @ x).reshape(p, n), axis=1)
+                         for x in estimates])
         got = block_misfits(phi, z, estimates)
     assert got.shape == want.shape == (rows, p) and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -408,6 +409,28 @@ def test_decoded_chunks_give_the_one_chunk_result(monkeypatch, case):
     x_hat, *got = decoded(phi, z, r, 1e-9)
     assert (x_hat.tobytes(), tuple(got)) == (x_one.tobytes(), want)
     assert solved == ([3, 3, 3, 1] if attacked else [3])
+
+
+def test_decode_reads_the_same_under_any_chunk_budget(monkeypatch):
+    # block_misfits takes one product per estimate, so a candidate's misfits do not depend on
+    # how many candidates share its chunk: a budget of 64 floats (1 to 4 selections a chunk
+    # here) decodes the default budget's support and estimate bit for bit, at every scale
+    default = analysis._STACK_FLOATS
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(1, 4)), int(rng.integers(5, 9))
+        scale = [1.0, 1e-3, 1e100, 1e150, 1e300][seed % 5]
+        phi = CodingMatrix(rng.normal(size=(n * p, n)), n, p)
+        z = phi.blocks @ (rng.normal(size=n) * scale)
+        z[rng.integers(p)] += rng.normal(size=n) * scale
+        constants = robustness_constants(phi, 1, 2)
+        for v_max in (0.0, 1e-16 * float(np.abs(z).max())):
+            results = []
+            for floats in (default, 64):
+                monkeypatch.setattr(analysis, "_STACK_FLOATS", floats)
+                res = decode_noisy(phi, z, 1, 2, v_max=v_max, constants=constants)
+                results.append((res.support_estimate, res.estimate.tobytes()))
+            assert results[0] == results[1], (seed, v_max)
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,18 @@ def test_cli_simulate_random_waveform_reads_string_bounds(tmp_path, capsys):
     ("recert_every", (), 0),
     ("recert_every", (), 2.5),
     ("recert_every", (), True),
+    ("horizon", (), 2.5),
+    ("horizon", (), "10"),
+    ("horizon", (), None),
+    ("q", (), True),
+    ("r", (), True),
+    ("r", (), 1.0),
+    ("seed", ("noise",), 1.5),
+    ("sensor", ("attacks", 0), 1.9),
+    ("start_step", ("attacks", 0), 0.5),
+    ("end_step", ("attacks", 0), 20.5),
+    ("reference_onset", ("controller",), 0.5),
+    ("output_index", ("controller",), True),
     ("x0", (), [math.nan]),
     ("n_max", ("noise",), math.nan),
     ("d_max", ("noise",), math.inf),
@@ -502,10 +514,11 @@ def test_cli_simulate_random_waveform_reads_string_bounds(tmp_path, capsys):
     ("x0_max", ("observer",), -1.0),
 ])
 def test_cli_simulate_rejects_bad_scenario_numbers(tmp_path, capsys, field, doc_path, value):
-    doc = scalar_scenario_doc(horizon=50)
+    # integer fields take integral numbers that are not bools, and none is truncated
+    doc = scalar_scenario_doc(horizon=50, controller={"K": [[-0.1]], "K_I": [0.0]})
     section = doc
     for key in doc_path:
-        section = section.setdefault(key, {})
+        section = section[key] if isinstance(key, int) else section.setdefault(key, {})
     section[field] = value
     sfile = write_json(tmp_path / "s.json", doc)
     assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
@@ -528,20 +541,23 @@ def test_cli_simulate_rejects_a_bad_sampling_period(tmp_path, capsys, T_s):
     assert not (tmp_path / "t.csv").exists()
 
 
-def test_cli_simulate_rejects_more_than_63_sensors(tmp_path, capsys):
+@pytest.mark.parametrize("p", [63, 64])
+def test_cli_simulate_writes_a_trusted_set_of_any_width(tmp_path, capsys, p):
+    # lambda_mask is an integer of any width: 63 sensors fill an int64, and with 64 the
+    # attacked sensor 64 leaves bit 63 clear in a mask that only a wider integer holds
     rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 4))
     A *= 0.9 / max(abs(np.linalg.eigvals(A)))
-    model = {"n": 4, "m": 1, "p": 64, "A": A.tolist(), "B": rng.standard_normal((4, 1)).tolist(),
-             "C": rng.standard_normal((64, 4)).tolist(), "d_max": 0.001, "n_max": 0.001}
-    doc = scalar_scenario_doc(model=model, horizon=3, x0=[0.0] * 4, attacks=[])
-    sfile = write_json(tmp_path / "s.json", doc)
-    assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: invalid scenario: a scenario takes at most 63 sensors")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    assert not (tmp_path / "t.csv").exists()
+    model = {"n": 4, "m": 1, "p": p, "A": A.tolist(), "B": rng.standard_normal((4, 1)).tolist(),
+             "C": rng.standard_normal((p, 4)).tolist(), "d_max": 0.001, "n_max": 0.001}
+    attack = {"sensor": p, "start_step": 1, "waveform": {"kind": "constant", "value": 1e5}}
+    doc = scalar_scenario_doc(model=model, horizon=4, x0=[0.0] * 4, attacks=[attack])
+    sfile, out = write_json(tmp_path / "s.json", doc), tmp_path / "t.csv"
+    assert main(["simulate", "--scenario", sfile, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out, newline="") as handle:
+        masks = [int(row["lambda_mask"]) for row in csv.DictReader(handle)]
+    assert masks[0] == 2**p - 1 and masks[-1] == 2**p - 1 - 2**(p - 1)
 
 
 @pytest.mark.parametrize("T_s", [math.nan, math.inf])
@@ -559,11 +575,10 @@ def test_cli_analyze_rejects_a_nonfinite_builtin_sampling_period(tmp_path, capsy
     scalar_scenario_doc(observer="x"),
     scalar_scenario_doc(noise=[1]),
     scalar_scenario_doc(controller=[1]),
-    scalar_scenario_doc(horizon=None),
     scalar_scenario_doc(observer={"poles": {"mode": "explicit", "sets": 3}}),
     [scalar_scenario_doc()],
-], ids=["attacks-int", "observer-str", "noise-list", "controller-list", "horizon-null",
-        "pole-sets-int", "top-level-list"])
+], ids=["attacks-int", "observer-str", "noise-list", "controller-list", "pole-sets-int",
+        "top-level-list"])
 def test_cli_simulate_malformed_scenario_shape_exit_2(tmp_path, capsys, doc):
     sfile = write_json(tmp_path / "s.json", doc)
     assert main(["simulate", "--scenario", sfile, "--out", str(tmp_path / "t.csv")]) == 2

@@ -382,21 +382,41 @@ def test_x0_beyond_its_bound_is_rejected_before_the_constants(monkeypatch):
     assert calls == []
 
 
-def dense_sensor_model(p):
-    rng = np.random.default_rng(0)
+def dense_sensor_model(p, seed=0):
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((4, 4))
     A *= 0.9 / max(abs(np.linalg.eigvals(A)))
     return SystemModel(A=A, B=rng.standard_normal((4, 1)), C=rng.standard_normal((p, 4)),
                        d_max=0.001, n_max=0.001)
 
 
-def test_scenario_takes_at_most_the_sensors_the_trusted_set_mask_holds():
-    # the trusted set is recorded as an int64 bit mask: 63 sensors fill it, and a 64th would
-    # overflow it only after the whole set-up, so the scenario refuses it up front
+def test_trusted_set_mask_widens_past_63_sensors():
+    # sensor i is bit i - 1 of Trace.lam_mask: 63 sensors fill an int64, and past that the
+    # column holds Python ints, so sensor 64 is bit 63 of an unbounded integer
     trace = simulate(Scenario(model=dense_sensor_model(63), horizon=3, q=1, r=1))
+    assert trace.lam_mask.dtype == np.int64
     assert trace.lam_mask.tolist() == [2**63 - 1] * 3
-    with pytest.raises(ScenarioValidationError, match="at most 63 sensors, got p=64"):
-        Scenario(model=dense_sensor_model(64), horizon=3, q=1, r=1)
+    attack = AttackSpec(64, 1, None, {"kind": "constant", "value": 1e5})
+    trace = simulate(Scenario(model=dense_sensor_model(64), horizon=4, q=1, r=1,
+                              attacks=(attack,)))
+    assert trace.lam_mask[0] == 2**64 - 1
+    assert type(trace.lam_mask[-1]) is int and trace.lam_mask[-1] == 2**64 - 1 - 2**63
+
+
+def test_simulate_at_100_sensors_drops_the_attacked_ones():
+    # a dense n = 4 model at q = 3, r = 6 with sensors 1, 5 and 100 attacked from step 50:
+    # one search drops the three, and every estimate stays within its certified bound
+    p = 100
+    sc = Scenario(
+        model=dense_sensor_model(p, seed=p), horizon=500, q=3, r=6, seed=1,
+        attacks=tuple(AttackSpec(i, 50, None, {"kind": "constant", "value": 1e5})
+                      for i in (1, 5, p)),
+        observer=ObserverConfig(mode="radius", radius=0.5, x0_max=1.0),
+    )
+    tr = simulate(sc)
+    assert np.flatnonzero(tr.branch).tolist() == [51]
+    assert np.count_nonzero(tr.estimation_errors() > tr.bound) == 0
+    assert tr.lam_mask[-1] == 2**p - 1 - 2**0 - 2**4 - 2**99
 
 
 def test_simulate_bound_conformance_and_trace_consistency():
